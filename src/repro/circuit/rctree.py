@@ -20,6 +20,7 @@ algorithms of the paper (Sec. II-C) and the moment recursions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -139,9 +140,9 @@ class RCTree:
             raise ValidationError(
                 f"edge into node {name!r} must have R > 0, got {resistance!r}"
             )
-        if not np.isfinite(resistance):
+        if not math.isfinite(resistance):
             raise ValidationError(f"edge into node {name!r} has non-finite R")
-        if capacitance < 0.0 or not np.isfinite(capacitance):
+        if capacitance < 0.0 or not math.isfinite(capacitance):
             raise ValidationError(
                 f"node {name!r} must have finite C >= 0, got {capacitance!r}"
             )
@@ -165,7 +166,7 @@ class RCTree:
 
     def set_capacitance(self, name: str, capacitance: float) -> None:
         """Replace the grounded capacitance at node ``name``."""
-        if capacitance < 0.0 or not np.isfinite(capacitance):
+        if capacitance < 0.0 or not math.isfinite(capacitance):
             raise ValidationError(
                 f"node {name!r} must have finite C >= 0, got {capacitance!r}"
             )
@@ -177,7 +178,7 @@ class RCTree:
 
         This is how gate input (pin) loads are attached to a routed net.
         """
-        if capacitance < 0.0 or not np.isfinite(capacitance):
+        if capacitance < 0.0 or not math.isfinite(capacitance):
             raise ValidationError(
                 f"load at {name!r} must be finite and >= 0, got {capacitance!r}"
             )
@@ -186,7 +187,7 @@ class RCTree:
 
     def set_resistance(self, name: str, resistance: float) -> None:
         """Replace the resistance of the edge feeding node ``name``."""
-        if not (resistance > 0.0) or not np.isfinite(resistance):
+        if not (resistance > 0.0) or not math.isfinite(resistance):
             raise ValidationError(
                 f"edge into node {name!r} must have finite R > 0, "
                 f"got {resistance!r}"

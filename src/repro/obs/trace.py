@@ -221,9 +221,12 @@ class Tracer:
         stack.append(span_)
 
     def _close(self, span_: Span) -> None:
+        # Spans sharing a thread (event-loop requests) may close out of order.
         stack = self._stack()
-        if stack and stack[-1] is span_:
-            stack.pop()
+        for k in range(len(stack) - 1, -1, -1):
+            if stack[k] is span_:
+                del stack[k]
+                break
 
     # -- inspection ----------------------------------------------------
     @property

@@ -45,16 +45,55 @@ def manhattan(a: Point, b: Point) -> float:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+def _mst_edges(points: Sequence[Point]) -> List[Tuple[int, int, float]]:
+    """Kruskal over the complete Manhattan graph on ``points``.
+
+    Pairs are sorted by ``(weight, i, j)``: by weight, ties kept in
+    ``itertools.combinations`` order (a stable sort).  Returns the accepted
+    ``(i, j, weight)`` edges (``i < j``) in the order
+    ``nx.minimum_spanning_tree`` accepts them.
+    """
+    if len(points) < 2:
+        raise RoutingError("routing needs at least two pins")
+    pairs = sorted(
+        (manhattan(points[i], points[j]), i, j)
+        for i, j in itertools.combinations(range(len(points)), 2)
+    )
+    if any(weight != weight for weight, _, _ in pairs):
+        raise RoutingError("pin coordinates must not be NaN")
+    component = list(range(len(points)))
+    edges: List[Tuple[int, int, float]] = []
+    for weight, i, j in pairs:
+        ci, cj = component[i], component[j]
+        if ci != cj:
+            edges.append((i, j, weight))
+            component = [ci if c == cj else c for c in component]
+    return edges
+
+
+def _bfs_edges(adjacency) -> List[Tuple[int, int]]:
+    """``(parent, child)`` tree edges breadth-first from the driver (node
+    0), each node's neighbours in ``adjacency`` order (as ``nx.bfs_tree``
+    does)."""
+    seen = {0}
+    queue = [0]
+    edges: List[Tuple[int, int]] = []
+    for parent in queue:
+        for child in adjacency[parent]:
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+                edges.append((parent, child))
+    return edges
+
+
 def rectilinear_mst(points: Sequence[Point]) -> "nx.Graph":
     """Minimum spanning tree of the complete Manhattan graph over
     ``points``.  Nodes are point indices; edges carry ``weight``."""
-    if len(points) < 2:
-        raise RoutingError("routing needs at least two pins")
     graph = nx.Graph()
     graph.add_nodes_from(range(len(points)))
-    for i, j in itertools.combinations(range(len(points)), 2):
-        graph.add_edge(i, j, weight=manhattan(points[i], points[j]))
-    return nx.minimum_spanning_tree(graph)
+    graph.add_weighted_edges_from(_mst_edges(points))
+    return graph
 
 
 def total_wire_length(tree: "nx.Graph") -> float:
@@ -153,8 +192,12 @@ def route_net(
 
     if use_steiner and num_pins >= 4:
         points, span = one_steiner_refinement(points)
+        adjacency = span.adj
     else:
-        span = rectilinear_mst(points)
+        adjacency = [[] for _ in points]
+        for i, j, _ in _mst_edges(points):
+            adjacency[i].append(j)
+            adjacency[j].append(i)
 
     def node_name(index: int) -> str:
         if index == 0:
@@ -164,8 +207,7 @@ def route_net(
         return f"st{index - num_pins}"
 
     segments: List[WireSegment] = []
-    order = nx.bfs_tree(span, 0)
-    for parent, child in order.edges():
+    for parent, child in _bfs_edges(adjacency):
         length = max(manhattan(points[parent], points[child]), _MIN_SEGMENT)
         segments.append(
             WireSegment(

@@ -157,6 +157,39 @@ class TestTracedDecorator:
         assert get_tracer().find(fn.__qualname__) == []
 
 
+class TestOutOfOrderClose:
+    def test_interleaved_spans_leave_no_stack(self):
+        """Overlapping spans on one thread (event-loop requests) that close
+        oldest-first must not pile up on the open stack."""
+        tracer = Tracer()
+        tracer.enable()
+        for k in range(1000):
+            first = tracer.span(f"a{k}")
+            second = tracer.span(f"b{k}")
+            first.__enter__()
+            second.__enter__()
+            first.__exit__(None, None, None)
+            second.__exit__(None, None, None)
+        assert tracer._stack() == []
+        with tracer.span("after") as after:
+            pass
+        assert tracer.roots[-1] is after
+        assert len(tracer.roots) == 1001
+        assert len(tracer.to_dicts()) == 1001
+
+    def test_middle_span_closes_first(self):
+        tracer = Tracer()
+        tracer.enable()
+        outer, middle, inner = (tracer.span(n) for n in ("o", "m", "i"))
+        for s in (outer, middle, inner):
+            s.__enter__()
+        middle.__exit__(None, None, None)
+        assert tracer._stack() == [outer, inner]
+        inner.__exit__(None, None, None)
+        outer.__exit__(None, None, None)
+        assert tracer._stack() == []
+
+
 class TestThreads:
     def test_worker_threads_build_disjoint_roots(self):
         tracer = Tracer()

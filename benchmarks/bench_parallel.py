@@ -1,14 +1,16 @@
-"""Sharded engine: Monte-Carlo sweep throughput, serial vs process pool.
+"""Sharded engine: Monte-Carlo sweep throughput, serial vs the warm pool.
 
-The tentpole claim for :mod:`repro.parallel` is twofold:
+The claim for :mod:`repro.parallel` is twofold:
 
 * **determinism** — the shard plan and per-shard ``SeedSequence.spawn``
-  streams are functions of the workload alone, so the process backend
+  streams are functions of the workload alone, so the warm shm pool
   returns the *same bits* as the serial backend (asserted here on every
-  run, at every worker count);
-* **throughput** — on a multi-core host the Monte-Carlo delay-matrix
-  workload speeds up with workers (asserted only where cores exist to
-  deliver it; a 1-core CI container still produces the table).
+  row, at every worker count);
+* **throughput** — the shm transport publishes the compiled topology
+  and parameter arrays once into shared-memory blocks served by a warm
+  pool, so a sweep ships only descriptors and slice bounds, and on a
+  multi-core host it speeds up with workers (asserted only where cores
+  exist to deliver it; a 1-core container still produces the table).
 
 Quick mode (``REPRO_BENCH_QUICK=1``) shrinks the sample count so the CI
 smoke job finishes in seconds.
@@ -26,7 +28,7 @@ from benchmarks._helpers import report
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 SAMPLES = 600 if QUICK else 6000
-JOB_COUNTS = (1, 2, 4)
+SHM_JOBS = (1, 2, 4)
 MODEL = VariationModel(resistance_sigma=0.1, capacitance_sigma=0.1)
 
 
@@ -36,9 +38,9 @@ def make_tree():
                          leaf_load=4e-15)
 
 
-def mc_sweep(tree, jobs):
+def mc_sweep(tree, jobs, backend):
     return monte_carlo_delay_matrix(
-        tree, MODEL, SAMPLES, seed=1995, jobs=jobs
+        tree, MODEL, SAMPLES, seed=1995, jobs=jobs, backend=backend
     )
 
 
@@ -52,91 +54,25 @@ def _time(fn, *args, repeats=2):
 
 
 def test_parallel_speedup(benchmark):
-    tree = make_tree()
-    reference = benchmark(mc_sweep, tree, 1)
-
-    cores = os.cpu_count() or 1
-    rows = []
-    speedups = {}
-    timings = {}
-    for jobs in JOB_COUNTS:
-        result = mc_sweep(tree, jobs)
-        # Determinism gate: every worker count returns the serial bits.
-        np.testing.assert_array_equal(result, reference)
-        timings[jobs] = _time(mc_sweep, tree, jobs)
-        speedups[jobs] = timings[1] / timings[jobs]
-        rows.append([
-            str(jobs),
-            str(tree.num_nodes),
-            str(SAMPLES),
-            f"{timings[jobs] * 1e3:.1f} ms",
-            f"{speedups[jobs]:.2f}x",
-            "yes",
-        ])
-    report(
-        "parallel",
-        f"Sharded Monte-Carlo Elmore sweep ({SAMPLES} samples, "
-        f"{tree.num_nodes}-node tree, {cores} cores)",
-        ["jobs", "nodes", "samples", "wall clock", "speedup",
-         "bit-identical"],
-        rows,
-        extra={"cores": cores, "samples": SAMPLES,
-               "speedup": {str(j): s for j, s in speedups.items()}},
-    )
-
-    # The speedup target needs cores to run on; a 1- or 2-core container
-    # still validated determinism and produced the table above.
-    if cores >= 4 and not QUICK:
-        assert speedups[4] >= 2.0, (
-            f"expected >= 2x at 4 workers on {cores} cores, got "
-            f"{speedups[4]:.2f}x"
-        )
-    elif cores >= 2 and not QUICK:
-        assert speedups[2] >= 1.2, (
-            f"expected >= 1.2x at 2 workers on {cores} cores, got "
-            f"{speedups[2]:.2f}x"
-        )
-
-
-def mc_sweep_backend(tree, jobs, backend):
-    return monte_carlo_delay_matrix(
-        tree, MODEL, SAMPLES, seed=1995, jobs=jobs, backend=backend
-    )
-
-
-def test_parallel_shm_speedup():
-    """Zero-copy warm-pool transport vs the legacy per-call fork pool.
-
-    The legacy process backend re-pickles the compiled topology and the
-    parameter matrices into fresh workers on every call — the overhead
-    that left it *slower* than serial (0.62x at jobs=2 on the original
-    table).  The shm backend publishes those arrays once into
-    shared-memory blocks served by a warm pool, so a sweep ships only
-    descriptors and slice bounds.  Bit-identity against serial is
-    asserted for every row; the speedup targets are asserted only where
-    cores exist to deliver them.
-    """
     import repro.parallel
 
     tree = make_tree()
-    reference = mc_sweep(tree, 1)
+    reference = benchmark(mc_sweep, tree, 1, "serial")
     cores = os.cpu_count() or 1
 
-    serial_time = _time(mc_sweep, tree, 1)
-    legs = [("process", 2), ("shm", 1), ("shm", 2), ("shm", 4)]
-    rows = [[
-        "serial", "1", str(tree.num_nodes), str(SAMPLES),
-        f"{serial_time * 1e3:.1f} ms", "1.00x", "yes",
-    ]]
+    legs = [("serial", 1)] + [("shm", jobs) for jobs in SHM_JOBS]
+    rows = []
     speedups = {}
+    serial_time = None
     for backend, jobs in legs:
-        result = mc_sweep_backend(tree, jobs, backend)
-        # Determinism gate: every backend returns the serial bits.
+        result = mc_sweep(tree, jobs, backend)
+        # Determinism gate: every row returns the serial bits.
         np.testing.assert_array_equal(result, reference)
         # The first (untimed) call above also warmed the pool and
         # published the topology blocks, so the timing below measures
         # the steady state the transport is designed for.
-        elapsed = _time(mc_sweep_backend, tree, jobs, backend)
+        elapsed = _time(mc_sweep, tree, jobs, backend)
+        serial_time = serial_time or elapsed
         speedups[(backend, jobs)] = serial_time / elapsed
         rows.append([
             backend, str(jobs), str(tree.num_nodes), str(SAMPLES),
@@ -145,8 +81,8 @@ def test_parallel_shm_speedup():
             "yes",
         ])
     report(
-        "parallel_shm",
-        f"Monte-Carlo Elmore sweep by backend ({SAMPLES} samples, "
+        "parallel",
+        f"Sharded Monte-Carlo Elmore sweep ({SAMPLES} samples, "
         f"{tree.num_nodes}-node tree, {cores} cores)",
         ["backend", "jobs", "nodes", "samples", "wall clock", "speedup",
          "bit-identical"],
@@ -166,8 +102,4 @@ def test_parallel_shm_speedup():
         assert speedups[("shm", 2)] >= 1.3, (
             f"expected the shm backend >= 1.3x over serial at jobs=2 on "
             f"{cores} cores, got {speedups[('shm', 2)]:.2f}x"
-        )
-        assert speedups[("shm", 2)] > speedups[("process", 2)], (
-            "the zero-copy warm-pool transport should beat the "
-            "per-call pickling fork pool at equal worker count"
         )

@@ -567,13 +567,13 @@ def build_parser() -> argparse.ArgumentParser:
              "path)",
     )
     sharded.add_argument(
-        "--backend", choices=("auto", "serial", "process", "shm"),
+        "--backend", choices=("auto", "serial", "shm"),
         default=None,
         help="sharded-engine transport: 'shm' = warm worker pool fed by "
-             "zero-copy shared-memory blocks (falls back to 'process' "
-             "then 'serial' when unavailable); 'process' = per-call "
-             "fork pool; results are bit-identical for every choice "
-             "(default: auto)",
+             "zero-copy shared-memory blocks (falls back to 'serial' "
+             "when unavailable); 'serial' = in-process; 'auto' = 'shm' "
+             "for --jobs >= 2; results are bit-identical for every "
+             "choice (default: auto)",
     )
     sharded.add_argument(
         "--checkpoint", default=None, metavar="PATH",

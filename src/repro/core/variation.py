@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,11 +49,14 @@ from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 from repro.core.sensitivity import elmore_sensitivity
 from repro.parallel import (
+    LocalWorkspace,
+    Shard,
     ShmError,
     ShmWorkspace,
     attach_workspace,
     plan_shards,
     resolve_backend,
+    resolve_jobs,
     run_sharded,
     spawn_shard_seeds,
 )
@@ -230,37 +233,13 @@ def sample_parameter_batch(
         return tree.resistances * (1.0 + xr), tree.capacitances * (1.0 + xc)
 
 
-def _mc_shard_task(payload) -> np.ndarray:
-    """Evaluate one Monte-Carlo shard: draw its spawned stream, sweep.
+def _attached_topology(descriptor):
+    """Attach a shard's workspace and return ``(workspace, topology)``.
 
-    Module-level so the process backend can pickle it.  The payload is
-    ``(topology, sr, sc, clip, count, seed_sequence)``; the returned
-    array holds the shard's ``(count, N)`` Elmore delays.
+    A shm worker rebuilds the compiled topology from the published
+    ``topo/`` blocks once per attachment (warm workers cache it); a
+    :class:`~repro.parallel.LocalWorkspace` arrives with it pre-seeded.
     """
-    topology, sr, sc, clip, count, seedseq = payload
-    rng = np.random.default_rng(seedseq)
-    n = topology.num_nodes
-    draws = rng.normal(0.0, 1.0, (count, 2, n))
-    xr = np.clip(draws[:, 0, :] * sr, -clip, clip)
-    xc = np.clip(draws[:, 1, :] * sc, -clip, clip)
-    return batch_elmore_delays(
-        topology,
-        topology.resistances * (1.0 + xr),
-        topology.capacitances * (1.0 + xc),
-    )
-
-
-def _mc_shm_shard_task(payload) -> int:
-    """Evaluate one Monte-Carlo shard through the shm transport.
-
-    The payload carries a :class:`~repro.parallel.WorkspaceDescriptor`
-    plus ``(start, stop, clip, seed_sequence)`` — no arrays.  The worker
-    attaches zero-copy views (cached per workspace, so a warm worker
-    attaches once), rebuilds the topology from the shared blocks, and
-    writes its rows directly into the shared ``out`` block.  Returns the
-    shard's row count as a cheap acknowledgement.
-    """
-    descriptor, start, stop, clip, seedseq = payload
     ws = attach_workspace(descriptor)
     topology = ws.cache.get("topology")
     if topology is None:
@@ -270,15 +249,29 @@ def _mc_shm_shard_task(payload) -> int:
         }
         topology = topology_from_arrays(topo_arrays, ws.meta["topology"])
         ws.cache["topology"] = topology
+    return ws, topology
+
+
+def _mc_shard_task(payload) -> int:
+    """Evaluate one Monte-Carlo shard: draw its spawned stream, sweep.
+
+    The payload is ``(descriptor, start, stop, clip, seed_sequence)`` —
+    no arrays.  The task attaches the workspace (zero-copy shm views, or
+    the parent's own arrays on the serial path), draws the shard's
+    ``(stop - start)`` samples, and writes their Elmore delays straight
+    into rows ``start:stop`` of the ``out`` block.  Returns the row
+    count as a cheap acknowledgement.
+    """
+    descriptor, start, stop, clip, seedseq = payload
+    ws, topology = _attached_topology(descriptor)
     sr = ws.arrays["sr"]
     sc = ws.arrays["sc"]
-    out = ws.arrays["out"]
     rng = np.random.default_rng(seedseq)
     n = topology.num_nodes
     draws = rng.normal(0.0, 1.0, (stop - start, 2, n))
     xr = np.clip(draws[:, 0, :] * sr, -clip, clip)
     xc = np.clip(draws[:, 1, :] * sc, -clip, clip)
-    out[start:stop] = batch_elmore_delays(
+    ws.arrays["out"][start:stop] = batch_elmore_delays(
         topology,
         topology.resistances * (1.0 + xr),
         topology.capacitances * (1.0 + xc),
@@ -303,8 +296,8 @@ def _topology_workspace(topology) -> ShmWorkspace:
     """The (cached) workspace publishing ``topology``'s compiled arrays.
 
     The topology blocks are published once per compiled topology and
-    reused across Monte-Carlo calls — this is the warm half of the shm
-    transport: repeat sweeps ship only dirty parameter blocks.
+    reused across sweeps — this is the warm half of the shm transport:
+    repeat sweeps ship only dirty parameter blocks.
     """
     key = id(topology)
     workspace = _TOPO_WORKSPACES.get(key)
@@ -319,68 +312,87 @@ def _topology_workspace(topology) -> ShmWorkspace:
     return workspace
 
 
-def _monte_carlo_shm(
+def _sweep_on_workspace(
+    task,
     topology,
-    sr: np.ndarray,
-    sc: np.ndarray,
-    samples: int,
-    seed: int,
-    clip: float,
-    jobs: Optional[int],
-    shard_size: Optional[int],
-    timeout: Optional[float],
-    retries: int,
+    inputs: Dict[str, np.ndarray],
+    shards: Sequence[Shard],
+    extras: Optional[Sequence[tuple]] = None,
+    jobs: Optional[int] = None,
+    backend: Optional[str] = None,
+    label: str = "parallel.run",
+    timeout: Optional[float] = None,
+    retries: int = 1,
     checkpoint=None,
 ) -> np.ndarray:
-    """The shm-backend body of :func:`monte_carlo_delay_matrix`.
+    """Run a descriptor-shaped shard ``task`` and return its ``out`` rows.
 
-    Publishes the compiled topology (cached across calls), the sigma
-    arrays, and a shared ``(samples, N)`` output block; shards then carry
-    only descriptors and slice bounds.  Raises :class:`ShmError` when the
-    transport cannot be used — the caller falls back.
+    The workspace holds ``topology``, the ``inputs`` blocks and a
+    ``(rows, N)`` float64 ``out`` block; shard ``i`` gets the payload
+    ``(descriptor, start, stop, *extras[i])`` and must fill
+    ``out[start:stop]``.  With ``backend="shm"``, or ``"auto"`` and
+    ``jobs >= 2``, the workspace is ``topology``'s cached shm workspace,
+    served by the warm pool; otherwise — or when the shm transport
+    raises :class:`~repro.parallel.ShmError`, which is counted by
+    ``parallel_shm_fallback_total`` — the same task runs in-process
+    against a :class:`~repro.parallel.LocalWorkspace`.  Either way the
+    rows are bit-identical.
+
+    A ``checkpoint`` journals each shard's ``out`` rows (the task itself
+    only acks a row count), so a journal resumes on either workspace.
     """
-    shards = plan_shards(samples, shard_size=shard_size)
-    seeds = spawn_shard_seeds(seed, len(shards))
-    n = int(topology.num_nodes)
-    workspace = _topology_workspace(topology)
-    workspace.put("sr", sr)
-    workspace.put("sc", sc)
-    out = workspace.allocate("out", (samples, n))
-    descriptor = workspace.descriptor()
+    backend = resolve_backend(backend)
+    rows = shards[-1].stop
+    extras = extras if extras is not None else [()] * len(shards)
+    spans = [(shard.start, shard.stop) for shard in shards]
+    # The ``out`` block of the attempt in flight; the journal codec
+    # reads (and, on resume, writes) whichever workspace that is.
+    current: Dict[str, np.ndarray] = {}
     if checkpoint is not None:
-        # The shm task's return value is just a row-count ack — the real
-        # result lives in the shared ``out`` block.  Journal the actual
-        # row block instead, so the file holds the same bytes the
-        # pickled-row backends would store and a journal written under
-        # one backend resumes bit-identically under any other.
-        spans = {shard.index: (shard.start, shard.stop)
-                 for shard in shards}
-
-        def _encode(index: int, value) -> np.ndarray:
+        def _encode(index: int, _ack) -> np.ndarray:
             start, stop = spans[index]
-            return np.array(out[start:stop], copy=True)
+            return np.array(current["out"][start:stop], copy=True)
 
         def _restore(index: int, stored) -> int:
             start, stop = spans[index]
-            out[start:stop] = stored
+            current["out"][start:stop] = stored
             return stop - start
 
         checkpoint.set_codec(_encode, _restore)
-    run_sharded(
-        _mc_shm_shard_task,
-        [
-            (descriptor, shard.start, shard.stop, clip,
-             seeds[shard.index])
-            for shard in shards
-        ],
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
-        label="variation.parallel_run",
-        backend="shm",
-        checkpoint=checkpoint,
-    )
-    return np.array(out, copy=True)
+
+    def _run(workspace, run_backend: str) -> np.ndarray:
+        for key, array in inputs.items():
+            workspace.put(key, array)
+        current["out"] = workspace.allocate(
+            "out", (rows, int(topology.num_nodes))
+        )
+        descriptor = workspace.descriptor()
+        run_sharded(
+            task,
+            [(descriptor, start, stop, *extra)
+             for (start, stop), extra in zip(spans, extras)],
+            jobs=jobs,
+            timeout=timeout,
+            retries=retries,
+            label=label,
+            backend=run_backend,
+            checkpoint=checkpoint,
+        )
+        return np.array(current["out"], copy=True)
+
+    if backend == "shm" or (
+        backend is None and min(resolve_jobs(jobs), len(shards)) >= 2
+    ):
+        try:
+            return _run(_topology_workspace(topology), "shm")
+        except ShmError as exc:
+            record_fallback("shm-unavailable")
+            logger.warning(
+                "shm transport unavailable (%s); rerunning serially", exc,
+            )
+    local = LocalWorkspace()
+    local.cache["topology"] = topology
+    return _run(local, "serial")
 
 
 def monte_carlo_delay_matrix(
@@ -407,12 +419,11 @@ def monte_carlo_delay_matrix(
     therefore differs from :func:`sample_parameter_batch`'s single-stream
     draw for the same seed; within the sharded engine it is reproducible.
 
-    ``backend`` picks the transport: ``"shm"`` publishes the compiled
-    topology and sigma arrays as zero-copy shared-memory blocks served
-    by the warm worker pool (falling back to ``"process"`` and then
-    serial when shared memory or workers are unavailable); ``"process"``
-    is the legacy per-call fork pool; ``"serial"`` forces in-process
-    evaluation.  ``None``/``"auto"`` keeps the legacy behaviour.
+    ``backend`` picks the transport: ``"shm"`` (the ``None``/``"auto"``
+    choice for ``jobs >= 2``) publishes the compiled topology and sigma
+    arrays as zero-copy shared-memory blocks served by the warm worker
+    pool, falling back to serial when shared memory or workers are
+    unavailable; ``"serial"`` forces in-process evaluation.
 
     ``timeout``/``retries`` bound each shard's wall clock and its
     re-submission budget (see :func:`repro.parallel.run_sharded`).
@@ -453,41 +464,20 @@ def monte_carlo_delay_matrix(
         with _span("variation.monte_carlo_sharded", samples=samples,
                    shards=len(shards), N=tree.num_nodes,
                    backend=backend or "auto"):
-            if backend == "shm":
-                try:
-                    return _monte_carlo_shm(
-                        topology, sr, sc, samples, seed, clip,
-                        jobs, shard_size, timeout, retries,
-                        checkpoint=checkpoint,
-                    )
-                except ShmError as exc:
-                    record_fallback("shm-unavailable")
-                    logger.warning(
-                        "shm backend unavailable (%s); falling back to "
-                        "the fork transport", exc,
-                    )
-                    if checkpoint is not None:
-                        # The pickled-row backends' task values *are*
-                        # the row blocks the journal stores — back to
-                        # the identity codec.
-                        checkpoint.set_codec()
-                    backend = "process"
             seeds = spawn_shard_seeds(seed, len(shards))
-            blocks = run_sharded(
+            return _sweep_on_workspace(
                 _mc_shard_task,
-                [
-                    (topology, sr, sc, clip, shard.size,
-                     seeds[shard.index])
-                    for shard in shards
-                ],
+                topology,
+                {"sr": sr, "sc": sc},
+                shards,
+                extras=[(clip, seeds[shard.index]) for shard in shards],
                 jobs=jobs,
+                backend=backend,
+                label="variation.parallel_run",
                 timeout=timeout,
                 retries=retries,
-                label="variation.parallel_run",
-                backend=backend,
                 checkpoint=checkpoint,
             )
-        return np.concatenate(blocks, axis=0)
     finally:
         if checkpoint is not None:
             checkpoint.close()

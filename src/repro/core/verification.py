@@ -146,11 +146,11 @@ def verify_tree(
         Nodes per shard for the sharded path (default: an even split
         into at most :data:`repro.parallel.DEFAULT_MAX_SHARDS`).
     backend:
-        Execution backend for the sharded path (``"serial"``,
-        ``"process"`` or ``"shm"``; default auto).  Verdict payloads are
-        object lists, not ndarrays, so ``"shm"`` here buys the warm
-        worker pool (fork once, reuse across calls) while payloads still
-        travel pickled; results stay bit-identical either way.
+        Execution backend for the sharded path (``"serial"`` or
+        ``"shm"``; default auto).  Verdict payloads are object lists,
+        not ndarrays, so ``"shm"`` here buys the warm worker pool (fork
+        once, reuse across calls) while payloads still travel pickled;
+        results stay bit-identical either way.
 
     Notes
     -----

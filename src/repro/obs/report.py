@@ -250,8 +250,8 @@ def _reason_summary(state: Dict[str, Any], label: str = "reason") -> str:
 
 def _degradation_notices(metrics: Dict[str, Dict[str, Any]]) -> List[str]:
     """One-line warnings when the run did not execute the way it asked
-    to (shm → process/serial fallback, shards degraded to in-process
-    after retries, checkpoint resume, injected faults)."""
+    to (shm → serial fallback, shards degraded to in-process after
+    retries, checkpoint resume, injected faults)."""
     notices: List[str] = []
     fallback = metrics.get("parallel_shm_fallback_total")
     if fallback and fallback.get("value", 0.0) > 0:
@@ -264,7 +264,7 @@ def _degradation_notices(metrics: Dict[str, Dict[str, Any]]) -> List[str]:
         notices.append(
             f"degraded: {degraded.get('value', 0):g} shard(s) fell back "
             "to in-process execution (worker deaths/timeouts exhausted "
-            "retries, or no process pool could be created)"
+            "retries, or the warm pool could not fork)"
         )
     resumed = metrics.get("resilience_checkpoint_shards_resumed_total")
     if resumed and resumed.get("value", 0.0) > 0:

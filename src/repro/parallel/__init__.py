@@ -4,21 +4,21 @@ Every batched workload in the library — Monte-Carlo variation sweeps,
 theorem-corpus verification, multi-net STA — is embarrassingly parallel
 over samples, trees, or nets.  This package partitions such workloads
 into deterministic shards (:mod:`repro.parallel.plan`) and evaluates
-them on one of three backends (:mod:`repro.parallel.executor`):
+them on one of two backends (:mod:`repro.parallel.executor`):
 
 * ``serial`` — in-process, the reference everything is pinned against;
-* ``process`` — a per-call fork-context ``ProcessPoolExecutor``;
 * ``shm`` — the long-lived :class:`~repro.parallel.pool.WarmPool`
   (forked once, reused across calls) fed by zero-copy
   ``multiprocessing.shared_memory`` ndarray blocks
   (:mod:`repro.parallel.shm`): workers attach views keyed by compact
   descriptors instead of unpickling topology arrays and parameter
-  matrices per shard.
+  matrices per shard.  ``auto`` picks it for ``jobs >= 2``.
 
-All backends share per-shard timeout, bounded retry on a fresh (or
-recycled) pool, and graceful degradation back to serial execution when
-workers die or no pool can be created; shm workloads additionally fall
-back to the fork transport when shared memory is unavailable.
+The pool retries dead or hung shards on recycled workers and degrades
+to serial execution when retries run out or no worker can be forked;
+ndarray workloads whose shared memory is unavailable rerun serially on
+a :class:`~repro.parallel.shm.LocalWorkspace` through the very same
+shard task.
 
 The determinism contract: the shard plan and the per-shard RNG streams
 (``SeedSequence.spawn``) depend only on the workload and the seed —
@@ -56,6 +56,7 @@ from repro.parallel.pool import (
 from repro.parallel.shm import (
     ArraySpec,
     AttachedWorkspace,
+    LocalWorkspace,
     ShmError,
     ShmWorkspace,
     WorkspaceDescriptor,
@@ -81,6 +82,7 @@ __all__ = [
     "shutdown_warm_pool",
     "ShmError",
     "ShmWorkspace",
+    "LocalWorkspace",
     "ArraySpec",
     "WorkspaceDescriptor",
     "AttachedWorkspace",

@@ -1,4 +1,4 @@
-"""Sharded execution backends: serial, per-call process pool, warm pool.
+"""Sharded execution backends: serial and the warm shm pool.
 
 :func:`run_sharded` evaluates one picklable task function over a list of
 shard payloads and returns the results in payload order.  Backends
@@ -6,29 +6,25 @@ shard payloads and returns the results in payload order.  Backends
 
 * **serial** (the default for ``jobs in (None, 0, 1)``) — runs every
   shard in-process under a ``parallel.shard`` span.  This is also the
-  reference the process backends are pinned against: all backends
-  execute the *same* shard plan, so their reduced results are
-  bit-identical.
-* **process** (the default for ``jobs >= 2``) — a fresh
-  ``concurrent.futures`` ``ProcessPoolExecutor`` per call (``fork``
-  start method where available), torn down when the run completes.
-* **shm** — the zero-copy transport: shards run on the long-lived
-  :class:`~repro.parallel.pool.WarmPool` (forked once, reused across
-  calls), and workloads that publish their arrays through
+  reference the pool is pinned against: both backends execute the
+  *same* shard plan, so their reduced results are bit-identical.
+* **shm** (the default for ``jobs >= 2``) — shards run on the
+  long-lived :class:`~repro.parallel.pool.WarmPool` (forked once,
+  reused across calls).  Workloads that publish their arrays through
   :mod:`repro.parallel.shm` hand workers compact descriptors instead of
-  pickled payloads.  Falls back to ``process`` semantics when the warm
-  pool cannot fork, and to serial like every other backend.
+  pickled payloads; object workloads (verification, STA nets) ride the
+  same warm workers with pickled payloads.
 
 Robustness is built in rather than bolted on:
 
 * a per-shard ``timeout`` (seconds) bounds how long the parent waits for
   any single shard;
 * a shard whose worker dies (``BrokenProcessPool``) or times out is
-  retried up to ``retries`` times on a **fresh pool** (the old pool is
-  torn down — or, for the warm pool, recycled — so a poisoned or hung
-  worker never serves another shard);
-* when retries are exhausted, or when no process pool can be created at
-  all (e.g. ``fork`` unavailable and ``spawn`` fails), the engine
+  retried up to ``retries`` times on a **recycled pool** (the old
+  workers are terminated, so a poisoned or hung worker never serves
+  another shard);
+* when retries are exhausted, or when the warm pool cannot fork at all
+  (e.g. ``fork`` unavailable and ``spawn`` fails), the engine
   **degrades gracefully**: the remaining shards run serially in-process
   and the run still succeeds;
 * exceptions raised *by the task itself* are genuine bugs and propagate
@@ -69,7 +65,7 @@ from repro.obs.metrics import counter as _counter
 from repro.obs.metrics import histogram as _histogram
 from repro.obs.trace import get_tracer as _get_tracer
 from repro.obs.trace import span as _span
-from repro.parallel.pool import WarmPool, _init_pool_worker, lease_warm_pool
+from repro.parallel.pool import lease_warm_pool
 from repro.resilience.faults import check as _fault_check
 
 __all__ = ["run_sharded", "resolve_jobs", "available_backends", "BACKENDS"]
@@ -77,7 +73,7 @@ __all__ = ["run_sharded", "resolve_jobs", "available_backends", "BACKENDS"]
 logger = logging.getLogger(__name__)
 
 #: Backend names ``run_sharded`` accepts (``None`` = jobs-based auto).
-BACKENDS = ("serial", "process", "shm")
+BACKENDS = ("serial", "shm")
 
 _SHARDS = _counter(
     "parallel_shards_total", "Shards evaluated by the sharded engine"
@@ -92,7 +88,7 @@ _TIMEOUTS = _counter(
 _DEGRADED = _counter(
     "parallel_degraded_total",
     "Shards that fell back to in-process execution after retries "
-    "were exhausted or no process pool could be created",
+    "were exhausted or the warm pool could not fork",
 )
 _SHARD_SECONDS = _histogram(
     "parallel_shard_seconds",
@@ -112,7 +108,7 @@ _BACKOFF_SECONDS = _histogram(
 class _MalformedResultError(Exception):
     """Internal: a worker handed back something other than the
     ``(value, elapsed, obs)`` triple.  Treated like an infrastructure
-    failure (the shard retries on a fresh pool), never propagated."""
+    failure (the shard retries on a recycled pool), never propagated."""
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -136,48 +132,19 @@ def resolve_backend(backend: Optional[str]) -> Optional[str]:
             f"backend must be one of {('auto',) + BACKENDS}, "
             f"got {backend!r}"
         )
-    if backend == "process":
-        _note_process_backend()
     return backend
 
 
-_PROCESS_SELECTED = _counter(
-    "parallel_process_backend_selected_total",
-    "Explicit backend='process' selections (deprecated: the per-call "
-    "fork pool measured 0.59x vs serial; prefer 'shm' or 'auto')",
-)
-_process_backend_warned = False
-
-
-def _note_process_backend() -> None:
-    """Soft-deprecate explicit ``backend="process"``: count every
-    selection, log once per process.  A ``DeprecationWarning`` would be
-    promoted to an error under the test suite's warning filters, so the
-    nudge stays out-of-band."""
-    global _process_backend_warned
-    _PROCESS_SELECTED.inc()
-    if not _process_backend_warned:
-        _process_backend_warned = True
-        logger.warning(
-            "backend='process' is deprecated for sweeps: the per-call "
-            "fork pool measured 0.59x vs serial on the tracked "
-            "benchmarks (see ROADMAP.md); prefer backend='shm' (warm "
-            "pool, zero-copy) or 'auto'"
-        )
-
-
 def available_backends() -> List[str]:
-    """Backends usable on this host (``serial`` always; ``process`` when
-    multiprocessing offers any start method; ``shm`` when shared-memory
-    segments can be created on top of that)."""
+    """Backends usable on this host (``serial`` always; ``shm`` when
+    multiprocessing offers a start method and shared-memory segments
+    can be created)."""
     backends = ["serial"]
     try:
-        if multiprocessing.get_all_start_methods():
-            backends.append("process")
-            from repro.parallel.shm import shm_available
+        from repro.parallel.shm import shm_available
 
-            if shm_available():
-                backends.append("shm")
+        if multiprocessing.get_all_start_methods() and shm_available():
+            backends.append("shm")
     except Exception:  # pragma: no cover - exotic platforms
         pass
     return backends
@@ -276,68 +243,6 @@ def _retry_backoff_delay(base: float, wave: int, label: str) -> float:
     return min(base * (2.0 ** (wave - 1)) * (1.0 + rng.random()), 2.0)
 
 
-def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:
-    """Tear a pool down without waiting on hung or dead workers."""
-    from repro.parallel.pool import _terminate_pool
-
-    _terminate_pool(pool)
-
-
-class _EphemeralPools:
-    """Legacy pool strategy: a fresh pool per wave, killed afterwards."""
-
-    def __init__(self, jobs: int) -> None:
-        self._jobs = jobs
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def acquire(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            if _fault_check("pool.fork") is not None:
-                raise RuntimeError("injected fault: pool.fork")
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._jobs, mp_context=context,
-                initializer=_init_pool_worker,
-                initargs=(context.Value("i", 0),),
-            )
-        return self._pool
-
-    def invalidate(self) -> None:
-        _kill_pool(self._pool)
-        self._pool = None
-
-    def release(self) -> None:
-        _kill_pool(self._pool)
-        self._pool = None
-
-
-class _WarmPoolStrategy:
-    """Warm-pool strategy: reuse the global pool, recycle on failure.
-
-    Holds a lease for the duration of the run so a concurrent
-    ``get_warm_pool`` resize retires this pool gracefully instead of
-    terminating the workers mid-wave.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        self._warm: WarmPool = lease_warm_pool(jobs)
-
-    def acquire(self) -> ProcessPoolExecutor:
-        return self._warm.executor()
-
-    def invalidate(self) -> None:
-        self._warm.recycle()
-
-    def release(self) -> None:
-        # Workers stay warm for the next run; dropping the lease only
-        # tells the pool module this run no longer depends on them (a
-        # retired pool tears down on its last release).
-        self._warm.release_lease()
-
-
 def run_sharded(
     task: Callable[[Any], Any],
     payloads: Sequence[Any],
@@ -366,14 +271,14 @@ def run_sharded(
         Per-shard seconds the parent waits before declaring the shard
         hung and recycling the pool (``None`` = wait forever).
     retries:
-        How many times a dead/hung shard is re-submitted to a fresh pool
-        before degrading to in-process execution.
+        How many times a dead/hung shard is re-submitted to a recycled
+        pool before degrading to in-process execution.
     backend:
-        ``None``/``"auto"`` — serial for one job, a per-call process
-        pool otherwise; ``"serial"`` — force in-process execution;
-        ``"process"`` — the per-call pool; ``"shm"`` — the long-lived
+        ``None``/``"auto"`` — serial for one job, the warm pool
+        otherwise; ``"serial"`` — force in-process execution;
+        ``"shm"`` — the long-lived
         :class:`~repro.parallel.pool.WarmPool` (the transport the
-        zero-copy shm workloads run on).  Every backend returns the
+        zero-copy shm workloads run on).  Both backends return the
         same bits for the same shard plan.
     checkpoint:
         Optional crash-safety journal (duck-typed; in practice a
@@ -406,10 +311,9 @@ def run_sharded(
         if checkpoint is not None else {}
     )
     effective_jobs = min(jobs, len(payloads))
-    if backend == "serial" or effective_jobs == 1:
-        chosen = "serial"
-    else:
-        chosen = backend or "process"
+    chosen = (
+        "serial" if backend == "serial" or effective_jobs == 1 else "shm"
+    )
     with _span(label, shards=len(payloads), jobs=effective_jobs,
                backend=chosen) as sp:
         if restored:
@@ -425,24 +329,20 @@ def run_sharded(
                     checkpoint.record(index, value)
                 out.append(value)
             return out
-        strategy = (
-            _WarmPoolStrategy(effective_jobs) if chosen == "shm"
-            else _EphemeralPools(effective_jobs)
-        )
-        return _run_process_backend(
-            task, payloads, timeout, retries, sp, strategy,
+        return _run_on_pool(
+            task, payloads, effective_jobs, timeout, retries, sp,
             checkpoint=checkpoint, restored=restored,
             retry_backoff=retry_backoff, label=label,
         )
 
 
-def _run_process_backend(
+def _run_on_pool(
     task: Callable[[Any], Any],
     payloads: List[Any],
+    jobs: int,
     timeout: Optional[float],
     retries: int,
     run_span,
-    strategy,
     checkpoint: Any = None,
     restored: Optional[Dict[int, Any]] = None,
     retry_backoff: float = 0.05,
@@ -463,13 +363,16 @@ def _run_process_backend(
     # later degrade to _run_shard_inline run *in* the parent, where the
     # live tracer/registry see them directly — no payload needed.
     capture = _aggregate.capture_enabled()
+    # The lease keeps a concurrent resize from terminating these workers
+    # mid-wave (the pool is retired instead; see repro.parallel.pool).
+    warm = lease_warm_pool(jobs)
     try:
         while todo:
             try:
-                pool = strategy.acquire()
+                pool = warm.executor()
             except Exception as exc:
                 logger.warning(
-                    "process pool unavailable (%s); degrading %d "
+                    "warm pool unavailable (%s); degrading %d "
                     "shards to the serial backend", exc, len(todo),
                 )
                 run_span.set_attribute("degraded", True)
@@ -488,7 +391,7 @@ def _run_process_backend(
                 break
             # The pool is suspect (a worker died or a shard hung in it):
             # recycle it so no poisoned worker serves the retries.
-            strategy.invalidate()
+            warm.recycle()
             wave += 1
             retry_round: List[int] = []
             for index in failed:
@@ -498,8 +401,8 @@ def _run_process_backend(
                     retry_round.append(index)
                 else:
                     logger.warning(
-                        "shard %d failed %d attempt(s) on the process "
-                        "backend; degrading it to in-process execution",
+                        "shard %d failed %d attempt(s) on the warm "
+                        "pool; degrading it to in-process execution",
                         index, attempts[index],
                     )
                     run_span.set_attribute("degraded", True)
@@ -514,7 +417,9 @@ def _run_process_backend(
                 _BACKOFF_SECONDS.observe(delay)
                 time.sleep(delay)
     finally:
-        strategy.release()
+        # Workers stay warm for the next run; a retired pool tears down
+        # on its last lease release.
+        warm.release_lease()
     return [results[index] for index in range(len(payloads))]
 
 

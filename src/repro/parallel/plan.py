@@ -5,7 +5,7 @@ block of Monte-Carlo samples, a run of verification corpus trees, a
 group of STA nets.  The planner's one hard rule is that **the shard
 decomposition never depends on the worker count**: it is a pure function
 of the workload size (and an optional explicit ``shard_size``), so the
-serial backend and a process pool of any width evaluate the *same*
+serial backend and a warm pool of any width evaluate the *same*
 shards in the same order and reduce to bit-identical results.
 
 Per-shard randomness follows the same contract: a root seed is expanded

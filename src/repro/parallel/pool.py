@@ -1,9 +1,9 @@
 """A long-lived warm worker pool: fork once, serve many sharded runs.
 
-The legacy process backend of :mod:`repro.parallel.executor` builds a
-fresh ``ProcessPoolExecutor`` per call — every sharded run pays the fork
-(and, on the first task, the import/page-in) cost all over again.  The
-:class:`WarmPool` keeps one fork-context pool alive across calls:
+Every multi-worker run of :mod:`repro.parallel.executor` executes on
+the :class:`WarmPool`, which keeps one fork-context
+``ProcessPoolExecutor`` alive across calls so a run does not pay the
+fork (and, on the first task, the import/page-in) cost again:
 
 * the first run forks the workers (``parallel_pool_forks_total``);
 * subsequent runs re-use them (``parallel_pool_reuses_total``), which is
@@ -11,9 +11,8 @@ fresh ``ProcessPoolExecutor`` per call — every sharded run pays the fork
   workers keep their attached zero-copy views between calls;
 * a failed wave (dead worker, hung shard) **recycles** the pool
   (``parallel_pool_recycles_total``): the old workers are terminated
-  without waiting and the next wave forks a clean set, exactly like the
-  legacy backend's fresh-pool retry — a poisoned worker never serves
-  another shard.
+  without waiting and the next wave forks a clean set — a poisoned
+  worker never serves another shard.
 
 Lifecycle: one module-level pool, resized on demand when a run asks for
 a different worker count, torn down by :func:`shutdown_warm_pool` (and

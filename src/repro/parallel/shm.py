@@ -1,13 +1,10 @@
 """Zero-copy shared-memory transport for batched ndarray workloads.
 
-The fork-pool backend of :mod:`repro.parallel.executor` pickles every
-shard payload — for the batched engine that means re-serializing the
-compiled topology arrays and the ``(B, N)`` parameter matrices into
-every worker on every call, which is exactly the overhead that made the
-process backend *slower* than serial (``benchmarks/results/parallel.txt``,
-0.62x at jobs=2 before this module existed).
-
-This module replaces pickled payloads with **published ndarray blocks**:
+Pickling shard payloads would re-serialize the compiled topology arrays
+and the ``(B, N)`` parameter matrices into every worker on every call —
+the overhead that left a pickling fork pool *slower* than serial (0.62x
+at jobs=2 before this module existed).  This module replaces pickled
+payloads with **published ndarray blocks**:
 
 * the parent :func:`publishes <ShmWorkspace.put>` each array once into a
   ``multiprocessing.shared_memory`` segment;
@@ -71,6 +68,7 @@ __all__ = [
     "ArraySpec",
     "WorkspaceDescriptor",
     "ShmWorkspace",
+    "LocalWorkspace",
     "AttachedWorkspace",
     "attach_workspace",
     "detach_all",
@@ -109,7 +107,7 @@ _UNLINKS = _counter(
 )
 _FALLBACKS = _counter(
     "parallel_shm_fallback_total",
-    "shm-backend runs that fell back to the fork or serial backend",
+    "shm-backend runs that fell back to the serial backend",
 )
 _ACTIVE = _gauge(
     "parallel_shm_active_segments",
@@ -120,7 +118,7 @@ _ACTIVE = _gauge(
 class ShmError(ReproError):
     """Shared-memory transport failure (segment gone, attach refused,
     platform without ``/dev/shm``).  Callers treat this as a signal to
-    fall back to the fork or serial backend — never as a fatal error."""
+    fall back to the serial backend — never as a fatal error."""
 
 
 #: Serializes every tracker-sensitive ``SharedMemory`` call this module
@@ -508,6 +506,38 @@ def close_all_workspaces() -> None:
 atexit.register(close_all_workspaces)
 
 
+class LocalWorkspace:
+    """In-process stand-in for :class:`ShmWorkspace` on the serial path.
+
+    Same ``put``/``allocate``/``descriptor`` surface, but every block is
+    an ordinary ndarray held by reference (no segment, no copy), and
+    :meth:`descriptor` returns the workspace itself, which
+    :func:`attach_workspace` hands straight back — so one descriptor-
+    shaped shard task serves both backends.  The serial backend runs
+    shards in the parent, so a local workspace is never pickled.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: Dict[str, np.ndarray] = {}
+        self.cache: Dict[str, Any] = {}
+
+    def put(self, key: str, array: np.ndarray) -> None:
+        """Hold ``array`` under ``key`` (by reference)."""
+        self.arrays[key] = array
+
+    def allocate(
+        self, key: str, shape: Tuple[int, ...], dtype=np.float64
+    ) -> np.ndarray:
+        """A fresh, uninitialized output block under ``key``."""
+        block = np.empty(shape, dtype=dtype)
+        self.arrays[key] = block
+        return block
+
+    def descriptor(self) -> "LocalWorkspace":
+        """The workspace itself (it never leaves this process)."""
+        return self
+
+
 # ---------------------------------------------------------------------------
 # Attach side (workers, or the parent's inline degrade path)
 
@@ -559,8 +589,11 @@ def attach_workspace(descriptor: WorkspaceDescriptor) -> AttachedWorkspace:
     """Attach (or re-use the cached attachment of) ``descriptor``.
 
     Raises :class:`ShmError` when any named segment no longer exists —
-    the caller's cue to fall back to a non-shm backend.
+    the caller's cue to fall back to the serial backend.  A
+    :class:`LocalWorkspace` is already attached and comes straight back.
     """
+    if isinstance(descriptor, LocalWorkspace):
+        return descriptor
     if _fault_check("shm.attach") is not None:
         raise ShmError("injected fault: shm.attach")
     if _fault_check("shm.unlink") is not None:
@@ -633,7 +666,7 @@ def detach_all() -> None:
 
 
 def record_fallback(reason: str = "unspecified") -> None:
-    """Count one shm-to-fork/serial fallback (workload layer calls this).
+    """Count one shm-to-serial fallback (workload layer calls this).
 
     ``reason`` is a short slug ("shm-unavailable", "publish-failed") that
     lands on a ``reason``-labeled child series, so ``repro report`` can

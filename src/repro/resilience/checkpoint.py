@@ -193,8 +193,8 @@ class ShardCheckpoint:
     shard index) and :meth:`record` at every shard acceptance.
 
     Workloads whose task return value is *not* the result to persist
-    (the shm Monte-Carlo path acks a row count; the rows live in the
-    shared output block) install ``encode``/``restore`` hooks via
+    (the Monte-Carlo task acks a row count; the rows live in the
+    workspace's output block) install ``encode``/``restore`` hooks via
     :meth:`set_codec` — the journal then stores what ``encode`` extracts
     and ``restore`` turns a stored payload back into the task-value
     shape (writing the rows home as a side effect).

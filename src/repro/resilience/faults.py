@@ -1,7 +1,7 @@
 """Deterministic fault injection: named fault points, seeded schedules.
 
 The robustness machinery of this library — bounded retry on a recycled
-pool, shm → process → serial fallback, serve-side watchdog recycling —
+pool, shm → serial fallback, serve-side watchdog recycling —
 is only trustworthy if every rung is *reachable on demand*.  This module
 compiles named **fault points** into the hot paths
 (:mod:`repro.parallel.executor`, :mod:`repro.parallel.pool`,
@@ -22,7 +22,7 @@ Fault points (:data:`FAULT_POINTS`):
 ``result.malformed`` worker returns a garbage payload instead of the
                      ``(value, elapsed, obs)`` tuple (drives the parent's
                      payload validation + retry)
-``pool.fork``        pool creation refuses (drives degrade-to-serial)
+``pool.fork``        warm-pool fork refuses (drives degrade-to-serial)
 ``shm.attach``       attaching a published workspace raises ``ShmError``
 ``shm.publish``      publishing a block raises ``ShmError``
 ``shm.unlink``       a published segment is unlinked out from under the

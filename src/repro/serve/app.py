@@ -105,7 +105,7 @@ class ServeConfig:
     port: int = 8080
     #: Worker processes for the sweeps underneath (None/1 = in-process).
     jobs: Optional[int] = None
-    #: Sharded-engine transport (``shm``/``process``/``serial``/None=auto).
+    #: Sharded-engine transport (``shm``/``serial``/None=auto).
     backend: Optional[str] = None
     #: Seconds a fresh batch waits for companions before dispatching.
     batch_window: float = 0.002

@@ -10,10 +10,9 @@ would have produced — the property the coalescing tests pin.
 
 With ``jobs >= 2`` the row block is sharded through the parallel engine
 (:func:`repro.parallel.run_sharded`), which leases the warm worker pool
-for the sweep (``shm`` backend) and preserves the shm -> process ->
-serial fallback chain; the shard plan depends only on the row count, so
-results stay bit-identical to the in-process sweep for any worker
-count.
+for the sweep and degrades to in-process execution when workers die or
+cannot fork; the shard plan depends only on the row count, so results
+stay bit-identical to the in-process sweep for any worker count.
 
 Signals never break coalescing: the sweep computes signal-independent
 transfer coefficients, and each request's input-signal contribution

@@ -38,7 +38,6 @@ corners are surfaced through :class:`SSTAReport`.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -54,22 +53,16 @@ from repro.core.canonical import (
     canonical_max_many,
 )
 from repro.core.sensitivity import elmore_sensitivity
-from repro.core.variation import VariationModel, _topology_workspace
+from repro.core.variation import (
+    VariationModel,
+    _attached_topology,
+    _sweep_on_workspace,
+)
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
-from repro.parallel import (
-    ShmError,
-    attach_workspace,
-    plan_shards,
-    resolve_backend,
-    run_sharded,
-)
-from repro.parallel.shm import record_fallback
-from repro.core.batch import topology_from_arrays
+from repro.parallel import plan_shards, resolve_backend
 from repro.sta.netlist import Design, Pin
 from repro.sta.timing import TimingResult, _delay_cache_of, analyze
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "ProcessModel",
@@ -492,30 +485,13 @@ def analyze_ssta(
 # ---------------------------------------------------------------------------
 
 
-def _rows_shard_task(payload) -> np.ndarray:
-    """Sweep one shard's pre-drawn (rows, N) parameter block (picklable)."""
-    topology, res_rows, cap_rows = payload
-    return batch_elmore_delays(topology, res_rows, cap_rows)
-
-
-def _rows_shm_shard_task(payload) -> int:
-    """Shm transport: attach the published forest + parameter rows and
-    write the shard's delay rows straight into the shared out block."""
+def _rows_shard_task(payload) -> int:
+    """Sweep one shard's pre-drawn parameter rows: attach the forest and
+    the ``res``/``cap`` blocks, write the delay rows into ``out``."""
     descriptor, start, stop = payload
-    ws = attach_workspace(descriptor)
-    topology = ws.cache.get("topology")
-    if topology is None:
-        topo_arrays = {
-            k[len("topo/"):]: v
-            for k, v in ws.arrays.items() if k.startswith("topo/")
-        }
-        topology = topology_from_arrays(topo_arrays, ws.meta["topology"])
-        ws.cache["topology"] = topology
-    res = ws.arrays["rows_res"]
-    cap = ws.arrays["rows_cap"]
-    out = ws.arrays["rows_out"]
-    out[start:stop] = batch_elmore_delays(
-        topology, res[start:stop], cap[start:stop]
+    ws, topology = _attached_topology(descriptor)
+    ws.arrays["out"][start:stop] = batch_elmore_delays(
+        topology, ws.arrays["res"][start:stop], ws.arrays["cap"][start:stop]
     )
     return stop - start
 
@@ -530,45 +506,21 @@ def _sweep_rows(
     """Batched Elmore delays for explicit (B, N) parameter rows.
 
     One in-process call by default; with ``jobs``/``backend`` the rows
-    shard across the parallel engine — ``"shm"`` publishes the compiled
-    forest and both parameter blocks on the warm pool and workers write
-    into a shared output block (zero pickled arrays).
+    shard across the parallel engine — on the warm pool the compiled
+    forest and both parameter blocks are published as shm blocks and
+    workers write into a shared output block (zero pickled arrays).
     """
-    backend = resolve_backend(backend)
-    if jobs is None and backend is None:
+    if jobs is None and resolve_backend(backend) is None:
         return batch_elmore_delays(topology, res, cap)
-    shards = plan_shards(res.shape[0])
-    if backend == "shm":
-        try:
-            workspace = _topology_workspace(topology)
-            workspace.put("rows_res", res)
-            workspace.put("rows_cap", cap)
-            out = workspace.allocate("rows_out", res.shape)
-            descriptor = workspace.descriptor()
-            run_sharded(
-                _rows_shm_shard_task,
-                [(descriptor, s.start, s.stop) for s in shards],
-                jobs=jobs,
-                label="ssta.parallel_run",
-                backend="shm",
-            )
-            return np.array(out, copy=True)
-        except ShmError as exc:
-            record_fallback("shm-unavailable")
-            logger.warning(
-                "shm backend unavailable (%s); falling back to the fork "
-                "transport", exc,
-            )
-            backend = "process"
-    blocks = run_sharded(
+    return _sweep_on_workspace(
         _rows_shard_task,
-        [(topology, res[s.start:s.stop], cap[s.start:s.stop])
-         for s in shards],
+        topology,
+        {"res": res, "cap": cap},
+        plan_shards(res.shape[0]),
         jobs=jobs,
-        label="ssta.parallel_run",
         backend=backend,
+        label="ssta.parallel_run",
     )
-    return np.concatenate(blocks, axis=0)
 
 
 def monte_carlo_arrivals(

@@ -373,10 +373,10 @@ def analyze(
         worker processes).  Arrival/slew results are bit-identical to
         the default single-forest path.
     backend:
-        Execution backend for the sharded path (``"serial"``,
-        ``"process"`` or ``"shm"``; default auto).  ``"shm"`` selects
-        the warm worker pool; net payloads are object tuples and still
-        travel pickled.  Results stay bit-identical either way.
+        Execution backend for the sharded path (``"serial"`` or
+        ``"shm"``; default auto).  ``"shm"`` selects the warm worker
+        pool; net payloads are object tuples and still travel pickled.
+        Results stay bit-identical either way.
     checkpoint_path, resume:
         Crash-safe journaling of the forest fan-out's per-shard results
         (``"elmore"`` model only; see

@@ -3,8 +3,27 @@
 import numpy as np
 import pytest
 
+import repro.parallel as parallel
 from repro.circuit import RCTree, rc_line
+from repro.parallel.shm import active_segment_names
 from repro.workloads import fig1_tree, mixed_corpus, tree25
+
+
+@pytest.fixture(autouse=True)
+def shm_leak_gate():
+    """Tear down the warm pool and every shm workspace after each test,
+    and fail loudly if a library-owned ``/dev/shm`` segment survived.
+
+    Any ``jobs >= 2`` call forks the process-global warm pool; a pool
+    left running would serve later tests from workers forked before
+    their fault schedule was armed, and a leaked segment would poison
+    every test after it."""
+    yield
+    parallel.shutdown()
+    leaked = active_segment_names()
+    assert leaked == (), (
+        f"shared-memory segments leaked past teardown: {leaked}"
+    )
 
 
 @pytest.fixture

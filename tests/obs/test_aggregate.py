@@ -25,14 +25,14 @@ from repro.parallel import available_backends, run_sharded
 
 _PARENT = os.getpid()
 
-needs_process = pytest.mark.skipif(
-    "process" not in available_backends(),
-    reason="process backend unavailable on this host",
+needs_shm = pytest.mark.skipif(
+    "shm" not in available_backends(),
+    reason="warm shm pool unavailable on this host",
 )
 
 
 # ---------------------------------------------------------------------------
-# Module-level tasks (the process backend pickles them by reference).
+# Module-level tasks (the warm pool pickles them by reference).
 
 def _traced_increment(payload):
     """Inc a counter by the payload and record a span around it."""
@@ -195,7 +195,7 @@ class TestMergeWorkerPayload:
 # ---------------------------------------------------------------------------
 # End to end through the sharded engine.
 
-@needs_process
+@needs_shm
 class TestSharded:
     def test_traced_run_merges_spans_and_counter_sums(self):
         reg = get_registry()
@@ -204,7 +204,7 @@ class TestSharded:
         base_before = reg.counter("aggtest_units_total").value
         with tracing():
             out = run_sharded(_traced_increment, payloads, jobs=2,
-                              backend="process")
+                              backend="shm")
         assert out == [10, 20, 30, 40]
         # Parent-side merged counter equals the sum of worker deltas.
         base = reg.counter("aggtest_units_total")
@@ -228,7 +228,7 @@ class TestSharded:
         reg = get_registry()
         get_tracer().disable()
         merged_before = reg.counter("parallel_worker_payloads_total").value
-        out = run_sharded(_square_like, [3, 5], jobs=2, backend="process")
+        out = run_sharded(_square_like, [3, 5], jobs=2, backend="shm")
         assert out == [9, 25]
         assert reg.counter("parallel_worker_payloads_total").value \
             == merged_before
@@ -247,45 +247,56 @@ class TestSharded:
         serial = monte_carlo_delay_matrix(
             tree, model, 600, seed=11, jobs=1, shard_size=150
         )
-        forked = monte_carlo_delay_matrix(
+        pooled = monte_carlo_delay_matrix(
             tree, model, 600, seed=11, jobs=2, shard_size=150,
-            backend="process",
+            backend="shm",
         )
-        assert np.array_equal(serial, forked)
+        assert np.array_equal(serial, pooled)
         with tracing():
             traced = monte_carlo_delay_matrix(
                 tree, model, 600, seed=11, jobs=2, shard_size=150,
-                backend="process",
+                backend="shm",
             )
         assert np.array_equal(serial, traced)
 
+    # Two payloads, so min(jobs, shards) == 2 and the run really goes
+    # to the pool: one payload would collapse to the serial backend and
+    # never reach a worker.
     def test_killed_worker_retry_merges_exactly_once(self, tmp_path):
         reg = get_registry()
         base_before = reg.counter("aggtest_units_total").value
-        sentinel = str(tmp_path / "died-once")
+        retries_before = reg.counter("parallel_retries_total").value
+        sentinel = tmp_path / "died-once"
         with tracing():
             out = run_sharded(
-                _die_once_then_increment, [(sentinel, 4)], jobs=2,
-                backend="process", retries=2,
+                _die_once_then_increment,
+                [(str(sentinel), 4), (str(sentinel), 3)], jobs=2,
+                backend="shm", retries=2,
             )
-        assert out == [4]
-        # The first attempt inc'd 4 and died before shipping a payload;
-        # only the accepted retry merges: exactly one delta of 4.
+        assert out == [4, 3]
+        assert sentinel.exists()
+        assert reg.counter("parallel_retries_total").value > retries_before
+        # The first attempt inc'd and died before shipping a payload;
+        # only accepted attempts merge: exactly one delta per shard.
         assert reg.counter("aggtest_units_total").value \
-            - base_before == 4.0
+            - base_before == 7.0
 
     def test_hung_worker_retry_merges_exactly_once(self, tmp_path):
         reg = get_registry()
         base_before = reg.counter("aggtest_units_total").value
-        sentinel = str(tmp_path / "hung-once")
+        retries_before = reg.counter("parallel_retries_total").value
+        sentinel = tmp_path / "hung-once"
         with tracing():
             out = run_sharded(
-                _hang_once_then_increment, [(sentinel, 7)], jobs=2,
-                backend="process", timeout=2.0, retries=2,
+                _hang_once_then_increment,
+                [(str(sentinel), 7), (str(sentinel), 5)], jobs=2,
+                backend="shm", timeout=2.0, retries=2,
             )
-        assert out == [7]
+        assert out == [7, 5]
+        assert sentinel.exists()
+        assert reg.counter("parallel_retries_total").value > retries_before
         assert reg.counter("aggtest_units_total").value \
-            - base_before == 7.0
+            - base_before == 12.0
 
 
 def _square_like(x):

@@ -13,13 +13,18 @@ import pytest
 
 from repro._exceptions import ValidationError
 from repro.obs.metrics import counter
-from repro.parallel import available_backends, resolve_jobs, run_sharded
+from repro.parallel import (
+    BACKENDS,
+    available_backends,
+    resolve_jobs,
+    run_sharded,
+)
 
 _PARENT = os.getpid()
 
 
 # ---------------------------------------------------------------------------
-# Module-level tasks (the process backend pickles them by reference).
+# Module-level tasks (the warm pool pickles them by reference).
 
 def _square(x):
     return x * x
@@ -65,8 +70,14 @@ class TestResolveJobs:
 def test_available_backends_always_has_serial():
     backends = available_backends()
     assert "serial" in backends
-    # Linux CI always offers fork/spawn.
-    assert "process" in backends
+    # Linux CI always offers fork and /dev/shm.
+    assert backends == ["serial", "shm"]
+
+
+def test_removed_process_backend_is_rejected():
+    assert BACKENDS == ("serial", "shm")
+    with pytest.raises(ValidationError, match="'process'"):
+        run_sharded(_square, [1, 2], jobs=2, backend="process")
 
 
 class TestSerialBackend:
@@ -93,6 +104,8 @@ class TestSerialBackend:
 
 
 class TestProcessBackend:
+    """``jobs >= 2`` with the default backend runs on the warm pool."""
+
     def test_results_in_payload_order(self):
         assert run_sharded(_square, list(range(8)), jobs=2) == \
             [x * x for x in range(8)]
@@ -109,7 +122,7 @@ class TestProcessBackend:
             run_sharded(_raise_value_error, [1, 2], jobs=2)
 
     def test_killed_worker_retries_then_degrades(self):
-        """A shard whose worker dies is retried on a fresh pool, and
+        """A shard whose worker dies is retried on a recycled pool, and
         once attempts are exhausted it degrades to in-process execution
         -- the run still succeeds, with results in order."""
         retries_before = counter("parallel_retries_total").value

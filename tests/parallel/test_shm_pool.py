@@ -7,8 +7,8 @@ failing the run or leaking a segment:
   degrades to in-process execution when retries run out;
 * a shard hung past its timeout — counted, recycled, degraded;
 * a segment unlinked under the workers — the attach raises
-  :class:`ShmError` in the worker, the workload layer falls back to the
-  fork transport, and the results are still bit-identical.
+  :class:`ShmError` in the worker, the workload layer reruns the sweep
+  serially, and the results are still bit-identical.
 
 The ``_PARENT`` pid trick mirrors ``test_executor.py``: fork-context
 workers inherit this module's globals, so a task can misbehave only
@@ -62,7 +62,7 @@ def _hang_in_worker(payload):
 #: The genuine shard task, captured before any test patches the module
 #: global (the wrappers below must not recurse into themselves when a
 #: forked child inherits the patched module state).
-_REAL_MC_TASK = variation._mc_shm_shard_task
+_REAL_MC_TASK = variation._mc_shard_task
 
 
 def _dying_mc_task(payload):
@@ -186,22 +186,22 @@ class TestShmWorkloadFaults:
         serial = monte_carlo_delay_matrix(tree, MODEL, 60, seed=3)
         degraded_before = counter("parallel_degraded_total").value
 
-        variation._mc_shm_shard_task = _dying_mc_task
+        variation._mc_shard_task = _dying_mc_task
         try:
             out = monte_carlo_delay_matrix(
                 tree, MODEL, 60, seed=3, jobs=2, retries=0,
                 backend="shm",
             )
         finally:
-            variation._mc_shm_shard_task = _REAL_MC_TASK
+            variation._mc_shard_task = _REAL_MC_TASK
         np.testing.assert_array_equal(out, serial)
         assert counter("parallel_degraded_total").value > degraded_before
 
-    def test_unlink_under_worker_falls_back_to_fork(self):
+    def test_unlink_under_worker_falls_back_to_serial(self):
         """Yanking the segments between publish and evaluation makes
         fresh workers raise ShmError on attach; the workload layer
-        counts a fallback, reruns on the fork transport, and the result
-        stays bit-identical."""
+        counts a fallback, reruns serially, and the result stays
+        bit-identical."""
         tree = _tree()
         serial = monte_carlo_delay_matrix(tree, MODEL, 60, seed=5)
         out1 = monte_carlo_delay_matrix(
@@ -230,14 +230,14 @@ class TestShmWorkloadFaults:
         serial = monte_carlo_delay_matrix(tree, MODEL, 60, seed=9)
         timeouts_before = counter("parallel_timeouts_total").value
 
-        variation._mc_shm_shard_task = _hanging_mc_task
+        variation._mc_shard_task = _hanging_mc_task
         try:
             out = monte_carlo_delay_matrix(
                 tree, MODEL, 60, seed=9, jobs=2, timeout=0.5,
                 retries=0, backend="shm",
             )
         finally:
-            variation._mc_shm_shard_task = _REAL_MC_TASK
+            variation._mc_shard_task = _REAL_MC_TASK
         np.testing.assert_array_equal(out, serial)
         assert counter("parallel_timeouts_total").value > timeouts_before
 

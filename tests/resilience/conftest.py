@@ -1,27 +1,20 @@
 """Shared fixtures for the resilience tests.
 
-Fault schedules are process-global and the fault/executor tests lean on
-the shm transport; a leaked schedule or segment would poison every test
-after it.  The autouse gate below disarms any armed schedule and tears
-the warm pool/segments down after *every* test in this package, failing
-loudly on a surviving library-owned ``/dev/shm`` segment.
+Fault schedules are process-global; a leaked schedule would poison
+every test after it.  The autouse fixture below disarms any armed
+schedule around *every* test in this package (the suite-wide
+``tests/conftest.py`` gate then tears down the warm pool and checks
+``/dev/shm``).
 """
 
 import pytest
 
-import repro.parallel as parallel
-from repro.parallel.shm import active_segment_names
 from repro.resilience.faults import clear_faults, reset
 
 
 @pytest.fixture(autouse=True)
-def fault_and_shm_gate():
+def fault_gate():
     clear_faults()
     yield
     clear_faults()
     reset()
-    parallel.shutdown()
-    leaked = active_segment_names()
-    assert leaked == (), (
-        f"shared-memory segments leaked past teardown: {leaked}"
-    )

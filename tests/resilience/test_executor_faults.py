@@ -18,10 +18,6 @@ from repro.parallel import available_backends, run_sharded
 from repro.parallel.executor import _retry_backoff_delay
 from repro.resilience.faults import install_faults
 
-needs_process = pytest.mark.skipif(
-    "process" not in available_backends(),
-    reason="no process backend on this host",
-)
 needs_shm = pytest.mark.skipif(
     "shm" not in available_backends(),
     reason="no shared-memory backend on this host",
@@ -44,46 +40,46 @@ EXPECTED = [_double(x) for x in PAYLOADS]
 
 
 class TestWorkerFaults:
-    @needs_process
+    @needs_shm
     def test_worker_kill_degrades_to_serial_with_correct_results(self):
         degraded = counter("parallel_degraded_total")
         backoff = histogram("parallel_retry_backoff_seconds")
         d0, b0 = degraded.value, backoff.count
         install_faults("worker.kill")
-        out = run_sharded(_double, PAYLOADS, jobs=2, backend="process",
+        out = run_sharded(_double, PAYLOADS, jobs=2, backend="shm",
                           retries=1, retry_backoff=0.001)
         assert out == EXPECTED
         assert degraded.value >= d0 + len(PAYLOADS)
         # A retry wave ran, so the deterministic backoff was observed.
         assert backoff.count > b0
 
-    @needs_process
+    @needs_shm
     def test_worker_hang_times_out_then_degrades(self):
         timeouts = counter("parallel_timeouts_total")
         t0 = timeouts.value
         install_faults("worker.hang:delay=5")
-        out = run_sharded(_double, PAYLOADS, jobs=2, backend="process",
+        out = run_sharded(_double, PAYLOADS, jobs=2, backend="shm",
                           timeout=0.3, retries=0, retry_backoff=0.0)
         assert out == EXPECTED
         assert timeouts.value > t0
 
-    @needs_process
+    @needs_shm
     def test_malformed_result_rejected_then_degrades(self):
         malformed = counter("parallel_malformed_results_total")
         m0 = malformed.value
         install_faults("result.malformed:times=inf")
-        out = run_sharded(_double, PAYLOADS, jobs=2, backend="process",
+        out = run_sharded(_double, PAYLOADS, jobs=2, backend="shm",
                           retries=0, retry_backoff=0.0)
         assert out == EXPECTED
         assert malformed.value >= m0 + len(PAYLOADS)
 
-    @needs_process
+    @needs_shm
     def test_pool_fork_refusal_degrades_every_shard(self):
         degraded = counter("parallel_degraded_total")
         injected = counter("resilience_faults_injected_total")
         d0, i0 = degraded.value, injected.value
         install_faults("pool.fork")
-        out = run_sharded(_double, PAYLOADS, jobs=2, backend="process",
+        out = run_sharded(_double, PAYLOADS, jobs=2, backend="shm",
                           retries=1, retry_backoff=0.0)
         assert out == EXPECTED
         assert degraded.value == d0 + len(PAYLOADS)
@@ -98,7 +94,7 @@ class TestWorkerFaults:
 
 class TestShmFaults:
     """shm transport faults make the Monte-Carlo path fall back
-    (shm -> process/serial) and still return the same bits."""
+    (shm -> serial) and still return the same bits."""
 
     def _mc(self, **kwargs):
         return monte_carlo_delay_matrix(

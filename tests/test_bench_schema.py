@@ -24,9 +24,6 @@ from repro.core.variation import VariationModel, monte_carlo_delay_matrix
 #: bench means extending this pin in the same change — row files are
 #: diffed by external tooling, so column drift must be deliberate.
 PARALLEL_BENCH_HEADER = [
-    "jobs", "nodes", "samples", "wall clock", "speedup", "bit-identical",
-]
-PARALLEL_SHM_BENCH_HEADER = [
     "backend", "jobs", "nodes", "samples", "wall clock", "speedup",
     "bit-identical",
 ]
@@ -44,14 +41,6 @@ def results_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
-@pytest.fixture(autouse=True)
-def parallel_teardown():
-    yield
-    import repro.parallel
-
-    repro.parallel.shutdown()
-
-
 class TestRowFileSchema:
     def test_schema_tag_is_pinned(self):
         assert ROW_SCHEMA == "repro.bench_rows/1"
@@ -61,8 +50,8 @@ class TestRowFileSchema:
             "schema_probe",
             "probe title",
             PARALLEL_BENCH_HEADER,
-            [[1, 511, 600, "10.0 ms", "1.00x", "yes"],
-             [2, 511, 600, "5.0 ms", "2.00x", "yes"]],
+            [["serial", 1, 511, 600, "10.0 ms", "1.00x", "yes"],
+             ["shm", 2, 511, 600, "5.0 ms", "2.00x", "yes"]],
             extra={"cores": 2},
         )
         payload = load_rows("schema_probe")
@@ -75,7 +64,7 @@ class TestRowFileSchema:
             isinstance(cell, str) for row in payload["rows"] for cell in row
         )
         assert payload["rows"][0] == \
-            ["1", "511", "600", "10.0 ms", "1.00x", "yes"]
+            ["serial", "1", "511", "600", "10.0 ms", "1.00x", "yes"]
         assert payload["extra"] == {"cores": 2}
         assert (results_dir / "schema_probe.txt").exists()
 
@@ -87,7 +76,7 @@ class TestRowFileSchema:
 
 
 class TestSerialBaselineUnperturbed:
-    """``bench_parallel``'s determinism gate compares every backend to
+    """``bench_parallel``'s determinism gate compares every shm row to
     the serial sweep; that baseline must be byte-stable across shm
     activity in the same process."""
 

@@ -158,6 +158,14 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "must be > 0" in err and "Traceback" not in err
 
+    def test_removed_process_backend(self, netlist_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", netlist_path, "--backend", "process"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "Traceback" not in err
+        assert "invalid choice: 'process'" in err
+
 
 class TestObservabilityFlags:
     def test_trace_prints_span_tree(self, netlist_path, capsys):

@@ -3,11 +3,12 @@
 Usage::
 
     python -m repro analyze NETLIST.sp [--nodes n5,n7] [--signal ramp:2ns]
-    python -m repro verify NETLIST.sp [--jobs 4]
+    python -m repro verify NETLIST.sp [--nodes n5,n7] [--jobs 4]
     python -m repro waveform NETLIST.sp NODE [--signal ramp:2ns]
                                              [--csv out.csv]
     python -m repro stats NETLIST.sp [--samples 2000] [--jobs 4]
-    python -m repro sta [--layers 6 --width 15] [--jobs 4]
+    python -m repro sta [--layers 6 --width 15] [--delay-model elmore]
+    python -m repro ssta [--layers 6 --width 15] [--samples 2000]
     python -m repro serve [--port 8080] [--jobs 8 --backend shm]
     python -m repro table1
     python -m repro table2
@@ -18,14 +19,17 @@ Usage::
 library implements.  ``verify`` checks the paper's claims (Lemmas 1-2,
 Theorem, Corollary 1) numerically on the given circuit.  ``waveform``
 renders the exact output waveform as ASCII art (and optionally CSV).
-``sta`` times a seeded random gate-level design with the Elmore model.
-``serve`` runs the long-lived HTTP JSON service (``/v1/stats`` with
-request coalescing, ``/v1/verify``, ``/v1/sta``, plus ``/healthz`` and
+``sta`` times a seeded random gate-level design (Elmore model by
+default) and ``ssta`` times it statistically.  ``verify``, ``sta`` and
+``ssta`` are generated from the operation registry (:mod:`repro.ops`),
+which also generates their HTTP routes.  ``serve`` runs the long-lived
+HTTP JSON service (``/v1/stats`` with request coalescing,
+``/v1/verify``, ``/v1/sta``, ``/v1/ssta``, plus ``/healthz`` and
 ``/metrics``; see ``docs/serving.md``).  ``table1`` and ``table2``
 regenerate the paper's tables from the reconstructed circuits.
 
-``stats``, ``verify`` and ``sta`` accept ``--jobs/-j N`` to fan their
-sweep out over N worker processes through the sharded engine
+``stats``, ``verify``, ``sta`` and ``ssta`` accept ``--jobs/-j N`` to
+fan their sweep out over N worker processes through the sharded engine
 (:mod:`repro.parallel`); results are bit-identical to ``--jobs 1`` for
 the same seed, and the run degrades to in-process execution if workers
 cannot be spawned.
@@ -56,17 +60,16 @@ import argparse
 import logging
 import math
 import sys
+from functools import partial
 from typing import List, Optional
 
 from repro import obs
 from repro._exceptions import ReproError, ValidationError
 from repro.analysis import ExactAnalysis, measure_delay
 from repro.circuit import parse_rc_tree
-from repro.core import (
-    prh_bounds,
-    transfer_moments,
-    verify_tree,
-)
+from repro.core import prh_bounds, transfer_moments
+from repro.ops import OPS, Context, Param
+from repro.ops import format_ns as _format_ns
 from repro.signals import SaturatedRamp, Signal, StepInput
 from repro.signals.spec import parse_time_spec as _parse_time_spec
 from repro.signals.spec import signal_from_spec
@@ -96,56 +99,27 @@ def parse_signal_spec(spec: str) -> Signal:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _int_arg(label: str, minimum: Optional[int] = None):
-    """argparse ``type=`` factory: integer with a clear validation
-    message (ValidationError-backed, reported as a usage error)."""
+def _arg_type(param: Param):
+    """argparse ``type=`` for ``param``: :meth:`Param.parse_text` with
+    its validation message reported as a usage error (exit 2)."""
 
-    def parse(token: str) -> int:
+    def parse(token: str):
         try:
-            try:
-                value = int(token)
-            except ValueError:
-                raise ValidationError(
-                    f"{label} must be an integer, got {token!r}"
-                ) from None
-            if minimum is not None and value < minimum:
-                raise ValidationError(
-                    f"{label} must be >= {minimum}, got {value}"
-                )
+            return param.parse_text(token, param.flag)
         except ValidationError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
-        return value
 
     return parse
+
+
+def _int_arg(label: str, minimum: Optional[int] = None):
+    """argparse ``type=`` for an integer flag that is no op parameter."""
+    return _arg_type(Param(label[2:], int, minimum=minimum))
 
 
 def _float_arg(label: str, minimum: Optional[float] = None):
-    """argparse ``type=`` factory: float with a clear validation
-    message (ValidationError-backed, reported as a usage error)."""
-
-    def parse(token: str) -> float:
-        try:
-            try:
-                value = float(token)
-            except ValueError:
-                raise ValidationError(
-                    f"{label} must be a number, got {token!r}"
-                ) from None
-            if value != value:  # NaN
-                raise ValidationError(f"{label} must not be NaN")
-            if minimum is not None and value < minimum:
-                raise ValidationError(
-                    f"{label} must be >= {minimum}, got {value}"
-                )
-        except ValidationError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        return value
-
-    return parse
-
-
-def _format_ns(value: float) -> str:
-    return f"{value / 1e-9:.4g}"
+    """argparse ``type=`` for a float flag that is no op parameter."""
+    return _arg_type(Param(label[2:], float, minimum=minimum))
 
 
 def _cmd_analyze(args) -> int:
@@ -180,28 +154,6 @@ def _cmd_analyze(args) -> int:
             line += f" {_format_ns(tmin):>9} {_format_ns(tmax):>9}"
         print(line)
     return 0
-
-
-def _cmd_verify(args) -> int:
-    with open(args.netlist, encoding="utf-8") as handle:
-        tree, _ = parse_rc_tree(handle.read())
-    verdict = verify_tree(tree, jobs=args.jobs, backend=args.backend,
-                          checkpoint_path=args.checkpoint,
-                          resume=args.resume)
-    for node in verdict.nodes:
-        status = "ok" if node.all_hold else "FAIL"
-        print(
-            f"{node.node:>10}  unimodal={node.unimodal}  "
-            f"gamma>=0={node.skew_nonnegative}  "
-            f"ordering={node.ordering_holds}  "
-            f"bounds={node.upper_bound_holds and node.lower_bound_holds}  "
-            f"[{status}]"
-        )
-    if verdict.all_hold:
-        print("all claims hold")
-        return 0
-    print("CLAIM VIOLATIONS FOUND", file=sys.stderr)
-    return 1
 
 
 def _cmd_waveform(args) -> int:
@@ -312,107 +264,16 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_sta(args) -> int:
-    from repro.sta import analyze
-    from repro.workloads import random_design
-
-    design = random_design(
-        layers=args.layers, width=args.width, seed=args.seed
-    )
-    result = analyze(design, jobs=args.jobs, backend=args.backend,
-                     checkpoint_path=args.checkpoint, resume=args.resume)
-    sharded = f", {args.jobs} jobs" if args.jobs is not None else ""
-    print(
-        f"design: {args.layers}x{args.width} random combinational "
-        f"(seed {args.seed}): {len(design.instances)} gates, "
-        f"{len(design.nets)} nets{sharded}"
-    )
-    print(f"critical output: {result.critical_output}   "
-          f"delay {_format_ns(result.critical_delay)} ns "
-          f"(certified Elmore upper bound)")
-    print(f"{'stage':>6} {'kind':>5} {'name':>12} {'delay':>9} "
-          f"{'arrival':>9}   (ns)")
-    for k, element in enumerate(result.critical_path()):
-        print(
-            f"{k:>6} {element.kind:>5} {element.name:>12} "
-            f"{_format_ns(element.delay):>9} "
-            f"{_format_ns(element.arrival):>9}"
-        )
-    return 0
-
-
-def _cmd_ssta(args) -> int:
-    from repro.core.variation import VariationModel
-    from repro.sta.ssta import (
-        ProcessModel, analyze_ssta, validate_against_monte_carlo,
-    )
-    from repro.workloads import random_design
-
-    design = random_design(
-        layers=args.layers, width=args.width, seed=args.seed
-    )
-    model = ProcessModel(
-        variation=VariationModel(
-            resistance_sigma=args.rsigma, capacitance_sigma=args.csigma
-        ),
-        rho_r=args.correlation, rho_c=args.correlation,
-        cell_sigma=args.cell_sigma, rho_cell=args.correlation,
-    )
-    report = analyze_ssta(
-        design, model, jobs=args.jobs, backend=args.backend,
-        checkpoint_path=args.checkpoint, resume=args.resume,
-    )
-    sharded = f", {args.jobs} jobs" if args.jobs is not None else ""
-    print(
-        f"design: {args.layers}x{args.width} random combinational "
-        f"(seed {args.seed}): {len(design.instances)} gates, "
-        f"{len(design.nets)} nets{sharded}"
-    )
-    critical = report.critical
-    print(
-        f"critical delay: mu {_format_ns(critical.mu)} ns, "
-        f"sigma {_format_ns(critical.sigma)} ns "
-        f"(rsigma {args.rsigma:g}, csigma {args.csigma:g}, "
-        f"cell {args.cell_sigma:g}, rho {args.correlation:g})"
-    )
-    corners = report.sigma_corners((1.0, 2.0, 3.0))
-    print(
-        "sigma corners:"
-        + "".join(
-            f"  +{k:.0f}s {_format_ns(v)}" for k, v in corners.items()
-        )
-        + "   (ns)"
-    )
-    print(f"{'output':>12} {'mu':>9} {'sigma':>9} {'+3s':>9} "
-          f"{'crit%':>6}   (ns)")
-    for port, form in report.outputs.items():
-        print(
-            f"{port:>12} {_format_ns(form.mu):>9} "
-            f"{_format_ns(form.sigma):>9} "
-            f"{_format_ns(form.sigma_corner(3.0)):>9} "
-            f"{100.0 * report.criticality[port]:>5.1f}%"
-        )
-    if args.required is not None:
-        print(
-            f"required {_format_ns(args.required)} ns: "
-            f"yield {100.0 * report.yield_at(args.required):.2f}%, "
-            f"P(slack<0) {report.fail_probability(args.required):.4f}"
-        )
-    if args.samples > 0:
-        val = validate_against_monte_carlo(
-            design, model, report=report, samples=args.samples,
-            seed=args.mc_seed, jobs=args.jobs, backend=args.backend,
-        )
-        print(
-            f"monte-carlo oracle ({args.samples} samples): "
-            f"max mean err {100.0 * val.max_mean_rel_err:.3f}% "
-            f"(tol 1%), max sigma err "
-            f"{100.0 * val.max_sigma_rel_err:.3f}% (tol 5%)"
-        )
-        if not val.within(0.01, 0.05):
-            print("WARNING: canonical model outside documented tolerances")
-            return 1
-    return 0
+def _run_op(op, args) -> int:
+    """Run a registry op (:mod:`repro.ops`) and print its result."""
+    try:
+        params = op.from_cli(args)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    ctx = Context(jobs=args.jobs, backend=args.backend,
+                  checkpoint=args.checkpoint, resume=args.resume)
+    return op.render(op.run(params, ctx), ctx)
 
 
 def _cmd_serve(args) -> int:
@@ -552,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(see docs/robustness.md for the grammar and fault points)",
     )
     common.add_argument(
-        "--fault-seed", type=_int_arg("--fault-seed"), default=0,
+        "--fault-seed", type=_int_arg("--fault-seed", minimum=0),
+        default=0,
         metavar="N",
         help="seed for the fault schedule's per-point RNG streams "
              "(same seed => same injected faults; default 0)",
@@ -604,13 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.set_defaults(func=_cmd_analyze)
 
-    verify = sub.add_parser(
-        "verify", parents=[common, sharded],
-        help="numerically verify the paper's claims on a netlist",
-    )
-    verify.add_argument("netlist", help="path to the netlist file")
-    verify.set_defaults(func=_cmd_verify)
-
     stats = sub.add_parser(
         "stats", parents=[common, sharded],
         help="Elmore statistics under process variation",
@@ -633,87 +488,30 @@ def build_parser() -> argparse.ArgumentParser:
              "of this many samples (default 0 = analytic only)",
     )
     stats.add_argument(
-        "--seed", type=_int_arg("--seed"), default=0,
+        "--seed", type=_int_arg("--seed", minimum=0), default=0,
         help="Monte-Carlo seed (default 0)",
     )
     stats.set_defaults(func=_cmd_stats)
 
-    sta = sub.add_parser(
-        "sta", parents=[common, sharded],
-        help="Elmore-model STA on a seeded random gate-level design",
-    )
-    sta.add_argument(
-        "--layers", type=_int_arg("--layers", minimum=1), default=6,
-        help="logic depth of the generated design (default 6)",
-    )
-    sta.add_argument(
-        "--width", type=_int_arg("--width", minimum=1), default=15,
-        help="gates per layer (default 15)",
-    )
-    sta.add_argument(
-        "--seed", type=_int_arg("--seed"), default=3,
-        help="design-generator seed (default 3)",
-    )
-    sta.set_defaults(func=_cmd_sta)
-
-    ssta = sub.add_parser(
-        "ssta", parents=[common, sharded],
-        help="statistical STA (canonical forms + Clark max) on a seeded "
-             "random design, with optional Monte-Carlo cross-check",
-    )
-    ssta.add_argument(
-        "--layers", type=_int_arg("--layers", minimum=1), default=6,
-        help="logic depth of the generated design (default 6)",
-    )
-    ssta.add_argument(
-        "--width", type=_int_arg("--width", minimum=1), default=15,
-        help="gates per layer (default 15)",
-    )
-    ssta.add_argument(
-        "--seed", type=_int_arg("--seed"), default=3,
-        help="design-generator seed (default 3)",
-    )
-    ssta.add_argument(
-        "--rsigma", type=_float_arg("--rsigma", minimum=0.0),
-        default=0.08,
-        help="relative sigma of every resistance (default 0.08)",
-    )
-    ssta.add_argument(
-        "--csigma", type=_float_arg("--csigma", minimum=0.0),
-        default=0.08,
-        help="relative sigma of every capacitance (default 0.08)",
-    )
-    ssta.add_argument(
-        "--cell-sigma", type=_float_arg("--cell-sigma", minimum=0.0),
-        default=0.05,
-        help="relative sigma of every gate stage delay (default 0.05)",
-    )
-    ssta.add_argument(
-        "--correlation", type=_float_arg("--correlation", minimum=0.0),
-        default=0.5,
-        help="shared (chip-wide) fraction of each variance, in [0, 1] "
-             "(default 0.5)",
-    )
-    ssta.add_argument(
-        "--required", type=_float_arg("--required", minimum=0.0),
-        default=None,
-        help="required arrival time in seconds: print parametric yield "
-             "and P(slack<0)",
-    )
-    ssta.add_argument(
-        "--samples", type=_int_arg("--samples", minimum=0), default=0,
-        help="Monte-Carlo oracle samples for the cross-check (0 = skip; "
-             "exits 1 if outside the 1%%/5%% tolerances)",
-    )
-    ssta.add_argument(
-        "--mc-seed", type=_int_arg("--mc-seed"), default=0,
-        help="Monte-Carlo oracle seed (default 0)",
-    )
-    ssta.set_defaults(func=_cmd_ssta)
+    for op in OPS.values():
+        op_parser = sub.add_parser(op.name, parents=[common, sharded],
+                                   help=op.help)
+        for param in op.params:
+            if param.positional:
+                op_parser.add_argument(param.name, metavar=param.metavar,
+                                       help=param.help)
+            else:
+                op_parser.add_argument(
+                    param.flag, dest=param.name, default=param.default,
+                    type=None if param.from_cli else _arg_type(param),
+                    help=param.help,
+                )
+        op_parser.set_defaults(func=partial(_run_op, op))
 
     serve = sub.add_parser(
         "serve", parents=[common, sharded],
-        help="run the HTTP JSON service (stats/verify/sta + /metrics)",
+        help="run the HTTP JSON service (stats/verify/sta/ssta + "
+             "/metrics)",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",

@@ -13,7 +13,8 @@ The serving subsystem in one picture::
                         ▼
                     app     (asyncio HTTP/1.1, graceful SIGTERM drain)
 
-``POST /v1/verify`` and ``POST /v1/sta`` run on a small side executor;
+``POST /v1/verify``, ``/v1/sta`` and ``/v1/ssta`` are generated from the
+operation registry (:mod:`repro.ops`) and run on a small side executor;
 ``GET /healthz`` / ``/metrics`` / ``/spans`` reuse the
 :mod:`repro.obs.server` renderers.  Start it from the CLI::
 
@@ -28,12 +29,8 @@ from repro.serve.batcher import Batcher, BatcherStats, \
     DeadlineExpiredError, DrainingError, QueueFullError
 from repro.serve.engine import StatsEngine
 from repro.serve.schemas import (
-    StaRequest,
     StatsRequest,
-    VerifyRequest,
-    parse_sta_request,
     parse_stats_request,
-    parse_verify_request,
     resolve_workload,
     topology_key,
     tree_from_spec,
@@ -51,11 +48,7 @@ __all__ = [
     "DrainingError",
     "StatsEngine",
     "StatsRequest",
-    "VerifyRequest",
-    "StaRequest",
     "parse_stats_request",
-    "parse_verify_request",
-    "parse_sta_request",
     "resolve_workload",
     "tree_from_spec",
     "topology_key",

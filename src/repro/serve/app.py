@@ -15,6 +15,9 @@ long-lived system:
   :mod:`repro.obs.server` side endpoint exposes, rendered by the shared
   helpers there.
 
+The verify, sta and ssta routes are generated from the operation
+registry (:mod:`repro.ops`) and share one bounded side executor.
+
 Error contract: validation failures are 400 JSON payloads (never a
 traceback), queue pressure is 429, expired deadlines are 504, draining
 is 503, internal failures are a logged 500 with a generic body.
@@ -45,6 +48,7 @@ from repro.obs.server import (
     spans_body,
 )
 from repro.obs.trace import span as _span
+from repro.ops import OPS, Context
 from repro.serve import metrics as _metrics
 from repro.serve.batcher import (
     Batcher,
@@ -53,18 +57,8 @@ from repro.serve.batcher import (
     QueueFullError,
     StuckBatchError,
 )
-from repro.serve.engine import (
-    StatsEngine,
-    evaluate_ssta,
-    evaluate_sta,
-    evaluate_verify,
-)
-from repro.serve.schemas import (
-    parse_ssta_request,
-    parse_sta_request,
-    parse_stats_request,
-    parse_verify_request,
-)
+from repro.serve.engine import StatsEngine
+from repro.serve.schemas import parse_stats_request
 
 __all__ = ["ServeConfig", "ReproServer", "ServerThread", "run_server"]
 
@@ -81,11 +75,13 @@ _STATUS_REASONS = {
 
 _JSON_TYPE = "application/json; charset=utf-8"
 
+#: ``POST /v1/<op>`` for every registry op (:mod:`repro.ops`).
+_OP_ROUTES = {f"/v1/{name}": op for name, op in OPS.items()}
+
 #: The served route set; anything else is labeled ``unknown`` in
 #: metrics/spans so scanner traffic cannot grow label cardinality.
 _ENDPOINTS = frozenset(
-    {"/healthz", "/metrics", "/spans", "/v1/stats", "/v1/verify",
-     "/v1/sta", "/v1/ssta"}
+    {"/healthz", "/metrics", "/spans", "/v1/stats", *_OP_ROUTES}
 )
 
 
@@ -118,9 +114,9 @@ class ServeConfig:
     drain_timeout: float = 10.0
     #: ``False`` dispatches each request alone (the bench baseline).
     coalesce: bool = True
-    #: Threads for the heavy endpoints (verify/sta).
+    #: Threads for the registry-op endpoints (verify/sta/ssta).
     aux_threads: int = 2
-    #: Verify/sta pending bound (queued + executing, including work
+    #: Verify/sta/ssta pending bound (queued + executing, including work
     #: abandoned at its deadline); beyond it requests get 429.
     aux_max_queue: int = 16
     #: Largest accepted request body.
@@ -164,7 +160,7 @@ class ReproServer:
             on_stuck=self._recycle_stuck_batch,
         )
         self._inflight = _metrics.InflightGauge()
-        # Verify/sta backpressure: the aux executor's own work queue is
+        # Registry-op backpressure: the aux executor's own work queue is
         # unbounded, so the bound lives here.  Slots are released from
         # worker threads (a done callback), hence the lock.
         self._aux_lock = threading.Lock()
@@ -408,15 +404,16 @@ class ReproServer:
             if path == "/v1/stats":
                 self._require(method, "POST")
                 return 200, self._json(await self._handle_stats(body))
-            if path == "/v1/verify":
+            op = _OP_ROUTES.get(path)
+            if op is not None:
                 self._require(method, "POST")
-                return 200, self._json(await self._handle_verify(body))
-            if path == "/v1/sta":
-                self._require(method, "POST")
-                return 200, self._json(await self._handle_sta(body))
-            if path == "/v1/ssta":
-                self._require(method, "POST")
-                return 200, self._json(await self._handle_ssta(body))
+                request = op.parse_json(self._parse_body(body))
+                # Requests never journal: the context has no checkpoint.
+                return 200, self._json(await self._handle_aux(
+                    lambda params, jobs, backend: op.run(
+                        params, Context(jobs=jobs, backend=backend)),
+                    request,
+                ))
             return self._error(404, f"no such endpoint {path!r}")
         except _HttpError as exc:
             return self._error(exc.status, str(exc))
@@ -466,19 +463,23 @@ class ReproServer:
         return min(requested, self.config.deadline)
 
     # -- endpoint handlers ---------------------------------------------
-    async def _handle_stats(self, body: bytes) -> Dict[str, Any]:
-        request = parse_stats_request(self._parse_body(body))
-        timeout = self._effective_timeout(request.timeout_s)
+    @staticmethod
+    async def _within_deadline(awaitable, timeout: float) -> Any:
         try:
-            return await asyncio.wait_for(
-                self.batcher.submit(request.key, request, timeout=timeout),
-                timeout,
-            )
+            return await asyncio.wait_for(awaitable, timeout)
         except asyncio.TimeoutError:
             _metrics.DEADLINE_EXPIRED.inc()
             raise DeadlineExpiredError(
                 f"request exceeded its {timeout:.3g}s deadline"
             ) from None
+
+    async def _handle_stats(self, body: bytes) -> Dict[str, Any]:
+        request = parse_stats_request(self._parse_body(body))
+        timeout = self._effective_timeout(request.timeout_s)
+        return await self._within_deadline(
+            self.batcher.submit(request.key, request, timeout=timeout),
+            timeout,
+        )
 
     async def _handle_aux(self, evaluate, request) -> Dict[str, Any]:
         if self.batcher.closed:
@@ -488,7 +489,7 @@ class ReproServer:
             if self._aux_pending >= self.config.aux_max_queue:
                 _metrics.REJECTED.labels(reason="queue_full").inc()
                 raise QueueFullError(
-                    "verify/sta queue is full "
+                    f"{'/'.join(OPS)} queue is full "
                     f"({self.config.aux_max_queue} pending)"
                 )
             self._aux_pending += 1
@@ -501,15 +502,9 @@ class ReproServer:
             evaluate, request, self.config.jobs, self.config.backend
         )
         future.add_done_callback(self._release_aux_slot)
-        try:
-            return await asyncio.wait_for(
-                asyncio.wrap_future(future), timeout
-            )
-        except asyncio.TimeoutError:
-            _metrics.DEADLINE_EXPIRED.inc()
-            raise DeadlineExpiredError(
-                f"request exceeded its {timeout:.3g}s deadline"
-            ) from None
+        return await self._within_deadline(
+            asyncio.wrap_future(future), timeout
+        )
 
     def _release_aux_slot(self, _future) -> None:
         with self._aux_lock:
@@ -517,21 +512,9 @@ class ReproServer:
 
     @property
     def aux_pending(self) -> int:
-        """Verify/sta requests queued or executing (incl. abandoned)."""
+        """Registry-op requests queued or executing (incl. abandoned)."""
         with self._aux_lock:
             return self._aux_pending
-
-    async def _handle_verify(self, body: bytes) -> Dict[str, Any]:
-        request = parse_verify_request(self._parse_body(body))
-        return await self._handle_aux(evaluate_verify, request)
-
-    async def _handle_sta(self, body: bytes) -> Dict[str, Any]:
-        request = parse_sta_request(self._parse_body(body))
-        return await self._handle_aux(evaluate_sta, request)
-
-    async def _handle_ssta(self, body: bytes) -> Dict[str, Any]:
-        request = parse_ssta_request(self._parse_body(body))
-        return await self._handle_aux(evaluate_ssta, request)
 
     # -- response writing ----------------------------------------------
     @staticmethod

@@ -31,15 +31,9 @@ from repro.core.batch import TreeTopology, batch_transfer_moments, \
     compile_topology
 from repro.obs.trace import span as _span
 from repro.parallel import plan_shards, run_sharded
-from repro.serve.schemas import (
-    SstaRequest,
-    StaRequest,
-    StatsRequest,
-    VerifyRequest,
-)
+from repro.serve.schemas import StatsRequest
 
-__all__ = ["StatsEngine", "evaluate_verify", "evaluate_sta",
-           "evaluate_ssta"]
+__all__ = ["StatsEngine"]
 
 logger = logging.getLogger(__name__)
 
@@ -208,169 +202,3 @@ class StatsEngine:
             },
         }
 
-
-def evaluate_verify(
-    request: VerifyRequest,
-    jobs: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Theorem-check a tree against the transient oracle
-    (:func:`repro.core.verification.verify_tree`); runs in an executor
-    thread."""
-    from repro.core.verification import verify_tree
-
-    verdict = verify_tree(
-        request.tree,
-        nodes=request.nodes,
-        samples=request.samples,
-        jobs=jobs,
-        backend=backend,
-    )
-    return {
-        "workload": request.label,
-        "samples": request.samples,
-        "all_hold": verdict.all_hold,
-        "nodes": {
-            node.node: {
-                "all_hold": node.all_hold,
-                "unimodal": node.unimodal,
-                "nonnegative": node.nonnegative,
-                "skew_nonnegative": node.skew_nonnegative,
-                "ordering_holds": node.ordering_holds,
-                "upper_bound_holds": node.upper_bound_holds,
-                "lower_bound_holds": node.lower_bound_holds,
-                "elmore": node.elmore,
-                "lower_bound": node.lower_bound,
-                "actual_delay": node.actual_delay,
-            }
-            for node in verdict.nodes
-        },
-    }
-
-
-def evaluate_sta(
-    request: StaRequest,
-    jobs: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Time a seeded random gate-level design
-    (:func:`repro.sta.timing.analyze`); runs in an executor thread."""
-    from repro.sta import analyze
-    from repro.workloads import random_design
-
-    design = random_design(
-        layers=request.layers, width=request.width, seed=request.seed
-    )
-    result = analyze(
-        design, delay_model=request.delay_model, jobs=jobs, backend=backend
-    )
-    return {
-        "design": {
-            "layers": request.layers,
-            "width": request.width,
-            "seed": request.seed,
-            "gates": len(design.instances),
-            "nets": len(design.nets),
-        },
-        "delay_model": request.delay_model,
-        "critical_output": result.critical_output,
-        "critical_delay": float(result.critical_delay),
-        "units": "seconds",
-        "critical_path": [
-            {
-                "kind": element.kind,
-                "name": element.name,
-                "delay": float(element.delay),
-                "arrival": float(element.arrival),
-            }
-            for element in result.critical_path()
-        ],
-    }
-
-
-def evaluate_ssta(
-    request: SstaRequest,
-    jobs: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Statistically time a seeded random design
-    (:func:`repro.sta.ssta.analyze_ssta`); runs in an executor thread."""
-    from repro.core.variation import VariationModel
-    from repro.sta.ssta import (
-        ProcessModel,
-        analyze_ssta,
-        validate_against_monte_carlo,
-    )
-    from repro.workloads import random_design
-
-    design = random_design(
-        layers=request.layers, width=request.width, seed=request.seed
-    )
-    model = ProcessModel(
-        variation=VariationModel(
-            resistance_sigma=request.rsigma,
-            capacitance_sigma=request.csigma,
-        ),
-        rho_r=request.correlation,
-        rho_c=request.correlation,
-        cell_sigma=request.cell_sigma,
-        rho_cell=request.correlation,
-    )
-    report = analyze_ssta(design, model, jobs=jobs, backend=backend)
-    response: Dict[str, Any] = {
-        "design": {
-            "layers": request.layers,
-            "width": request.width,
-            "seed": request.seed,
-            "gates": len(design.instances),
-            "nets": len(design.nets),
-        },
-        "model": {
-            "rsigma": request.rsigma,
-            "csigma": request.csigma,
-            "cell_sigma": request.cell_sigma,
-            "correlation": request.correlation,
-        },
-        "units": "seconds",
-        "critical": {
-            "mean": float(report.critical.mu),
-            "sigma": float(report.critical.sigma),
-            "corners": {
-                f"{level:g}s": float(value)
-                for level, value in report.sigma_corners(
-                    (1.0, 2.0, 3.0)
-                ).items()
-            },
-        },
-        "outputs": {
-            port: {
-                "mean": float(form.mu),
-                "sigma": float(form.sigma),
-                "criticality": float(report.criticality[port]),
-            }
-            for port, form in report.outputs.items()
-        },
-    }
-    if request.required is not None:
-        response["required"] = request.required
-        response["yield"] = float(report.yield_at(request.required))
-        response["fail_probability"] = float(
-            report.fail_probability(request.required)
-        )
-    if request.samples > 0:
-        validation = validate_against_monte_carlo(
-            design,
-            model,
-            report=report,
-            samples=request.samples,
-            seed=request.mc_seed,
-            jobs=jobs,
-            backend=backend,
-        )
-        response["monte_carlo"] = {
-            "samples": request.samples,
-            "max_mean_rel_err": float(validation.max_mean_rel_err),
-            "max_sigma_rel_err": float(validation.max_sigma_rel_err),
-            "within_tolerance": bool(validation.within(0.01, 0.05)),
-        }
-    return response

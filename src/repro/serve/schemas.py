@@ -33,6 +33,12 @@ import numpy as np
 
 from repro._exceptions import ReproError, ValidationError
 from repro.circuit import RCTree, balanced_tree
+from repro.ops import (
+    Param,
+    reject_unknown_keys,
+    require_mapping,
+    timeout_seconds,
+)
 from repro.signals.base import Signal
 from repro.signals.spec import signal_from_spec
 from repro.signals.step import StepInput
@@ -41,11 +47,7 @@ __all__ = [
     "MAX_ROWS_PER_REQUEST",
     "MAX_TREE_NODES",
     "StatsRequest",
-    "VerifyRequest",
-    "StaRequest",
     "parse_stats_request",
-    "parse_verify_request",
-    "parse_sta_request",
     "resolve_workload",
     "tree_from_spec",
     "topology_key",
@@ -63,41 +65,8 @@ _BALANCED_C = 8e-15
 _BALANCED_DRIVER_R = 120.0
 _BALANCED_LEAF_C = 4e-15
 
-
-def _require_mapping(payload: Any, what: str) -> Dict[str, Any]:
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{what} must be a JSON object, "
-                              f"got {type(payload).__name__}")
-    return payload
-
-
-def _reject_unknown_keys(payload: Dict[str, Any], allowed: Tuple[str, ...],
-                         what: str) -> None:
-    unknown = sorted(set(payload) - set(allowed))
-    if unknown:
-        raise ValidationError(
-            f"unknown {what} field(s) {unknown}; "
-            f"expected a subset of {sorted(allowed)}"
-        )
-
-
-def _number(payload: Dict[str, Any], key: str, *, minimum=None,
-            maximum=None, integer: bool = False, default=None):
-    value = payload.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ValidationError(f"{key!r} must be {kind}, got {value!r}")
-    if integer and not isinstance(value, int):
-        raise ValidationError(f"{key!r} must be an integer, got {value!r}")
-    if value != value:
-        raise ValidationError(f"{key!r} must not be NaN")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{key!r} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValidationError(f"{key!r} must be <= {maximum}, got {value}")
-    return value
+#: An inline tree node's ``r`` and ``c``.
+_ELEMENT_VALUE = Param("element value", float, minimum=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +133,8 @@ def resolve_workload(name: str) -> RCTree:
 
 def tree_from_spec(spec: Any) -> RCTree:
     """Build an :class:`RCTree` from an inline JSON tree spec."""
-    spec = _require_mapping(spec, "'tree'")
-    _reject_unknown_keys(spec, ("input", "nodes"), "'tree'")
+    spec = require_mapping(spec, "'tree'")
+    reject_unknown_keys(spec, ("input", "nodes"), "'tree'")
     input_node = spec.get("input", "in")
     if not isinstance(input_node, str) or not input_node:
         raise ValidationError(
@@ -183,9 +152,9 @@ def tree_from_spec(spec: Any) -> RCTree:
         )
     tree = RCTree(input_node)
     for k, node in enumerate(nodes):
-        node = _require_mapping(node, f"tree node #{k}")
-        _reject_unknown_keys(node, ("name", "parent", "r", "c"),
-                             f"tree node #{k}")
+        node = require_mapping(node, f"tree node #{k}")
+        reject_unknown_keys(node, ("name", "parent", "r", "c"),
+                            f"tree node #{k}")
         name = node.get("name")
         if not isinstance(name, str) or not name:
             raise ValidationError(
@@ -197,12 +166,13 @@ def tree_from_spec(spec: Any) -> RCTree:
                 f"tree node {name!r}: 'parent' must be a node name "
                 "(or omitted for a child of the input)"
             )
-        r = _number(node, "r", minimum=0.0)
-        c = _number(node, "c", minimum=0.0, default=0.0)
+        r, c = node.get("r"), node.get("c", 0.0)
         if r is None:
             raise ValidationError(f"tree node {name!r}: missing 'r'")
+        r = _ELEMENT_VALUE.check(r, "'r'")
+        c = 0.0 if c is None else _ELEMENT_VALUE.check(c, "'c'")
         try:
-            tree.add_node(name, parent, float(r), float(c))
+            tree.add_node(name, parent, r, c)
         except ReproError as exc:
             raise ValidationError(f"tree node {name!r}: {exc}") from exc
     try:
@@ -363,11 +333,6 @@ def _node_subset(payload: Dict[str, Any], tree: RCTree) -> Optional[List[str]]:
     return list(nodes)
 
 
-def _timeout_seconds(payload: Dict[str, Any]) -> Optional[float]:
-    value = _number(payload, "timeout_ms", minimum=1, maximum=3_600_000)
-    return None if value is None else float(value) / 1e3
-
-
 # ----------------------------------------------------------------------
 # Request objects
 # ----------------------------------------------------------------------
@@ -391,50 +356,10 @@ class StatsRequest:
         return int(self.resistances.shape[0])
 
 
-@dataclass
-class VerifyRequest:
-    """A validated ``POST /v1/verify`` request."""
-
-    key: str
-    label: str
-    tree: RCTree
-    samples: int = 4001
-    nodes: Optional[List[str]] = None
-    timeout_s: Optional[float] = None
-
-
-@dataclass
-class StaRequest:
-    """A validated ``POST /v1/sta`` request."""
-
-    layers: int = 6
-    width: int = 15
-    seed: int = 3
-    delay_model: str = "elmore"
-    timeout_s: Optional[float] = None
-
-
-@dataclass
-class SstaRequest:
-    """A validated ``POST /v1/ssta`` request."""
-
-    layers: int = 6
-    width: int = 15
-    seed: int = 3
-    rsigma: float = 0.08
-    csigma: float = 0.08
-    cell_sigma: float = 0.05
-    correlation: float = 0.5
-    required: Optional[float] = None
-    samples: int = 0
-    mc_seed: int = 0
-    timeout_s: Optional[float] = None
-
-
 def parse_stats_request(payload: Any) -> StatsRequest:
     """Validate a ``/v1/stats`` body into a :class:`StatsRequest`."""
-    payload = _require_mapping(payload, "request body")
-    _reject_unknown_keys(
+    payload = require_mapping(payload, "request body")
+    reject_unknown_keys(
         payload,
         ("workload", "tree", "rscale", "cscale", "resistances",
          "capacitances", "signal", "nodes", "timeout_ms"),
@@ -458,100 +383,5 @@ def parse_stats_request(payload: Any) -> StatsRequest:
         signal=signal,
         signal_spec=str(spec),
         nodes=_node_subset(payload, tree),
-        timeout_s=_timeout_seconds(payload),
-    )
-
-
-def parse_verify_request(payload: Any) -> VerifyRequest:
-    """Validate a ``/v1/verify`` body into a :class:`VerifyRequest`."""
-    payload = _require_mapping(payload, "request body")
-    _reject_unknown_keys(
-        payload,
-        ("workload", "tree", "samples", "nodes", "timeout_ms"),
-        "verify request",
-    )
-    tree, key, label = _parse_topology(payload)
-    samples = _number(payload, "samples", minimum=101, maximum=100_001,
-                      integer=True, default=4001)
-    return VerifyRequest(
-        key=key,
-        label=label,
-        tree=tree,
-        samples=int(samples),
-        nodes=_node_subset(payload, tree),
-        timeout_s=_timeout_seconds(payload),
-    )
-
-
-def parse_sta_request(payload: Any) -> StaRequest:
-    """Validate a ``/v1/sta`` body into a :class:`StaRequest`."""
-    payload = _require_mapping(payload, "request body")
-    _reject_unknown_keys(
-        payload,
-        ("layers", "width", "seed", "delay_model", "timeout_ms"),
-        "sta request",
-    )
-    layers = _number(payload, "layers", minimum=1, maximum=64,
-                     integer=True, default=6)
-    width = _number(payload, "width", minimum=1, maximum=256,
-                    integer=True, default=15)
-    seed = _number(payload, "seed", minimum=0, maximum=2**32 - 1,
-                   integer=True, default=3)
-    delay_model = payload.get("delay_model", "elmore")
-    from repro.sta.timing import DELAY_MODELS
-
-    if delay_model not in DELAY_MODELS:
-        raise ValidationError(
-            f"unknown delay model {delay_model!r}; expected one of "
-            f"{sorted(DELAY_MODELS)}"
-        )
-    return StaRequest(
-        layers=int(layers),
-        width=int(width),
-        seed=int(seed),
-        delay_model=str(delay_model),
-        timeout_s=_timeout_seconds(payload),
-    )
-
-
-def parse_ssta_request(payload: Any) -> SstaRequest:
-    """Validate a ``/v1/ssta`` body into a :class:`SstaRequest`."""
-    payload = _require_mapping(payload, "request body")
-    _reject_unknown_keys(
-        payload,
-        ("layers", "width", "seed", "rsigma", "csigma", "cell_sigma",
-         "correlation", "required", "samples", "mc_seed", "timeout_ms"),
-        "ssta request",
-    )
-    layers = _number(payload, "layers", minimum=1, maximum=64,
-                     integer=True, default=6)
-    width = _number(payload, "width", minimum=1, maximum=256,
-                    integer=True, default=15)
-    seed = _number(payload, "seed", minimum=0, maximum=2**32 - 1,
-                   integer=True, default=3)
-    rsigma = _number(payload, "rsigma", minimum=0.0, maximum=0.5,
-                     default=0.08)
-    csigma = _number(payload, "csigma", minimum=0.0, maximum=0.5,
-                     default=0.08)
-    cell_sigma = _number(payload, "cell_sigma", minimum=0.0, maximum=0.5,
-                         default=0.05)
-    correlation = _number(payload, "correlation", minimum=0.0,
-                          maximum=1.0, default=0.5)
-    required = _number(payload, "required", minimum=0.0)
-    samples = _number(payload, "samples", minimum=0, maximum=100_000,
-                      integer=True, default=0)
-    mc_seed = _number(payload, "mc_seed", minimum=0, maximum=2**32 - 1,
-                      integer=True, default=0)
-    return SstaRequest(
-        layers=int(layers),
-        width=int(width),
-        seed=int(seed),
-        rsigma=float(rsigma),
-        csigma=float(csigma),
-        cell_sigma=float(cell_sigma),
-        correlation=float(correlation),
-        required=None if required is None else float(required),
-        samples=int(samples),
-        mc_seed=int(mc_seed),
-        timeout_s=_timeout_seconds(payload),
+        timeout_s=timeout_seconds(payload),
     )

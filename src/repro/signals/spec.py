@@ -14,6 +14,8 @@ HTTP 400 payloads — never a traceback.
 
 from __future__ import annotations
 
+import math
+
 from repro._exceptions import ValidationError
 from repro.signals.base import Signal
 from repro.signals.exponential import ExponentialInput
@@ -33,8 +35,8 @@ SIGNAL_KINDS = ("step", "ramp", "cosine", "smoothstep", "exp")
 def parse_time_spec(token: str) -> float:
     """Parse a time like ``2ns``/``500ps``/``1e-9`` into seconds.
 
-    Raises :class:`ValidationError` with a readable message on garbage
-    or non-positive values.
+    Raises :class:`ValidationError` with a readable message on garbage,
+    non-positive or non-finite values.
     """
     text = str(token).strip().lower()
     scale = 1.0
@@ -55,6 +57,8 @@ def parse_time_spec(token: str) -> float:
             f"time {token!r} must be > 0 (a signal cannot rise in "
             "zero or negative time)"
         )
+    if not math.isfinite(value):
+        raise ValidationError(f"time {token!r} must be finite")
     return value
 
 

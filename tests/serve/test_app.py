@@ -223,6 +223,7 @@ class TestErrorContract:
         ({"workload": "fig1", "rscale": -1.0}, "finite and > 0"),
         ({"workload": "fig1", "bogus": True}, "unknown"),
         ({}, "workload"),
+        ({"workload": "fig1", "signal": "ramp:1e999"}, "must be finite"),
     ])
     def test_validation_errors_are_400_json(self, server, payload,
                                             fragment):

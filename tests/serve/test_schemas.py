@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro._exceptions import ValidationError
+from repro.ops import OPS
 from repro.serve.schemas import (
     MAX_ROWS_PER_REQUEST,
-    parse_ssta_request,
-    parse_sta_request,
     parse_stats_request,
-    parse_verify_request,
     resolve_workload,
     topology_key,
     tree_from_spec,
@@ -220,29 +218,29 @@ class TestStatsRequest:
 
 class TestVerifyAndSta:
     def test_verify_defaults(self):
-        req = parse_verify_request({"workload": "tree25"})
+        req = OPS["verify"].parse_json({"workload": "tree25"})
         assert req.samples == 4001
         assert req.tree.num_nodes == 25
 
     def test_verify_sample_bounds(self):
         with pytest.raises(ValidationError):
-            parse_verify_request({"workload": "fig1", "samples": 3})
+            OPS["verify"].parse_json({"workload": "fig1", "samples": 3})
 
     def test_sta_defaults(self):
-        req = parse_sta_request({})
+        req = OPS["sta"].parse_json({})
         assert (req.layers, req.width, req.seed) == (6, 15, 3)
         assert req.delay_model == "elmore"
 
     def test_sta_unknown_delay_model(self):
         with pytest.raises(ValidationError, match="delay model"):
-            parse_sta_request({"delay_model": "spice"})
+            OPS["sta"].parse_json({"delay_model": "spice"})
 
     def test_sta_unknown_field(self):
         with pytest.raises(ValidationError, match="unknown"):
-            parse_sta_request({"depth": 3})
+            OPS["sta"].parse_json({"depth": 3})
 
     def test_ssta_defaults(self):
-        req = parse_ssta_request({})
+        req = OPS["ssta"].parse_json({})
         assert (req.layers, req.width, req.seed) == (6, 15, 3)
         assert req.rsigma == req.csigma == pytest.approx(0.08)
         assert req.cell_sigma == pytest.approx(0.05)
@@ -252,10 +250,10 @@ class TestVerifyAndSta:
 
     def test_ssta_bounds(self):
         with pytest.raises(ValidationError, match="correlation"):
-            parse_ssta_request({"correlation": 2.0})
+            OPS["ssta"].parse_json({"correlation": 2.0})
         with pytest.raises(ValidationError, match="rsigma"):
-            parse_ssta_request({"rsigma": -0.1})
+            OPS["ssta"].parse_json({"rsigma": -0.1})
         with pytest.raises(ValidationError, match="samples"):
-            parse_ssta_request({"samples": 200_000})
+            OPS["ssta"].parse_json({"samples": 200_000})
         with pytest.raises(ValidationError, match="unknown"):
-            parse_ssta_request({"sigma": 0.1})
+            OPS["ssta"].parse_json({"sigma": 0.1})

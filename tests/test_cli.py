@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.signals import (
     StepInput,
 )
 from repro.workloads import fig1_tree
+
+LINE4 = str(Path(__file__).parent / "data" / "line4.sp")
 
 
 @pytest.fixture
@@ -157,6 +160,22 @@ class TestValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "must be > 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sta", "--seed", "-1"],
+        ["ssta", "--seed", "-1"],
+        ["ssta", "--mc-seed", "-1", "--samples", "200"],
+        ["stats", LINE4, "--samples", "4", "--seed", "-1"],
+        ["verify", LINE4, "--inject-faults",
+         "shard.slow:p=0.1", "--fault-seed", "-1"],
+    ])
+    def test_negative_seeds_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "Traceback" not in err
+        assert "seed must be >= 0, got -1" in err
 
     def test_removed_process_backend(self, netlist_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -347,5 +366,7 @@ class TestSstaCommand:
         assert sharded.replace(strip, "") == serial
 
     def test_bad_correlation_rejected(self, capsys):
-        assert main(["ssta", "--correlation", "1.5"]) != 0
-        assert "correlation fraction" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ssta", "--correlation", "1.5"])
+        assert excinfo.value.code == 2
+        assert "--correlation must be <= 1" in capsys.readouterr().err

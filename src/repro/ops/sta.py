@@ -59,7 +59,7 @@ def run(params, ctx: Context) -> Dict[str, Any]:
 
     design, stanza = build_design(params)
     # Only the Elmore model has a sharded fan-out; the others evaluate
-    # nets lazily per arrival, in-process whatever jobs/backend say.  The
+    # one net at a time, in-process whatever jobs/backend say.  The
     # checkpoint is always forwarded: journaling them is a clean error.
     engine = {"jobs": ctx.jobs, "backend": ctx.backend} \
         if params.delay_model == "elmore" else {}

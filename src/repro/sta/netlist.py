@@ -8,10 +8,9 @@ simple wire-load model at timing time.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro._exceptions import TimingGraphError, ValidationError
 from repro.sta.library import Cell, CellLibrary
@@ -176,6 +175,19 @@ class Design:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check that the design is fully connected and acyclic."""
+        self.timing_order()
+
+    def timing_order(self) -> List[Tuple[str, str]]:
+        """The forward timing walk: ``("net", name)`` / ``("gate", name)``.
+
+        Nets driven by primary inputs come first; Kahn's algorithm over
+        the instances then emits each gate once every input pin's net is
+        placed, followed by the net its output drives.  Every net thus
+        comes after its driver and before its sinks: walk the list for
+        arrivals and ``reversed`` for required times.  Raises
+        :class:`TimingGraphError` on an unconnected pin or port or a
+        combinational loop.
+        """
         for name, inst in self.instances.items():
             for pin in inst.cell.pin_names:
                 if Pin(name, pin) not in self._pin_to_net:
@@ -185,30 +197,35 @@ class Design:
         for port in (*self.inputs, *self.outputs):
             if Pin(Pin.PORT, port) not in self._pin_to_net:
                 raise TimingGraphError(f"port {port!r} is unconnected")
-        graph = self.instance_graph()
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise TimingGraphError(
-                f"combinational loop detected: {cycle}"
-            )
+        waiting = {
+            name: len(inst.cell.inputs)
+            for name, inst in self.instances.items()
+        }
+        ready: Deque[str] = deque()
+        order: List[Tuple[str, str]] = []
 
-    def instance_graph(self) -> "nx.DiGraph":
-        """Directed graph over instances/ports induced by the nets."""
-        graph = nx.DiGraph()
+        def place(net_name: str) -> None:
+            order.append(("net", net_name))
+            # A pin listed twice on one net still counts once.
+            for sink in dict.fromkeys(self.nets[net_name].sinks):
+                if not sink.is_port:
+                    waiting[sink.instance] -= 1
+                    if waiting[sink.instance] == 0:
+                        ready.append(sink.instance)
+
         for port in self.inputs:
-            graph.add_node(f"in:{port}")
-        for port in self.outputs:
-            graph.add_node(f"out:{port}")
-        for name in self.instances:
-            graph.add_node(name)
-        for net in self.nets.values():
-            src = (
-                f"in:{net.driver.pin}" if net.driver.is_port else net.driver.instance
+            place(self.net_of(Pin.PORT, port))
+        while ready:
+            name = ready.popleft()
+            order.append(("gate", name))
+            place(self.net_of(name, self.instances[name].cell.output))
+        stuck = [name for name, count in waiting.items() if count]
+        if stuck:
+            raise TimingGraphError(
+                f"combinational loop detected: instances {stuck} sit on "
+                "or behind it"
             )
-            for sink in net.sinks:
-                dst = f"out:{sink.pin}" if sink.is_port else sink.instance
-                graph.add_edge(src, dst, net=net.name)
-        return graph
+        return order
 
     def net_of(self, instance: str, pin: str) -> str:
         """Name of the net attached to ``instance.pin``."""

@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Union
 
-import networkx as nx
-
 from repro._exceptions import TimingGraphError
 from repro.sta.netlist import Design, Pin
-from repro.sta.timing import TimingResult, _delay_cache_of
+from repro.sta.timing import TimingResult
 
 __all__ = ["SlackReport", "compute_slacks"]
 
@@ -72,11 +70,11 @@ def compute_slacks(
     Parameters
     ----------
     design:
-        The analyzed design (must be the same object family the result
-        came from — its nets index the result's elaborations).
+        The analyzed design (the one the result came from: its sink
+        pins index the result's ``wire_delay``).
     result:
-        Forward analysis result (supplies arrivals, slews, and the cached
-        per-net delays of whatever delay model was used).
+        Forward analysis result (supplies arrivals, slews, and the
+        per-sink ``wire_delay`` of whatever delay model was used).
     required:
         A single required time applied to every primary output, or a map
         from output port name to required time.
@@ -91,61 +89,31 @@ def compute_slacks(
     else:
         req_out = {port: float(required) for port in design.outputs}
 
+    order = design.timing_order()
     required_times: Dict[Pin, float] = {}
     for port, value in req_out.items():
         required_times[Pin(Pin.PORT, port)] = value
 
-    graph = design.instance_graph()
-    order = list(nx.topological_sort(graph))
-
-    def net_backward(net_name: str) -> None:
-        net = design.nets[net_name]
-        elaborated = result.nets.get(net_name)
-        if elaborated is None:
-            raise TimingGraphError(
-                f"net {net_name!r} was not elaborated in the forward pass"
+    # Walk the forward order reversed: every sink of a net (a gate input
+    # or an output port) has its requirement before the net, and every
+    # gate's output net before the gate.  A net's driver needs the
+    # tightest sink requirement minus that sink's wire delay; a gate
+    # input needs the output requirement minus its stage delay.
+    for kind, name in reversed(order):
+        if kind == "net":
+            net = design.nets[name]
+            required_times[net.driver] = min(
+                required_times[sink] - result.wire_delay[sink]
+                for sink in net.sinks
             )
-        delays = _delay_cache_of(elaborated)[net_name]
-        tightest = None
-        for sink in net.sinks:
-            if sink not in required_times:
-                continue
-            candidate = required_times[sink] - delays[sink]
-            if tightest is None or candidate < tightest:
-                tightest = candidate
-        if tightest is None:
-            raise TimingGraphError(
-                f"net {net_name!r} has no required sink; "
-                "design outputs unreachable?"
-            )
-        driver = net.driver
-        if driver not in required_times or tightest < required_times[driver]:
-            required_times[driver] = tightest
-
-    # Walk instances in reverse topological order; before each gate,
-    # pull back through the net its output drives.
-    for node in reversed(order):
-        if node.startswith("out:"):
             continue
-        if node.startswith("in:"):
-            port = node[3:]
-            net_backward(design.net_of(Pin.PORT, port))
-            continue
-        inst = design.instances[node]
-        cell = inst.cell
-        out_pin = Pin(node, cell.output)
-        net_backward(design.net_of(node, cell.output))
-        if out_pin not in required_times:
-            raise TimingGraphError(
-                f"no requirement reached {out_pin} (dangling logic?)"
-            )
+        cell = design.instances[name].cell
+        out_required = required_times[Pin(name, cell.output)]
         for pin_name in cell.inputs:
-            pin = Pin(node, pin_name)
+            pin = Pin(name, pin_name)
             stage = cell.intrinsic_delay + \
                 cell.slew_impact * result.slew[pin]
-            candidate = required_times[out_pin] - stage
-            if pin not in required_times or candidate < required_times[pin]:
-                required_times[pin] = candidate
+            required_times[pin] = out_required - stage
 
     slack = {
         pin: required_times[pin] - result.arrival[pin]

@@ -20,8 +20,10 @@ gate-level SSTA formulation surveyed in arXiv:2401.03588:
 
 * **Propagation** — the nominal forest walk of :mod:`repro.sta.timing`
   runs first (batched forest sweeps, sharded/warm-pool capable); the
-  statistical walk then mirrors it pin for pin, with exact Gaussian
-  ``add`` and Clark moment-matched ``max``.  Residual coefficients stay
+  statistical walk then loops over the same
+  :meth:`~repro.sta.netlist.Design.timing_order`, reusing its per-sink
+  ``wire_delay`` as the form means, with exact Gaussian ``add`` and
+  Clark moment-matched ``max``.  Residual coefficients stay
   *labeled* per element/gate, so reconvergent fanout keeps its
   common-path correlation exactly.
 
@@ -42,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro._exceptions import AnalysisError, TimingGraphError
@@ -62,7 +63,7 @@ from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 from repro.parallel import plan_shards, resolve_backend
 from repro.sta.netlist import Design, Pin
-from repro.sta.timing import TimingResult, _delay_cache_of, analyze
+from repro.sta.timing import TimingResult, analyze
 
 __all__ = [
     "ProcessModel",
@@ -339,6 +340,9 @@ def analyze_ssta(
             "analyze_ssta needs a ProcessModel (wrap your VariationModel)"
         )
     with _span("ssta.analyze", nets=len(design.nets)) as sp:
+        order = design.timing_order()
+        if not design.outputs:
+            raise TimingGraphError("design has no primary outputs")
         if nominal is None:
             nominal = analyze(
                 design, "elmore", input_arrivals=input_arrivals,
@@ -354,80 +358,47 @@ def analyze_ssta(
         num_vars = len(PROCESS_VARIABLES)
 
         with _span("ssta.extract", nets=len(nominal.nets)):
-            net_forms: Dict[str, Dict[Pin, CanonicalForm]] = {}
+            wire_forms: Dict[Pin, CanonicalForm] = {}
             for net_name, elaborated in nominal.nets.items():
-                cache = _delay_cache_of(elaborated)
-                delays = cache.get(net_name)
-                if delays is None:  # pragma: no cover - defensive
-                    from repro.sta.timing import _elmore_model
-
-                    delays = cache[net_name] = _elmore_model(elaborated)
-                net_forms[net_name] = _net_delay_forms(
-                    net_name, elaborated, model, delays
-                )
+                wire_forms.update(_net_delay_forms(
+                    net_name, elaborated, model, nominal.wire_delay
+                ))
 
         arrival: Dict[Pin, CanonicalForm] = {}
-        events: List[Tuple[str, str]] = []
         gate_fanin: Dict[str, Tuple[List[Pin], List[float]]] = {}
-        propagated_nets = set()
-
-        def propagate_net(sink: Pin) -> None:
-            if sink in arrival:
-                return
-            net_name = design.net_of(sink.instance, sink.pin)
-            net = design.nets[net_name]
-            if net.driver not in arrival:
-                raise TimingGraphError(
-                    f"net {net_name!r} driver {net.driver} has no "
-                    "arrival form (disconnected from inputs?)"
-                )
-            base = arrival[net.driver]
-            for s in net.sinks:
-                arrival[s] = base + net_forms[net_name][s]
-            if net_name not in propagated_nets:
-                propagated_nets.add(net_name)
-                events.append(("net", net_name))
-
         for port in design.inputs:
             pin = Pin(Pin.PORT, port)
             arrival[pin] = canonical_constant(
                 (input_arrivals or {}).get(port, 0.0), num_vars
             )
 
-        graph = design.instance_graph()
-        for node in nx.topological_sort(graph):
-            if node.startswith("in:") or node.startswith("out:"):
+        for kind, name in order:
+            if kind == "net":
+                net = design.nets[name]
+                base = arrival[net.driver]
+                for sink in net.sinks:
+                    arrival[sink] = base + wire_forms[sink]
                 continue
-            inst = design.instances[node]
-            cell = inst.cell
+            cell = design.instances[name].cell
             pins: List[Pin] = []
             candidates: List[CanonicalForm] = []
             for pin_name in cell.inputs:
-                pin = Pin(node, pin_name)
-                propagate_net(pin)
+                pin = Pin(name, pin_name)
                 stage_nominal = (
                     cell.intrinsic_delay
                     + cell.slew_impact * nominal.slew[pin]
                 )
                 candidates.append(
-                    arrival[pin] + _stage_form(model, node, stage_nominal)
+                    arrival[pin] + _stage_form(model, name, stage_nominal)
                 )
                 pins.append(pin)
             out_form, weights = canonical_max_many(
-                candidates, label=f"max.{node}"
+                candidates, label=f"max.{name}"
             )
             if len(candidates) > 1:
                 _MAX_OPS.inc(len(candidates) - 1)
-            out_pin = Pin(node, cell.output)
-            arrival[out_pin] = out_form
-            gate_fanin[node] = (pins, weights)
-            events.append(("gate", node))
-
-        for port in design.outputs:
-            propagate_net(Pin(Pin.PORT, port))
-
-        if not design.outputs:
-            raise TimingGraphError("design has no primary outputs")
+            arrival[Pin(name, cell.output)] = out_form
+            gate_fanin[name] = (pins, weights)
 
         outputs = {
             port: arrival[Pin(Pin.PORT, port)] for port in design.outputs
@@ -440,14 +411,14 @@ def analyze_ssta(
                 _MAX_OPS.inc(len(outputs) - 1)
         criticality = dict(zip(outputs, out_weights))
 
-        # Backward criticality pass: replay the forward events reversed;
+        # Backward criticality pass: walk the forward order reversed;
         # a gate splits its output-pin criticality over its fan-in by
         # the Clark tightness weights, a net funnels its sinks' back to
         # the driver.  Disjoint-event approximation (Visweswariah).
         pin_criticality: Dict[Pin, float] = {}
         for port, weight in criticality.items():
             pin_criticality[Pin(Pin.PORT, port)] = weight
-        for kind, name in reversed(events):
+        for kind, name in reversed(order):
             if kind == "gate":
                 out_pin = Pin(name, design.instances[name].cell.output)
                 out_crit = pin_criticality.get(out_pin, 0.0)
@@ -558,6 +529,7 @@ def monte_carlo_arrivals(
             "monte_carlo_arrivals needs a ProcessModel"
         )
     with _span("ssta.monte_carlo", samples=samples) as sp:
+        order = design.timing_order()
         if nominal is None:
             nominal = analyze(
                 design, "elmore", input_arrivals=input_arrivals,
@@ -613,39 +585,29 @@ def monte_carlo_arrivals(
         gate_index = {name: i for i, name in enumerate(instances)}
 
         arrivals: Dict[Pin, np.ndarray] = {}
-
-        def propagate_net(sink: Pin) -> None:
-            if sink in arrivals:
-                return
-            net_name = design.net_of(sink.instance, sink.pin)
-            net = design.nets[net_name]
-            base = arrivals[net.driver]
-            for s in net.sinks:
-                arrivals[s] = base + sink_delays[s]
-
         for port in design.inputs:
             arrivals[Pin(Pin.PORT, port)] = np.full(
                 samples, (input_arrivals or {}).get(port, 0.0)
             )
-        graph = design.instance_graph()
-        for node in nx.topological_sort(graph):
-            if node.startswith("in:") or node.startswith("out:"):
+        for kind, name in order:
+            if kind == "net":
+                net = design.nets[name]
+                base = arrivals[net.driver]
+                for sink in net.sinks:
+                    arrivals[sink] = base + sink_delays[sink]
                 continue
-            cell = design.instances[node].cell
-            factor = gate_factor[:, gate_index[node]]
+            cell = design.instances[name].cell
+            factor = gate_factor[:, gate_index[name]]
             best: Optional[np.ndarray] = None
             for pin_name in cell.inputs:
-                pin = Pin(node, pin_name)
-                propagate_net(pin)
+                pin = Pin(name, pin_name)
                 stage_nominal = (
                     cell.intrinsic_delay
                     + cell.slew_impact * nominal.slew[pin]
                 )
                 t = arrivals[pin] + stage_nominal * factor
                 best = t if best is None else np.maximum(best, t)
-            arrivals[Pin(node, cell.output)] = best
-        for port in design.outputs:
-            propagate_net(Pin(Pin.PORT, port))
+            arrivals[Pin(name, cell.output)] = best
 
         matrix = np.stack(
             [arrivals[Pin(Pin.PORT, port)] for port in design.outputs],

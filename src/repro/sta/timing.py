@@ -1,8 +1,9 @@
 """Static timing analysis over the Elmore metric (or any other).
 
-Arrival times propagate through the gate-level design in topological
-order.  Each net's interconnect delay is evaluated per sink on the net's
-RC tree with a pluggable delay model:
+Arrival times propagate through the gate-level design in
+:meth:`~repro.sta.netlist.Design.timing_order`.  Each net's interconnect
+delay is evaluated per sink on the net's RC tree with a pluggable delay
+model:
 
 * ``"elmore"`` — the paper's bound (guaranteed pessimistic: safe STA);
 * ``"exact"`` — the pole/residue engine's measured 50% delay (reference);
@@ -28,7 +29,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro._exceptions import TimingGraphError
@@ -104,45 +104,57 @@ def _sta_shard_task(payload) -> Dict[str, Tuple[Dict, Dict]]:
     return out
 
 
+def _elaborate_all(design: Design, wire_load, net_overrides
+                   ) -> Dict[str, ElaboratedNet]:
+    """Every net's RC tree, in design order."""
+    return {
+        name: elaborate_net(design, net, wire_load=wire_load,
+                            override=(net_overrides or {}).get(name))
+        for name, net in design.nets.items()
+    }
+
+
 def _precompute_elmore_batched(
     design: Design,
-    nets: Dict[str, ElaboratedNet],
     wire_load,
     net_overrides,
     jobs: Optional[int] = None,
     backend: Optional[str] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-) -> None:
+) -> Tuple[Dict[str, ElaboratedNet], Dict[Pin, float], Dict[Pin, float]]:
     """Evaluate every net of the design through batched forest sweeps.
 
     All nets are elaborated up front and their RC trees are compiled
     side by side into forest topologies whose order-2
     :func:`batch_transfer_moments` sweeps yield every sink's Elmore
     delay (arrival propagation) and impulse-response variance (slew
-    propagation) at once.  With ``jobs`` unset this is ONE batched call;
-    with ``jobs`` given, the net list is split into deterministic shards
+    propagation) at once.  With ``jobs`` unset this is ONE
+    :func:`_sta_shard_task` call over the whole net list; with ``jobs``
+    given, the net list is split into deterministic shards
     fanned out through :mod:`repro.parallel` (``1`` = serial backend,
-    ``>= 2`` = worker processes) with bit-identical results.  Either
-    way the per-net results land in the same caches the lazy per-net
-    path uses, so :func:`_propagate_net_to` finds them already
-    populated.
+    ``>= 2`` = worker processes) with bit-identical results.  Returns
+    the elaborated nets and the per-sink delay and variance maps.
     """
+    wire_delay: Dict[Pin, float] = {}
+    dispersion: Dict[Pin, float] = {}
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
-        order: List[str] = []
-        for net_name, net in design.nets.items():
-            if net_name not in nets:
-                override = (net_overrides or {}).get(net_name)
-                nets[net_name] = elaborate_net(
-                    design, net, wire_load=wire_load, override=override
-                )
-            order.append(net_name)
-        if not order:
-            return
-        _NETS_EVALUATED.inc(len(order))
-        if jobs is not None or backend is not None \
-                or checkpoint_path is not None:
-            shards = plan_shards(len(order))
+        nets = _elaborate_all(design, wire_load, net_overrides)
+        payload = [(name, net.tree, net.sink_nodes)
+                   for name, net in nets.items()]
+        if not payload:
+            return nets, wire_delay, dispersion
+        _NETS_EVALUATED.inc(len(payload))
+        if jobs is None and backend is None and checkpoint_path is None:
+            forest_nodes = sum(tree.num_nodes for _, tree, _ in payload)
+            sp.set_attribute("forest_nodes", forest_nodes)
+            logger.debug(
+                "forest precompute: %d nets, %d nodes in one batched call",
+                len(payload), forest_nodes,
+            )
+            chunks = [_sta_shard_task(payload)]
+        else:
+            shards = plan_shards(len(payload))
             sp.set_attribute("shards", len(shards))
             checkpoint = None
             if checkpoint_path is not None:
@@ -155,27 +167,21 @@ def _precompute_elmore_batched(
                     run_fingerprint(
                         "sta.analyze",
                         nets=[
-                            (name, tree_fingerprint(nets[name].tree),
+                            (name, tree_fingerprint(tree),
                              sorted((str(pin), node) for pin, node
-                                    in nets[name].sink_nodes.items()))
-                            for name in order
+                                    in sink_nodes.items()))
+                            for name, tree, sink_nodes in payload
                         ],
                         plan=[shard.size for shard in shards],
                     ),
                     len(shards),
-                    meta={"kind": "sta.analyze", "nets": len(order)},
+                    meta={"kind": "sta.analyze", "nets": len(payload)},
                     resume=resume,
                 )
             try:
                 chunks = run_sharded(
                     _sta_shard_task,
-                    [
-                        [
-                            (name, nets[name].tree, nets[name].sink_nodes)
-                            for name in order[shard.start:shard.stop]
-                        ]
-                        for shard in shards
-                    ],
+                    [payload[shard.start:shard.stop] for shard in shards],
                     jobs=jobs,
                     label="sta.parallel_run",
                     backend=backend,
@@ -184,34 +190,28 @@ def _precompute_elmore_batched(
             finally:
                 if checkpoint is not None:
                     checkpoint.close()
-            for chunk in chunks:
-                for net_name, (delays, mu2) in chunk.items():
-                    cache = _delay_cache_of(nets[net_name])
-                    cache[net_name] = delays
-                    cache[("dispersion", net_name)] = mu2
-            return
-        topology, offsets = compile_forest([nets[n].tree for n in order])
-        sp.set_attribute("forest_nodes", topology.num_nodes)
-        logger.debug(
-            "forest precompute: %d nets, %d nodes in one batched call",
-            len(order), topology.num_nodes,
-        )
-        moments = batch_transfer_moments(topology, 2)
-        delays = moments.elmore_delays()[0]
-        mu2 = np.maximum(moments.variance()[0], 0.0)
-        for net_name, offset in zip(order, offsets):
-            elaborated = nets[net_name]
-            cache = _delay_cache_of(elaborated)
-            sink_index = {
-                sink: offset + elaborated.tree.index_of(node)
-                for sink, node in elaborated.sink_nodes.items()
-            }
-            cache[net_name] = {
-                sink: float(delays[i]) for sink, i in sink_index.items()
-            }
-            cache[("dispersion", net_name)] = {
-                sink: float(mu2[i]) for sink, i in sink_index.items()
-            }
+        for chunk in chunks:
+            for delays, mu2 in chunk.values():
+                wire_delay.update(delays)
+                dispersion.update(mu2)
+    return nets, wire_delay, dispersion
+
+
+def _evaluate_per_net(
+    design: Design, model, wire_load, net_overrides
+) -> Tuple[Dict[str, ElaboratedNet], Dict[Pin, float], Dict[Pin, float]]:
+    """Non-batched models: evaluate each elaborated net on its own."""
+    nets = _elaborate_all(design, wire_load, net_overrides)
+    wire_delay: Dict[Pin, float] = {}
+    dispersion: Dict[Pin, float] = {}
+    for net_name, elaborated in nets.items():
+        _NETS_EVALUATED.inc()
+        with _span("sta.net", net=net_name,
+                   nodes=elaborated.tree.num_nodes):
+            wire_delay.update(model(elaborated))
+        with _span("sta.net_dispersion", net=net_name):
+            dispersion.update(_net_dispersion(elaborated))
+    return nets, wire_delay, dispersion
 
 
 def _exact_model(net: ElaboratedNet) -> Dict[Pin, float]:
@@ -282,6 +282,9 @@ class TimingResult:
         The elaborated per-net RC trees (for inspection/plotting).
     delay_model:
         Name of the interconnect delay model used.
+    wire_delay:
+        Interconnect delay from each net's driver to every sink pin under
+        that model (the backward slack pass and SSTA extraction reuse it).
     """
 
     arrival: Dict[Pin, float]
@@ -290,6 +293,7 @@ class TimingResult:
     critical_output: str
     nets: Dict[str, ElaboratedNet]
     delay_model: str
+    wire_delay: Dict[Pin, float]
     _predecessor: Dict[Pin, Tuple[Optional[Pin], str, str, float]] = field(
         default_factory=dict, repr=False
     )
@@ -355,7 +359,8 @@ def analyze(
     Parameters
     ----------
     design:
-        The gate-level design (validated here).
+        The gate-level design, validated here through
+        :meth:`~repro.sta.netlist.Design.timing_order`.
     delay_model:
         Key of :data:`DELAY_MODELS`.
     input_arrivals:
@@ -393,7 +398,7 @@ def analyze(
         raise TimingGraphError(
             "jobs/backend/checkpoint are only supported with the "
             "'elmore' delay model (the other models evaluate nets "
-            "lazily per arrival)"
+            "one at a time)"
         )
     with _span("sta.analyze", model=delay_model) as sp:
         result = _analyze(design, delay_model, input_arrivals,
@@ -415,56 +420,59 @@ def _analyze(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
 ) -> TimingResult:
-    model = DELAY_MODELS[delay_model]
-    arrivals: Dict[Pin, float] = {}
-    slews: Dict[Pin, float] = {}
-    predecessor: Dict[Pin, Tuple[Optional[Pin], str, str, float]] = {}
-    nets: Dict[str, ElaboratedNet] = {}
+    order = design.timing_order()
+    if not design.outputs:
+        raise TimingGraphError("design has no primary outputs")
     if delay_model == "elmore":
         # Delay and dispersion don't depend on arrivals, so the whole
         # netlist's interconnect is evaluated in batched forest sweeps
         # (one call, or sharded across workers when jobs is given)
         # before arrival propagation begins.
-        _precompute_elmore_batched(design, nets, wire_load, net_overrides,
-                                   jobs=jobs, backend=backend,
-                                   checkpoint_path=checkpoint_path,
-                                   resume=resume)
+        nets, wire_delay, dispersion = _precompute_elmore_batched(
+            design, wire_load, net_overrides, jobs=jobs, backend=backend,
+            checkpoint_path=checkpoint_path, resume=resume,
+        )
+    else:
+        nets, wire_delay, dispersion = _evaluate_per_net(
+            design, DELAY_MODELS[delay_model], wire_load, net_overrides
+        )
 
+    arrivals: Dict[Pin, float] = {}
+    slews: Dict[Pin, float] = {}
+    predecessor: Dict[Pin, Tuple[Optional[Pin], str, str, float]] = {}
     for port in design.inputs:
         pin = Pin(Pin.PORT, port)
         arrivals[pin] = (input_arrivals or {}).get(port, 0.0)
         slews[pin] = (input_slews or {}).get(port, 0.0)
 
-    graph = design.instance_graph()
-    for node in nx.topological_sort(graph):
-        if node.startswith("in:") or node.startswith("out:"):
+    for kind, name in order:
+        if kind == "net":
+            net = design.nets[name]
+            driver = net.driver
+            base = arrivals[driver]
+            base_slew = slews[driver]
+            for sink in net.sinks:
+                delay = wire_delay[sink]
+                arrivals[sink] = base + delay
+                # mu_2 adds under convolution: sigma_out^2 = sigma_in^2 + mu_2.
+                slews[sink] = (base_slew**2 + dispersion[sink]) ** 0.5
+                predecessor[sink] = (driver, "net", name, delay)
             continue
-        inst = design.instances[node]
-        cell = inst.cell
+        cell = design.instances[name].cell
         worst: Optional[Tuple[float, float, Pin]] = None
         for pin_name in cell.inputs:
-            pin = Pin(node, pin_name)
-            _propagate_net_to(design, pin, model, arrivals, slews,
-                              predecessor, nets, wire_load, net_overrides)
+            pin = Pin(name, pin_name)
             # Slew-dependent gate delay (Sec. III-B's sigma measure).
             stage = cell.intrinsic_delay + cell.slew_impact * slews[pin]
             t = arrivals[pin] + stage
             if worst is None or t > worst[0]:
                 worst = (t, stage, pin)
         assert worst is not None
-        out_pin = Pin(node, cell.output)
+        out_pin = Pin(name, cell.output)
         arrivals[out_pin] = worst[0]
         slews[out_pin] = cell.output_slew  # the gate regenerates the edge
-        predecessor[out_pin] = (worst[2], "gate", node, worst[1])
+        predecessor[out_pin] = (worst[2], "gate", name, worst[1])
 
-    # Primary outputs: pull their nets.
-    for port in design.outputs:
-        pin = Pin(Pin.PORT, port)
-        _propagate_net_to(design, pin, model, arrivals, slews,
-                          predecessor, nets, wire_load, net_overrides)
-
-    if not design.outputs:
-        raise TimingGraphError("design has no primary outputs")
     critical_output = max(
         design.outputs, key=lambda p: arrivals[Pin(Pin.PORT, p)]
     )
@@ -475,63 +483,6 @@ def _analyze(
         critical_output=critical_output,
         nets=nets,
         delay_model=delay_model,
+        wire_delay=wire_delay,
         _predecessor=predecessor,
     )
-
-
-def _propagate_net_to(
-    design: Design,
-    sink: Pin,
-    model,
-    arrivals: Dict[Pin, float],
-    slews: Dict[Pin, float],
-    predecessor: Dict,
-    nets: Dict[str, ElaboratedNet],
-    wire_load,
-    net_overrides,
-) -> None:
-    """Ensure ``sink``'s arrival and slew are computed from its net."""
-    if sink in arrivals:
-        return
-    net_name = design.net_of(sink.instance, sink.pin)
-    net = design.nets[net_name]
-    if net_name not in nets:
-        override = (net_overrides or {}).get(net_name)
-        nets[net_name] = elaborate_net(
-            design, net, wire_load=wire_load, override=override
-        )
-    elaborated = nets[net_name]
-    cache = _delay_cache_of(elaborated)
-    if net_name not in cache:
-        _NETS_EVALUATED.inc()
-        with _span("sta.net", net=net_name,
-                   nodes=elaborated.tree.num_nodes):
-            cache[net_name] = model(elaborated)
-    if ("dispersion", net_name) not in cache:
-        with _span("sta.net_dispersion", net=net_name):
-            cache[("dispersion", net_name)] = _net_dispersion(elaborated)
-    delays = cache[net_name]
-    dispersion = cache[("dispersion", net_name)]
-    driver = net.driver
-    if driver not in arrivals:
-        raise TimingGraphError(
-            f"net {net_name!r} driver {driver} has no arrival time "
-            "(disconnected from inputs?)"
-        )
-    base = arrivals[driver]
-    base_slew = slews[driver]
-    for s in net.sinks:
-        t = base + delays[s]
-        if s not in arrivals or t > arrivals[s]:
-            arrivals[s] = t
-            # mu_2 adds under convolution: sigma_out^2 = sigma_in^2 + mu_2.
-            slews[s] = (base_slew**2 + dispersion[s]) ** 0.5
-            predecessor[s] = (driver, "net", net_name, delays[s])
-
-
-def _delay_cache_of(elaborated: ElaboratedNet) -> Dict:
-    cache = getattr(elaborated, "_delay_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(elaborated, "_delay_cache", cache)
-    return cache

@@ -1,9 +1,20 @@
-"""Unit tests for the gate-level design container."""
+"""Unit tests for the gate-level design container and its timing order."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._exceptions import TimingGraphError
-from repro.sta import Design, Pin, default_library
+from repro.core.variation import VariationModel
+from repro.sta import Design, Pin, analyze, compute_slacks, default_library
+from repro.sta.ssta import ProcessModel, analyze_ssta, monte_carlo_arrivals
+from repro.workloads import random_design
+
+MODEL = ProcessModel(
+    VariationModel(resistance_sigma=0.08, capacitance_sigma=0.08),
+    cell_sigma=0.05,
+)
 
 
 @pytest.fixture
@@ -135,8 +146,163 @@ class TestQueries:
         assert str(Pin("u1", "a")) == "u1.a"
         assert str(Pin(Pin.PORT, "clk")) == "clk"
 
-    def test_instance_graph_edges(self, chain):
-        g = chain.instance_graph()
-        assert g.has_edge("in:a", "u1")
-        assert g.has_edge("u1", "u2")
-        assert g.has_edge("u2", "out:z")
+    def test_timing_order_precedences(self, chain):
+        position = {name: i for i, (_, name) in
+                    enumerate(chain.timing_order())}
+        assert position["na"] < position["u1"] < position["n1"] \
+            < position["u2"] < position["nz"]
+
+
+def _chain_result():
+    d = Design("chain", default_library())
+    d.add_input("a")
+    d.add_output("z")
+    d.add_instance("u1", "INV")
+    d.connect("na", ("@port", "a"), [("u1", "a")])
+    d.connect("nz", ("u1", "y"), [("@port", "z")])
+    return analyze(d)
+
+
+#: The four timing walks, each called on a design it has to order first.
+#: ``compute_slacks`` gets a valid result: the design alone must stop it.
+WALKS = {
+    "analyze": analyze,
+    "analyze_ssta": lambda d: analyze_ssta(d, MODEL),
+    "monte_carlo_arrivals": lambda d: monte_carlo_arrivals(d, MODEL, 8),
+    "compute_slacks": lambda d: compute_slacks(d, _chain_result(), 1e-9),
+}
+
+
+class TestTimingOrder:
+    def test_nets_follow_drivers_and_precede_sinks(self):
+        design = random_design(layers=4, width=5, seed=2)
+        order = design.timing_order()
+        assert sorted(name for kind, name in order if kind == "net") \
+            == sorted(design.nets)
+        assert sorted(name for kind, name in order if kind == "gate") \
+            == sorted(design.instances)
+        position = {step: i for i, step in enumerate(order)}
+        for name, net in design.nets.items():
+            here = position[("net", name)]
+            if not net.driver.is_port:
+                assert position[("gate", net.driver.instance)] == here - 1
+            for sink in net.sinks:
+                if not sink.is_port:
+                    assert position[("gate", sink.instance)] > here
+
+    def test_pin_listed_twice_on_a_net_counts_once(self, lib):
+        d = Design("d", lib)
+        d.add_input("a")
+        d.add_input("b")
+        d.add_output("z")
+        d.add_instance("u1", "NAND2")
+        d.connect("na", ("@port", "a"), [("u1", "a"), ("u1", "a")])
+        d.connect("nb", ("@port", "b"), [("u1", "b")])
+        d.connect("nz", ("u1", "y"), [("@port", "z")])
+        assert d.timing_order() == [("net", "na"), ("net", "nb"),
+                                    ("gate", "u1"), ("net", "nz")]
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_loop_is_a_timing_graph_error(self, lib, walk):
+        d = Design("loop", lib)
+        d.add_input("a")
+        d.add_output("z")
+        d.add_instance("u1", "NAND2")
+        d.add_instance("u2", "INV")
+        d.connect("na", ("@port", "a"), [("u1", "a")])
+        d.connect("n1", ("u1", "y"), [("u2", "a")])
+        d.connect("n2", ("u2", "y"), [("u1", "b"), ("@port", "z")])
+        with pytest.raises(TimingGraphError,
+                           match=r"combinational loop.*'u1', 'u2'"):
+            WALKS[walk](d)
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_unconnected_input_port_rejected_up_front(self, lib, walk):
+        d = Design("d", lib)
+        d.add_input("a")
+        d.add_input("unused")
+        d.add_output("z")
+        d.add_instance("u1", "INV")
+        d.connect("na", ("@port", "a"), [("u1", "a")])
+        d.connect("nz", ("u1", "y"), [("@port", "z")])
+        with pytest.raises(TimingGraphError,
+                           match="port 'unused' is unconnected"):
+            WALKS[walk](d)
+
+    @pytest.mark.parametrize("name", ["in:u1", "out:u1", "in:a", "out:z"])
+    def test_port_like_instance_names_time(self, lib, name):
+        def inverter(inst):
+            d = Design("d", lib)
+            d.add_input("a")
+            d.add_output("z")
+            d.add_instance(inst, "INV")
+            d.connect("na", ("@port", "a"), [(inst, "a")])
+            d.connect("nz", (inst, "y"), [("@port", "z")])
+            return d
+
+        design, reference = inverter(name), inverter("u1")
+        result, expected = analyze(design), analyze(reference)
+        assert result.critical_delay == expected.critical_delay
+        assert [e.name for e in result.critical_path()] \
+            == ["na", name, "nz"]
+        assert compute_slacks(design, result, 1e-9).worst_slack \
+            == compute_slacks(reference, expected, 1e-9).worst_slack
+        assert analyze_ssta(design, MODEL).critical.mu \
+            == analyze_ssta(reference, MODEL).critical.mu
+
+    def test_walks_make_no_networkx_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("networkx called by a timing walk")
+
+        design = random_design(layers=3, width=4, seed=3)
+        monkeypatch.setattr(nx, "topological_sort", forbidden)
+        monkeypatch.setattr(nx, "is_directed_acyclic_graph", forbidden)
+        monkeypatch.setattr(nx, "DiGraph", forbidden)
+        design.validate()
+        result = analyze(design)
+        compute_slacks(design, result, 1e-9)
+        analyze_ssta(design, MODEL, nominal=result)
+        monte_carlo_arrivals(design, MODEL, 16, nominal=result)
+
+
+def _rebuilt(design, rng):
+    """``design`` with its instances and nets inserted in shuffled order."""
+    d = Design(design.name, design.library)
+    for port in design.inputs:
+        d.add_input(port)
+    for port in design.outputs:
+        d.add_output(port)
+    instances = list(design.instances.values())
+    rng.shuffle(instances)
+    for inst in instances:
+        d.add_instance(inst.name, inst.cell.name, position=inst.position)
+    nets = list(design.nets.values())
+    rng.shuffle(nets)
+    for net in nets:
+        d.connect(net.name, (net.driver.instance, net.driver.pin),
+                  [(s.instance, s.pin) for s in net.sinks])
+    return d
+
+
+def _outputs(design):
+    result = analyze(design)
+    slacks = compute_slacks(design, result, 1e-9)
+    report = analyze_ssta(design, MODEL, nominal=result)
+    return (
+        result.arrival, result.slew, result.critical_delay,
+        result.critical_path(), slacks.slack, slacks.required,
+        {pin: (f.mu, f.sigma) for pin, f in report.arrival.items()},
+        report.criticality, report.pin_criticality,
+    )
+
+
+_REFERENCE = []
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_insertion_order_does_not_move_results(rng):
+    design = random_design(layers=6, width=12, seed=4)
+    if not _REFERENCE:
+        _REFERENCE.append(_outputs(design))
+    assert _outputs(_rebuilt(design, rng)) == _REFERENCE[0]

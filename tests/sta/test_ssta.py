@@ -12,7 +12,6 @@ from repro.sta.ssta import (
     monte_carlo_arrivals,
     validate_against_monte_carlo,
 )
-from repro.sta.timing import _delay_cache_of
 from repro.workloads.generators import random_design
 
 #: The repo's documented canonical-vs-Monte-Carlo tolerances.
@@ -172,7 +171,7 @@ class TestMonteCarloValidation:
         from repro.sta.ssta import _net_delay_forms
 
         forms = _net_delay_forms(
-            name, elab, independent, _delay_cache_of(elab)[name]
+            name, elab, independent, report.nominal.wire_delay
         )
         for sink, node in elab.sink_nodes.items():
             column = matrix[:, elab.tree.index_of(node)]

@@ -12,19 +12,16 @@ paper's printed numbers, and persists two artifacts under
 
 Both files are written atomically (temp file + ``os.replace``) so an
 interrupted or parallel run never leaves truncated results behind.
-Every report additionally appends one record to the append-only
-``results/trajectory.jsonl`` perf ledger
-(:mod:`repro.obs.trajectory`), which ``repro report --compare`` gates
-regressions against.
+End-to-end performance is measured by ``benchmarks/e2e/`` instead.
 """
 
 import json
 import os
+import subprocess
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.report import atomic_write_text, environment_info
-from repro.obs.trajectory import append_record, git_revision, record_from_rows
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -37,6 +34,21 @@ NS = 1e-9
 def ns(value: float) -> str:
     """Format a time in nanoseconds with three significant digits."""
     return f"{value / NS:.3g}"
+
+
+def git_revision(cwd: Optional[str] = None) -> Optional[str]:
+    """The short git revision of ``cwd`` (or CWD), ``None`` outside a
+    checkout or without a ``git`` binary."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=cwd, capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if out.returncode != 0:
+        return None
+    return out.stdout.strip() or None
 
 
 def render_table(
@@ -74,9 +86,8 @@ def report(
     text = render_table(title, header, rows)
     print("\n" + text + "\n")
     atomic_write_text(os.path.join(RESULTS_DIR, f"{name}.txt"), text + "\n")
-    git_rev = git_revision(os.path.dirname(__file__))
     environment = environment_info()
-    environment["git_rev"] = git_rev
+    environment["git_rev"] = git_revision(os.path.dirname(__file__))
     payload = {
         "schema": ROW_SCHEMA,
         "name": name,
@@ -91,13 +102,6 @@ def report(
     atomic_write_text(
         os.path.join(RESULTS_DIR, f"{name}.json"),
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
-    )
-    # Feed the perf ledger: one compact record per report, keyed by
-    # (bench, params, git rev, host fingerprint) so `repro report
-    # --compare` can gate later runs against this one.
-    append_record(
-        os.path.join(RESULTS_DIR, "trajectory.jsonl"),
-        record_from_rows(payload, git_rev=git_rev),
     )
 
 

@@ -12,7 +12,7 @@ things worth timing and gating:
   ``tests/sta/test_ssta.py`` so a regression fails both rungs.
 
 Quick mode (``REPRO_BENCH_QUICK=1``) shrinks the design and the sample
-count so the CI trajectory gate finishes in seconds; the tolerance
+count so the CI smoke run finishes in seconds; the tolerance
 assertions stay identical in both modes.
 """
 

@@ -15,6 +15,7 @@ from repro.circuit.spice import (
     parse_netlist,
     parse_rc_tree,
     parse_value,
+    read_rc_tree,
     tree_to_netlist,
     write_rc_tree,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "Netlist",
     "parse_netlist",
     "parse_rc_tree",
+    "read_rc_tree",
     "tree_to_netlist",
     "write_rc_tree",
     "parse_value",

@@ -33,6 +33,7 @@ __all__ = [
     "Netlist",
     "parse_netlist",
     "parse_rc_tree",
+    "read_rc_tree",
     "tree_to_netlist",
     "write_rc_tree",
 ]
@@ -294,6 +295,20 @@ def parse_rc_tree(text: str) -> Tuple[RCTree, float]:
     except ValidationError as exc:
         raise NetlistError(str(exc)) from exc
     return tree, source.value
+
+
+def read_rc_tree(path: str) -> Tuple[RCTree, float]:
+    """:func:`parse_rc_tree` of the netlist file at ``path``.
+
+    Raises :class:`ValidationError` when the file is not UTF-8 text;
+    ``OSError`` (missing file, a directory, no permission) propagates.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text") from exc
+    return parse_rc_tree(text)
 
 
 def tree_to_netlist(

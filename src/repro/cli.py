@@ -13,7 +13,6 @@ Usage::
     python -m repro table1
     python -m repro table2
     python -m repro report RUN_REPORT.json
-    python -m repro report --compare [BASELINE CANDIDATE]
 
 ``analyze`` prints, per node, the measured 50% delay plus every bound the
 library implements.  ``verify`` checks the paper's claims (Lemmas 1-2,
@@ -47,11 +46,6 @@ Every subcommand additionally accepts the observability flags:
   is a clean one-line error, never a traceback);
 * ``-v/--verbose`` — log to stderr (``-v`` INFO, ``-vv`` DEBUG, the
   level at which span boundaries are logged).
-
-``repro report --compare`` gates the benchmark perf ledger
-(``benchmarks/results/trajectory.jsonl``, see
-:mod:`repro.obs.trajectory`): it exits non-zero with a readable table
-when a tracked speedup regressed beyond the noise threshold.
 """
 
 from __future__ import annotations
@@ -66,7 +60,7 @@ from typing import List, Optional
 from repro import obs
 from repro._exceptions import ReproError, ValidationError
 from repro.analysis import ExactAnalysis, measure_delay
-from repro.circuit import parse_rc_tree
+from repro.circuit import read_rc_tree
 from repro.core import prh_bounds, transfer_moments
 from repro.ops import OPS, Context, Param
 from repro.ops import format_ns as _format_ns
@@ -123,8 +117,7 @@ def _float_arg(label: str, minimum: Optional[float] = None):
 
 
 def _cmd_analyze(args) -> int:
-    with open(args.netlist, encoding="utf-8") as handle:
-        tree, _ = parse_rc_tree(handle.read())
+    tree, _ = read_rc_tree(args.netlist)
     signal = args.signal
     nodes = args.nodes.split(",") if args.nodes else list(tree.node_names)
     for node in nodes:
@@ -159,8 +152,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_waveform(args) -> int:
     import numpy as np
 
-    with open(args.netlist, encoding="utf-8") as handle:
-        tree, _ = parse_rc_tree(handle.read())
+    tree, _ = read_rc_tree(args.netlist)
     if args.node not in tree:
         print(f"error: node {args.node!r} not in netlist", file=sys.stderr)
         return 2
@@ -203,8 +195,7 @@ def _cmd_waveform(args) -> int:
 def _cmd_stats(args) -> int:
     from repro.core.variation import VariationModel, elmore_statistics
 
-    with open(args.netlist, encoding="utf-8") as handle:
-        tree, _ = parse_rc_tree(handle.read())
+    tree, _ = read_rc_tree(args.netlist)
     nodes = args.nodes.split(",") if args.nodes else list(tree.node_names)
     for node in nodes:
         if node not in tree:
@@ -337,37 +328,7 @@ def _cmd_table2(_args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.compare is not None:
-        from repro.obs.trajectory import (
-            DEFAULT_THRESHOLD,
-            compare_trajectory,
-            load_trajectory,
-        )
-
-        if len(args.compare) not in (0, 2):
-            print("error: --compare takes zero run selectors (prev vs "
-                  "latest) or exactly two", file=sys.stderr)
-            return 2
-        baseline, candidate = (
-            tuple(args.compare) if len(args.compare) == 2
-            else ("prev", "latest")
-        )
-        comparison = compare_trajectory(
-            load_trajectory(args.trajectory),
-            baseline=baseline,
-            candidate=candidate,
-            threshold=(args.threshold if args.threshold is not None
-                       else DEFAULT_THRESHOLD),
-            bench=args.bench,
-        )
-        print(comparison.render())
-        return 0 if comparison.ok else 1
-    if args.report is None:
-        print("error: need a run-report file (or --compare)",
-              file=sys.stderr)
-        return 2
-    report = obs.load_report(args.report)
-    print(obs.render_report(report))
+    print(obs.render_report(obs.load_report(args.report)))
     return 0
 
 
@@ -591,36 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report", parents=[common],
-        help="pretty-print a JSON run report written by --trace-out, "
-             "or gate the benchmark perf ledger with --compare",
+        help="pretty-print a JSON run report written by --trace-out",
     )
-    report.add_argument(
-        "report", nargs="?", default=None,
-        help="path to the run-report JSON file",
-    )
-    report.add_argument(
-        "--compare", nargs="*", default=None, metavar="RUN",
-        help="compare trajectory runs instead of printing a report: "
-             "no arguments gates the latest run of every benchmark "
-             "against the previous one; two selectors (latest/prev/"
-             "offset-from-latest) pick the runs explicitly; exits "
-             "non-zero when a tracked metric regressed",
-    )
-    report.add_argument(
-        "--trajectory", default="benchmarks/results/trajectory.jsonl",
-        metavar="JSONL",
-        help="perf ledger to compare (default: %(default)s)",
-    )
-    report.add_argument(
-        "--threshold", type=_float_arg("--threshold", minimum=0.0),
-        default=None, metavar="FRAC",
-        help="relative noise threshold for --compare "
-             "(default: 0.25)",
-    )
-    report.add_argument(
-        "--bench", default=None,
-        help="restrict --compare to one benchmark name",
-    )
+    report.add_argument("report", help="path to the run-report JSON file")
     report.set_defaults(func=_cmd_report)
     return parser
 
@@ -684,7 +618,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 faults_armed = True
             with tracer.span(f"repro.{args.command}"):
                 code = args.func(args)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, IsADirectoryError,
+                PermissionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except ReproError as exc:

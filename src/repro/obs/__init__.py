@@ -14,9 +14,7 @@ Small layers, all stdlib + NumPy only:
   capture their own spans/metric deltas per shard and the parent merges
   them under ``parallel.run`` with per-worker labels;
 * :mod:`repro.obs.server` — the live localhost ``/metrics`` +
-  ``/healthz`` + ``/spans`` endpoint behind ``--metrics-port``;
-* :mod:`repro.obs.trajectory` — the append-only benchmark perf ledger
-  and the ``repro report --compare`` regression gate.
+  ``/healthz`` + ``/spans`` endpoint behind ``--metrics-port``.
 
 Span/metric naming conventions and how to read a report live in
 ``docs/observability.md``.  Quick start::
@@ -70,13 +68,6 @@ from repro.obs.trace import (
     tracing,
     tracing_enabled,
 )
-from repro.obs.trajectory import (
-    TRAJECTORY_SCHEMA,
-    append_record,
-    compare_trajectory,
-    load_trajectory,
-    record_from_rows,
-)
 
 __all__ = [
     # trace
@@ -118,12 +109,6 @@ __all__ = [
     # server
     "MetricsServer",
     "start_metrics_server",
-    # trajectory
-    "TRAJECTORY_SCHEMA",
-    "append_record",
-    "compare_trajectory",
-    "load_trajectory",
-    "record_from_rows",
     # logs
     "configure_logging",
     "reset_logging",

@@ -139,27 +139,80 @@ def _upgrade_spans_v1(spans: List[Dict[str, Any]]) -> None:
         walk(root)
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_spans(spans: Any, path: str) -> None:
+    """Every span is a dict with a str ``name``, numeric ``duration`` and
+    ``self``, a dict of ``attributes`` and a list of child spans."""
+    if not isinstance(spans, list):
+        raise ValidationError(f"{path}: 'spans' is not a list")
+    for entry in spans:
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)
+                and _is_number(entry.get("duration"))
+                and _is_number(entry.get("self", 0.0))
+                and isinstance(entry.get("attributes", {}), dict)):
+            raise ValidationError(
+                f"{path}: span {entry!r:.60} needs a str 'name' and a "
+                f"numeric 'duration'"
+            )
+        _check_spans(entry.get("children", []), path)
+
+
+def _is_metric_state(state: Any) -> bool:
+    """A metric (or labeled series) state as :func:`render_report`
+    reads it: a str ``kind``, numeric ``value``/``count``/``sum``,
+    optional ``max``, and labeled ``series`` of the same shape."""
+    return (
+        isinstance(state, dict)
+        and isinstance(state.get("kind", ""), str)
+        and all(_is_number(state.get(key, 0))
+                for key in ("value", "count", "sum"))
+        and (state.get("max") is None or _is_number(state["max"]))
+        and isinstance(state.get("labels") or {}, dict)
+        and isinstance(state.get("series") or [], list)
+        and all(_is_metric_state(child)
+                for child in state.get("series") or [])
+    )
+
+
 def load_report(path: str) -> Dict[str, Any]:
-    """Read a run report back, checking the schema tag.
+    """Read a run report back, checking the schema tag and the shape
+    :func:`render_report` reads.
 
     ``repro.run_report/1`` files (written before spans carried
     ``pid``/``seq``) are upgraded in memory to the ``/2`` shape; the
-    returned dict always matches the current :data:`SCHEMA`.
+    returned dict always matches the current :data:`SCHEMA`.  A file
+    that is not UTF-8 JSON in that shape raises
+    :class:`ValidationError`.
     """
-    with open(path, encoding="utf-8") as handle:
-        report = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            report = json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers both undecodable bytes and malformed JSON.
+        raise ValidationError(f"{path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(report, dict) or "spans" not in report:
         raise ValidationError(
             f"{path} is not a run report (no 'spans' key)"
         )
     schema = report.get("schema")
-    if schema in _COMPAT_SCHEMAS:
-        _upgrade_spans_v1(report.get("spans", []))
-        report["schema"] = SCHEMA
-    elif schema != SCHEMA:
+    if schema not in (SCHEMA,) + _COMPAT_SCHEMAS:
         raise ValidationError(
             f"{path} has schema {schema!r}, expected {SCHEMA!r}"
         )
+    _check_spans(report["spans"], path)
+    metrics = report.get("metrics", {})
+    if not (isinstance(metrics, dict)
+            and all(map(_is_metric_state, metrics.values()))):
+        raise ValidationError(f"{path}: 'metrics' is not a metrics dict")
+    if not isinstance(report.get("environment", {}), dict):
+        raise ValidationError(f"{path}: 'environment' is not a dict")
+    if schema in _COMPAT_SCHEMAS:
+        _upgrade_spans_v1(report["spans"])
+        report["schema"] = SCHEMA
     return report
 
 
@@ -228,7 +281,8 @@ def _render_metrics(metrics: Dict[str, Dict[str, Any]]) -> str:
                 value += f" max={format_seconds(state['max'])}"
         else:
             raw = state.get("value", 0.0)
-            value = str(int(raw)) if raw == int(raw) else f"{raw:.6g}"
+            value = (str(int(raw)) if float(raw).is_integer()
+                     else f"{raw:.6g}")
         lines.append(f"{name:<40} {kind:>9}  {value}")
     if not metrics:
         lines.append("(no metrics recorded)")

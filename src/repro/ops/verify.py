@@ -13,10 +13,9 @@ from repro.ops import Context, Op, Param
 
 def _netlist_tree(path, params):
     """The netlist's tree; the path becomes the response's label."""
-    from repro.circuit import parse_rc_tree
+    from repro.circuit import read_rc_tree
 
-    with open(path, encoding="utf-8") as handle:
-        tree, _ = parse_rc_tree(handle.read())
+    tree, _ = read_rc_tree(path)
     params.label = path
     return tree
 

@@ -86,6 +86,31 @@ class TestReportRoundTrip:
         with pytest.raises(ValidationError):
             load_report(str(path))
 
+    @pytest.mark.parametrize("body", [
+        {"spans": [{"name": "a", "duration": 1.0,
+                    "children": [{"name": "b", "duration": "1"}]}]},
+        {"spans": [{"name": "a", "duration": 1.0, "attributes": []}]},
+        {"spans": [], "metrics": {"x_total": 5}},
+        {"spans": [], "metrics": {"x_total": {"kind": ["counter"]}}},
+        {"spans": [], "metrics": {"x_total": {"series": [{"value": "1"}]}}},
+        {"spans": [], "environment": ["linux"]},
+    ])
+    def test_load_rejects_malformed_shapes(self, tmp_path, body):
+        # Each of these once crashed render_report with a TypeError,
+        # KeyError or AttributeError; the loader now names the problem.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema": SCHEMA, **body}))
+        with pytest.raises(ValidationError):
+            load_report(str(path))
+
+    def test_non_finite_gauge_renders(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({
+            "schema": SCHEMA, "spans": [],
+            "metrics": {"g": {"kind": "gauge", "value": float("inf")}},
+        }))
+        assert "inf" in render_report(load_report(str(path)))
+
     def test_spans_carry_pid_and_seq(self):
         spans = _traced_tracer().to_dicts()
         root = spans[0]

@@ -66,7 +66,10 @@ class TestRowFileSchema:
         assert payload["rows"][0] == \
             ["serial", "1", "511", "600", "10.0 ms", "1.00x", "yes"]
         assert payload["extra"] == {"cores": 2}
-        assert (results_dir / "schema_probe.txt").exists()
+        assert "git_rev" in payload["environment"]
+        # A report writes exactly its two row files.
+        assert sorted(p.name for p in results_dir.iterdir()) == \
+            ["schema_probe.json", "schema_probe.txt"]
 
     def test_text_table_mirrors_the_rows(self, results_dir):
         report("mirror", "t", ["a", "b"], [[1, 2]])

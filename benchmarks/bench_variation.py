@@ -9,13 +9,13 @@ thousands of Monte-Carlo tree evaluations.  This bench:
 * reports the speedup of the analytic path.
 
 Asserted: the nominal value is the exact mean; analytic vs MC std agrees
-within 6%; the analytic path is > 100x faster than the sampling loop.
+within 6%; the analytic path is > 100x faster than a per-sample tree
+walk over the same sampled rows.
 
-A second table compares the two ``monte_carlo_elmore`` backends — the
-historical per-sample Python walk (``method="loop"``) against the
-vectorized batch engine (``method="batch"``) — on a 256-node random
-tree at B=1000 samples, asserting identical samples and a >= 5x
-speedup.
+A second table times that per-sample Python walk against one vectorized
+``batch_elmore_delays`` sweep over the same ``sample_parameter_batch``
+rows on a 256-node random tree at B=1000 samples, asserting identical
+samples and a >= 5x speedup.
 
 Set ``REPRO_BENCH_QUICK=1`` for a fast smoke run (smaller tree and
 sample count, relaxed speedup assertion).
@@ -28,10 +28,11 @@ import numpy as np
 import pytest
 
 from repro.circuit import balanced_tree, rc_line
+from repro.core.batch import batch_elmore_delays, compile_topology
 from repro.core.variation import (
     VariationModel,
     elmore_statistics,
-    monte_carlo_elmore,
+    sample_parameter_batch,
 )
 from repro.workloads import fig1_tree
 from repro.workloads.generators import random_tree
@@ -54,6 +55,29 @@ CASES = [
 ]
 
 
+def walk_elmore(tree, node, res, cap):
+    """Per-sample Python tree walk: ``T_D(node)`` for each row of
+    ``(res, cap)`` — the timing baseline for both tables."""
+    parent = tree.parents
+    n = tree.num_nodes
+    # Path mask for the target (edges on its root path).
+    on_path = np.zeros(n, dtype=bool)
+    i = tree.index_of(node)
+    while i >= 0:
+        on_path[i] = True
+        i = parent[i]
+
+    out = np.empty(res.shape[0], dtype=np.float64)
+    for s in range(res.shape[0]):
+        cdown = cap[s].copy()
+        for i in range(n - 1, -1, -1):
+            p = parent[i]
+            if p >= 0:
+                cdown[p] += cdown[i]
+        out[s] = float(np.sum((res[s] * cdown)[on_path]))
+    return out
+
+
 def test_variation(benchmark):
     tree, node = CASES[0][1], CASES[0][2]
     benchmark(elmore_statistics, tree, node, MODEL)
@@ -62,13 +86,12 @@ def test_variation(benchmark):
     for label, tree, node in CASES:
         if node is None:
             node = tree.leaves()[0]
+        res, cap = sample_parameter_batch(tree, MODEL, MC_SAMPLES, seed=1)
         start = time.perf_counter()
         stats = elmore_statistics(tree, node, MODEL)
         t_analytic = time.perf_counter() - start
         start = time.perf_counter()
-        samples = monte_carlo_elmore(tree, node, MODEL,
-                                     samples=MC_SAMPLES, seed=1,
-                                     method="loop")
+        samples = walk_elmore(tree, node, res, cap)
         t_mc = time.perf_counter() - start
         mc_mean = float(np.mean(samples))
         mc_std = float(np.std(samples))
@@ -91,33 +114,31 @@ def test_variation(benchmark):
 
 
 def test_variation_batched(benchmark):
-    """Per-sample MC loop vs the vectorized batch backend."""
+    """Per-sample walk vs one batched sweep over the same rows."""
     tree = random_tree(BATCH_NODES, seed=42)
     node = tree.leaves()[-1]
-    benchmark(monte_carlo_elmore, tree, node, MODEL,
-              samples=BATCH_SAMPLES, seed=3, method="batch")
+    topo = compile_topology(tree)
+    res, cap = sample_parameter_batch(tree, MODEL, BATCH_SAMPLES, seed=3)
+    benchmark(batch_elmore_delays, topo, res, cap)
 
     start = time.perf_counter()
-    loop = monte_carlo_elmore(tree, node, MODEL, samples=BATCH_SAMPLES,
-                              seed=3, method="loop")
+    loop = walk_elmore(tree, node, res, cap)
     t_loop = time.perf_counter() - start
     start = time.perf_counter()
-    batched = monte_carlo_elmore(tree, node, MODEL, samples=BATCH_SAMPLES,
-                                 seed=3, method="batch")
+    batched = batch_elmore_delays(topo, res, cap)[:, topo.index_of(node)]
     t_batch = time.perf_counter() - start
 
-    # Same seed => the two backends consume identical parameter draws.
     np.testing.assert_allclose(batched, loop, rtol=1e-9)
     speedup = t_loop / max(t_batch, 1e-9)
     report(
         "variation_batched",
-        f"monte_carlo_elmore backends — {BATCH_NODES}-node random "
+        f"Per-sample walk vs batched sweep — {BATCH_NODES}-node random "
         f"tree, B={BATCH_SAMPLES} samples",
-        ["backend", "time", "mean (ns)", "std (ns)"],
+        ["engine", "time", "mean (ns)", "std (ns)"],
         [
-            ["loop", f"{t_loop * 1e3:.2f} ms",
+            ["walk", f"{t_loop * 1e3:.2f} ms",
              ns(float(np.mean(loop))), ns(float(np.std(loop)))],
-            ["batch", f"{t_batch * 1e3:.2f} ms",
+            ["sweep", f"{t_batch * 1e3:.2f} ms",
              ns(float(np.mean(batched))), ns(float(np.std(batched)))],
             ["speedup", f"{speedup:.1f}x", "", ""],
         ],

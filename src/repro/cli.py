@@ -205,12 +205,9 @@ def _cmd_stats(args) -> int:
         resistance_sigma=args.rsigma, capacitance_sigma=args.csigma
     )
     mc = None
-    if args.samples > 0 and (
-        args.jobs is not None or args.backend is not None
-        or args.checkpoint is not None
-    ):
-        # Sharded engine: deterministic per-shard RNG spawning, results
-        # bit-identical for any --jobs value and any --backend.
+    if args.samples > 0:
+        # One sharded sweep evaluates every node for every sample; the
+        # rows are bit-identical for any --jobs and any --backend.
         from repro.core.variation import monte_carlo_delay_matrix
 
         mc = monte_carlo_delay_matrix(
@@ -218,23 +215,13 @@ def _cmd_stats(args) -> int:
             backend=args.backend, checkpoint_path=args.checkpoint,
             resume=args.resume,
         )
-    elif args.samples > 0:
-        # One batched sweep evaluates every node for every sample.
-        from repro.core.batch import batch_elmore_delays, compile_topology
-        from repro.core.variation import sample_parameter_batch
-
-        res, cap = sample_parameter_batch(
-            tree, model, args.samples, seed=args.seed
-        )
-        mc = batch_elmore_delays(compile_topology(tree), res, cap)
     print(f"variation: R +-{args.rsigma * 100:.0f}%  "
           f"C +-{args.csigma * 100:.0f}%   (times in ns)")
     header = f"{'node':>10} {'nominal':>9} {'std':>9} {'3-sigma':>9}"
     if mc is not None:
-        sharded = f", {args.jobs} jobs" if args.jobs is not None else ""
         header += f" {'mc-p50':>9} {'mc-p99':>9}"
         print(f"monte carlo: {args.samples} batched samples "
-              f"(seed {args.seed}{sharded})")
+              f"(seed {args.seed})")
     print(header)
     for node in nodes:
         stats = elmore_statistics(tree, node, model)
@@ -385,9 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     sharded.add_argument(
         "--jobs", "-j", type=_int_arg("--jobs", minimum=0), default=None,
         help="fan the sweep out over this many worker processes via the "
-             "sharded engine (1 = serial backend; results are "
-             "bit-identical for any value; default: legacy in-process "
-             "path)",
+             "sharded engine (results are bit-identical for any value; "
+             "default: serial, in-process)",
     )
     sharded.add_argument(
         "--backend", choices=("auto", "serial", "shm"),
@@ -445,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--samples", type=_int_arg("--samples", minimum=0), default=0,
-        help="add Monte-Carlo quantile columns from one batched sweep "
+        help="add Monte-Carlo quantile columns from one sharded sweep "
              "of this many samples (default 0 = analytic only)",
     )
     stats.add_argument(
@@ -624,6 +610,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"error: {str(exc) or 'out of memory'}",
+                  file=sys.stderr)
             return 1
         finally:
             tracer.enabled = was_enabled

@@ -204,6 +204,24 @@ def _elmore_statistics(
     )
 
 
+def _draw_rows(
+    rng: np.random.Generator,
+    count: int,
+    res: np.ndarray,
+    cap: np.ndarray,
+    sr: np.ndarray,
+    sc: np.ndarray,
+    clip: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``count`` rows of ``(R, C)`` drawn from ``rng`` around the nominal
+    ``res``/``cap``: per row, N resistance normals then N capacitance
+    normals, scaled by the relative sigmas and clipped at ``+-clip``."""
+    draws = rng.normal(0.0, 1.0, (count, 2, res.shape[0]))
+    xr = np.clip(draws[:, 0, :] * sr, -clip, clip)
+    xc = np.clip(draws[:, 1, :] * sc, -clip, clip)
+    return res * (1.0 + xr), cap * (1.0 + xc)
+
+
 def sample_parameter_batch(
     tree: RCTree,
     model: VariationModel,
@@ -214,23 +232,30 @@ def sample_parameter_batch(
     """Draw ``(R, C)`` matrices of shape ``(samples, N)`` under ``model``.
 
     Gaussian relative variations, clipped at ``+-clip`` to keep elements
-    physical.  The draw order matches the historical per-sample loop
-    (per sample: N resistance normals, then N capacitance normals), so a
-    given seed produces the same parameter sets regardless of whether
-    they are consumed one by one or as a batch.
+    physical.  These are the rows :func:`monte_carlo_delay_matrix`
+    evaluates for the same ``seed``: shard *k* of
+    ``plan_shards(samples)`` fills its rows from child *k* of
+    ``spawn_shard_seeds(seed, ...)``, so ``batch_elmore_delays`` over
+    them equals the sharded matrix bit for bit.
     """
     if samples < 1:
         raise AnalysisError("need at least one sample")
     _SAMPLES_DRAWN.inc(samples)
     with _span("variation.sample_batch", samples=samples,
                N=tree.num_nodes):
-        rng = np.random.default_rng(seed)
         sr, sc = model.sigma_arrays(tree)
-        n = tree.num_nodes
-        draws = rng.normal(0.0, 1.0, (samples, 2, n))
-        xr = np.clip(draws[:, 0, :] * sr, -clip, clip)
-        xc = np.clip(draws[:, 1, :] * sc, -clip, clip)
-        return tree.resistances * (1.0 + xr), tree.capacitances * (1.0 + xc)
+        res0, cap0 = tree.resistances, tree.capacitances
+        res = np.empty((samples, tree.num_nodes))
+        cap = np.empty((samples, tree.num_nodes))
+        shards = plan_shards(samples)
+        seeds = spawn_shard_seeds(seed, len(shards))
+        for shard in shards:
+            rows = slice(shard.start, shard.stop)
+            res[rows], cap[rows] = _draw_rows(
+                np.random.default_rng(seeds[shard.index]), shard.size,
+                res0, cap0, sr, sc, clip,
+            )
+        return res, cap
 
 
 def _attached_topology(descriptor):
@@ -264,18 +289,12 @@ def _mc_shard_task(payload) -> int:
     """
     descriptor, start, stop, clip, seedseq = payload
     ws, topology = _attached_topology(descriptor)
-    sr = ws.arrays["sr"]
-    sc = ws.arrays["sc"]
-    rng = np.random.default_rng(seedseq)
-    n = topology.num_nodes
-    draws = rng.normal(0.0, 1.0, (stop - start, 2, n))
-    xr = np.clip(draws[:, 0, :] * sr, -clip, clip)
-    xc = np.clip(draws[:, 1, :] * sc, -clip, clip)
-    ws.arrays["out"][start:stop] = batch_elmore_delays(
-        topology,
-        topology.resistances * (1.0 + xr),
-        topology.capacitances * (1.0 + xc),
+    res, cap = _draw_rows(
+        np.random.default_rng(seedseq), stop - start,
+        topology.resistances, topology.capacitances,
+        ws.arrays["sr"], ws.arrays["sc"], clip,
     )
+    ws.arrays["out"][start:stop] = batch_elmore_delays(topology, res, cap)
     return stop - start
 
 
@@ -415,9 +434,8 @@ def monte_carlo_delay_matrix(
     on ``samples`` (never on ``jobs``), and each shard draws its own
     ``SeedSequence.spawn`` child stream — so the result is bit-identical
     for any worker count and any ``backend``, including the serial
-    backend (``jobs`` in ``(None, 1)``).  Note the parameter stream
-    therefore differs from :func:`sample_parameter_batch`'s single-stream
-    draw for the same seed; within the sharded engine it is reproducible.
+    backend (``jobs`` in ``(None, 1)``).  The rows are those of
+    :func:`sample_parameter_batch` for the same seed.
 
     ``backend`` picks the transport: ``"shm"`` (the ``None``/``"auto"``
     choice for ``jobs >= 2``) publishes the compiled topology and sigma
@@ -490,7 +508,6 @@ def monte_carlo_elmore(
     samples: int = 2000,
     seed: int = 0,
     clip: float = 0.99,
-    method: str = "batch",
     jobs: Optional[int] = None,
     shard_size: Optional[int] = None,
     backend: Optional[str] = None,
@@ -499,66 +516,13 @@ def monte_carlo_elmore(
     variations (clipped at ``+-clip`` to keep elements physical).
 
     Returns the sample array; use for validating :func:`elmore_statistics`
-    or for non-Gaussian empirical quantiles.
-
-    ``method="batch"`` (default) evaluates all samples through one
-    vectorized sweep of :func:`repro.core.batch.batch_elmore_delays` over
-    the tree's cached topology; ``method="loop"`` keeps the historical
-    per-sample tree walk (retained as the reference the batched path is
-    benchmarked against in ``benchmarks/bench_variation.py``).  Both
-    methods consume the identical parameter stream for a given seed.
-
-    ``method="parallel"`` routes the sweep through the sharded engine
-    (:mod:`repro.parallel`): the sample block is split into
-    jobs-independent shards with per-shard spawned RNG streams, so the
-    result is bit-identical for any ``jobs`` — but it draws a
-    *different* (blocked) parameter stream than the two legacy methods.
+    or for non-Gaussian empirical quantiles.  It is ``node``'s column of
+    :func:`monte_carlo_delay_matrix` with the same arguments, so the
+    samples are bit-identical for any ``jobs`` and ``backend``.
     """
-    if method not in ("batch", "loop", "parallel"):
-        raise ValidationError(
-            f"method must be 'batch', 'loop' or 'parallel', got {method!r}"
-        )
-    if method == "parallel":
-        delays = monte_carlo_delay_matrix(
-            tree, model, samples, seed=seed, clip=clip,
-            jobs=jobs, shard_size=shard_size, backend=backend,
-        )
-        return np.ascontiguousarray(delays[:, tree.index_of(node)])
-    if jobs is not None:
-        raise ValidationError(
-            "jobs is only meaningful with method='parallel'"
-        )
-    if backend is not None:
-        raise ValidationError(
-            "backend is only meaningful with method='parallel'"
-        )
-    with _span("variation.monte_carlo",
-               metric=f"variation_{method}_seconds",
-               samples=samples, method=method, node=node):
-        target = tree.index_of(node)
-        res, cap = sample_parameter_batch(
-            tree, model, samples, seed=seed, clip=clip
-        )
-
-        if method == "batch":
-            delays = batch_elmore_delays(compile_topology(tree), res, cap)
-            return np.ascontiguousarray(delays[:, target])
-
-        parent = tree.parents
-        n = tree.num_nodes
-        # Path mask for the target (edges on its root path).
-        on_path = np.zeros(n, dtype=bool)
-        i = target
-        while i >= 0:
-            on_path[i] = True
-            i = parent[i]
-
-        out = np.empty(samples, dtype=np.float64)
-        for s in range(samples):
-            cdown = cap[s].copy()
-            for i in range(n - 1, -1, -1):
-                p = parent[i]
-                if p >= 0:
-                    cdown[p] += cdown[i]
-            out[s] = float(np.sum((res[s] * cdown)[on_path]))
-        return out
+    target = tree.index_of(node)
+    delays = monte_carlo_delay_matrix(
+        tree, model, samples, seed=seed, clip=clip,
+        jobs=jobs, shard_size=shard_size, backend=backend,
+    )
+    return np.ascontiguousarray(delays[:, target])

@@ -26,8 +26,8 @@ never on ``jobs`` or the backend — so sharded results are
 **bit-identical** to the serial backend's for any worker count and any
 transport.
 
-Consumers: ``monte_carlo_elmore(method="parallel")`` and
-``monte_carlo_delay_matrix`` in :mod:`repro.core.variation`,
+Consumers: ``monte_carlo_delay_matrix`` (and through it
+``monte_carlo_elmore``) in :mod:`repro.core.variation`,
 ``verify_tree(jobs=...)`` / ``verify_corpus`` in
 :mod:`repro.core.verification`, ``analyze(jobs=...)`` in
 :mod:`repro.sta.timing`, and the ``--jobs/-j`` + ``--backend`` CLI

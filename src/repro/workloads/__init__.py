@@ -7,7 +7,6 @@ from repro.workloads.generators import (
     mixed_corpus,
     random_design,
     random_tree_corpus,
-    variation_batch,
 )
 from repro.workloads.paper import (
     FIG1_PROBES,
@@ -31,7 +30,6 @@ __all__ = [
     "line_family",
     "clock_tree_family",
     "mixed_corpus",
-    "variation_batch",
     "corner_batch",
     "random_design",
 ]

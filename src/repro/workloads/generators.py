@@ -19,7 +19,6 @@ __all__ = [
     "line_family",
     "clock_tree_family",
     "mixed_corpus",
-    "variation_batch",
     "corner_batch",
     "random_design",
 ]
@@ -96,29 +95,6 @@ def clock_tree_family(
         )
         for depth in depths
     ]
-
-
-def variation_batch(
-    tree: RCTree,
-    samples: int,
-    resistance_sigma: float = 0.1,
-    capacitance_sigma: float = 0.1,
-    seed: int = 1995,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Seeded ``(R, C)`` matrices of shape ``(samples, N)`` for batched
-    Monte-Carlo rows (thin wrapper over the variation model's sampler).
-
-    Feed the result straight to
-    :func:`repro.core.batch.batch_elmore_delays` /
-    :func:`~repro.core.batch.batch_transfer_moments`.
-    """
-    from repro.core.variation import VariationModel, sample_parameter_batch
-
-    model = VariationModel(
-        resistance_sigma=resistance_sigma,
-        capacitance_sigma=capacitance_sigma,
-    )
-    return sample_parameter_batch(tree, model, samples, seed=seed)
 
 
 def corner_batch(

@@ -26,7 +26,11 @@ from repro.core.batch import (
 from repro.core.elmore import elmore_delays
 from repro.core.incremental import IncrementalElmore
 from repro.core.moments import transfer_moments
-from repro.core.variation import VariationModel, monte_carlo_elmore
+from repro.core.variation import (
+    VariationModel,
+    monte_carlo_elmore,
+    sample_parameter_batch,
+)
 
 from tests.properties.strategies import rc_trees
 
@@ -303,18 +307,21 @@ class TestValidation:
 
 class TestConsumers:
     def test_monte_carlo_batch_equals_loop(self, branched_tree):
+        """The first 50 sampled rows, rebuilt as trees and walked by the
+        scalar engine, reproduce ``monte_carlo_elmore``'s samples."""
         model = VariationModel(resistance_sigma=0.12,
                                capacitance_sigma=0.07)
         batched = monte_carlo_elmore(branched_tree, "a2", model,
-                                     samples=200, seed=5, method="batch")
-        looped = monte_carlo_elmore(branched_tree, "a2", model,
-                                    samples=200, seed=5, method="loop")
-        np.testing.assert_allclose(batched, looped, rtol=RTOL)
-
-    def test_monte_carlo_bad_method(self, branched_tree):
-        with pytest.raises(ValidationError):
-            monte_carlo_elmore(branched_tree, "a2", VariationModel(),
-                               samples=5, method="magic")
+                                     samples=200, seed=5)
+        res, cap = sample_parameter_batch(branched_tree, model, 200,
+                                          seed=5)
+        target = branched_tree.index_of("a2")
+        looped = [
+            elmore_delays(rebuild_with(branched_tree, res[b], cap[b]))[
+                target]
+            for b in range(50)
+        ]
+        np.testing.assert_allclose(batched[:50], looped, rtol=RTOL)
 
     def test_incremental_sweep_matches_delays(self, branched_tree):
         inc = IncrementalElmore(branched_tree)

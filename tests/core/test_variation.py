@@ -6,11 +6,14 @@ import pytest
 from repro._exceptions import AnalysisError, ValidationError
 from repro.circuit import rc_line
 from repro.core import elmore_delay
+from repro.core.batch import batch_elmore_delays, compile_topology
 from repro.core.variation import (
     DelayStatistics,
     VariationModel,
     elmore_statistics,
+    monte_carlo_delay_matrix,
     monte_carlo_elmore,
+    sample_parameter_batch,
 )
 
 
@@ -118,6 +121,24 @@ class TestMonteCarloAgreement:
         b = monte_carlo_elmore(branched_tree, "a2", model, samples=50,
                                seed=7)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("samples", [1, 7, 257, 2000])
+    def test_one_stream(self, fig1, samples):
+        """The sampled rows, the sharded matrix and one node's samples
+        are the same stream, bit for bit."""
+        model = VariationModel(resistance_sigma=0.1,
+                               capacitance_sigma=0.08)
+        matrix = monte_carlo_delay_matrix(fig1, model, samples, seed=4)
+        res, cap = sample_parameter_batch(fig1, model, samples, seed=4)
+        np.testing.assert_array_equal(
+            matrix, batch_elmore_delays(compile_topology(fig1), res, cap)
+        )
+        node = fig1.node_names[-1]
+        np.testing.assert_array_equal(
+            monte_carlo_elmore(fig1, node, model, samples=samples,
+                               seed=4),
+            matrix[:, fig1.index_of(node)],
+        )
 
     def test_sample_count_validated(self, branched_tree):
         with pytest.raises(AnalysisError):

@@ -47,12 +47,10 @@ class TestMonteCarloBitIdentity:
     def test_method_parallel_single_node(self, fig1):
         node = fig1.node_names[-1]
         a = monte_carlo_elmore(
-            fig1, node, MODEL, samples=123, seed=9, method="parallel",
-            jobs=1,
+            fig1, node, MODEL, samples=123, seed=9, jobs=1,
         )
         b = monte_carlo_elmore(
-            fig1, node, MODEL, samples=123, seed=9, method="parallel",
-            jobs=2,
+            fig1, node, MODEL, samples=123, seed=9, jobs=2,
         )
         np.testing.assert_array_equal(a, b)
 

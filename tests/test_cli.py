@@ -117,6 +117,31 @@ class TestUnreadableInput:
         assert expected in err
 
 
+class TestStatsMonteCarlo:
+    @pytest.mark.parametrize("flags", [
+        ["--jobs", "1"], ["--jobs", "2"], ["--backend", "serial"],
+    ])
+    def test_stdout_independent_of_sharding_flags(self, flags, capsys):
+        base = ["stats", LINE4, "--samples", "200", "--seed", "3"]
+        assert main(base) == 0
+        reference = capsys.readouterr().out
+        assert main(base + flags) == 0
+        assert capsys.readouterr().out == reference
+
+    def test_out_of_memory_is_one_line_error(self, monkeypatch, capsys):
+        import repro.core.variation as variation
+
+        def _exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.91 TiB")
+
+        monkeypatch.setattr(variation, "monte_carlo_delay_matrix",
+                            _exhausted)
+        assert main(["stats", LINE4, "--samples", "100000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestVerify:
     def test_claims_hold(self, netlist_path, capsys):
         assert main(["verify", netlist_path]) == 0

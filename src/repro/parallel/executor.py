@@ -12,8 +12,9 @@ shard payloads and returns the results in payload order.  Backends
   long-lived :class:`~repro.parallel.pool.WarmPool` (forked once,
   reused across calls).  Workloads that publish their arrays through
   :mod:`repro.parallel.shm` hand workers compact descriptors instead of
-  pickled payloads; object workloads (verification, STA nets) ride the
-  same warm workers with pickled payloads.
+  pickled payloads; object workloads ride the same warm workers with
+  small pickled payloads (verification shards, and the STA's per-net
+  routing inputs, from which workers build the RC trees themselves).
 
 Robustness is built in rather than bolted on:
 

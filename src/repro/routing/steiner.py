@@ -17,6 +17,7 @@ geometry.  This module supplies that flow:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -59,8 +60,8 @@ def _mst_edges(points: Sequence[Point]) -> List[Tuple[int, int, float]]:
         (manhattan(points[i], points[j]), i, j)
         for i, j in itertools.combinations(range(len(points)), 2)
     )
-    if any(weight != weight for weight, _, _ in pairs):
-        raise RoutingError("pin coordinates must not be NaN")
+    if not all(math.isfinite(weight) for weight, _, _ in pairs):
+        raise RoutingError("pin coordinates must be finite")
     component = list(range(len(points)))
     edges: List[Tuple[int, int, float]] = []
     for weight, i, j in pairs:

@@ -5,7 +5,14 @@ from repro.sta.characterize import (
     characterize_driver,
     lumped_load_delay_oracle,
 )
-from repro.sta.interconnect import ElaboratedNet, WireLoadModel, elaborate_net
+from repro.sta.interconnect import (
+    ElaboratedNet,
+    NetGeometry,
+    WireLoadModel,
+    build_net,
+    elaborate_net,
+    net_geometry,
+)
 from repro.sta.library import Cell, CellLibrary, default_library
 from repro.sta.netlist import Design, Instance, Net, Pin
 from repro.sta.slack import SlackReport, compute_slacks
@@ -30,6 +37,9 @@ __all__ = [
     "WireLoadModel",
     "ElaboratedNet",
     "elaborate_net",
+    "NetGeometry",
+    "net_geometry",
+    "build_net",
     "analyze",
     "TimingResult",
     "PathElement",

@@ -8,6 +8,8 @@ simple wire-load model at timing time.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -61,6 +63,26 @@ class Net:
     sinks: List[Pin] = field(default_factory=list)
 
 
+def _checked_position(name: str, position) -> Optional[Tuple[float, float]]:
+    """``position`` as a float ``(x, y)``; anything but ``None`` or two
+    finite reals raises :class:`TimingGraphError`."""
+    if position is None:
+        return None
+    try:
+        coords = tuple(position)
+    except TypeError:
+        coords = ()
+    if len(coords) != 2 or not all(
+        isinstance(c, numbers.Real) and not isinstance(c, bool)
+        and math.isfinite(c) for c in coords
+    ):
+        raise TimingGraphError(
+            f"instance {name!r}: position must be None or two finite "
+            f"real coordinates, got {position!r}"
+        )
+    return float(coords[0]), float(coords[1])
+
+
 class Design:
     """A gate-level netlist over a cell library.
 
@@ -95,11 +117,15 @@ class Design:
         cell_name: str,
         position: Optional[Tuple[float, float]] = None,
     ) -> Instance:
-        """Place a cell instance."""
+        """Place a cell instance.
+
+        ``position`` is ``None`` (no geometry: the instance's nets use
+        the wire-load model) or two finite real coordinates in meters.
+        """
         if name in self.instances or name == Pin.PORT:
             raise TimingGraphError(f"instance {name!r} already exists")
         inst = Instance(name=name, cell=self.library.get(cell_name),
-                        position=position)
+                        position=_checked_position(name, position))
         self.instances[name] = inst
         return inst
 

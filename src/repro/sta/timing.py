@@ -26,12 +26,13 @@ edge to their ``output_slew``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from collections.abc import Mapping
+from dataclasses import astuple, dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro._exceptions import TimingGraphError
+from repro._exceptions import AnalysisError, MetricError, TimingGraphError
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 
@@ -51,7 +52,13 @@ from repro.core.metrics import METRICS
 from repro.core.moments import transfer_moments
 from repro.parallel import plan_shards, run_sharded
 
-from repro.sta.interconnect import ElaboratedNet, WireLoadModel, elaborate_net
+from repro.sta.interconnect import (
+    ElaboratedNet,
+    NetGeometry,
+    WireLoadModel,
+    build_net,
+    net_geometry,
+)
 from repro.sta.netlist import Design, Pin
 
 
@@ -77,41 +84,104 @@ def _elmore_model(net: ElaboratedNet) -> Dict[Pin, float]:
     }
 
 
-def _sta_shard_task(payload) -> Dict[str, Tuple[Dict, Dict]]:
-    """Evaluate one shard's nets through a sub-forest (picklable task).
+def _sweep_nets(nets: List[ElaboratedNet]) -> np.ndarray:
+    """Elmore delay and ``mu2`` of every sink through one forest sweep.
 
-    The payload is a list of ``(net_name, tree, sink_nodes)`` triples;
-    the return maps each net name to its per-sink ``(delays, mu2)``
-    dicts.  Every per-node quantity of the batched sweeps depends only
-    on that node's own tree (subtree folds and root-path prefixes never
-    cross tree roots), so a sub-forest reproduces the whole-forest
-    results bit for bit.
+    The nets' RC trees are compiled side by side into one forest
+    topology and swept once at order 2.  Returns a ``(2, sinks)``
+    float64 array: row 0 the Elmore delay and row 1 the
+    impulse-response variance ``mu2`` of every sink, net by net, each
+    net's sinks in ``sink_nodes`` order.  Every per-node quantity of the
+    batched sweeps depends only on that node's own tree (subtree folds
+    and root-path prefixes never cross tree roots), so a sub-forest
+    reproduces the whole-forest results bit for bit.
     """
-    topology, offsets = compile_forest([tree for _, tree, _ in payload])
+    topology, offsets = compile_forest([net.tree for net in nets])
     moments = batch_transfer_moments(topology, 2)
-    delays = moments.elmore_delays()[0]
-    mu2 = np.maximum(moments.variance()[0], 0.0)
-    out: Dict[str, Tuple[Dict, Dict]] = {}
-    for (net_name, tree, sink_nodes), offset in zip(payload, offsets):
-        sink_index = {
-            sink: offset + tree.index_of(node)
-            for sink, node in sink_nodes.items()
-        }
-        out[net_name] = (
-            {sink: float(delays[i]) for sink, i in sink_index.items()},
-            {sink: float(mu2[i]) for sink, i in sink_index.items()},
-        )
-    return out
+    index = [
+        offset + net.tree.index_of(node)
+        for net, offset in zip(nets, offsets)
+        for node in net.sink_nodes.values()
+    ]
+    return np.stack([
+        moments.elmore_delays()[0][index],
+        np.maximum(moments.variance()[0][index], 0.0),
+    ])
 
 
-def _elaborate_all(design: Design, wire_load, net_overrides
-                   ) -> Dict[str, ElaboratedNet]:
-    """Every net's RC tree, in design order."""
+def _sta_shard_task(geometries: List[NetGeometry]) -> np.ndarray:
+    """Build and sweep one shard's nets (picklable task).
+
+    The payload is a list of :class:`NetGeometry` records; each net's
+    RC tree is built here with :func:`build_net`, so only geometry goes
+    in and one ``(2, sinks)`` array (:func:`_sweep_nets`) comes back.
+    """
+    return _sweep_nets([build_net(geometry) for geometry in geometries])
+
+
+class _LazyNets(Mapping):
+    """Read-only ``net name -> ElaboratedNet`` over recorded geometries.
+
+    Each net's tree is built with :func:`build_net` on first access and
+    cached, so an Elmore run whose trees were built in worker processes
+    pays for parent-side trees only when a consumer reads them.
+    """
+
+    def __init__(self, geometries: Dict[str, NetGeometry]) -> None:
+        self._geometries = geometries
+        self._built: Dict[str, ElaboratedNet] = {}
+
+    def __getitem__(self, name: str) -> ElaboratedNet:
+        net = self._built.get(name)
+        if net is None:
+            net = self._built[name] = build_net(self._geometries[name])
+        return net
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._geometries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._geometries)
+
+    def __len__(self) -> int:
+        return len(self._geometries)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} nets, {len(self._built)} built>"
+
+
+def _net_geometries(design: Design, wire_load, net_overrides
+                    ) -> Dict[str, NetGeometry]:
+    """Every net's routing inputs, in design order."""
+    overrides = net_overrides or {}
     return {
-        name: elaborate_net(design, net, wire_load=wire_load,
-                            override=(net_overrides or {}).get(name))
+        name: net_geometry(design, net, wire_load=wire_load,
+                           override=overrides.get(name))
         for name, net in design.nets.items()
     }
+
+
+def _journal_key(geometry: NetGeometry) -> list:
+    """A net's geometry as a checkpoint-fingerprint ingredient."""
+    from repro.resilience.checkpoint import tree_fingerprint
+
+    override = None
+    if geometry.override is not None:
+        tree, mapping = geometry.override
+        override = [tree_fingerprint(tree),
+                    sorted((str(pin), node) for pin, node in mapping.items())]
+    return [
+        geometry.net,
+        [astuple(pin) for pin in geometry.sinks],
+        geometry.driver_resistance,
+        geometry.driver_position,
+        geometry.sink_positions,
+        geometry.sink_loads,
+        astuple(geometry.wire_load),
+        astuple(geometry.technology),
+        geometry.wire_width,
+        override,
+    ]
 
 
 def _precompute_elmore_batched(
@@ -122,56 +192,50 @@ def _precompute_elmore_batched(
     backend: Optional[str] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-) -> Tuple[Dict[str, ElaboratedNet], Dict[Pin, float], Dict[Pin, float]]:
+) -> Tuple[_LazyNets, Dict[Pin, float], Dict[Pin, float]]:
     """Evaluate every net of the design through batched forest sweeps.
 
-    All nets are elaborated up front and their RC trees are compiled
-    side by side into forest topologies whose order-2
-    :func:`batch_transfer_moments` sweeps yield every sink's Elmore
+    The parent reads each net's routing inputs into a
+    :class:`NetGeometry`.  :func:`_sweep_nets` compiles the nets' RC
+    trees side by side into one forest topology and runs an order-2
+    :func:`batch_transfer_moments` sweep that yields every sink's Elmore
     delay (arrival propagation) and impulse-response variance (slew
-    propagation) at once.  With ``jobs`` unset this is ONE
-    :func:`_sta_shard_task` call over the whole net list; with ``jobs``
-    given, the net list is split into deterministic shards
-    fanned out through :mod:`repro.parallel` (``1`` = serial backend,
-    ``>= 2`` = worker processes) with bit-identical results.  Returns
-    the elaborated nets and the per-sink delay and variance maps.
+    propagation) at once.  With ``jobs`` unset this is ONE in-process
+    sweep over the whole net list, whose trees stay cached in the
+    returned nets; with ``jobs`` given, the geometry list is split into
+    deterministic shards fanned out through :mod:`repro.parallel`
+    (``1`` = serial backend, ``>= 2`` = worker processes) with
+    bit-identical results.  Each :func:`_sta_shard_task` builds its own
+    trees, so only the pickled geometries and one ``(2, sinks)`` array
+    per shard cross the process boundary, and the parent builds a tree
+    only when ``nets`` is read.  Returns the nets and the per-sink delay
+    and variance maps; a non-finite delay or variance raises
+    :class:`AnalysisError` naming the first net that produced one.
     """
-    wire_delay: Dict[Pin, float] = {}
-    dispersion: Dict[Pin, float] = {}
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
-        nets = _elaborate_all(design, wire_load, net_overrides)
-        payload = [(name, net.tree, net.sink_nodes)
-                   for name, net in nets.items()]
+        geometries = _net_geometries(design, wire_load, net_overrides)
+        payload = list(geometries.values())
+        nets = _LazyNets(geometries)
         if not payload:
-            return nets, wire_delay, dispersion
+            return nets, {}, {}
         _NETS_EVALUATED.inc(len(payload))
         if jobs is None and backend is None and checkpoint_path is None:
-            forest_nodes = sum(tree.num_nodes for _, tree, _ in payload)
-            sp.set_attribute("forest_nodes", forest_nodes)
-            logger.debug(
-                "forest precompute: %d nets, %d nodes in one batched call",
-                len(payload), forest_nodes,
-            )
-            chunks = [_sta_shard_task(payload)]
+            # In-process: build through ``nets`` so the trees are kept.
+            chunks = [_sweep_nets(list(nets.values()))]
         else:
             shards = plan_shards(len(payload))
             sp.set_attribute("shards", len(shards))
             checkpoint = None
             if checkpoint_path is not None:
                 from repro.resilience.checkpoint import (
-                    open_checkpoint, run_fingerprint, tree_fingerprint,
+                    open_checkpoint, run_fingerprint,
                 )
 
                 checkpoint = open_checkpoint(
                     checkpoint_path,
                     run_fingerprint(
                         "sta.analyze",
-                        nets=[
-                            (name, tree_fingerprint(tree),
-                             sorted((str(pin), node) for pin, node
-                                    in sink_nodes.items()))
-                            for name, tree, sink_nodes in payload
-                        ],
+                        nets=[_journal_key(g) for g in payload],
                         plan=[shard.size for shard in shards],
                     ),
                     len(shards),
@@ -190,18 +254,28 @@ def _precompute_elmore_batched(
             finally:
                 if checkpoint is not None:
                     checkpoint.close()
-        for chunk in chunks:
-            for delays, mu2 in chunk.values():
-                wire_delay.update(delays)
-                dispersion.update(mu2)
-    return nets, wire_delay, dispersion
+        values = np.concatenate(chunks, axis=1)
+        pins = [pin for geometry in payload for pin in geometry.sink_pins()]
+        finite = np.isfinite(values).all(axis=0)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            ends = np.cumsum([len(g.sink_pins()) for g in payload])
+            net = payload[int(np.searchsorted(ends, first, side="right"))]
+            raise AnalysisError(
+                f"net {net.net!r} has a non-finite Elmore delay or variance "
+                f"at sink {pins[first]} (delay {float(values[0, first])!r}, "
+                f"mu2 {float(values[1, first])!r}); check its instance "
+                "positions and wire parameters"
+            )
+        return (nets, dict(zip(pins, values[0].tolist())),
+                dict(zip(pins, values[1].tolist())))
 
 
 def _evaluate_per_net(
     design: Design, model, wire_load, net_overrides
-) -> Tuple[Dict[str, ElaboratedNet], Dict[Pin, float], Dict[Pin, float]]:
+) -> Tuple[_LazyNets, Dict[Pin, float], Dict[Pin, float]]:
     """Non-batched models: evaluate each elaborated net on its own."""
-    nets = _elaborate_all(design, wire_load, net_overrides)
+    nets = _LazyNets(_net_geometries(design, wire_load, net_overrides))
     wire_delay: Dict[Pin, float] = {}
     dispersion: Dict[Pin, float] = {}
     for net_name, elaborated in nets.items():
@@ -227,8 +301,6 @@ def _metric_model(metric: str) -> Callable[[ElaboratedNet], Dict[Pin, float]]:
     order = 8 if metric == "awe4" else 4
 
     def model(net: ElaboratedNet) -> Dict[Pin, float]:
-        from repro._exceptions import AnalysisError, MetricError
-
         moments = transfer_moments(net.tree, order)
         out: Dict[Pin, float] = {}
         for sink, node in net.sink_nodes.items():
@@ -279,7 +351,9 @@ class TimingResult:
     critical_output:
         The primary output achieving it.
     nets:
-        The elaborated per-net RC trees (for inspection/plotting).
+        The elaborated per-net RC trees (for inspection/plotting), a
+        read-only mapping that builds each net's tree from the geometry
+        recorded at analysis time on first access and caches it.
     delay_model:
         Name of the interconnect delay model used.
     wire_delay:
@@ -291,7 +365,7 @@ class TimingResult:
     slew: Dict[Pin, float]
     critical_delay: float
     critical_output: str
-    nets: Dict[str, ElaboratedNet]
+    nets: Mapping[str, ElaboratedNet]
     delay_model: str
     wire_delay: Dict[Pin, float]
     _predecessor: Dict[Pin, Tuple[Optional[Pin], str, str, float]] = field(
@@ -380,8 +454,11 @@ def analyze(
     backend:
         Execution backend for the sharded path (``"serial"`` or
         ``"shm"``; default auto).  ``"shm"`` selects the warm worker
-        pool; net payloads are object tuples and still travel pickled.
-        Results stay bit-identical either way.
+        pool: each shard ships its nets' pickled routing inputs
+        (:class:`~repro.sta.interconnect.NetGeometry`), the worker
+        builds and sweeps the RC trees, and one ``(2, sinks)`` delay /
+        variance array comes back.  Results stay bit-identical either
+        way.
     checkpoint_path, resume:
         Crash-safe journaling of the forest fan-out's per-shard results
         (``"elmore"`` model only; see

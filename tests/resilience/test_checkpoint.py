@@ -253,3 +253,44 @@ class TestCodecHooksAndLifecycle:
             journal.restore_results(3)
             journal.restore_results(3)  # second call must not double-count
         assert resumed_ctr.value == r0 + 2
+
+
+class TestStaJournal:
+    """``analyze`` journals each shard's ``(2, sinks)`` delay/variance
+    array and fingerprints the nets' geometry."""
+
+    @staticmethod
+    def design(u2_position=(100e-6, 0.0)):
+        from repro.sta import Design, default_library
+
+        d = Design("chain", default_library())
+        d.add_input("a")
+        d.add_output("z")
+        d.add_instance("u1", "INV", position=(0.0, 0.0))
+        d.add_instance("u2", "INV", position=u2_position)
+        d.connect("na", ("@port", "a"), [("u1", "a")])
+        d.connect("n1", ("u1", "y"), [("u2", "a")])
+        d.connect("nz", ("u2", "y"), [("@port", "z")])
+        return d
+
+    def test_shard_results_use_the_ndarray_codec(self, tmp_path):
+        from repro.sta import analyze
+
+        path = tmp_path / "sta.ckpt"
+        analyze(self.design(), checkpoint_path=str(path))
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()[1:]]
+        assert len(records) == 3
+        assert {r["payload"]["codec"] for r in records} == {"ndarray"}
+        assert {tuple(r["payload"]["shape"]) for r in records} == {(2, 1)}
+
+    def test_resume_with_other_geometry_is_refused(self, tmp_path):
+        from repro.sta import analyze
+
+        path = str(tmp_path / "sta.ckpt")
+        analyze(self.design(), checkpoint_path=path)
+        moved = self.design(u2_position=(120e-6, 0.0))
+        with pytest.raises(CheckpointError, match="different run"):
+            analyze(moved, checkpoint_path=path, resume=True)
+        # The unchanged geometry still resumes.
+        analyze(self.design(), checkpoint_path=path, resume=True)

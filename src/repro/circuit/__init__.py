@@ -21,8 +21,10 @@ from repro.circuit.spice import (
 )
 from repro.circuit.wires import (
     DEFAULT_TECHNOLOGY,
+    WireLayout,
     WireSegment,
     WireTechnology,
+    layout_segments,
     tree_from_segments,
     wire_rc,
 )
@@ -43,6 +45,8 @@ __all__ = [
     "WireSegment",
     "DEFAULT_TECHNOLOGY",
     "wire_rc",
+    "WireLayout",
+    "layout_segments",
     "tree_from_segments",
     "Netlist",
     "parse_netlist",

@@ -21,6 +21,7 @@ algorithms of the paper (Sec. II-C) and the moment recursions
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -60,6 +61,76 @@ class NodeView:
     depth: int
 
 
+def _check_element(name: str, resistance: float, capacitance: float) -> None:
+    """Raise :meth:`RCTree.add_node`'s error for a bad edge R or node C."""
+    if not (resistance > 0.0):
+        raise ValidationError(
+            f"edge into node {name!r} must have R > 0, got {resistance!r}"
+        )
+    if not math.isfinite(resistance):
+        raise ValidationError(f"edge into node {name!r} has non-finite R")
+    if capacitance < 0.0 or not math.isfinite(capacitance):
+        raise ValidationError(
+            f"node {name!r} must have finite C >= 0, got {capacitance!r}"
+        )
+
+
+def checked_load(name: str, capacitance: float) -> float:
+    """``float(capacitance)`` if it is a legal pin load (finite, >= 0);
+    otherwise :meth:`RCTree.add_load`'s :class:`ValidationError`."""
+    if not 0.0 <= capacitance < math.inf:
+        raise ValidationError(
+            f"load at {name!r} must be finite and >= 0, got {capacitance!r}"
+        )
+    return float(capacitance)
+
+
+def _all_legal(resistances: List[float], capacitances: List[float]) -> bool:
+    """True when every R is finite and > 0 and every C finite and >= 0.
+
+    A NaN or infinity makes its list's sum non-finite, so ``min`` only
+    sees finite values when it decides the sign; a sum that merely
+    overflows sends the caller to the exact per-node check.
+    """
+    if not resistances:
+        return True
+    r_sum, c_sum = sum(resistances), sum(capacitances)
+    return (r_sum < math.inf and c_sum < math.inf and min(resistances) > 0.0
+            and min(capacitances) >= 0.0)
+
+
+def _raise_first_fault(input_node, names, parents, resistances,
+                       capacitances) -> None:
+    """Raise :meth:`RCTree.add_node`'s error for the first offending node
+    of a flat tree, checks in ``add_node``'s order."""
+    seen = {input_node}
+    for i, (name, p, r, c) in enumerate(
+            zip(names, parents, resistances, capacitances)):
+        if not name:
+            raise ValidationError("node needs a non-empty name")
+        if name in seen:
+            raise TopologyError(f"node {name!r} already exists in the tree")
+        if not -1 <= p < i:
+            raise TopologyError(
+                f"parent index {p} of node {name!r} does not precede it"
+            )
+        if not (0.0 < r < math.inf and 0.0 <= c < math.inf):
+            _check_element(name, r, c)
+        seen.add(name)
+
+
+def check_elements(
+    names: Sequence[str],
+    resistances: Iterable[float],
+    capacitances: Iterable[float],
+) -> None:
+    """Raise :meth:`RCTree.add_node`'s error for the first node (in index
+    order) with a bad R or C; return quietly when every one is legal."""
+    for name, r, c in zip(names, resistances, capacitances):
+        if not (0.0 < r < math.inf and 0.0 <= c < math.inf):
+            _check_element(name, r, c)
+
+
 class RCTree:
     """A rooted RC tree with an ideal voltage source at the root.
 
@@ -90,9 +161,10 @@ class RCTree:
         self._parent: List[int] = []          # parent index; -1 => input node
         self._resistance: List[float] = []    # edge R to parent
         self._capacitance: List[float] = []   # grounded C at node
-        self._children: List[List[int]] = []
-        self._root_children: List[int] = []
-        self._depth: List[int] = []
+        # (children, root children, depth) per node, derived from the
+        # parent pointers; ``None`` until first needed (see _links).
+        self._links_cache: Optional[
+            Tuple[List[List[int]], List[int], List[int]]] = ([], [], [])
         # Caches invalidated on mutation.
         self._cache: Dict[str, object] = {}
 
@@ -136,30 +208,22 @@ class RCTree:
             raise TopologyError(
                 f"parent {parent!r} of node {name!r} is not in the tree"
             )
-        if not (resistance > 0.0):
-            raise ValidationError(
-                f"edge into node {name!r} must have R > 0, got {resistance!r}"
-            )
-        if not math.isfinite(resistance):
-            raise ValidationError(f"edge into node {name!r} has non-finite R")
-        if capacitance < 0.0 or not math.isfinite(capacitance):
-            raise ValidationError(
-                f"node {name!r} must have finite C >= 0, got {capacitance!r}"
-            )
+        _check_element(name, resistance, capacitance)
 
         idx = len(self._names)
         self._names.append(name)
         self._index[name] = idx
-        self._children.append([])
-        if parent == self._input:
-            self._parent.append(-1)
-            self._root_children.append(idx)
-            self._depth.append(1)
-        else:
-            pidx = self._index[parent]
-            self._parent.append(pidx)
-            self._children[pidx].append(idx)
-            self._depth.append(self._depth[pidx] + 1)
+        pidx = -1 if parent == self._input else self._index[parent]
+        self._parent.append(pidx)
+        if self._links_cache is not None:
+            children, roots, depth = self._links_cache
+            children.append([])
+            if pidx < 0:
+                roots.append(idx)
+                depth.append(1)
+            else:
+                children[pidx].append(idx)
+                depth.append(depth[pidx] + 1)
         self._resistance.append(float(resistance))
         self._capacitance.append(float(capacitance))
         self._cache.clear()
@@ -178,11 +242,9 @@ class RCTree:
 
         This is how gate input (pin) loads are attached to a routed net.
         """
-        if capacitance < 0.0 or not math.isfinite(capacitance):
-            raise ValidationError(
-                f"load at {name!r} must be finite and >= 0, got {capacitance!r}"
-            )
-        self._capacitance[self.index_of(name)] += float(capacitance)
+        self._capacitance[self.index_of(name)] += checked_load(
+            name, capacitance
+        )
         self._cache.clear()
 
     def set_resistance(self, name: str, resistance: float) -> None:
@@ -194,6 +256,23 @@ class RCTree:
             )
         self._resistance[self.index_of(name)] = float(resistance)
         self._cache.clear()
+
+    def _links(self) -> Tuple[List[List[int]], List[int], List[int]]:
+        """``(children, root children, depth)`` of every node, derived
+        from the parent pointers on first use (parents precede children)."""
+        if self._links_cache is None:
+            n = len(self._names)
+            children: List[List[int]] = [[] for _ in range(n)]
+            roots: List[int] = []
+            depth = [1] * n
+            for i, p in enumerate(self._parent):
+                if p < 0:
+                    roots.append(i)
+                else:
+                    children[p].append(i)
+                    depth[i] = depth[p] + 1
+            self._links_cache = (children, roots, depth)
+        return self._links_cache
 
     # ------------------------------------------------------------------
     # Introspection
@@ -249,7 +328,7 @@ class RCTree:
             parent=self._input if p < 0 else self._names[p],
             resistance=self._resistance[i],
             capacitance=self._capacitance[i],
-            depth=self._depth[i],
+            depth=self._links()[2][i],
         )
 
     def parent_of(self, name: str) -> str:
@@ -259,21 +338,23 @@ class RCTree:
 
     def children_of(self, name: str) -> Tuple[str, ...]:
         """Names of the children of ``name`` (accepts the input node)."""
+        children, roots, _ = self._links()
         if name == self._input:
-            return tuple(self._names[i] for i in self._root_children)
-        return tuple(self._names[i] for i in self._children[self.index_of(name)])
+            return tuple(self._names[i] for i in roots)
+        return tuple(self._names[i] for i in children[self.index_of(name)])
 
     def leaves(self) -> Tuple[str, ...]:
         """Names of all leaf nodes (nodes with no children)."""
+        children = self._links()[0]
         return tuple(
-            self._names[i] for i in range(len(self._names)) if not self._children[i]
+            self._names[i] for i in range(len(self._names)) if not children[i]
         )
 
     def depth_of(self, name: str) -> int:
         """Number of resistor edges from the input node to ``name``."""
         if name == self._input:
             return 0
-        return self._depth[self.index_of(name)]
+        return self._links()[2][self.index_of(name)]
 
     # ------------------------------------------------------------------
     # Array views (used by the analysis engines)
@@ -296,7 +377,16 @@ class RCTree:
     @property
     def depths(self) -> np.ndarray:
         """Depth (edge count from input) per node."""
-        return self._cached_array("depths", self._depth, dtype=np.int64)
+        return self._cached_array("depths", self._links()[2], dtype=np.int64)
+
+    def to_arrays(
+        self,
+    ) -> Tuple[List[str], List[int], List[float], List[float]]:
+        """``(names, parents, resistances, capacitances)`` as fresh lists,
+        parents as indices (``-1`` = the input node): the inverse of
+        :meth:`from_arrays`."""
+        return (list(self._names), list(self._parent),
+                list(self._resistance), list(self._capacitance))
 
     def _cached_array(self, key: str, values: Sequence, dtype=np.float64) -> np.ndarray:
         arr = self._cache.get(key)
@@ -333,11 +423,12 @@ class RCTree:
 
     def iter_preorder(self) -> Iterator[str]:
         """Yield node names in depth-first pre-order from the input node."""
-        stack = list(reversed(self._root_children))
+        children, roots, _ = self._links()
+        stack = list(reversed(roots))
         while stack:
             i = stack.pop()
             yield self._names[i]
-            stack.extend(reversed(self._children[i]))
+            stack.extend(reversed(children[i]))
 
     def path_to_root(self, name: str) -> List[str]:
         """Node names from ``name`` up to (excluding) the input node."""
@@ -350,12 +441,13 @@ class RCTree:
 
     def subtree_nodes(self, name: str) -> List[str]:
         """Names of all nodes in the subtree rooted at ``name`` (inclusive)."""
+        children = self._links()[0]
         result = []
         stack = [self.index_of(name)]
         while stack:
             i = stack.pop()
             result.append(self._names[i])
-            stack.extend(self._children[i])
+            stack.extend(children[i])
         return result
 
     # ------------------------------------------------------------------
@@ -393,7 +485,8 @@ class RCTree:
         i = self.index_of(name_i)
         k = self.index_of(name_k)
         # Walk the deeper node up until depths match, then walk both.
-        di, dk = self._depth[i], self._depth[k]
+        depth = self._links()[2]
+        di, dk = depth[i], depth[k]
         while di > dk:
             i = self._parent[i]
             di -= 1
@@ -432,16 +525,10 @@ class RCTree:
 
     def copy(self) -> "RCTree":
         """Deep copy of the tree."""
-        clone = RCTree(self._input)
-        for name in self._names:
-            view = self.node(name)
-            clone.add_node(
-                name,
-                view.parent if view.parent is not None else self._input,
-                view.resistance,
-                view.capacitance,
-            )
-        return clone
+        return RCTree.from_arrays(
+            self._input, self._names, self._parent, self._resistance,
+            self._capacitance,
+        )
 
     def scaled(self, r_scale: float = 1.0, c_scale: float = 1.0) -> "RCTree":
         """Return a copy with all resistances/capacitances scaled.
@@ -451,16 +538,10 @@ class RCTree:
         """
         if not (r_scale > 0.0) or not (c_scale >= 0.0):
             raise ValidationError("scale factors must be positive")
-        clone = RCTree(self._input)
-        for name in self._names:
-            view = self.node(name)
-            clone.add_node(
-                name,
-                view.parent if view.parent is not None else self._input,
-                view.resistance * r_scale,
-                view.capacitance * c_scale,
-            )
-        return clone
+        return RCTree.from_arrays(
+            self._input, self._names, self._parent,
+            self.resistances * r_scale, self.capacitances * c_scale,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -471,6 +552,64 @@ class RCTree:
     # ------------------------------------------------------------------
     # Alternate constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_arrays(
+        cls,
+        input_node: str,
+        names: Sequence[str],
+        parents: Sequence[int],
+        resistances: Sequence[float],
+        capacitances: Sequence[float],
+    ) -> "RCTree":
+        """Build a tree in bulk from flat parent-pointer arrays.
+
+        Node ``i`` is called ``names[i]``, hangs off node ``parents[i]``
+        (``-1`` = the input node) through ``resistances[i]`` ohms and
+        carries ``capacitances[i]`` farads to ground.  One validation pass
+        enforces every :meth:`add_node` invariant and raises the same
+        exception types: names non-empty and unique (and not the input
+        node), each parent before its child, R finite and > 0, C finite
+        and >= 0.  The result equals the tree built by calling
+        :meth:`add_node` for ``i = 0, 1, ...`` in turn.
+
+        Raises
+        ------
+        TopologyError
+            A duplicate name, or a parent index not before its child.
+        ValidationError
+            An empty name, mismatched lengths, or a bad R or C.
+        """
+        tree = cls(input_node)
+        names = list(names)
+        if isinstance(parents, np.ndarray):  # e.g. another tree's arrays
+            parent = parents.tolist()
+            res = np.asarray(resistances, dtype=np.float64).tolist()
+            cap = np.asarray(capacitances, dtype=np.float64).tolist()
+        else:
+            parent = list(map(int, parents))
+            res = list(map(float, resistances))
+            cap = list(map(float, capacitances))
+        n = len(names)
+        if not len(parent) == len(res) == len(cap) == n:
+            raise ValidationError(
+                f"{n} node names need {n} parents, resistances and "
+                f"capacitances, got {len(parent)}, {len(res)} and "
+                f"{len(cap)}"
+            )
+        index = dict(zip(names, range(n)))
+        if not (len(index) == n and input_node not in index
+                and "" not in index and (not parent or min(parent) >= -1)
+                and all(map(operator.lt, parent, range(n)))
+                and _all_legal(res, cap)):
+            _raise_first_fault(input_node, names, parent, res, cap)
+        tree._names = names
+        tree._index = index
+        tree._parent = parent
+        tree._resistance = res
+        tree._capacitance = cap
+        tree._links_cache = None
+        return tree
+
     @classmethod
     def from_edges(
         cls,

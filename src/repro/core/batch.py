@@ -46,12 +46,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._exceptions import AnalysisError, ValidationError
-from repro.circuit.rctree import RCTree
+from repro._exceptions import AnalysisError, TopologyError, ValidationError
+from repro.circuit.rctree import RCTree, check_elements
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 
@@ -174,26 +175,40 @@ class TreeTopology:
         capacitances: np.ndarray,
     ) -> "TreeTopology":
         n = parents.shape[0]
-        depth = np.zeros(n, dtype=np.int64)
-        for i in range(n):  # one-time compile cost, cached afterwards
-            p = parents[i]
-            depth[i] = 1 if p < 0 else depth[p] + 1
-        levels = []
-        level_parents = []
-        segments = []
-        for d in range(1, int(depth.max(initial=0)) + 1):
-            idx = np.flatnonzero(depth == d)
-            levels.append(idx)
-            level_parents.append(parents[idx])
-            keep = parents[idx] >= 0
-            if not keep.any():
-                segments.append(None)
-                continue
-            kept, kept_par = idx[keep], parents[idx][keep]
-            order = np.argsort(kept_par, kind="stable")
-            idx_sorted, par_sorted = kept[order], kept_par[order]
-            uniq, starts = np.unique(par_sorted, return_index=True)
-            segments.append((idx_sorted, par_sorted, uniq, starts))
+        depth_of = [1] * n
+        for i, p in enumerate(parents.tolist()):  # parents come first
+            if p >= 0:
+                depth_of[i] = depth_of[p] + 1
+        depth = np.array(depth_of, dtype=np.int64)
+        # Level d holds the depth-d nodes in index order.
+        ends = list(accumulate(np.bincount(depth)[1:].tolist()))
+        bounds = list(zip([0] + ends[:-1], ends))
+        order = np.argsort(depth, kind="stable")
+        by_level = parents[order]
+        levels = [order[lo:hi] for lo, hi in bounds]
+        level_parents = [by_level[lo:hi] for lo, hi in bounds]
+        segments: List[Optional[Tuple[np.ndarray, ...]]] = [None] if n else []
+        if len(levels) > 1:
+            # Each deeper level's nodes sorted by parent (stably), and the
+            # start of every parent's run, for the reduceat folds; level
+            # 1 holds the roots only.
+            inner = order[ends[0]:]
+            key = depth[inner] * n + parents[inner]
+            by_parent = np.argsort(key, kind="stable")
+            idx_sorted, key = inner[by_parent], key[by_parent]
+            par_sorted = parents[idx_sorted]
+            run = np.ones(key.shape, dtype=bool)
+            run[1:] = key[1:] != key[:-1]
+            runs = np.flatnonzero(run)
+            inner_bounds = [(lo - ends[0], hi - ends[0])
+                            for lo, hi in bounds[1:]]
+            cuts = np.searchsorted(
+                runs, [lo for lo, _ in inner_bounds]
+            ).tolist() + [len(runs)]
+            for (lo, hi), r0, r1 in zip(inner_bounds, cuts, cuts[1:]):
+                first = runs[r0:r1] - lo
+                par = par_sorted[lo:hi]
+                segments.append((idx_sorted[lo:hi], par, par[first], first))
         res = np.array(resistances, dtype=np.float64)
         cap = np.array(capacitances, dtype=np.float64)
         res.setflags(write=False)
@@ -214,7 +229,7 @@ class TreeTopology:
             capacitances=cap,
             _segments=tuple(segments),
         )
-        topo._index.update({name: k for k, name in enumerate(names)})
+        topo._index.update(zip(names, range(n)))
         return topo
 
     # ------------------------------------------------------------------
@@ -360,9 +375,17 @@ def compile_topology(tree: RCTree) -> TreeTopology:
 
 
 def compile_forest(
-    trees: Sequence[RCTree],
+    trees: Sequence[Union[RCTree, tuple]],
 ) -> Tuple[TreeTopology, Tuple[int, ...]]:
     """Compile several trees into one side-by-side forest topology.
+
+    Each item is an :class:`RCTree` or a flat-array record with
+    ``node_names``, ``parents`` (``-1`` = the input node), ``resistances``
+    and ``capacitances`` fields, such as
+    :class:`repro.sta.interconnect.NetArrays`.  A record is checked as
+    :meth:`RCTree.from_arrays` checks it (each parent before its child;
+    R finite and > 0; C finite and >= 0; its names are taken as given),
+    so the STA's worker processes sweep nets without building trees.
 
     Returns ``(topology, offsets)`` where node ``i`` of ``trees[k]`` maps
     to forest index ``offsets[k] + i``.  Forest node names are qualified
@@ -378,30 +401,55 @@ def compile_forest(
 
 
 def _compile_forest(
-    trees: Sequence[RCTree],
+    trees: Sequence[Union[RCTree, tuple]],
 ) -> Tuple[TreeTopology, Tuple[int, ...]]:
-    parents: List[np.ndarray] = []
     names: List[str] = []
-    res: List[np.ndarray] = []
-    cap: List[np.ndarray] = []
     offsets: List[int] = []
-    offset = 0
     for k, tree in enumerate(trees):
-        tree.validate()
-        offsets.append(offset)
-        p = tree.parents.copy()
-        p[p >= 0] += offset
-        parents.append(p)
-        names.extend(f"{k}/{name}" for name in tree.node_names)
-        res.append(tree.resistances)
-        cap.append(tree.capacitances)
-        offset += tree.num_nodes
+        tree_names = tree.node_names
+        if not len(tree_names):
+            raise ValidationError("RC tree has no nodes")
+        offsets.append(len(names))
+        names.extend([f"{k}/{name}" for name in tree_names])
+    n = len(names)
+
+    def flat(field: str, dtype: type) -> np.ndarray:
+        return np.fromiter(
+            chain.from_iterable(getattr(tree, field) for tree in trees),
+            dtype,
+        )
+
+    local = flat("parents", np.int64)
+    resistances = flat("resistances", np.float64)
+    capacitances = flat("capacitances", np.float64)
+    if not local.shape == resistances.shape == capacitances.shape == (n,):
+        raise ValidationError(
+            "every tree needs one parent, resistance and capacitance per "
+            "node name"
+        )
+    shift = np.repeat(offsets, np.diff(offsets + [n]))
+    late = (local < -1) | (local >= np.arange(n) - shift)
+    if late.any():
+        i = int(np.argmax(late))
+        raise TopologyError(
+            f"parent index {int(local[i])} of node {names[i]!r} does not "
+            "precede it"
+        )
+    with np.errstate(invalid="ignore"):
+        legal = (resistances > 0.0) & (capacitances >= 0.0)
+    if not (legal.all() and np.isfinite(resistances).all()
+            and np.isfinite(capacitances).all()):
+        for tree in trees:
+            check_elements(tree.node_names, tree.resistances,
+                           tree.capacitances)
+    if (np.add.reduceat(capacitances, offsets) <= 0.0).any():
+        raise ValidationError("RC tree carries no capacitance")
     return (
         TreeTopology.from_arrays(
-            np.concatenate(parents),
+            np.where(local >= 0, local + shift, -1),
             names,
-            np.concatenate(res),
-            np.concatenate(cap),
+            resistances,
+            capacitances,
         ),
         tuple(offsets),
     )

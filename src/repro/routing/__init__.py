@@ -5,6 +5,7 @@ from repro.routing.steiner import (
     one_steiner_refinement,
     rectilinear_mst,
     route_net,
+    route_segments,
     total_wire_length,
 )
 from repro.routing.timing_driven import (
@@ -18,6 +19,7 @@ __all__ = [
     "one_steiner_refinement",
     "total_wire_length",
     "route_net",
+    "route_segments",
     "route_net_timing_driven",
     "TimingDrivenResult",
 ]

@@ -9,16 +9,19 @@ geometry.  This module supplies that flow:
 2. extract a rectilinear minimum spanning tree (RMST), optionally improved
    toward a Steiner tree with the classic 1-Steiner heuristic over Hanan
    grid candidates,
-3. orient the tree away from the driver and emit wire segments, and
+3. orient the tree away from the driver and emit wire segments
+   (:func:`route_segments`), and
 4. lump the segments into an :class:`~repro.circuit.rctree.RCTree` through
-   the geometric wire model.
+   the geometric wire model (:func:`route_net`).  The STA's workers stop
+   at flat parent/R/C arrays instead
+   (:func:`~repro.circuit.wires.layout_segments`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -33,6 +36,7 @@ __all__ = [
     "one_steiner_refinement",
     "total_wire_length",
     "route_net",
+    "route_segments",
 ]
 
 Point = Tuple[float, float]
@@ -54,20 +58,23 @@ def _mst_edges(points: Sequence[Point]) -> List[Tuple[int, int, float]]:
     ``(i, j, weight)`` edges (``i < j``) in the order
     ``nx.minimum_spanning_tree`` accepts them.
     """
-    if len(points) < 2:
+    n = len(points)
+    if n < 2:
         raise RoutingError("routing needs at least two pins")
-    pairs = sorted(
-        (manhattan(points[i], points[j]), i, j)
-        for i, j in itertools.combinations(range(len(points)), 2)
-    )
+    pairs = sorted([
+        (manhattan(a, b), i, j)
+        for (i, a), (j, b) in itertools.combinations(enumerate(points), 2)
+    ])
     if not all(math.isfinite(weight) for weight, _, _ in pairs):
         raise RoutingError("pin coordinates must be finite")
-    component = list(range(len(points)))
+    component = list(range(n))
     edges: List[Tuple[int, int, float]] = []
     for weight, i, j in pairs:
         ci, cj = component[i], component[j]
         if ci != cj:
             edges.append((i, j, weight))
+            if len(edges) == n - 1:
+                break
             component = [ci if c == cj else c for c in component]
     return edges
 
@@ -181,11 +188,48 @@ def route_net(
     (tree, sink_nodes):
         The RC tree and, for each sink (in input order), the name of its
         node in the tree.
+
+    Raises
+    ------
+    RoutingError
+        No sinks, a ``pin_loads`` length mismatch, or non-finite pins.
+    ValidationError
+        ``sections_per_segment`` is not an int >= 1.
+    """
+    if pin_loads is not None and len(pin_loads) != len(sink_positions):
+        raise RoutingError("pin_loads length must match sink_positions")
+    segments, sink_nodes = route_segments(
+        driver_position, sink_positions, technology, wire_width, use_steiner,
+    )
+    loads = {node: float(load) for node, load in
+             zip(sink_nodes, () if pin_loads is None else pin_loads) if load}
+    tree = tree_from_segments(
+        segments,
+        driver_resistance=driver_resistance,
+        pin_loads=loads or None,
+        driver_node="drv",
+        sections_per_segment=sections_per_segment,
+    )
+    return tree, sink_nodes
+
+
+def route_segments(
+    driver_position: Point,
+    sink_positions: Sequence[Point],
+    technology: WireTechnology = DEFAULT_TECHNOLOGY,
+    wire_width: float = 1e-6,
+    use_steiner: bool = False,
+) -> Tuple[List[WireSegment], List[str]]:
+    """Route a net into wire segments, without building its RC tree.
+
+    Returns the segments oriented breadth-first away from the driver
+    node ``"drv"`` and, for each sink (in input order), the name of its
+    node (``"p1"``, ``"p2"``, ...; Steiner points are ``"st0"``, ...).
+    :func:`route_net` lays these out with
+    :func:`~repro.circuit.wires.tree_from_segments`.
     """
     if not sink_positions:
         raise RoutingError("net has no sinks")
-    if pin_loads is not None and len(pin_loads) != len(sink_positions):
-        raise RoutingError("pin_loads length must match sink_positions")
 
     points: List[Point] = [tuple(driver_position)]
     points.extend(tuple(p) for p in sink_positions)
@@ -200,39 +244,18 @@ def route_net(
             adjacency[i].append(j)
             adjacency[j].append(i)
 
-    def node_name(index: int) -> str:
-        if index == 0:
-            return "drv"
-        if index < num_pins:
-            return f"p{index}"
-        return f"st{index - num_pins}"
-
-    segments: List[WireSegment] = []
-    for parent, child in _bfs_edges(adjacency):
-        length = max(manhattan(points[parent], points[child]), _MIN_SEGMENT)
-        segments.append(
-            WireSegment(
-                parent=node_name(parent),
-                child=node_name(child),
-                length=length,
-                width=wire_width,
-                technology=technology,
-            )
+    names = ["drv"] + [f"p{k}" for k in range(1, num_pins)] + [
+        f"st{k}" for k in range(len(points) - num_pins)
+    ]
+    segments = [
+        WireSegment(
+            parent=names[parent],
+            child=names[child],
+            length=max(manhattan(points[parent], points[child]),
+                       _MIN_SEGMENT),
+            width=wire_width,
+            technology=technology,
         )
-
-    loads: Dict[str, float] = {}
-    if pin_loads is not None:
-        for k, load in enumerate(pin_loads):
-            if load:
-                name = node_name(k + 1)
-                loads[name] = loads.get(name, 0.0) + float(load)
-
-    tree = tree_from_segments(
-        segments,
-        driver_resistance=driver_resistance,
-        pin_loads=loads or None,
-        driver_node="drv",
-        sections_per_segment=sections_per_segment,
-    )
-    sink_nodes = [node_name(k + 1) for k in range(len(sink_positions))]
-    return tree, sink_nodes
+        for parent, child in _bfs_edges(adjacency)
+    ]
+    return segments, names[1:num_pins]

@@ -7,10 +7,12 @@ from repro.sta.characterize import (
 )
 from repro.sta.interconnect import (
     ElaboratedNet,
+    NetArrays,
     NetGeometry,
     WireLoadModel,
     build_net,
     elaborate_net,
+    net_arrays,
     net_geometry,
 )
 from repro.sta.library import Cell, CellLibrary, default_library
@@ -39,6 +41,8 @@ __all__ = [
     "elaborate_net",
     "NetGeometry",
     "net_geometry",
+    "NetArrays",
+    "net_arrays",
     "build_net",
     "analyze",
     "TimingResult",

@@ -15,25 +15,30 @@ query per-sink delays.
 
 Elaboration is two steps: :func:`net_geometry` reads a net's routing
 inputs off the design into a plain picklable :class:`NetGeometry`, and
-:func:`build_net` turns that record into the tree.  The STA ships
-geometries to its worker processes, so workers and the parent build
-identical trees by construction.
+:func:`net_arrays` lays that record out as flat parent/R/C arrays
+(:class:`NetArrays`).  :func:`build_net` is the tree over those arrays
+(:meth:`RCTree.from_arrays`).  The STA ships geometries to its worker
+processes, which sweep the arrays without building any tree, so workers
+and the parent time identical nets by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro._exceptions import TimingGraphError
-from repro.circuit.rctree import RCTree
-from repro.circuit.wires import DEFAULT_TECHNOLOGY, WireTechnology
-from repro.routing.steiner import route_net
+from repro.circuit.rctree import RCTree, checked_load
+from repro.circuit.wires import (
+    DEFAULT_TECHNOLOGY, WireTechnology, layout_segments,
+)
+from repro.routing.steiner import route_segments
 from repro.sta.netlist import Design, Net, Pin
 
 __all__ = [
-    "WireLoadModel", "ElaboratedNet", "NetGeometry", "net_geometry",
-    "build_net", "elaborate_net",
+    "WireLoadModel", "ElaboratedNet", "NetGeometry", "NetArrays",
+    "net_geometry", "net_arrays", "build_net", "elaborate_net",
 ]
 
 
@@ -50,10 +55,16 @@ class WireLoadModel:
     capacitance_per_sink: float = 5e-15
 
     def __post_init__(self) -> None:
-        if self.resistance_per_sink <= 0.0:
-            raise TimingGraphError("wire-load resistance must be > 0")
-        if self.capacitance_per_sink < 0.0:
-            raise TimingGraphError("wire-load capacitance must be >= 0")
+        if not 0.0 < self.resistance_per_sink < math.inf:
+            raise TimingGraphError(
+                "wire-load resistance must be finite and > 0, got "
+                f"{self.resistance_per_sink!r}"
+            )
+        if not 0.0 <= self.capacitance_per_sink < math.inf:
+            raise TimingGraphError(
+                "wire-load capacitance must be finite and >= 0, got "
+                f"{self.capacitance_per_sink!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,10 @@ class ElaboratedNet:
     tree: RCTree
     sink_nodes: Dict[Pin, str]
     driver_node: str
+
+    def arrays(self) -> "NetArrays":
+        """This net as a :class:`NetArrays` record over its tree's arrays."""
+        return _tree_arrays(self.tree, self.sink_nodes.values())
 
 
 Point = Tuple[float, float]
@@ -160,11 +175,88 @@ def net_geometry(
     )
 
 
+class NetArrays(NamedTuple):
+    """One net laid out as flat parent-pointer arrays (:func:`net_arrays`).
+
+    The first five fields are :meth:`RCTree.from_arrays`'s arguments;
+    :func:`repro.core.batch.compile_forest` takes the record as it is.
+    ``sinks`` holds the node index of each of the geometry's
+    ``sink_pins()``, in that order.
+    """
+
+    input_node: str
+    node_names: Sequence[str]
+    parents: Sequence[int]
+    resistances: Sequence[float]
+    capacitances: Sequence[float]
+    sinks: List[int]
+
+
+def _tree_arrays(tree: RCTree, nodes) -> NetArrays:
+    return NetArrays(tree.input_node, *tree.to_arrays(),
+                     [tree.index_of(node) for node in nodes])
+
+
+def net_arrays(geometry: NetGeometry) -> NetArrays:
+    """Lay one net out as flat arrays, without building an RC tree.
+
+    A routed net goes through :func:`~repro.routing.steiner.route_segments`
+    and :func:`~repro.circuit.wires.layout_segments`; a wire-load net
+    becomes a star of ``s{k}`` nodes off ``drv``; an override net is its
+    tree's own arrays.  Each sink pin's load is added at its node.  A
+    pin listed twice keeps one node (its last) and one load.  R and C
+    are checked by the consumer (:meth:`RCTree.from_arrays` or
+    :func:`~repro.core.batch.compile_forest`), node names here.
+    """
+    if geometry.override is not None:
+        tree, mapping = geometry.override
+        return _tree_arrays(tree, mapping.values())
+    return _lay_out(geometry)[0]
+
+
+def _lay_out(geometry: NetGeometry) -> Tuple[NetArrays, Dict[Pin, int]]:
+    """:func:`net_arrays` of a routed or wire-load net, plus each sink
+    pin's last position in ``sinks`` (keys in ``sink_pins()`` order)."""
+    last = dict(zip(geometry.sinks, range(len(geometry.sinks))))
+    loads = geometry.sink_loads
+    if geometry.driver_position is not None:
+        segments, nodes = route_segments(
+            geometry.driver_position, geometry.sink_positions,
+            geometry.technology, geometry.wire_width,
+        )
+        layout = layout_segments(  # route_net's two sections per segment
+            segments, geometry.driver_resistance,
+            {nodes[k]: loads[k] for k in last.values()},
+            sections_per_segment=2,
+        )
+        return NetArrays(
+            "in", *layout[:4],
+            [layout.index[nodes[k]] for k in last.values()],
+        ), last
+
+    # Wire-load star: sink k hangs off ``drv`` as node k + 1, ``s{k}``.
+    model = geometry.wire_load
+    count = len(geometry.sinks)
+    half = model.capacitance_per_sink / 2.0
+    names = ["drv"] + [f"s{k}" for k in range(count)]
+    cap = [0.0] + [half] * count
+    for _ in range(count):  # summed one sink at a time, not half * count
+        cap[0] += half
+    for k in last.values():
+        cap[k + 1] += checked_load(names[k + 1], loads[k])
+    return NetArrays(
+        "in", names, [-1] + [0] * count,
+        [geometry.driver_resistance] + [model.resistance_per_sink] * count,
+        cap, [k + 1 for k in last.values()],
+    ), last
+
+
 def build_net(geometry: NetGeometry) -> ElaboratedNet:
     """Build the RC tree of one net from its :class:`NetGeometry`.
 
-    A pin listed twice on one net keeps one tree node (its last) and
-    one load.
+    The tree is :meth:`RCTree.from_arrays` over :func:`net_arrays`; an
+    override net returns the caller's own tree.  A pin listed twice on
+    one net keeps one tree node (its last) and one load.
     """
     if geometry.override is not None:
         tree, mapping = geometry.override
@@ -172,34 +264,12 @@ def build_net(geometry: NetGeometry) -> ElaboratedNet:
             net=geometry.net, tree=tree, sink_nodes=dict(mapping),
             driver_node=tree.children_of(tree.input_node)[0],
         )
-
-    if geometry.driver_position is not None:
-        tree, nodes = route_net(
-            driver_position=geometry.driver_position,
-            sink_positions=geometry.sink_positions,
-            driver_resistance=geometry.driver_resistance,
-            technology=geometry.technology,
-            wire_width=geometry.wire_width,
-        )
-    else:
-        model = geometry.wire_load
-        tree = RCTree("in")
-        tree.add_node("drv", "in", geometry.driver_resistance, 0.0)
-        nodes = []
-        for k in range(len(geometry.sinks)):
-            node = f"s{k}"
-            tree.add_node(
-                node, "drv", model.resistance_per_sink,
-                model.capacitance_per_sink / 2.0,
-            )
-            tree.add_load("drv", model.capacitance_per_sink / 2.0)
-            nodes.append(node)
-    mapping = dict(zip(geometry.sinks, nodes))
-    load_of = dict(zip(geometry.sinks, geometry.sink_loads))
-    for sink, node in mapping.items():
-        tree.add_load(node, load_of[sink])
+    arrays, pins = _lay_out(geometry)
+    names = arrays.node_names
     return ElaboratedNet(
-        net=geometry.net, tree=tree, sink_nodes=mapping, driver_node="drv",
+        net=geometry.net, tree=RCTree.from_arrays(*arrays[:5]),
+        sink_nodes={pin: names[i] for pin, i in zip(pins, arrays.sinks)},
+        driver_node="drv",
     )
 
 

@@ -54,9 +54,11 @@ from repro.parallel import plan_shards, run_sharded
 
 from repro.sta.interconnect import (
     ElaboratedNet,
+    NetArrays,
     NetGeometry,
     WireLoadModel,
     build_net,
+    net_arrays,
     net_geometry,
 )
 from repro.sta.netlist import Design, Pin
@@ -84,24 +86,24 @@ def _elmore_model(net: ElaboratedNet) -> Dict[Pin, float]:
     }
 
 
-def _sweep_nets(nets: List[ElaboratedNet]) -> np.ndarray:
+def _sweep_nets(nets: List[NetArrays]) -> np.ndarray:
     """Elmore delay and ``mu2`` of every sink through one forest sweep.
 
-    The nets' RC trees are compiled side by side into one forest
-    topology and swept once at order 2.  Returns a ``(2, sinks)``
-    float64 array: row 0 the Elmore delay and row 1 the
+    The nets' flat arrays (:class:`NetArrays`) are compiled side by side
+    into one forest topology and swept once at order 2.  Returns a
+    ``(2, sinks)`` float64 array: row 0 the Elmore delay and row 1 the
     impulse-response variance ``mu2`` of every sink, net by net, each
-    net's sinks in ``sink_nodes`` order.  Every per-node quantity of the
-    batched sweeps depends only on that node's own tree (subtree folds
-    and root-path prefixes never cross tree roots), so a sub-forest
-    reproduces the whole-forest results bit for bit.
+    net's sinks in ``sink_pins()`` order.  Every per-node quantity of
+    the batched sweeps depends only on that node's own tree (subtree
+    folds and root-path prefixes never cross tree roots), so a
+    sub-forest reproduces the whole-forest results bit for bit.
     """
-    topology, offsets = compile_forest([net.tree for net in nets])
+    topology, offsets = compile_forest(nets)
     moments = batch_transfer_moments(topology, 2)
     index = [
-        offset + net.tree.index_of(node)
+        offset + sink
         for net, offset in zip(nets, offsets)
-        for node in net.sink_nodes.values()
+        for sink in net.sinks
     ]
     return np.stack([
         moments.elmore_delays()[0][index],
@@ -110,13 +112,15 @@ def _sweep_nets(nets: List[ElaboratedNet]) -> np.ndarray:
 
 
 def _sta_shard_task(geometries: List[NetGeometry]) -> np.ndarray:
-    """Build and sweep one shard's nets (picklable task).
+    """Lay out and sweep one shard's nets (picklable task).
 
-    The payload is a list of :class:`NetGeometry` records; each net's
-    RC tree is built here with :func:`build_net`, so only geometry goes
-    in and one ``(2, sinks)`` array (:func:`_sweep_nets`) comes back.
+    The payload is a list of :class:`NetGeometry` records.  Each net is
+    routed straight to flat parent/R/C arrays with :func:`net_arrays`
+    and the shard's arrays are swept as one forest (:func:`_sweep_nets`),
+    so no :class:`~repro.circuit.rctree.RCTree` is ever built here: only
+    geometry goes in and one ``(2, sinks)`` array comes back.
     """
-    return _sweep_nets([build_net(geometry) for geometry in geometries])
+    return _sweep_nets([net_arrays(geometry) for geometry in geometries])
 
 
 class _LazyNets(Mapping):
@@ -196,20 +200,22 @@ def _precompute_elmore_batched(
     """Evaluate every net of the design through batched forest sweeps.
 
     The parent reads each net's routing inputs into a
-    :class:`NetGeometry`.  :func:`_sweep_nets` compiles the nets' RC
-    trees side by side into one forest topology and runs an order-2
-    :func:`batch_transfer_moments` sweep that yields every sink's Elmore
-    delay (arrival propagation) and impulse-response variance (slew
-    propagation) at once.  With ``jobs`` unset this is ONE in-process
-    sweep over the whole net list, whose trees stay cached in the
-    returned nets; with ``jobs`` given, the geometry list is split into
-    deterministic shards fanned out through :mod:`repro.parallel`
-    (``1`` = serial backend, ``>= 2`` = worker processes) with
-    bit-identical results.  Each :func:`_sta_shard_task` builds its own
-    trees, so only the pickled geometries and one ``(2, sinks)`` array
-    per shard cross the process boundary, and the parent builds a tree
-    only when ``nets`` is read.  Returns the nets and the per-sink delay
-    and variance maps; a non-finite delay or variance raises
+    :class:`NetGeometry`.  :func:`_sweep_nets` compiles the nets' flat
+    parent/R/C arrays (:class:`NetArrays`) side by side into one forest
+    topology and runs an order-2 :func:`batch_transfer_moments` sweep
+    that yields every sink's Elmore delay (arrival propagation) and
+    impulse-response variance (slew propagation) at once.  With ``jobs``
+    unset this is ONE in-process sweep over the whole net list: the
+    trees are built (:func:`build_net`) and stay cached in the returned
+    nets, and the sweep reads their arrays.  With ``jobs`` given, the
+    geometry list is split into deterministic shards fanned out through
+    :mod:`repro.parallel` (``1`` = serial backend, ``>= 2`` = worker
+    processes) with bit-identical results.  Each :func:`_sta_shard_task`
+    lays its nets out with :func:`net_arrays` and builds no RC tree, so
+    only the pickled geometries and one ``(2, sinks)`` array per shard
+    cross the process boundary, and the parent builds a tree only when
+    ``nets`` is read.  Returns the nets and the per-sink delay and
+    variance maps; a non-finite delay or variance raises
     :class:`AnalysisError` naming the first net that produced one.
     """
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
@@ -221,7 +227,7 @@ def _precompute_elmore_batched(
         _NETS_EVALUATED.inc(len(payload))
         if jobs is None and backend is None and checkpoint_path is None:
             # In-process: build through ``nets`` so the trees are kept.
-            chunks = [_sweep_nets(list(nets.values()))]
+            chunks = [_sweep_nets([net.arrays() for net in nets.values()])]
         else:
             shards = plan_shards(len(payload))
             sp.set_attribute("shards", len(shards))
@@ -456,7 +462,9 @@ def analyze(
         ``"shm"``; default auto).  ``"shm"`` selects the warm worker
         pool: each shard ships its nets' pickled routing inputs
         (:class:`~repro.sta.interconnect.NetGeometry`), the worker
-        builds and sweeps the RC trees, and one ``(2, sinks)`` delay /
+        routes them straight to flat parent/R/C arrays
+        (:func:`~repro.sta.interconnect.net_arrays`) and sweeps them
+        without building RC trees, and one ``(2, sinks)`` delay /
         variance array comes back.  Results stay bit-identical either
         way.
     checkpoint_path, resume:

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from repro._exceptions import RoutingError
+from repro._exceptions import RoutingError, ValidationError
+from repro.circuit import tree_from_segments
 from repro.core import elmore_delay
+from repro.resilience.checkpoint import tree_fingerprint
 from repro.routing import (
     manhattan,
     one_steiner_refinement,
     rectilinear_mst,
     route_net,
+    route_segments,
     total_wire_length,
 )
 
@@ -116,6 +119,37 @@ class TestRouteNet:
             route_net((0, 0), [], 100.0)
         with pytest.raises(RoutingError):
             route_net((0, 0), [(1e-6, 0)], 100.0, pin_loads=[1e-15, 2e-15])
+
+    @pytest.mark.parametrize("bad", [1.5, True, 0, "2"])
+    def test_sections_per_segment_must_be_an_int(self, bad):
+        with pytest.raises(ValidationError, match="sections_per_segment"):
+            route_net((0.0, 0.0), [(100e-6, 0.0)], 100.0,
+                      sections_per_segment=bad)
+
+    def test_pin_loads_may_be_an_array(self):
+        kwargs = dict(driver_position=(0.0, 0.0),
+                      sink_positions=[(500e-6, 0.0), (0.0, 300e-6)],
+                      driver_resistance=200.0)
+        listed, _ = route_net(pin_loads=[5e-15, 0.0], **kwargs)
+        arrayed, _ = route_net(pin_loads=np.array([5e-15, 0.0]), **kwargs)
+        assert tree_fingerprint(arrayed) == tree_fingerprint(listed)
+
+    @pytest.mark.parametrize("use_steiner", [False, True])
+    def test_route_segments_lay_out_to_route_net(self, use_steiner):
+        driver = (0.0, 0.0)
+        sinks = [(10e-6, 500e-6), (500e-6, 10e-6), (500e-6, 500e-6),
+                 (10e-6, 500e-6)]
+        loads = [3e-15, 0.0, 7e-15, 1e-15]
+        tree, nodes = route_net(driver, sinks, 150.0,
+                                use_steiner=use_steiner, pin_loads=loads)
+        segments, seg_nodes = route_segments(driver, sinks,
+                                             use_steiner=use_steiner)
+        assert seg_nodes == nodes == ["p1", "p2", "p3", "p4"]
+        layout = tree_from_segments(
+            segments, 150.0, {n: l for n, l in zip(nodes, loads) if l},
+            sections_per_segment=2,
+        )
+        assert tree_fingerprint(layout) == tree_fingerprint(tree)
 
     def test_wire_width_tradeoff(self):
         """Wider wire: less resistance, more capacitance. For a long net

@@ -135,6 +135,34 @@ class TestClarkMax:
         assert tightness == 0.0
         assert m.variance == pytest.approx(shared.variance)
 
+    def test_operands_equal_up_to_rounding_are_a_tie(self):
+        # One sum of forty forms, added in two orders: the results hold
+        # the same labels with coefficients equal up to rounding, so
+        # theta**2 is rounding noise and Clark's alpha would be noise
+        # over noise (tightness ~0.5).  The tie rule picks a side.
+        rng = np.random.default_rng(19)
+        parts = [
+            CanonicalForm(float(rng.uniform(1e-11, 2e-11)),
+                          rng.uniform(0.0, 1e-12, 3),
+                          {f"e{i % 7}": float(rng.uniform(0.0, 1e-12))})
+            for i in range(40)
+        ]
+        x = parts[0]
+        for part in parts[1:]:
+            x = x + part
+        y = parts[-1]
+        for part in reversed(parts[:-1]):
+            y = y + part
+        theta_sq = x.variance + y.variance - 2.0 * covariance(x, y)
+        assert 0.0 < math.sqrt(theta_sq) < 1e-7 * x.sigma
+        m, tightness = canonical_max(x, y)
+        assert tightness in (0.0, 1.0)
+        winner = x if tightness == 1.0 else y
+        assert winner.mu == max(x.mu, y.mu)
+        assert m.mu == winner.mu
+        assert m.variance == winner.variance
+        assert dict(m.resid) == dict(winner.resid)
+
     def test_against_monte_carlo_correlated(self):
         # Correlated through both a shared variable and a shared label.
         x = CanonicalForm(1.0, np.array([0.8, 0.0]), {"common": 0.5,

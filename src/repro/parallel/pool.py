@@ -82,6 +82,10 @@ def _init_pool_worker(counter) -> None:
     set_worker_id(worker_index)
 
 
+#: Seconds :func:`_terminate_pool` waits for a pool's manager thread.
+_TEARDOWN_JOIN_S = 5.0
+
+
 def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
     """Tear a pool down without waiting on hung or dead workers."""
     if pool is None:
@@ -96,10 +100,20 @@ def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
             proc.terminate()
     except Exception:  # pragma: no cover - defensive
         pass
+    # shutdown() drops the executor's manager thread, so take it first.
+    manager = getattr(pool, "_executor_manager_thread", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - defensive
         pass
+    # Let the manager thread finish its teardown.  Still running at
+    # interpreter exit, it closes its wakeup pipe while concurrent.futures'
+    # exit hook writes to it, which prints "Exception ignored ...
+    # [Errno 9] Bad file descriptor".  The workers are already
+    # terminated, so the join is short; the bound only guards a worker
+    # that ignores SIGTERM.
+    if manager is not None:
+        manager.join(timeout=_TEARDOWN_JOIN_S)
 
 
 class WarmPool:

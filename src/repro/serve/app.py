@@ -251,14 +251,16 @@ class ReproServer:
         _metrics.DRAINING.set(1)
         self.batcher.close()
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            await self._close_listener()
         completed = await self.batcher.drain(self.config.drain_timeout)
         if not completed:
             logger.warning(
                 "drain timed out after %.3gs; remaining requests got 503",
                 self.config.drain_timeout,
             )
+        # The last accepted sockets reach _on_connection one loop step
+        # after their transports are built; wait for them too.
+        await asyncio.sleep(0)
         if self._connections:
             await asyncio.wait(
                 list(self._connections), timeout=self.config.io_timeout
@@ -276,6 +278,28 @@ class ReproServer:
 
             repro.parallel.shutdown()
         logger.info("repro serve shut down cleanly")
+
+    async def _close_listener(self) -> None:
+        """Stop accepting, then close the listening sockets.
+
+        asyncio accepts a socket in one loop step and builds its
+        transport in a later one.  A transport built after
+        ``Server.close()`` fails to attach and leaves the accepted socket
+        open with nobody reading it, so its client hangs until its own
+        timeout.  Removing the listener's reader first, and yielding one
+        step, lets every accepted socket get its transport (and later a
+        503 or EOF) before the server closes; connections the kernel
+        still queues are reset when the listener closes.
+        """
+        loop = asyncio.get_running_loop()
+        for sock in self._server.sockets:
+            try:
+                loop.remove_reader(sock.fileno())
+            except NotImplementedError:  # a loop without readers
+                break
+        await asyncio.sleep(0)
+        self._server.close()
+        await self._server.wait_closed()
 
     # -- connection handling -------------------------------------------
     def _on_connection(

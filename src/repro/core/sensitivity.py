@@ -10,6 +10,10 @@ the exact sensitivities closed-form and O(N):
     dT_D_i / dR_e = Cdown(e)   if e lies on the input->i path, else 0
     dT_D_i / dC_k = R_ki       (the shared path resistance)
 
+:func:`elmore_sensitivity` walks one node of an :class:`RCTree`;
+:func:`elmore_sensitivity_arrays` gives the same rows for several nodes
+at once from flat parent/R/C arrays, with no tree built.
+
 These derivatives are the reason Elmore-based optimization (wire sizing,
 buffer placement, placement-driven net weighting) is tractable: the paper's
 bound guarantee means optimizing this differentiable surrogate optimizes a
@@ -19,7 +23,7 @@ certified upper bound of the real delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from repro.core.elmore import downstream_capacitance
 __all__ = [
     "ElmoreSensitivity",
     "elmore_sensitivity",
+    "elmore_sensitivity_arrays",
     "total_elmore_gradient",
 ]
 
@@ -89,17 +94,18 @@ def elmore_sensitivity(tree: RCTree, node: str) -> ElmoreSensitivity:
     n = tree.num_nodes
     cdown = downstream_capacitance(tree)
     d_r = np.zeros(n, dtype=np.float64)
+    on_path = np.zeros(n, dtype=bool)
     # Root path of the target node.
     i = tree.index_of(node)
     parents = tree.parents
     while i >= 0:
         d_r[i] = cdown[i]
+        on_path[i] = True
         i = parents[i]
     # dT_D/dC_k = R_ki: path resistance of the lowest common ancestor.
     # One O(N) pass: R_ki = path resistance accumulated only over edges
     # shared with the target's root path.
     path_res = tree.path_resistances()
-    on_path = d_r > 0.0
     d_c = np.empty(n, dtype=np.float64)
     for k in range(n):
         p = parents[k]
@@ -109,6 +115,53 @@ def elmore_sensitivity(tree: RCTree, node: str) -> ElmoreSensitivity:
         else:
             d_c[k] = upstream
     return ElmoreSensitivity(tree=tree, node=node, dR=d_r, dC=d_c)
+
+
+def elmore_sensitivity_arrays(
+    parents: Sequence[int],
+    resistances: Sequence[float],
+    capacitances: Sequence[float],
+    nodes: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``dT_D/dR`` and ``dT_D/dC`` of several nodes from flat arrays.
+
+    The tree is given as :meth:`RCTree.from_arrays` takes it: node ``i``
+    hangs off ``parents[i] < i`` (``-1`` = the input node) through
+    ``resistances[i] > 0``.  Returns two ``(len(nodes), N)`` arrays whose
+    row ``s`` is :func:`elmore_sensitivity`'s ``dR`` and ``dC`` of node
+    index ``nodes[s]``:
+
+    * ``dR[s, e] = Cdown(e)`` when ``e`` lies on the root path of the
+      node, else 0;
+    * ``dC[s, k]`` = the resistance the root paths of the node and of
+      ``k`` share: the path resistance of their deepest common node.
+    """
+    n = len(parents)
+    # anc[i, j]: node j lies on the root path of node i (j == i too).
+    anc = np.eye(n, dtype=bool)
+    path_res = [0.0] * n
+    for i, p in enumerate(parents):
+        if p >= 0:
+            anc[i, :p + 1] = anc[p, :p + 1]
+            path_res[i] = resistances[i] + path_res[p]
+        else:
+            path_res[i] = resistances[i] + 0.0
+    cdown = list(capacitances)
+    for i in range(n - 1, -1, -1):
+        if parents[i] >= 0:
+            cdown[parents[i]] += cdown[i]
+    on_path = anc[list(nodes)]
+    d_r = on_path * np.array(cdown, dtype=np.float64)
+    # Path resistance grows strictly with depth (every R > 0), so the
+    # deepest common node holds the largest path resistance of all the
+    # nodes on both root paths.  Blocks of sinks bound the (sinks, N, N)
+    # temporary to about a million entries.
+    weights = on_path * np.array(path_res, dtype=np.float64)
+    d_c = np.empty_like(weights)
+    block = max(1, 2**20 // (n * n))
+    for s in range(0, len(weights), block):
+        d_c[s:s + block] = (anc * weights[s:s + block, None, :]).max(axis=2)
+    return d_r, d_c
 
 
 def total_elmore_gradient(

@@ -32,11 +32,11 @@ from __future__ import annotations
 import logging
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._exceptions import AnalysisError, ValidationError
+from repro._exceptions import AnalysisError, TopologyError, ValidationError
 from repro.circuit.rctree import RCTree
 from repro.core.batch import (
     batch_elmore_delays,
@@ -120,16 +120,39 @@ class VariationModel:
                             f"variation sigma for {name!r} must be >= 0"
                         )
 
-    def sigma_arrays(self, tree: RCTree) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-node ``(sr, sc)`` relative-sigma arrays in index order."""
-        n = tree.num_nodes
+    def sigma_arrays(
+        self, tree: Union[RCTree, Sequence[str]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-node ``(sr, sc)`` relative-sigma arrays in index order.
+
+        ``tree`` is an :class:`RCTree` or, for a tree held as flat
+        arrays, its node names in index order.  An override naming a
+        node the tree lacks raises :class:`TopologyError`.
+        """
+        n = tree.num_nodes if isinstance(tree, RCTree) else len(tree)
         sr = np.full(n, self.resistance_sigma, dtype=np.float64)
         sc = np.full(n, self.capacitance_sigma, dtype=np.float64)
-        for name, value in (self.resistance_sigmas or {}).items():
-            sr[tree.index_of(name)] = value
-        for name, value in (self.capacitance_sigmas or {}).items():
-            sc[tree.index_of(name)] = value
+        if self.resistance_sigmas or self.capacitance_sigmas:
+            index_of = (tree.index_of if isinstance(tree, RCTree)
+                        else _name_index(tree))
+            for name, value in (self.resistance_sigmas or {}).items():
+                sr[index_of(name)] = value
+            for name, value in (self.capacitance_sigmas or {}).items():
+                sc[index_of(name)] = value
         return sr, sc
+
+
+def _name_index(names: Sequence[str]) -> Callable[[str], int]:
+    """``index_of`` over a list of node names (unknown: TopologyError)."""
+    index = dict(zip(names, range(len(names))))
+
+    def index_of(name: str) -> int:
+        try:
+            return index[name]
+        except KeyError:
+            raise TopologyError(f"unknown node {name!r}") from None
+
+    return index_of
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,10 @@ logger = logging.getLogger(__name__)
 _NETS_EVALUATED = _counter(
     "sta_nets_total", "Nets whose interconnect delays were evaluated"
 )
+_METRIC_FALLBACKS = _counter(
+    "sta_metric_fallbacks_total",
+    "Sinks whose moment-metric fit failed and fell back to Elmore",
+)
 from repro.analysis.responses import measure_delay
 from repro.analysis.state_space import ExactAnalysis
 from repro.core.batch import (
@@ -123,6 +127,20 @@ def _sta_shard_task(geometries: List[NetGeometry]) -> np.ndarray:
     return _sweep_nets([net_arrays(geometry) for geometry in geometries])
 
 
+def _ssta_shard_task(payload) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_sta_shard_task` plus the nets' SSTA coefficients.
+
+    The payload is ``(geometries, process)`` with ``process`` a
+    :class:`~repro.sta.ssta.ProcessModel`.  Returns the ``(2, sinks)``
+    sweep and ``process.net_columns`` over the same arrays: each net's
+    global coefficients and compressed residual factor, computed net by
+    net so they do not depend on which shard holds the net.
+    """
+    geometries, process = payload
+    nets = [net_arrays(geometry) for geometry in geometries]
+    return (_sweep_nets(nets), *process.net_columns(nets))
+
+
 class _LazyNets(Mapping):
     """Read-only ``net name -> ElaboratedNet`` over recorded geometries.
 
@@ -196,7 +214,8 @@ def _precompute_elmore_batched(
     backend: Optional[str] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-) -> Tuple[_LazyNets, Dict[Pin, float], Dict[Pin, float]]:
+    process=None,
+) -> Tuple[_LazyNets, Dict[Pin, float], Dict[Pin, float], Optional[tuple]]:
     """Evaluate every net of the design through batched forest sweeps.
 
     The parent reads each net's routing inputs into a
@@ -217,20 +236,39 @@ def _precompute_elmore_batched(
     ``nets`` is read.  Returns the nets and the per-sink delay and
     variance maps; a non-finite delay or variance raises
     :class:`AnalysisError` naming the first net that produced one.
+
+    With a ``process`` (a :class:`~repro.sta.ssta.ProcessModel`) the
+    same pass also returns every net's SSTA coefficients as
+    ``(net_sinks, a, l)``: ``net_sinks`` lists ``(net, sink pins)`` in
+    design order and ``a``/``l`` are ``process.net_columns`` over the
+    nets' arrays, computed in the shard task next to the sweep
+    (:func:`_ssta_shard_task`) or, in-process, over the same arrays.
+    Without one the fourth item is ``None`` and the shards run
+    :func:`_sta_shard_task` unchanged.
     """
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
         geometries = _net_geometries(design, wire_load, net_overrides)
         payload = list(geometries.values())
         nets = _LazyNets(geometries)
         if not payload:
-            return nets, {}, {}
+            return nets, {}, {}, None
         _NETS_EVALUATED.inc(len(payload))
         if jobs is None and backend is None and checkpoint_path is None:
             # In-process: build through ``nets`` so the trees are kept.
-            chunks = [_sweep_nets([net.arrays() for net in nets.values()])]
+            arrays = [net.arrays() for net in nets.values()]
+            chunks = [_sweep_nets(arrays)]
+            if process is not None:
+                columns = [process.net_columns(arrays)]
         else:
             shards = plan_shards(len(payload))
             sp.set_attribute("shards", len(shards))
+            parts = [payload[shard.start:shard.stop] for shard in shards]
+            kind, task = "sta.analyze", _sta_shard_task
+            extra = {}
+            if process is not None:
+                kind, task = "ssta.analyze", _ssta_shard_task
+                parts = [(part, process) for part in parts]
+                extra = {"process": astuple(process)}
             checkpoint = None
             if checkpoint_path is not None:
                 from repro.resilience.checkpoint import (
@@ -240,18 +278,19 @@ def _precompute_elmore_batched(
                 checkpoint = open_checkpoint(
                     checkpoint_path,
                     run_fingerprint(
-                        "sta.analyze",
+                        kind,
                         nets=[_journal_key(g) for g in payload],
                         plan=[shard.size for shard in shards],
+                        **extra,
                     ),
                     len(shards),
-                    meta={"kind": "sta.analyze", "nets": len(payload)},
+                    meta={"kind": kind, "nets": len(payload)},
                     resume=resume,
                 )
             try:
                 chunks = run_sharded(
-                    _sta_shard_task,
-                    [payload[shard.start:shard.stop] for shard in shards],
+                    task,
+                    parts,
                     jobs=jobs,
                     label="sta.parallel_run",
                     backend=backend,
@@ -260,6 +299,9 @@ def _precompute_elmore_batched(
             finally:
                 if checkpoint is not None:
                     checkpoint.close()
+            if process is not None:
+                columns = [chunk[1:] for chunk in chunks]
+                chunks = [chunk[0] for chunk in chunks]
         values = np.concatenate(chunks, axis=1)
         pins = [pin for geometry in payload for pin in geometry.sink_pins()]
         finite = np.isfinite(values).all(axis=0)
@@ -273,8 +315,15 @@ def _precompute_elmore_batched(
                 f"mu2 {float(values[1, first])!r}); check its instance "
                 "positions and wire parameters"
             )
+        coefficients = None
+        if process is not None:
+            coefficients = (
+                [(g.net, g.sink_pins()) for g in payload],
+                np.concatenate([c[0] for c in columns]),
+                np.concatenate([c[1] for c in columns]),
+            )
         return (nets, dict(zip(pins, values[0].tolist())),
-                dict(zip(pins, values[1].tolist())))
+                dict(zip(pins, values[1].tolist())), coefficients)
 
 
 def _evaluate_per_net(
@@ -316,6 +365,7 @@ def _metric_model(metric: str) -> Callable[[ElaboratedNet], Dict[Pin, float]]:
                 # Higher-order fits can fail on degenerate nets (complex
                 # or unstable fitted poles); fall back to the certified
                 # Elmore value rather than aborting the STA run.
+                _METRIC_FALLBACKS.labels(metric=metric).inc()
                 out[sink] = moments.mean(node)
         return out
 
@@ -473,6 +523,26 @@ def analyze(
         :mod:`repro.resilience.checkpoint`).  ``resume=True`` skips
         shards an interrupted run already journaled.
     """
+    return _analyze_traced(design, delay_model, input_arrivals,
+                           input_slews, wire_load, net_overrides, jobs,
+                           backend, checkpoint_path, resume)[0]
+
+
+def _analyze_traced(
+    design: Design,
+    delay_model: str,
+    input_arrivals: Optional[Dict[str, float]],
+    input_slews: Optional[Dict[str, float]],
+    wire_load: Optional[WireLoadModel],
+    net_overrides: Optional[Dict[str, Tuple]],
+    jobs: Optional[int],
+    backend: Optional[str],
+    checkpoint_path: Optional[str],
+    resume: bool,
+    process=None,
+) -> Tuple[TimingResult, Optional[tuple]]:
+    """:func:`analyze` plus, with a ``process``, the SSTA coefficients
+    :func:`_precompute_elmore_batched` computes in the same pass."""
     if delay_model not in DELAY_MODELS:
         raise TimingGraphError(
             f"unknown delay model {delay_model!r}; "
@@ -486,11 +556,12 @@ def analyze(
             "one at a time)"
         )
     with _span("sta.analyze", model=delay_model) as sp:
-        result = _analyze(design, delay_model, input_arrivals,
-                          input_slews, wire_load, net_overrides, jobs,
-                          backend, checkpoint_path, resume)
+        result, coefficients = _analyze(
+            design, delay_model, input_arrivals, input_slews, wire_load,
+            net_overrides, jobs, backend, checkpoint_path, resume, process,
+        )
         sp.set_attribute("nets", len(result.nets))
-        return result
+        return result, coefficients
 
 
 def _analyze(
@@ -504,7 +575,8 @@ def _analyze(
     backend: Optional[str] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-) -> TimingResult:
+    process=None,
+) -> Tuple[TimingResult, Optional[tuple]]:
     order = design.timing_order()
     if not design.outputs:
         raise TimingGraphError("design has no primary outputs")
@@ -513,14 +585,17 @@ def _analyze(
         # netlist's interconnect is evaluated in batched forest sweeps
         # (one call, or sharded across workers when jobs is given)
         # before arrival propagation begins.
-        nets, wire_delay, dispersion = _precompute_elmore_batched(
-            design, wire_load, net_overrides, jobs=jobs, backend=backend,
-            checkpoint_path=checkpoint_path, resume=resume,
-        )
+        nets, wire_delay, dispersion, coefficients = \
+            _precompute_elmore_batched(
+                design, wire_load, net_overrides, jobs=jobs,
+                backend=backend, checkpoint_path=checkpoint_path,
+                resume=resume, process=process,
+            )
     else:
         nets, wire_delay, dispersion = _evaluate_per_net(
             design, DELAY_MODELS[delay_model], wire_load, net_overrides
         )
+        coefficients = None
 
     arrivals: Dict[Pin, float] = {}
     slews: Dict[Pin, float] = {}
@@ -570,4 +645,4 @@ def _analyze(
         delay_model=delay_model,
         wire_delay=wire_delay,
         _predecessor=predecessor,
-    )
+    ), coefficients

@@ -138,6 +138,27 @@ class TestDelayModels:
             result = analyze(chain, delay_model=model)
             assert result.critical_delay > 0
 
+    def test_fit_failure_falls_back_to_elmore_and_is_counted(
+            self, chain, monkeypatch):
+        from repro._exceptions import MetricError
+        from repro.obs.metrics import get_registry
+        from repro.sta import timing
+
+        def failing_fit(moments, node):
+            raise MetricError("forced fit failure")
+
+        monkeypatch.setitem(timing.METRICS, "d2m", failing_fit)
+        monkeypatch.setitem(timing.DELAY_MODELS, "d2m",
+                            timing._metric_model("d2m"))
+        fallbacks = get_registry().get("sta_metric_fallbacks_total")
+        before = fallbacks.labels(metric="d2m").value
+        result = analyze(chain, delay_model="d2m")
+        sinks = sum(len(net.sinks) for net in chain.nets.values())
+        assert fallbacks.labels(metric="d2m").value - before == sinks
+        elmore = analyze(chain, delay_model="elmore")
+        for pin, delay in elmore.wire_delay.items():
+            assert result.wire_delay[pin] == pytest.approx(delay, rel=1e-12)
+
     def test_wire_load_scaling(self, chain):
         light = analyze(chain, wire_load=WireLoadModel(10.0, 1e-15))
         heavy = analyze(chain, wire_load=WireLoadModel(500.0, 50e-15))

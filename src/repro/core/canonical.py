@@ -50,6 +50,7 @@ __all__ = [
     "canonical_constant",
     "canonical_max",
     "canonical_max_many",
+    "clark_moments",
     "covariance",
     "normal_cdf",
     "normal_pdf",
@@ -250,6 +251,36 @@ def canonical_add(x: CanonicalForm, y: CanonicalForm) -> CanonicalForm:
     return CanonicalForm(x.mu + y.mu, x.a + y.a, resid)
 
 
+def clark_moments(
+    mu_x: float, var_x: float, mu_y: float, var_y: float, cov: float
+) -> Tuple[float, float, float, bool]:
+    """Clark's ``(tightness, mean, variance, tie)`` of ``max(X, Y)``.
+
+    ``X`` and ``Y`` are jointly Gaussian with the given means, variances
+    and covariance; ``tightness = P(X >= Y)``.  When the sigma of
+    ``X - Y`` is at most :data:`TIE_EPSILON` of the larger operand sigma
+    the pair is a tie: the larger-mean operand (``X`` on equal means)
+    is the max, with tightness 1 or 0, and the returned variance is 0
+    (the caller keeps that operand whole).
+    """
+    theta = math.sqrt(max(var_x + var_y - 2.0 * cov, 0.0))
+    if theta <= TIE_EPSILON * math.sqrt(max(var_x, var_y)):
+        # X - Y is deterministic up to rounding (a tie, see
+        # TIE_EPSILON): the max is simply the one with the larger mean.
+        return (1.0, mu_x, 0.0, True) if mu_x >= mu_y \
+            else (0.0, mu_y, 0.0, True)
+    alpha = (mu_x - mu_y) / theta
+    tightness = normal_cdf(alpha)
+    pdf = normal_pdf(alpha)
+    mean = mu_x * tightness + mu_y * (1.0 - tightness) + theta * pdf
+    second = (
+        (mu_x * mu_x + var_x) * tightness
+        + (mu_y * mu_y + var_y) * (1.0 - tightness)
+        + (mu_x + mu_y) * theta * pdf
+    )
+    return tightness, mean, max(second - mean * mean, 0.0), False
+
+
 def canonical_max(
     x: CanonicalForm,
     y: CanonicalForm,
@@ -268,26 +299,12 @@ def canonical_max(
     equal means) is the max, with tightness 1 or 0.
     """
     _check_compatible(x, y)
-    var_x = x.variance
-    var_y = y.variance
-    cov = covariance(x, y)
-    theta = math.sqrt(max(var_x + var_y - 2.0 * cov, 0.0))
-    if theta <= TIE_EPSILON * math.sqrt(max(var_x, var_y)):
-        # X - Y is deterministic up to rounding (a tie, see
-        # TIE_EPSILON): the max is simply the form with the larger mean.
-        if x.mu >= y.mu:
+    tightness, mean, var, tie = clark_moments(
+        x.mu, x.variance, y.mu, y.variance, covariance(x, y))
+    if tie:
+        if tightness == 1.0:
             return CanonicalForm(x.mu, x.a, dict(x.resid)), 1.0
         return CanonicalForm(y.mu, y.a, dict(y.resid)), 0.0
-    alpha = (x.mu - y.mu) / theta
-    tightness = normal_cdf(alpha)
-    pdf = normal_pdf(alpha)
-    mean = x.mu * tightness + y.mu * (1.0 - tightness) + theta * pdf
-    second = (
-        (x.mu * x.mu + var_x) * tightness
-        + (y.mu * y.mu + var_y) * (1.0 - tightness)
-        + (x.mu + y.mu) * theta * pdf
-    )
-    var = max(second - mean * mean, 0.0)
     a = tightness * x.a + (1.0 - tightness) * y.a
     resid: Dict[str, float] = {
         lbl: tightness * val for lbl, val in x.resid.items()

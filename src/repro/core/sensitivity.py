@@ -137,30 +137,30 @@ def elmore_sensitivity_arrays(
       ``k`` share: the path resistance of their deepest common node.
     """
     n = len(parents)
-    # anc[i, j]: node j lies on the root path of node i (j == i too).
-    anc = np.eye(n, dtype=bool)
     path_res = [0.0] * n
     for i, p in enumerate(parents):
-        if p >= 0:
-            anc[i, :p + 1] = anc[p, :p + 1]
-            path_res[i] = resistances[i] + path_res[p]
-        else:
-            path_res[i] = resistances[i] + 0.0
+        path_res[i] = resistances[i] + (path_res[p] if p >= 0 else 0.0)
     cdown = list(capacitances)
     for i in range(n - 1, -1, -1):
         if parents[i] >= 0:
             cdown[parents[i]] += cdown[i]
-    on_path = anc[list(nodes)]
+    # on_path[s, k]: node k lies on the root path of node nodes[s].
+    on_path = np.zeros((len(nodes), n), dtype=bool)
+    for s, i in enumerate(nodes):
+        path = []
+        while i >= 0:
+            path.append(i)
+            i = parents[i]
+        on_path[s, path] = True
     d_r = on_path * np.array(cdown, dtype=np.float64)
-    # Path resistance grows strictly with depth (every R > 0), so the
-    # deepest common node holds the largest path resistance of all the
-    # nodes on both root paths.  Blocks of sinks bound the (sinks, N, N)
-    # temporary to about a million entries.
-    weights = on_path * np.array(path_res, dtype=np.float64)
-    d_c = np.empty_like(weights)
-    block = max(1, 2**20 // (n * n))
-    for s in range(0, len(weights), block):
-        d_c[s:s + block] = (anc * weights[s:s + block, None, :]).max(axis=2)
+    # One parent-ordered pass, node-major: d_c[s, k] is path_res[k] when
+    # k is on the path, else d_c[s, parent(k)] (0 at the root).  Path
+    # resistance grows with depth, so that is the max of the two.
+    d_c = (on_path * np.array(path_res, dtype=np.float64)).T.copy()
+    for k, p in enumerate(parents):
+        if p >= 0:
+            np.maximum(d_c[k], d_c[p], out=d_c[k])
+    d_c = np.ascontiguousarray(d_c.T)
     return d_r, d_c
 
 

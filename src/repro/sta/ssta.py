@@ -23,23 +23,35 @@ gate-level SSTA formulation surveyed in arXiv:2401.03588:
   ``S x K`` matrix ``G`` (sinks by RC elements).  Every later form holds
   them only as ``v^T G``, so the ``S x S`` factor ``L`` of ``G = L Q``
   replaces them with the same covariances: sink ``s`` of net ``n``
-  carries the private labels ``n.q0 .. n.qs`` (:func:`_net_coefficients`).
-  The nominal STA shard task computes these coefficients next to its
-  sweep, so a sharded run builds no RC tree in the parent.
+  carries the private labels ``net:n.q0 .. net:n.qs``
+  (:func:`_net_coefficients`).  The nominal STA shard task computes
+  these coefficients next to its sweep, so a sharded run builds no RC
+  tree in the parent.
 
 * **Propagation** — the nominal forest walk of :mod:`repro.sta.timing`
-  runs first (batched forest sweeps, sharded/warm-pool capable); the
-  statistical walk then loops over the same
-  :meth:`~repro.sta.netlist.Design.timing_order`, reusing its per-sink
-  ``wire_delay`` as the form means, with exact Gaussian ``add`` and
-  Clark moment-matched ``max``.  Residual coefficients stay *labeled*
-  per net/gate, so reconvergent fanout keeps its common-path
-  correlation exactly.
+  runs first (batched forest sweeps, sharded/warm-pool capable) and
+  gives every sink's ``wire_delay`` (the form means) and nominal slew.
+  The statistical walk then runs on the levelised timing graph
+  (:func:`repro.sta.levels.levelize`).  Every residual source is an
+  integer column, allocated level by level, with one label namespace
+  per source kind (:class:`_Columns`), so reconvergent fanout keeps its
+  common-path correlation exactly and no two sources can share a label.
+  Per level, the candidates ``arrival + stage`` of every gate input are
+  one dense block over the columns their rows hold; Clark's
+  moment-matched max is folded once per fan-in slot for all the
+  level's gates at once (:func:`_clark_fold`, the same tie, deficit and
+  rescale rules as :func:`~repro.core.canonical.canonical_max`); the
+  gate outputs keep only their nonzero entries (:class:`_RowStore`);
+  and the level's net sinks are driver + wire in one gather and add.
+  The outputs are folded left to right in ``design.outputs`` order.
+  ``SSTAReport.arrival`` builds each pin's
+  :class:`~repro.core.canonical.CanonicalForm` on first access.
 
 * **Validation** — :func:`monte_carlo_arrivals` replays the identical
   correlated draws through the batched Elmore engine ((B, N) forest
-  sweeps, shm warm pool capable) and full vectorized max/add arrival
-  propagation; :func:`validate_against_monte_carlo` reports per-output
+  sweeps, shm warm pool capable) and propagates arrivals on the same
+  levelised graph, one add and one max per level over a (pins, B)
+  matrix; :func:`validate_against_monte_carlo` reports per-output
   mean/sigma errors.  The repo gates mean within 1% and sigma within 5%
   of the oracle on its test designs.
 
@@ -51,23 +63,23 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.special import ndtr
 
 from repro._exceptions import AnalysisError, TimingGraphError
 from repro.core.batch import batch_elmore_delays, compile_forest
 from repro.core.canonical import (
+    TIE_EPSILON,
     CanonicalForm,
-    canonical_constant,
     canonical_max_many,
+    clark_moments,
 )
-from repro.core.sensitivity import (
-    elmore_sensitivity,
-    elmore_sensitivity_arrays,
-)
+from repro.core.sensitivity import elmore_sensitivity_arrays
 from repro.core.variation import (
     VariationModel,
     _attached_topology,
@@ -77,6 +89,7 @@ from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 from repro.parallel import plan_shards, resolve_backend
 from repro.sta.interconnect import NetArrays
+from repro.sta.levels import TimingLevels, levelize
 from repro.sta.netlist import Design, Pin
 from repro.sta.timing import TimingResult, _analyze_traced, analyze
 
@@ -92,6 +105,8 @@ __all__ = [
 #: Order of the shared (chip-wide) process variables in every
 #: canonical form this engine produces.
 PROCESS_VARIABLES: Tuple[str, ...] = ("R", "C", "CELL")
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _ANALYSES = _counter(
     "ssta_analyses_total", "Completed statistical timing analyses"
@@ -215,98 +230,190 @@ def _net_coefficients(
     return a, r.T[_lower_triangle(size)]
 
 
-def _wire_forms(
-    coefficients: tuple, nominal_delays: Dict[Pin, float]
-) -> Dict[Pin, CanonicalForm]:
-    """Canonical delay form of every net sink from packed coefficients.
+class _RowStore:
+    """Every pin's residual coefficients, stored compactly.
+
+    A pin's own entries (a gate output's interpolated row, or a net
+    sink's wire labels) are one slice of the growable ``cols``/``vals``
+    buffers, exact zeros left out.  A net sink's full residual is its
+    driver's entries followed by its own, so a driver's row is stored
+    once however many sinks read it.
+    """
+
+    def __init__(self, num_pins: int, driver: np.ndarray) -> None:
+        self.driver = driver
+        self.start = np.zeros(num_pins, dtype=np.intp)
+        self.count = np.zeros(num_pins, dtype=np.intp)
+        self.cols = np.empty(1024, dtype=np.intp)
+        self.vals = np.empty(1024)
+        self.size = 0
+
+    def put(self, rows: np.ndarray, counts: np.ndarray, cols: np.ndarray,
+            vals: np.ndarray) -> None:
+        """Append the entries of ``rows`` (``counts[i]`` each, in row
+        order) as those pins' own entries."""
+        end = self.size + len(cols)
+        if end > len(self.cols):
+            grow = max(end, 2 * len(self.cols))
+            self.cols = np.resize(self.cols, grow)
+            self.vals = np.resize(self.vals, grow)
+        self.cols[self.size:end] = cols
+        self.vals[self.size:end] = vals
+        self.start[rows] = self.size + np.cumsum(counts) - counts
+        self.count[rows] = counts
+        self.size = end
+
+    def trim(self) -> None:
+        """Release the buffers' unused tail once the walk is done."""
+        self.cols = self.cols[:self.size].copy()
+        self.vals = self.vals[:self.size].copy()
+
+    def gather(self, pins: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(owner, cols, vals)``: the residual entries of net sinks
+        ``pins``, ``owner[e]`` the position in ``pins`` entry ``e``
+        belongs to."""
+        seg = np.concatenate([self.driver[pins], pins])
+        counts = self.count[seg]
+        index = np.arange(counts.sum()) + np.repeat(
+            self.start[seg] - np.cumsum(counts) + counts, counts)
+        owner = np.repeat(np.tile(np.arange(len(pins)), 2), counts)
+        return owner, self.cols[index], self.vals[index]
+
+    def entries(self, pin: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One pin's residual ``(cols, vals)``: driver's, then own."""
+        parts = [pin] if self.driver[pin] < 0 else [self.driver[pin], pin]
+        spans = [slice(self.start[p], self.start[p] + self.count[p])
+                 for p in parts]
+        return (np.concatenate([self.cols[s] for s in spans]),
+                np.concatenate([self.vals[s] for s in spans]))
+
+
+class _Arrivals(Mapping):
+    """Read-only ``pin -> CanonicalForm`` over the walk's arrays.
+
+    Each pin's form is built on first access, with its labels (see
+    :func:`_columns`), and cached; iteration follows the walk order.
+    """
+
+    def __init__(self, levels: TimingLevels, mu: np.ndarray, a: np.ndarray,
+                 rows: _RowStore, labels: np.ndarray) -> None:
+        self._index = levels.index
+        self._mu = mu
+        self._a = a
+        self._rows = rows
+        self._labels = labels
+        self._built: Dict[Pin, CanonicalForm] = {}
+
+    def __getitem__(self, pin: Pin) -> CanonicalForm:
+        form = self._built.get(pin)
+        if form is None:
+            row = self._index[pin]
+            cols, vals = self._rows.entries(row)
+            form = self._built[pin] = CanonicalForm(
+                float(self._mu[row]), self._a[row].copy(),
+                dict(zip(self._labels[cols].tolist(), vals.tolist())),
+            )
+        return form
+
+    def __contains__(self, pin: object) -> bool:
+        return pin in self._index
+
+    def __iter__(self) -> Iterator[Pin]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} arrivals, {len(self._built)} built>"
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """The integer column of every residual source of one walk.
+
+    Columns 0-2 are the shared variables (:data:`PROCESS_VARIABLES`);
+    the rest are allocated level by level: each level's cell labels,
+    then its Clark labels, then the wire labels of the nets it drives,
+    and last the output fold's Clark labels.  ``labels[c]`` names column
+    ``c``.  Each source kind has its own namespace, so no two sources
+    share a label whatever the net and instance names:
+
+    * ``net:{net}.q{j}`` — wire residual ``j`` of a net;
+    * ``cell:{instance}`` — a gate's cell-speed residual;
+    * ``max:{instance}#{i}`` — the Clark step folding a gate's input
+      ``i``;
+    * ``max.outputs#{j}`` — the Clark step folding output ``j``.
+    """
+
+    labels: np.ndarray
+    net_q0: Dict[str, int]
+    level_tail: List[int]
+    outputs_tail: int
+
+
+def _columns(levels: TimingLevels, net_sizes: Dict[str, int],
+             cell_resid: bool) -> _Columns:
+    labels: List[Optional[str]] = [None] * len(PROCESS_VARIABLES)
+    net_q0: Dict[str, int] = {}
+    level_tail: List[int] = []
+    by_level: List[List[str]] = [[] for _ in levels.levels]
+    for name, level in levels.nets:
+        by_level[level].append(name)
+    for level, nets in zip(levels.levels, by_level):
+        level_tail.append(len(labels))
+        if cell_resid:
+            labels += [f"cell:{name}" for name in level.gates]
+        labels += [f"max:{name}#{i}"
+                   for name, fanin in zip(level.gates, level.fanin.tolist())
+                   for i in range(1, fanin)]
+        for name in nets:
+            net_q0[name] = len(labels)
+            labels += [f"net:{name}.q{j}" for j in range(net_sizes[name])]
+    outputs_tail = len(labels)
+    labels += [f"max.outputs#{j}" for j in range(1, len(levels.outputs))]
+    return _Columns(np.array(labels, dtype=object), net_q0, level_tail,
+                    outputs_tail)
+
+
+def _wire_rows(
+    levels: TimingLevels, coefficients: tuple,
+    nominal_delays: Dict[Pin, float], model: ProcessModel,
+) -> Tuple[_Columns, _RowStore, np.ndarray, np.ndarray]:
+    """Columns, the wire residual rows and the wire means/globals.
 
     ``coefficients`` is ``(net_sinks, a, l)`` as the nominal pass
     returns it (:func:`_net_coefficients`, net by net in ``net_sinks``
-    order).  Sink ``s`` of net ``n`` carries the residual labels
-    ``"{n}.q0" .. "{n}.q{s}"``, private to the net; exact zeros are
-    left out.
+    order).  Sink ``s`` of net ``n`` carries residual columns
+    ``net_q0[n] + 0 .. s`` with the packed row ``s`` of the net's ``L``.
+    Returns ``(columns, rows, wire_mu, wire_a)``, the last two by pin.
     """
     net_sinks, a, l = coefficients
-    coeffs = l.tolist()
-    forms: Dict[Pin, CanonicalForm] = {}
-    row = pos = 0
-    for net_name, pins in net_sinks:
-        labels = [f"{net_name}.q{j}" for j in range(len(pins))]
-        for s, pin in enumerate(pins):
-            resid = {
-                label: value
-                for label, value in zip(labels, coeffs[pos:pos + s + 1])
-                if value != 0.0
-            }
-            forms[pin] = CanonicalForm(nominal_delays[pin], a[row], resid)
-            row += 1
-            pos += s + 1
-    _FORMS.inc(len(forms))
-    return forms
-
-
-def _net_delay_forms(
-    net_name: str,
-    elaborated,
-    model: ProcessModel,
-    nominal_delays: Dict[Pin, float],
-) -> Dict[Pin, CanonicalForm]:
-    """Canonical delay form per sink of one elaborated net, one residual
-    label per RC element (the test oracle of :func:`_wire_forms`).
-
-    The form's mean is the batched nominal Elmore delay; the linear
-    coefficients come from the exact bilinear sensitivities.  Residual
-    labels are per *element*, shared between sinks of the same net, so
-    sink-to-sink (and reconvergent-path) correlation is exact.
-    """
-    tree = elaborated.tree
-    sr, sc = model.variation.sigma_arrays(tree)
-    res = tree.resistances
-    cap = tree.capacitances
-    root_r = math.sqrt(model.rho_r)
-    root_c = math.sqrt(model.rho_c)
-    resid_r = math.sqrt(1.0 - model.rho_r)
-    resid_c = math.sqrt(1.0 - model.rho_c)
-    forms: Dict[Pin, CanonicalForm] = {}
-    for sink, node in elaborated.sink_nodes.items():
-        sens = elmore_sensitivity(tree, node)
-        gr = sens.dR * res * sr
-        gc = sens.dC * cap * sc
-        a = np.array([root_r * float(gr.sum()),
-                      root_c * float(gc.sum()), 0.0])
-        resid: Dict[str, float] = {}
-        if resid_r > 0.0:
-            for i in np.flatnonzero(gr):
-                resid[f"{net_name}.r{i}"] = resid_r * float(gr[i])
-        if resid_c > 0.0:
-            for i in np.flatnonzero(gc):
-                resid[f"{net_name}.c{i}"] = resid_c * float(gc[i])
-        forms[sink] = CanonicalForm(nominal_delays[sink], a, resid)
-    _FORMS.inc(len(forms))
-    return forms
-
-
-def _stage_form(
-    model: ProcessModel, instance: str, stage_nominal: float
-) -> CanonicalForm:
-    """Canonical form of one gate stage delay.
-
-    The whole stage (intrinsic + slew-dependent part, both proportional
-    to the cell's speed) scales with the cell-speed variation; the
-    residual label is per *instance*, so the same gate's stages through
-    different input pins stay perfectly correlated.
-    """
-    if model.cell_sigma <= 0.0 or stage_nominal == 0.0:
-        return canonical_constant(stage_nominal, len(PROCESS_VARIABLES))
-    scale = model.cell_sigma * stage_nominal
-    a = np.array([0.0, 0.0, math.sqrt(model.rho_cell) * scale])
-    resid: Dict[str, float] = {}
-    if model.rho_cell < 1.0:
-        resid[f"cell.{instance}"] = (
-            math.sqrt(1.0 - model.rho_cell) * scale
-        )
-    _FORMS.inc()
-    return CanonicalForm(stage_nominal, a, resid)
+    sizes = {name: len(pins) for name, pins in net_sinks}
+    columns = _columns(levels, sizes,
+                       model.cell_sigma > 0.0 and model.rho_cell < 1.0)
+    index = levels.index
+    num_pins = len(levels.pins)
+    pins = [index[pin] for _, sinks in net_sinks for pin in sinks]
+    width = np.array([s + 1 for _, sinks in net_sinks
+                      for s in range(len(sinks))], dtype=np.intp)
+    q0 = np.array([columns.net_q0[name] for name, sinks in net_sinks
+                   for _ in sinks], dtype=np.intp)
+    first = np.cumsum(width) - width
+    cols = np.arange(len(l)) + np.repeat(q0 - first, width)
+    keep = l != 0.0
+    rows = _RowStore(num_pins, levels.driver)
+    rows.put(np.array(pins, dtype=np.intp),
+             np.add.reduceat(keep, first, dtype=np.intp), cols[keep],
+             l[keep])
+    wire_mu = np.zeros(num_pins)
+    wire_mu[pins] = [nominal_delays[pin] for _, sinks in net_sinks
+                     for pin in sinks]
+    wire_a = np.zeros((num_pins, len(PROCESS_VARIABLES)))
+    wire_a[pins] = a
+    _FORMS.inc(len(pins))
+    return columns, rows, wire_mu, wire_a
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +428,9 @@ class SSTAReport:
     Attributes
     ----------
     arrival:
-        Canonical arrival form at every timing point (pins, incl. ports).
+        Canonical arrival form at every timing point (pins, incl.
+        ports): a read-only mapping that builds each form on first
+        access.
     outputs:
         Arrival form per primary output port.
     critical:
@@ -339,7 +448,7 @@ class SSTAReport:
         The :class:`ProcessModel` analyzed.
     """
 
-    arrival: Dict[Pin, CanonicalForm]
+    arrival: Mapping[Pin, CanonicalForm]
     outputs: Dict[str, CanonicalForm]
     critical: CanonicalForm
     criticality: Dict[str, float]
@@ -415,6 +524,236 @@ class SSTAReport:
 # ---------------------------------------------------------------------------
 
 
+def _clark(mu_x, var_x, mu_y, var_y, cov):
+    """:func:`~repro.core.canonical.canonical_max`'s moments, row-wise.
+
+    Returns ``(tightness, mean, var, tie)``.  Tie rows (``X - Y``
+    deterministic up to :data:`TIE_EPSILON`) get tightness 1 or 0, so
+    interpolating with it picks the larger-mean operand exactly.
+    """
+    theta = np.sqrt(np.maximum(var_x + var_y - 2.0 * cov, 0.0))
+    tie = theta <= TIE_EPSILON * np.sqrt(np.maximum(var_x, var_y))
+    alpha = (mu_x - mu_y) / np.where(tie, 1.0, theta)
+    t = np.where(tie, (mu_x >= mu_y).astype(np.float64), ndtr(alpha))
+    pdf = np.where(tie, 0.0, _INV_SQRT_2PI * np.exp(-0.5 * alpha * alpha))
+    mean = mu_x * t + mu_y * (1.0 - t) + theta * pdf
+    second = ((mu_x * mu_x + var_x) * t + (mu_y * mu_y + var_y) * (1.0 - t)
+              + (mu_x + mu_y) * theta * pdf)
+    return t, mean, np.maximum(second - mean * mean, 0.0), tie
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _clark_fold(block: np.ndarray, mu: np.ndarray, starts: np.ndarray,
+                fanin: np.ndarray, fresh: int
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left-fold Clark max of each group of rows, all groups at once.
+
+    Group ``g`` is rows ``starts[g] .. starts[g] + fanin[g] - 1`` of
+    ``block`` (dense coefficients) and ``mu``; ``fanin`` must be
+    non-increasing, so slot ``i`` is a prefix of the groups.  The fresh
+    label of group ``g``'s step ``i`` is column
+    ``fresh + starts[g] - g + i - 1``.  Returns ``(rows, mu, weights)``:
+    each group's max and its tightness-chain weights (row ``g``, columns
+    ``0 .. fanin[g] - 1``), normalised as in
+    :func:`~repro.core.canonical.canonical_max_many`.
+    """
+    out = block[starts]
+    out_mu = mu[starts]
+    weights = np.zeros((len(starts), int(fanin[0])))
+    weights[:, 0] = 1.0
+    for i in range(1, weights.shape[1]):
+        n = int(np.count_nonzero(fanin > i))
+        x = out[:n]
+        y = block[starts[:n] + i]
+        mu_y = mu[starts[:n] + i]
+        t, mean, var, tie = _clark(out_mu[:n], _rowdot(x, x), mu_y,
+                                   _rowdot(y, y), _rowdot(x, y))
+        x *= t[:, None]
+        x += (1.0 - t)[:, None] * y
+        var_linear = _rowdot(x, x)
+        deficit = var - var_linear
+        grow = np.flatnonzero(~tie & (deficit > 0.0))
+        x[grow, fresh + starts[grow] - grow + i - 1] = np.sqrt(deficit[grow])
+        # Rare: the interpolated linear part overshoots Clark's
+        # variance; rescale it so the total still matches exactly.
+        shrink = ~tie & (deficit < 0.0) & (var_linear > 0.0)
+        if shrink.any():
+            x[shrink] *= np.sqrt(var[shrink] / var_linear[shrink])[:, None]
+        out_mu[:n] = mean
+        weights[:n, :i] *= t[:, None]
+        weights[:n, i] = 1.0 - t
+    total = weights.sum(axis=1)
+    np.divide(weights, total[:, None], out=weights,
+              where=total[:, None] > 0.0)
+    return out, out_mu, weights
+
+
+class _Block:
+    """Dense coefficients of some net sinks over the columns they use.
+
+    Columns are the shared variables, then the residual columns any of
+    the rows holds (ascending), then ``tail`` columns ``tail0 ..``
+    private to the caller (cell and Clark labels), which no row holds
+    yet; ``self.tail`` is the first of those.
+    """
+
+    def __init__(self, rows: _RowStore, a: np.ndarray, pins: np.ndarray,
+                 tail0: int, tail: int, scratch: np.ndarray) -> None:
+        owner, cols, vals = rows.gather(pins)
+        scratch[cols] = 1
+        used = np.flatnonzero(scratch)
+        self.tail = len(PROCESS_VARIABLES) + len(used)
+        scratch[used] = np.arange(len(PROCESS_VARIABLES), self.tail)
+        self.coef = np.zeros((len(pins), self.tail + tail))
+        self.coef[:, :len(PROCESS_VARIABLES)] = a[pins]
+        self.coef[owner, scratch[cols]] = vals
+        scratch[used] = 0
+        self.columns = np.concatenate([used, np.arange(tail0, tail0 + tail)])
+
+    def compact(self, rows: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(counts, cols, vals)``: the nonzero residual entries of the
+        dense ``rows``, row by row, as global columns."""
+        resid = rows[:, len(PROCESS_VARIABLES):]
+        r, c = np.nonzero(resid != 0.0)
+        return (np.bincount(r, minlength=len(rows)), self.columns[c],
+                resid[r, c])
+
+
+def _input_slews(levels: TimingLevels, nominal: TimingResult) -> np.ndarray:
+    """The nominal slew at every gate input, by pin row (0 elsewhere)."""
+    slew = np.zeros(len(levels.pins))
+    pins = levels.pins
+    for level in levels.levels:
+        slew[level.inputs] = [nominal.slew[pins[r]] for r in level.inputs]
+    return slew
+
+
+def _walk(levels: TimingLevels, model: ProcessModel, nominal: TimingResult,
+          input_arrivals: Optional[Dict[str, float]], columns: _Columns,
+          rows: _RowStore, wire_mu: np.ndarray, wire_a: np.ndarray
+          ) -> Tuple[np.ndarray, np.ndarray, List[Optional[np.ndarray]]]:
+    """The forward statistical walk, one level at a time.
+
+    Per level: every gate input's candidate ``arrival + stage`` as one
+    dense block, Clark's max folded per fan-in slot across the level
+    (:func:`_clark_fold`), the gate outputs stored compactly, then the
+    level's net sinks as driver + wire in one gather and add.  Returns
+    ``(mu, a, weights)``: every pin's mean and shared coefficients, and
+    each level's fan-in weights (row per gate, in the level's order;
+    ``None`` for level 0, which has no gates).
+    """
+    num_pins = len(levels.pins)
+    mu = np.zeros(num_pins)
+    a = np.zeros((num_pins, len(PROCESS_VARIABLES)))
+    arrivals = input_arrivals or {}
+    mu[levels.ports] = [arrivals.get(levels.pins[p].pin, 0.0)
+                        for p in levels.ports]
+    slew = _input_slews(levels, nominal)
+    scratch = np.zeros(len(columns.labels), dtype=np.intp)
+    cell_sigma = model.cell_sigma
+    cell_resid = cell_sigma > 0.0 and model.rho_cell < 1.0
+    all_weights: List[Optional[np.ndarray]] = []
+    for level, tail0 in zip(levels.levels, columns.level_tail):
+        weights = None
+        if level.gates:
+            inputs = level.inputs
+            gates = len(level.gates)
+            stage = level.intrinsic + level.slew_impact * slew[inputs]
+            cells = gates if cell_resid else 0
+            block = _Block(rows, a, inputs, tail0,
+                           cells + len(inputs) - gates, scratch)
+            coef = block.coef
+            if cell_sigma > 0.0:
+                scale = cell_sigma * stage
+                _FORMS.inc(int(np.count_nonzero(scale)))
+                coef[:, 2] += math.sqrt(model.rho_cell) * scale
+                if cell_resid:
+                    coef[np.arange(len(inputs)), block.tail + level.owner] = (
+                        math.sqrt(1.0 - model.rho_cell) * scale)
+            out, out_mu, weights = _clark_fold(
+                coef, mu[inputs] + stage, level.starts, level.fanin,
+                block.tail + cells)
+            _MAX_OPS.inc(len(inputs) - gates)
+            mu[level.outputs] = out_mu
+            a[level.outputs] = out[:, :len(PROCESS_VARIABLES)]
+            rows.put(level.outputs, *block.compact(out))
+        all_weights.append(weights)
+        mu[level.sinks] = mu[level.drivers] + wire_mu[level.sinks]
+        a[level.sinks] = a[level.drivers] + wire_a[level.sinks]
+    return mu, a, all_weights
+
+
+def _output_fold(levels: TimingLevels, columns: _Columns, rows: _RowStore,
+                 mu: np.ndarray, a: np.ndarray
+                 ) -> Tuple[CanonicalForm, List[float]]:
+    """Clark max over the outputs with each output's criticality.
+
+    A left fold in ``design.outputs`` order (Clark's max is not
+    associative), so one running row against one output row per step,
+    with the scalar :func:`~repro.core.canonical.clark_moments`.
+    """
+    outputs = levels.outputs
+    block = _Block(rows, a, outputs, columns.outputs_tail, len(outputs) - 1,
+                   np.zeros(len(columns.labels), dtype=np.intp))
+    coef = block.coef
+    out_mu = mu[outputs].tolist()
+    out_var = _rowdot(coef, coef).tolist()
+    row = coef[0].copy()
+    row_mu = out_mu[0]
+    weights = np.zeros(len(outputs))
+    weights[0] = 1.0
+    for j in range(1, len(outputs)):
+        y = coef[j]
+        t, row_mu, var, tie = clark_moments(
+            row_mu, float(row @ row), out_mu[j], out_var[j], float(row @ y))
+        if tie:
+            if t == 0.0:
+                row = y.copy()
+        else:
+            row *= t
+            row += (1.0 - t) * y
+            var_linear = float(row @ row)
+            deficit = var - var_linear
+            if deficit > 0.0:
+                row[block.tail + j - 1] = math.sqrt(deficit)
+            elif var_linear > 0.0 and deficit < 0.0:
+                row *= math.sqrt(var / var_linear) if var > 0.0 else 0.0
+        weights[:j] *= t
+        weights[j] = 1.0 - t
+    if len(outputs) > 1:
+        _MAX_OPS.inc(len(outputs) - 1)
+    total = weights.sum()
+    if total > 0.0:
+        weights /= total
+    _, cols, vals = block.compact(row[None, :])
+    critical = CanonicalForm(
+        row_mu, row[:len(PROCESS_VARIABLES)].copy(),
+        dict(zip(columns.labels[cols].tolist(), vals.tolist())),
+    )
+    return critical, weights.tolist()
+
+
+def _backward(levels: TimingLevels, out_weights: List[float],
+              weights: List[Optional[np.ndarray]]) -> np.ndarray:
+    """Pin criticality: walk the levels in reverse; a net funnels its
+    sinks' criticality back to its driver, a gate splits its output
+    pin's over its fan-in by the Clark tightness weights.
+    Disjoint-event approximation (Visweswariah)."""
+    crit = np.zeros(len(levels.pins))
+    crit[levels.outputs] = out_weights
+    for level, w in zip(reversed(levels.levels), reversed(weights)):
+        np.add.at(crit, level.drivers, crit[level.sinks])
+        if level.gates:
+            owner = level.owner
+            slot = np.arange(len(level.inputs)) - level.starts[owner]
+            crit[level.inputs] = crit[level.outputs][owner] * w[owner, slot]
+    return crit
+
+
 def analyze_ssta(
     design: Design,
     model: ProcessModel,
@@ -436,20 +775,21 @@ def analyze_ssta(
     across workers / the shm warm pool and journals exactly like
     ``repro sta``), and the same pass returns every net's SSTA
     coefficients (computed in the shard task when sharded).  The
-    statistical walk then mirrors the deterministic one: gate-input
+    statistical walk then mirrors the deterministic one, a level of the
+    timing graph at a time (see the module docstring): gate-input
     stages use the *nominal* slews (slew dispersion is a second-order
     effect on the stage delay), interconnect delays carry the full
     first-order variation, and every fan-in competes through Clark's
-    max.  Pass a precomputed ``nominal`` result (``"elmore"`` model) to
-    skip the deterministic pass; the coefficients then come from its
-    ``nets`` through the same per-net function.
+    max.  ``report.arrival`` builds each pin's form on first access.
+    Pass a precomputed ``nominal`` result (``"elmore"`` model) to skip
+    the deterministic pass; the coefficients then come from its ``nets``
+    through the same per-net function.
     """
     if not isinstance(model, ProcessModel):
         raise AnalysisError(
             "analyze_ssta needs a ProcessModel (wrap your VariationModel)"
         )
     with _span("ssta.analyze", nets=len(design.nets)) as sp:
-        order = design.timing_order()
         if not design.outputs:
             raise TimingGraphError("design has no primary outputs")
         if nominal is None:
@@ -469,82 +809,24 @@ def analyze_ssta(
                 [(name, list(net.sink_nodes)) for name, net in nets.items()],
                 *model.net_columns([net.arrays() for net in nets.values()]),
             )
-        num_vars = len(PROCESS_VARIABLES)
 
         with _span("ssta.extract", nets=len(nominal.nets)):
-            wire_forms = _wire_forms(coefficients, nominal.wire_delay)
-
-        arrival: Dict[Pin, CanonicalForm] = {}
-        gate_fanin: Dict[str, Tuple[List[Pin], List[float]]] = {}
-        for port in design.inputs:
-            pin = Pin(Pin.PORT, port)
-            arrival[pin] = canonical_constant(
-                (input_arrivals or {}).get(port, 0.0), num_vars
-            )
-
-        for kind, name in order:
-            if kind == "net":
-                net = design.nets[name]
-                base = arrival[net.driver]
-                for sink in net.sinks:
-                    arrival[sink] = base + wire_forms[sink]
-                continue
-            cell = design.instances[name].cell
-            pins: List[Pin] = []
-            candidates: List[CanonicalForm] = []
-            for pin_name in cell.inputs:
-                pin = Pin(name, pin_name)
-                stage_nominal = (
-                    cell.intrinsic_delay
-                    + cell.slew_impact * nominal.slew[pin]
-                )
-                candidates.append(
-                    arrival[pin] + _stage_form(model, name, stage_nominal)
-                )
-                pins.append(pin)
-            out_form, weights = canonical_max_many(
-                candidates, label=f"max.{name}"
-            )
-            if len(candidates) > 1:
-                _MAX_OPS.inc(len(candidates) - 1)
-            arrival[Pin(name, cell.output)] = out_form
-            gate_fanin[name] = (pins, weights)
-
+            levels = levelize(design)
+            columns, rows, wire_mu, wire_a = _wire_rows(
+                levels, coefficients, nominal.wire_delay, model)
+        mu, a, weights = _walk(levels, model, nominal, input_arrivals,
+                               columns, rows, wire_mu, wire_a)
+        with _span("ssta.max", outputs=len(levels.outputs)):
+            critical, out_weights = _output_fold(levels, columns, rows,
+                                                 mu, a)
+        rows.trim()
+        arrival = _Arrivals(levels, mu, a, rows, columns.labels)
         outputs = {
             port: arrival[Pin(Pin.PORT, port)] for port in design.outputs
         }
-        with _span("ssta.max", outputs=len(outputs)):
-            critical, out_weights = canonical_max_many(
-                list(outputs.values()), label="max.outputs"
-            )
-            if len(outputs) > 1:
-                _MAX_OPS.inc(len(outputs) - 1)
-        criticality = dict(zip(outputs, out_weights))
-
-        # Backward criticality pass: walk the forward order reversed;
-        # a gate splits its output-pin criticality over its fan-in by
-        # the Clark tightness weights, a net funnels its sinks' back to
-        # the driver.  Disjoint-event approximation (Visweswariah).
-        pin_criticality: Dict[Pin, float] = {}
-        for port, weight in criticality.items():
-            pin_criticality[Pin(Pin.PORT, port)] = weight
-        for kind, name in reversed(order):
-            if kind == "gate":
-                out_pin = Pin(name, design.instances[name].cell.output)
-                out_crit = pin_criticality.get(out_pin, 0.0)
-                pins, weights = gate_fanin[name]
-                for pin, weight in zip(pins, weights):
-                    pin_criticality[pin] = (
-                        pin_criticality.get(pin, 0.0) + out_crit * weight
-                    )
-            else:
-                net = design.nets[name]
-                total = sum(
-                    pin_criticality.get(s, 0.0) for s in net.sinks
-                )
-                pin_criticality[net.driver] = (
-                    pin_criticality.get(net.driver, 0.0) + total
-                )
+        criticality = dict(zip(design.outputs, out_weights))
+        pin_criticality = dict(zip(
+            levels.pins, _backward(levels, out_weights, weights).tolist()))
 
         _ANALYSES.inc()
         sp.set_attribute("outputs", len(outputs))
@@ -639,7 +921,7 @@ def monte_carlo_arrivals(
             "monte_carlo_arrivals needs a ProcessModel"
         )
     with _span("ssta.monte_carlo", samples=samples) as sp:
-        order = design.timing_order()
+        levels = levelize(design)
         if nominal is None:
             nominal = analyze(
                 design, "elmore", input_arrivals=input_arrivals,
@@ -679,50 +961,39 @@ def monte_carlo_arrivals(
         cap_rows = topology.capacitances * (1.0 + np.clip(xc, -clip, clip))
         delays = _sweep_rows(topology, res_rows, cap_rows, jobs, backend)
 
-        sink_delays: Dict[Pin, np.ndarray] = {}
+        # Pin-major (pins, B) arrivals, one level at a time.
+        wire = delays.T
+        wire_row = np.zeros(len(levels.pins), dtype=np.intp)
         for net_name, offset in zip(net_order, offsets):
             elaborated = nominal.nets[net_name]
             for sink, node in elaborated.sink_nodes.items():
-                sink_delays[sink] = delays[
-                    :, offset + elaborated.tree.index_of(node)
-                ]
+                wire_row[levels.index[sink]] = (
+                    offset + elaborated.tree.index_of(node))
 
         xg = model.cell_sigma * (
             math.sqrt(model.rho_cell) * z[:, 2:3]
             + math.sqrt(1.0 - model.rho_cell) * eps_cell
         )
-        gate_factor = 1.0 + np.clip(xg, -clip, clip)
+        gate_factor = (1.0 + np.clip(xg, -clip, clip)).T
         gate_index = {name: i for i, name in enumerate(instances)}
+        slew = _input_slews(levels, nominal)
 
-        arrivals: Dict[Pin, np.ndarray] = {}
-        for port in design.inputs:
-            arrivals[Pin(Pin.PORT, port)] = np.full(
-                samples, (input_arrivals or {}).get(port, 0.0)
-            )
-        for kind, name in order:
-            if kind == "net":
-                net = design.nets[name]
-                base = arrivals[net.driver]
-                for sink in net.sinks:
-                    arrivals[sink] = base + sink_delays[sink]
-                continue
-            cell = design.instances[name].cell
-            factor = gate_factor[:, gate_index[name]]
-            best: Optional[np.ndarray] = None
-            for pin_name in cell.inputs:
-                pin = Pin(name, pin_name)
-                stage_nominal = (
-                    cell.intrinsic_delay
-                    + cell.slew_impact * nominal.slew[pin]
-                )
-                t = arrivals[pin] + stage_nominal * factor
-                best = t if best is None else np.maximum(best, t)
-            arrivals[Pin(name, cell.output)] = best
-
-        matrix = np.stack(
-            [arrivals[Pin(Pin.PORT, port)] for port in design.outputs],
-            axis=1,
-        )
+        arrivals = np.empty((len(levels.pins), samples))
+        for p in levels.ports:
+            arrivals[p] = (input_arrivals or {}).get(levels.pins[p].pin,
+                                                     0.0)
+        for level in levels.levels:
+            if level.gates:
+                stage = level.intrinsic + level.slew_impact * slew[
+                    level.inputs]
+                factor = gate_factor[[gate_index[g] for g in level.gates]]
+                t = arrivals[level.inputs] + (stage[:, None]
+                                              * factor[level.owner])
+                arrivals[level.outputs] = np.maximum.reduceat(
+                    t, level.starts, axis=0)
+            arrivals[level.sinks] = (arrivals[level.drivers]
+                                     + wire[wire_row[level.sinks]])
+        matrix = np.ascontiguousarray(arrivals[levels.outputs].T)
         return list(design.outputs), matrix
 
 

@@ -13,6 +13,7 @@ from repro.sta.ssta import (
     validate_against_monte_carlo,
 )
 from repro.workloads.generators import random_design
+from tests.sta.ssta_oracle import net_delay_forms
 
 #: The repo's documented canonical-vs-Monte-Carlo tolerances.
 MEAN_TOL = 0.01
@@ -168,9 +169,7 @@ class TestMonteCarloValidation:
         matrix = monte_carlo_delay_matrix(
             elab.tree, independent.variation, 6000, seed=9, backend="shm"
         )
-        from repro.sta.ssta import _net_delay_forms
-
-        forms = _net_delay_forms(
+        forms = net_delay_forms(
             name, elab, independent, report.nominal.wire_delay
         )
         for sink, node in elab.sink_nodes.items():

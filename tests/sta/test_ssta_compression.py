@@ -1,16 +1,16 @@
 """Compressed SSTA residuals: each net's per-element residual labels are
 replaced by the ``S x S`` factor of its residual matrix, computed from the
 net's flat arrays in the nominal shard task.  Every covariance, so every
-arrival mean and sigma and every criticality, must match the
-per-element forms (the oracle ``_net_delay_forms``), and the sharded
-parent must build no RC tree."""
+arrival mean and sigma and every criticality, must match the scalar
+walk over per-element forms (``ssta_walk(per_element=True)`` of
+``tests/sta/ssta_oracle.py``), and the sharded parent must build no RC
+tree."""
 
 import json
 
 import numpy as np
 import pytest
 
-import repro.sta.ssta as ssta
 import repro.sta.timing as timing
 from repro.circuit import RCTree
 from repro.core.variation import VariationModel
@@ -19,6 +19,7 @@ from repro.resilience.checkpoint import CheckpointError
 from repro.sta import analyze, net_arrays
 from repro.sta.ssta import ProcessModel, analyze_ssta
 from repro.workloads import random_design
+from tests.sta.ssta_oracle import ssta_walk
 
 #: The correlated process model of ``benchmarks/bench_ssta.py``.
 MODEL = ProcessModel(
@@ -26,21 +27,6 @@ MODEL = ProcessModel(
     rho_r=0.5, rho_c=0.5, cell_sigma=0.05, rho_cell=0.5,
 )
 REL = 1e-9
-
-
-def per_element_report(design, model, monkeypatch):
-    """``analyze_ssta`` with one residual label per RC element."""
-    nominal = analyze(design, "elmore")
-
-    def per_element(coefficients, delays):
-        forms = {}
-        for name, net in nominal.nets.items():
-            forms.update(ssta._net_delay_forms(name, net, model, delays))
-        return forms
-
-    with monkeypatch.context() as patch:
-        patch.setattr(ssta, "_wire_forms", per_element)
-        return analyze_ssta(design, model, nominal=nominal)
 
 
 def gate_criticality(design, report):
@@ -68,10 +54,9 @@ def count_tree_builds(monkeypatch):
 class TestAgainstPerElementForms:
     @pytest.mark.parametrize("layers, width, seed",
                              [(8, 40, 1), (8, 40, 2), (20, 50, 1)])
-    def test_every_arrival_and_gate_criticality(self, layers, width, seed,
-                                                monkeypatch):
+    def test_every_arrival_and_gate_criticality(self, layers, width, seed):
         design = random_design(layers, width, seed=seed)
-        ref = per_element_report(design, MODEL, monkeypatch)
+        ref = ssta_walk(design, MODEL, per_element=True)
         got = analyze_ssta(design, MODEL)
         assert got.arrival.keys() == ref.arrival.keys()
         for pin, form in ref.arrival.items():
@@ -86,32 +71,33 @@ class TestAgainstPerElementForms:
         labels = sum(len(f.resid) for f in got.arrival.values())
         assert 3 * labels < sum(len(f.resid) for f in ref.arrival.values())
 
-    @staticmethod
-    def wire_forms(design, model):
-        nominal, coefficients = timing._analyze_traced(
-            design, "elmore", None, None, None, None, None, None, None,
-            False, process=model,
-        )
-        forms = ssta._wire_forms(coefficients, nominal.wire_delay)
-        return nominal, coefficients[0], forms
-
     def test_sink_s_carries_labels_q0_to_qs_of_its_net(self):
-        nominal, net_sinks, forms = self.wire_forms(
-            random_design(3, 4, seed=3), MODEL)
-        for name, pins in net_sinks:
-            for s, pin in enumerate(pins):
-                assert forms[pin].mu == nominal.wire_delay[pin]
-                assert set(forms[pin].resid) == {
-                    f"{name}.q{j}" for j in range(s + 1)}
+        design = random_design(3, 4, seed=3)
+        report = analyze_ssta(design, MODEL)
+        nominal = report.nominal
+        for name, net in nominal.nets.items():
+            prefix = f"net:{name}."
+            for s, pin in enumerate(net.sink_nodes):
+                labels = report.arrival[pin].resid
+                assert {label for label in labels
+                        if label.startswith(prefix)} == {
+                    f"{prefix}q{j}" for j in range(s + 1)}
+            if design.nets[name].driver.is_port:
+                for pin in net.sink_nodes:
+                    assert report.arrival[pin].mu == nominal.wire_delay[pin]
 
     def test_fully_shared_variation_has_no_wire_labels(self):
         shared = ProcessModel(
             VariationModel(resistance_sigma=0.1, capacitance_sigma=0.1),
             rho_r=1.0, rho_c=1.0,
         )
-        _, _, forms = self.wire_forms(random_design(3, 4, seed=3), shared)
-        assert all(not form.resid for form in forms.values())
-        assert all(form.sigma > 0.0 for form in forms.values())
+        design = random_design(3, 4, seed=3)
+        report = analyze_ssta(design, shared)
+        for pin, form in report.arrival.items():
+            assert not any(label.startswith("net:") for label in form.resid)
+        for net in design.nets.values():
+            for pin in net.sinks:
+                assert report.arrival[pin].sigma > 0.0
 
 
 class TestShardTask:

@@ -17,9 +17,9 @@ MODEL = ProcessModel(
     VariationModel(resistance_sigma=0.08, capacitance_sigma=0.06),
     rho_r=0.5, rho_c=0.3, cell_sigma=0.05, rho_cell=0.4,
 )
-CRITICAL = (4.689915710348572e-10, 1.6210100188278574e-11)
+CRITICAL = (4.689915710348573e-10, 1.6210100188275598e-11)
 FORMS_SHA256 = (
-    "3f63187273f4967ae094b4f2698207fc75fbeb8de894f32871f18ed9a2b180ff"
+    "5243393dfd5adfcb49c326eb156ba03ed5fd71b2608c2362139962bee36285da"
 )
 
 

@@ -25,7 +25,7 @@ over each gate's inputs (Clark's, folded per fan-in slot, for SSTA).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -112,7 +112,12 @@ def levelize(design: Design) -> TimingLevels:
     Raises what :meth:`~repro.sta.netlist.Design.timing_order` raises
     on an unconnected pin or a combinational loop.
     """
-    order = design.timing_order()
+    return _levelize(design, design.timing_order())
+
+
+def _levelize(design: Design, order: List[Tuple[str, str]]) -> TimingLevels:
+    """:func:`levelize` over an order the caller already has (the
+    nominal pass's ``TimingResult._order``)."""
     pins = [Pin(Pin.PORT, port) for port in design.inputs]
     # Rows by name (str keys hash once): a port's, a gate's output, and
     # each net sink's by (instance, pin).

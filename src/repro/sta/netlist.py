@@ -12,7 +12,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro._exceptions import TimingGraphError, ValidationError
 from repro.sta.library import Cell, CellLibrary
@@ -20,11 +20,12 @@ from repro.sta.library import Cell, CellLibrary
 __all__ = ["Instance", "Net", "Design", "Pin"]
 
 
-@dataclass(frozen=True)
-class Pin:
+class Pin(NamedTuple):
     """A pin reference: ``(instance_name, pin_name)``.
 
-    Primary ports use the reserved instance name ``"@port"``.
+    Primary ports use the reserved instance name ``"@port"``.  A pin is
+    a tuple (built, hashed and compared in C, which the timing walks do
+    for every pin), so it equals the plain ``(instance, pin)`` tuple.
     """
 
     instance: str

@@ -89,7 +89,7 @@ from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 from repro.parallel import plan_shards, resolve_backend
 from repro.sta.interconnect import NetArrays
-from repro.sta.levels import TimingLevels, levelize
+from repro.sta.levels import TimingLevels, _levelize, levelize
 from repro.sta.netlist import Design, Pin
 from repro.sta.timing import TimingResult, _analyze_traced, analyze
 
@@ -792,12 +792,14 @@ def analyze_ssta(
     with _span("ssta.analyze", nets=len(design.nets)) as sp:
         if not design.outputs:
             raise TimingGraphError("design has no primary outputs")
+        order = None
         if nominal is None:
             nominal, coefficients = _analyze_traced(
                 design, "elmore", input_arrivals, input_slews, wire_load,
                 net_overrides, jobs, backend, checkpoint_path, resume,
                 process=model,
             )
+            order = nominal._order
         elif nominal.delay_model != "elmore":
             raise TimingGraphError(
                 "analyze_ssta requires an 'elmore' nominal result "
@@ -811,7 +813,8 @@ def analyze_ssta(
             )
 
         with _span("ssta.extract", nets=len(nominal.nets)):
-            levels = levelize(design)
+            levels = (levelize(design) if order is None
+                      else _levelize(design, order))
             columns, rows, wire_mu, wire_a = _wire_rows(
                 levels, coefficients, nominal.wire_delay, model)
         mu, a, weights = _walk(levels, model, nominal, input_arrivals,
@@ -921,13 +924,15 @@ def monte_carlo_arrivals(
             "monte_carlo_arrivals needs a ProcessModel"
         )
     with _span("ssta.monte_carlo", samples=samples) as sp:
-        levels = levelize(design)
         if nominal is None:
             nominal = analyze(
                 design, "elmore", input_arrivals=input_arrivals,
                 input_slews=input_slews, wire_load=wire_load,
                 net_overrides=net_overrides,
             )
+            levels = _levelize(design, nominal._order)
+        else:
+            levels = levelize(design)
         net_order = [n for n in design.nets if n in nominal.nets]
         trees = [nominal.nets[n].tree for n in net_order]
         topology, offsets = compile_forest(trees)

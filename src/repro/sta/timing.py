@@ -26,6 +26,7 @@ edge to their ``output_slew``.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -54,7 +55,7 @@ from repro.core.batch import (
 )
 from repro.core.metrics import METRICS
 from repro.core.moments import transfer_moments
-from repro.parallel import plan_shards, run_sharded
+from repro.parallel import DEFAULT_MAX_SHARDS, plan_shards, run_sharded
 
 from repro.sta.interconnect import (
     ElaboratedNet,
@@ -66,6 +67,21 @@ from repro.sta.interconnect import (
     net_geometry,
 )
 from repro.sta.netlist import Design, Pin
+
+
+#: Fewest nets one STA/SSTA shard holds.  Every shard pays its own
+#: forest compile, order-2 sweep and pool round trip, so a design of a
+#: few hundred nets runs in a handful of shards; past
+#: ``NET_SHARD_FLOOR * DEFAULT_MAX_SHARDS`` nets the plan is the usual
+#: ``DEFAULT_MAX_SHARDS`` near-equal shards.
+NET_SHARD_FLOOR = 64
+
+
+def _net_plan(total: int):
+    """The net shard plan: a function of the net count alone, never of
+    ``jobs``, so results and journals do not depend on the workers."""
+    return plan_shards(total, shard_size=max(
+        math.ceil(total / DEFAULT_MAX_SHARDS), NET_SHARD_FLOOR))
 
 
 def _net_dispersion(net: ElaboratedNet) -> Dict["Pin", float]:
@@ -194,7 +210,7 @@ def _journal_key(geometry: NetGeometry) -> list:
                     sorted((str(pin), node) for pin, node in mapping.items())]
     return [
         geometry.net,
-        [astuple(pin) for pin in geometry.sinks],
+        [tuple(pin) for pin in geometry.sinks],
         geometry.driver_resistance,
         geometry.driver_position,
         geometry.sink_positions,
@@ -260,7 +276,7 @@ def _precompute_elmore_batched(
             if process is not None:
                 columns = [process.net_columns(arrays)]
         else:
-            shards = plan_shards(len(payload))
+            shards = _net_plan(len(payload))
             sp.set_attribute("shards", len(shards))
             parts = [payload[shard.start:shard.stop] for shard in shards]
             kind, task = "sta.analyze", _sta_shard_task
@@ -426,6 +442,11 @@ class TimingResult:
     wire_delay: Dict[Pin, float]
     _predecessor: Dict[Pin, Tuple[Optional[Pin], str, str, float]] = field(
         default_factory=dict, repr=False
+    )
+    # The design's timing order this result was walked in, so SSTA
+    # levelises the same walk without a second ``timing_order()``.
+    _order: List[Tuple[str, str]] = field(
+        default_factory=list, repr=False, compare=False
     )
 
     def arrival_at_output(self, port: str) -> float:
@@ -645,4 +666,5 @@ def _analyze(
         delay_model=delay_model,
         wire_delay=wire_delay,
         _predecessor=predecessor,
+        _order=order,
     ), coefficients

@@ -2,6 +2,7 @@
 them only when ``TimingResult.nets`` is read, and every backend agrees
 bit for bit with :func:`elaborate_net`."""
 
+import json
 import math
 import pickle
 
@@ -171,6 +172,33 @@ class TestLazyNets:
             ref = elaborate_net(d, net, override=overrides().get(name))
             assert tree_fingerprint(result.nets[name].tree) == \
                 tree_fingerprint(ref.tree)
+
+
+class TestJournalKey:
+    """A net's checkpoint-fingerprint ingredient, as JSON, pinned (STA
+    journals fingerprint it, so any change refuses old journals)."""
+
+    def keys(self):
+        geometries = timing._net_geometries(mixed_design(), None,
+                                            overrides())
+        return {name: json.dumps(timing._journal_key(geometries[name]))
+                for name in ("n1", "n3")}
+
+    def test_routed_net(self):
+        assert self.keys()["n1"] == (
+            '["n1", [["u2", "a"], ["u3", "a"], ["u2", "a"]], 400.0, '
+            '[0.0, 0.0], [[0.0001, 2e-05], [5e-05, 8e-05], '
+            '[0.0001, 2e-05]], [9e-15, 8e-15, 9e-15], [50.0, 5e-15], '
+            '[0.04, 3e-05, 4e-11, 5e-07, "M2-al"], 1e-06, null]'
+        )
+
+    def test_override_net(self):
+        assert self.keys()["n3"] == (
+            '["n3", [["u2", "b"]], 0.0, null, [], [], [50.0, 5e-15], '
+            '[0.04, 3e-05, 4e-11, 5e-07, "M2-al"], 1e-06, '
+            '["4af21046ddd54b917694d90277eb7bd1d6069f1878ace57ec6b37812'
+            '330370a8", [["u2.b", "y"]]]]'
+        )
 
 
 class TestBackendsBitIdentical:

@@ -35,6 +35,46 @@ def chain(lib):
     return d
 
 
+class TestPin:
+    """``Pin`` is a named tuple: equal and hash-equal to its plain
+    ``(instance, pin)`` tuple, immutable and picklable."""
+
+    def test_equals_and_hashes_like_its_tuple(self):
+        pin = Pin("u1", "a")
+        assert pin == ("u1", "a") and ("u1", "a") == pin
+        assert hash(pin) == hash(("u1", "a"))
+        assert {("u1", "a"): 1}[pin] == 1
+        assert {pin: 1}[("u1", "a")] == 1
+        assert tuple(pin) == ("u1", "a")
+        assert (pin.instance, pin.pin) == ("u1", "a")
+        assert pin != Pin("u1", "b")
+
+    def test_immutable(self):
+        pin = Pin("u1", "a")
+        with pytest.raises(AttributeError):
+            pin.pin = "b"  # type: ignore[misc]
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        for pin in (Pin("u1", "a"), Pin(Pin.PORT, "z")):
+            back = pickle.loads(pickle.dumps(pin))
+            assert back == pin and type(back) is Pin
+
+    def test_str_repr_and_ports(self):
+        assert Pin.PORT == "@port"
+        assert str(Pin("u1", "a")) == "u1.a"
+        assert repr(Pin("u1", "a")) == "Pin(instance='u1', pin='a')"
+        port = Pin(Pin.PORT, "z")
+        assert str(port) == "z" and port.is_port
+        assert not Pin("u1", "a").is_port
+
+    def test_tuple_keys_find_design_pins(self, chain):
+        result = analyze(chain)
+        assert result.arrival[("@port", "z")] == \
+            result.arrival[Pin(Pin.PORT, "z")]
+
+
 class TestConstruction:
     def test_chain_validates(self, chain):
         chain.validate()
@@ -263,6 +303,25 @@ class TestTimingOrder:
         compute_slacks(design, result, 1e-9)
         analyze_ssta(design, MODEL, nominal=result)
         monte_carlo_arrivals(design, MODEL, 16, nominal=result)
+
+    @pytest.mark.parametrize("nominal", [False, True],
+                             ids=["own-nominal", "given-nominal"])
+    def test_one_timing_order_per_statistical_call(self, monkeypatch,
+                                                   nominal):
+        design = random_design(layers=3, width=4, seed=3)
+        given = {"nominal": analyze(design)} if nominal else {}
+        calls = []
+        real = Design.timing_order
+
+        def counting(self):
+            calls.append(self.name)
+            return real(self)
+
+        monkeypatch.setattr(Design, "timing_order", counting)
+        analyze_ssta(design, MODEL, **given)
+        assert len(calls) == 1
+        monte_carlo_arrivals(design, MODEL, 16, **given)
+        assert len(calls) == 2
 
 
 def _rebuilt(design, rng):

@@ -9,7 +9,9 @@ behind one uniform interface for the ablation benchmarks.
 
 Every metric maps ``(tree, node)`` to a 50% step-delay estimate.  The
 moment-only metrics also accept a precomputed
-:class:`~repro.core.moments.TransferMoments` for batch evaluation.
+:class:`~repro.core.moments.TransferMoments` for batch evaluation, with
+the node given by name or by column index (the STA engine passes a
+moment object over its sinks' columns alone, with no tree).
 """
 
 from __future__ import annotations

@@ -58,14 +58,9 @@ def run(params, ctx: Context) -> Dict[str, Any]:
     from repro.sta import analyze
 
     design, stanza = build_design(params)
-    # Only the Elmore model has a sharded fan-out; the others evaluate
-    # one net at a time, in-process whatever jobs/backend say.  The
-    # checkpoint is always forwarded: journaling them is a clean error.
-    engine = {"jobs": ctx.jobs, "backend": ctx.backend} \
-        if params.delay_model == "elmore" else {}
     result = analyze(design, delay_model=params.delay_model,
-                     checkpoint_path=ctx.checkpoint, resume=ctx.resume,
-                     **engine)
+                     jobs=ctx.jobs, backend=ctx.backend,
+                     checkpoint_path=ctx.checkpoint, resume=ctx.resume)
     return {
         "design": stanza,
         "delay_model": params.delay_model,

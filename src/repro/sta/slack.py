@@ -71,7 +71,8 @@ def compute_slacks(
     ----------
     design:
         The analyzed design (the one the result came from: its sink
-        pins index the result's ``wire_delay``).
+        pins index the result's ``wire_delay``, and the backward pass
+        walks the timing order the forward pass recorded).
     result:
         Forward analysis result (supplies arrivals, slews, and the
         per-sink ``wire_delay`` of whatever delay model was used).
@@ -89,7 +90,10 @@ def compute_slacks(
     else:
         req_out = {port: float(required) for port in design.outputs}
 
-    order = design.timing_order()
+    # The forward pass's own walk; another design is ordered (and so
+    # validated) afresh.
+    order = result._order if result._design is design \
+        else design.timing_order()
     required_times: Dict[Pin, float] = {}
     for port, value in req_out.items():
         required_times[Pin(Pin.PORT, port)] = value

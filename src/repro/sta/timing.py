@@ -2,7 +2,8 @@
 
 Arrival times propagate through the gate-level design in
 :meth:`~repro.sta.netlist.Design.timing_order`.  Each net's interconnect
-delay is evaluated per sink on the net's RC tree with a pluggable delay
+delay is evaluated per sink from one batched forest sweep of the nets'
+RC trees (sharded across workers on request) with a pluggable delay
 model:
 
 * ``"elmore"`` — the paper's bound (guaranteed pessimistic: safe STA);
@@ -25,19 +26,16 @@ edge to their ``output_slew``.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro._exceptions import AnalysisError, MetricError, TimingGraphError
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
-
-logger = logging.getLogger(__name__)
 
 _NETS_EVALUATED = _counter(
     "sta_nets_total", "Nets whose interconnect delays were evaluated"
@@ -48,13 +46,10 @@ _METRIC_FALLBACKS = _counter(
 )
 from repro.analysis.responses import measure_delay
 from repro.analysis.state_space import ExactAnalysis
-from repro.core.batch import (
-    batch_transfer_moments,
-    compile_forest,
-    compile_topology,
-)
+from repro.circuit.rctree import RCTree
+from repro.core.batch import batch_transfer_moments, compile_forest
 from repro.core.metrics import METRICS
-from repro.core.moments import transfer_moments
+from repro.core.moments import TransferMoments
 from repro.parallel import DEFAULT_MAX_SHARDS, plan_shards, run_sharded
 
 from repro.sta.interconnect import (
@@ -70,7 +65,7 @@ from repro.sta.netlist import Design, Pin
 
 
 #: Fewest nets one STA/SSTA shard holds.  Every shard pays its own
-#: forest compile, order-2 sweep and pool round trip, so a design of a
+#: forest compile, moment sweep and pool round trip, so a design of a
 #: few hundred nets runs in a handful of shards; past
 #: ``NET_SHARD_FLOOR * DEFAULT_MAX_SHARDS`` nets the plan is the usual
 #: ``DEFAULT_MAX_SHARDS`` near-equal shards.
@@ -84,77 +79,108 @@ def _net_plan(total: int):
         math.ceil(total / DEFAULT_MAX_SHARDS), NET_SHARD_FLOOR))
 
 
-def _net_dispersion(net: ElaboratedNet) -> Dict["Pin", float]:
-    """Per-sink variance ``mu_2(h)`` of the net's impulse response."""
-    moments = batch_transfer_moments(compile_topology(net.tree), 2)
-    mu2 = np.maximum(moments.variance()[0], 0.0)
-    return {
-        sink: float(mu2[net.tree.index_of(node)])
-        for sink, node in net.sink_nodes.items()
-    }
-
 __all__ = ["TimingResult", "PathElement", "analyze", "DELAY_MODELS"]
 
 
-def _elmore_model(net: ElaboratedNet) -> Dict[Pin, float]:
-    delays = batch_transfer_moments(
-        compile_topology(net.tree), 1
-    ).elmore_delays()[0]
-    return {
-        sink: float(delays[net.tree.index_of(node)])
-        for sink, node in net.sink_nodes.items()
-    }
+#: Available interconnect delay models for :func:`analyze`, each mapped
+#: to the moment order its forest sweep runs at: 2 gives ``m1`` and the
+#: slew dispersion ``mu2`` every model needs, the two-pole fit reads
+#: ``m0..m3`` and the four-pole AWE fit ``m0..m7``.
+DELAY_MODELS: Dict[str, int] = {
+    "elmore": 2,
+    "exact": 2,
+    "ln2_elmore": 2,
+    "lower_bound": 2,
+    "lognormal": 2,
+    "d2m": 2,
+    "two_pole": 4,
+    "awe4": 8,
+}
 
 
-def _sweep_nets(nets: List[NetArrays]) -> np.ndarray:
-    """Elmore delay and ``mu2`` of every sink through one forest sweep.
+def _exact_delays(net: NetArrays) -> List[float]:
+    """The measured 50% step delay at each of the net's sinks."""
+    analysis = ExactAnalysis(RCTree.from_arrays(*net[:5]))
+    return [measure_delay(analysis, net.node_names[sink])
+            for sink in net.sinks]
+
+
+def _sweep_nets(nets: List[NetArrays], delay_model: str) -> np.ndarray:
+    """Wire delay, ``mu2`` and fit fallback of every sink through one
+    forest sweep.
 
     The nets' flat arrays (:class:`NetArrays`) are compiled side by side
-    into one forest topology and swept once at order 2.  Returns a
-    ``(2, sinks)`` float64 array: row 0 the Elmore delay and row 1 the
-    impulse-response variance ``mu2`` of every sink, net by net, each
-    net's sinks in ``sink_pins()`` order.  Every per-node quantity of
-    the batched sweeps depends only on that node's own tree (subtree
-    folds and root-path prefixes never cross tree roots), so a
-    sub-forest reproduces the whole-forest results bit for bit.
+    into one forest topology and swept once, at the moment order
+    ``DELAY_MODELS[delay_model]``.  Returns a ``(3, sinks)`` float64
+    array, net by net, each net's sinks in ``sink_pins()`` order:
+
+    * row 0, the wire delay: the Elmore delay ``-m1``; for ``"exact"``
+      the measured 50% delay of the net's pole/residue response; for a
+      :data:`~repro.core.metrics.METRICS` key the metric over the sink's
+      coefficient column;
+    * row 1, the impulse-response variance ``mu2``;
+    * row 2, ``1.0`` where the metric's fit failed and the sink kept
+      its Elmore delay, else ``0.0``.
+
+    Every per-node quantity of the batched sweeps depends only on that
+    node's own tree (subtree folds and root-path prefixes never cross
+    tree roots), so a sub-forest reproduces the whole-forest results
+    bit for bit.
     """
     topology, offsets = compile_forest(nets)
-    moments = batch_transfer_moments(topology, 2)
+    moments = batch_transfer_moments(topology, DELAY_MODELS[delay_model])
     index = [
         offset + sink
         for net, offset in zip(nets, offsets)
         for sink in net.sinks
     ]
-    return np.stack([
-        moments.elmore_delays()[0][index],
-        np.maximum(moments.variance()[0][index], 0.0),
-    ])
+    coefficients = moments.coefficients[:, 0, index]
+    m1 = coefficients[1]
+    out = np.zeros((3, len(index)))
+    out[0] = -m1
+    out[1] = np.maximum(2.0 * coefficients[2] - m1 * m1, 0.0)
+    if delay_model == "exact":
+        out[0] = [delay for net in nets for delay in _exact_delays(net)]
+    elif delay_model != "elmore":
+        metric = METRICS[delay_model]
+        columns = TransferMoments(None, coefficients)
+        for j in range(len(index)):
+            try:
+                out[0, j] = metric(columns, j)
+            except (AnalysisError, MetricError):
+                # Higher-order fits can fail on degenerate nets (complex
+                # or unstable fitted poles); keep the certified Elmore
+                # value rather than aborting the STA run.
+                out[2, j] = 1.0
+    return out
 
 
-def _sta_shard_task(geometries: List[NetGeometry]) -> np.ndarray:
-    """Lay out and sweep one shard's nets (picklable task).
+def _evaluate_shard(nets: List[NetArrays], delay_model: str, process):
+    """:func:`_sweep_nets`, plus ``process.net_columns`` over the same
+    arrays when a :class:`~repro.sta.ssta.ProcessModel` is given."""
+    values = _sweep_nets(nets, delay_model)
+    if process is None:
+        return values
+    return (values, *process.net_columns(nets))
 
-    The payload is a list of :class:`NetGeometry` records.  Each net is
+
+def _net_shard_task(payload):
+    """Lay out and evaluate one shard's nets (picklable task).
+
+    The payload is ``(geometries, delay_model, process)``: a list of
+    :class:`NetGeometry` records, a key of :data:`DELAY_MODELS` and a
+    :class:`~repro.sta.ssta.ProcessModel` or ``None``.  Each net is
     routed straight to flat parent/R/C arrays with :func:`net_arrays`
-    and the shard's arrays are swept as one forest (:func:`_sweep_nets`),
-    so no :class:`~repro.circuit.rctree.RCTree` is ever built here: only
-    geometry goes in and one ``(2, sinks)`` array comes back.
+    and the shard's arrays go through :func:`_evaluate_shard`, so only
+    geometry goes in and the ``(3, sinks)`` array (with a process, also
+    the nets' SSTA coefficients, computed net by net so they do not
+    depend on which shard holds the net) comes back.  No
+    :class:`~repro.circuit.rctree.RCTree` is built here except by the
+    ``"exact"`` model, whose pole/residue analysis needs one per net.
     """
-    return _sweep_nets([net_arrays(geometry) for geometry in geometries])
-
-
-def _ssta_shard_task(payload) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_sta_shard_task` plus the nets' SSTA coefficients.
-
-    The payload is ``(geometries, process)`` with ``process`` a
-    :class:`~repro.sta.ssta.ProcessModel`.  Returns the ``(2, sinks)``
-    sweep and ``process.net_columns`` over the same arrays: each net's
-    global coefficients and compressed residual factor, computed net by
-    net so they do not depend on which shard holds the net.
-    """
-    geometries, process = payload
-    nets = [net_arrays(geometry) for geometry in geometries]
-    return (_sweep_nets(nets), *process.net_columns(nets))
+    geometries, delay_model, process = payload
+    return _evaluate_shard([net_arrays(geometry) for geometry in geometries],
+                           delay_model, process)
 
 
 class _LazyNets(Mapping):
@@ -222,8 +248,9 @@ def _journal_key(geometry: NetGeometry) -> list:
     ]
 
 
-def _precompute_elmore_batched(
+def _precompute_nets(
     design: Design,
+    delay_model: str,
     wire_load,
     net_overrides,
     jobs: Optional[int] = None,
@@ -237,30 +264,30 @@ def _precompute_elmore_batched(
     The parent reads each net's routing inputs into a
     :class:`NetGeometry`.  :func:`_sweep_nets` compiles the nets' flat
     parent/R/C arrays (:class:`NetArrays`) side by side into one forest
-    topology and runs an order-2 :func:`batch_transfer_moments` sweep
-    that yields every sink's Elmore delay (arrival propagation) and
-    impulse-response variance (slew propagation) at once.  With ``jobs``
-    unset this is ONE in-process sweep over the whole net list: the
-    trees are built (:func:`build_net`) and stay cached in the returned
-    nets, and the sweep reads their arrays.  With ``jobs`` given, the
-    geometry list is split into deterministic shards fanned out through
-    :mod:`repro.parallel` (``1`` = serial backend, ``>= 2`` = worker
-    processes) with bit-identical results.  Each :func:`_sta_shard_task`
-    lays its nets out with :func:`net_arrays` and builds no RC tree, so
-    only the pickled geometries and one ``(2, sinks)`` array per shard
-    cross the process boundary, and the parent builds a tree only when
-    ``nets`` is read.  Returns the nets and the per-sink delay and
-    variance maps; a non-finite delay or variance raises
+    topology and runs one :func:`batch_transfer_moments` sweep that
+    yields every sink's wire delay under ``delay_model`` (arrival
+    propagation) and impulse-response variance (slew propagation) at
+    once.  With ``jobs`` unset this is ONE in-process sweep over the
+    whole net list: the trees are built (:func:`build_net`) and stay
+    cached in the returned nets, and the sweep reads their arrays.  With
+    ``jobs`` given, the geometry list is split into deterministic shards
+    fanned out through :mod:`repro.parallel` (``1`` = serial backend,
+    ``>= 2`` = worker processes) with bit-identical results.  Each
+    :func:`_net_shard_task` lays its nets out with :func:`net_arrays`,
+    so only the pickled geometries and one ``(3, sinks)`` array per
+    shard cross the process boundary, and the parent builds a tree only
+    when ``nets`` is read.  Sinks whose metric fit fell back to Elmore
+    are counted here, in the parent, under
+    ``sta_metric_fallbacks_total``.  Returns the nets and the per-sink
+    delay and variance maps; a non-finite delay or variance raises
     :class:`AnalysisError` naming the first net that produced one.
 
     With a ``process`` (a :class:`~repro.sta.ssta.ProcessModel`) the
     same pass also returns every net's SSTA coefficients as
     ``(net_sinks, a, l)``: ``net_sinks`` lists ``(net, sink pins)`` in
     design order and ``a``/``l`` are ``process.net_columns`` over the
-    nets' arrays, computed in the shard task next to the sweep
-    (:func:`_ssta_shard_task`) or, in-process, over the same arrays.
-    Without one the fourth item is ``None`` and the shards run
-    :func:`_sta_shard_task` unchanged.
+    nets' arrays, computed next to the sweep (:func:`_evaluate_shard`).
+    Without one the fourth item is ``None``.
     """
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
         geometries = _net_geometries(design, wire_load, net_overrides)
@@ -271,20 +298,16 @@ def _precompute_elmore_batched(
         _NETS_EVALUATED.inc(len(payload))
         if jobs is None and backend is None and checkpoint_path is None:
             # In-process: build through ``nets`` so the trees are kept.
-            arrays = [net.arrays() for net in nets.values()]
-            chunks = [_sweep_nets(arrays)]
-            if process is not None:
-                columns = [process.net_columns(arrays)]
+            chunks = [_evaluate_shard([net.arrays() for net in nets.values()],
+                                      delay_model, process)]
         else:
             shards = _net_plan(len(payload))
             sp.set_attribute("shards", len(shards))
-            parts = [payload[shard.start:shard.stop] for shard in shards]
-            kind, task = "sta.analyze", _sta_shard_task
-            extra = {}
+            parts = [(payload[shard.start:shard.stop], delay_model, process)
+                     for shard in shards]
+            kind, extra = "sta.analyze", {}
             if process is not None:
-                kind, task = "ssta.analyze", _ssta_shard_task
-                parts = [(part, process) for part in parts]
-                extra = {"process": astuple(process)}
+                kind, extra = "ssta.analyze", {"process": astuple(process)}
             checkpoint = None
             if checkpoint_path is not None:
                 from repro.resilience.checkpoint import (
@@ -297,6 +320,7 @@ def _precompute_elmore_batched(
                         kind,
                         nets=[_journal_key(g) for g in payload],
                         plan=[shard.size for shard in shards],
+                        delay_model=delay_model,
                         **extra,
                     ),
                     len(shards),
@@ -305,7 +329,7 @@ def _precompute_elmore_batched(
                 )
             try:
                 chunks = run_sharded(
-                    task,
+                    _net_shard_task,
                     parts,
                     jobs=jobs,
                     label="sta.parallel_run",
@@ -315,10 +339,16 @@ def _precompute_elmore_batched(
             finally:
                 if checkpoint is not None:
                     checkpoint.close()
-            if process is not None:
-                columns = [chunk[1:] for chunk in chunks]
-                chunks = [chunk[0] for chunk in chunks]
+        if process is not None:
+            columns = [chunk[1:] for chunk in chunks]
+            chunks = [chunk[0] for chunk in chunks]
         values = np.concatenate(chunks, axis=1)
+        fallbacks = int(values[2].sum())
+        if fallbacks:
+            # Counted here, not in the shard task: worker metric deltas
+            # carry base series only, and the base series is the total.
+            _METRIC_FALLBACKS.inc(fallbacks)
+            _METRIC_FALLBACKS.labels(metric=delay_model).inc(fallbacks)
         pins = [pin for geometry in payload for pin in geometry.sink_pins()]
         finite = np.isfinite(values).all(axis=0)
         if not finite.all():
@@ -326,9 +356,10 @@ def _precompute_elmore_batched(
             ends = np.cumsum([len(g.sink_pins()) for g in payload])
             net = payload[int(np.searchsorted(ends, first, side="right"))]
             raise AnalysisError(
-                f"net {net.net!r} has a non-finite Elmore delay or variance "
-                f"at sink {pins[first]} (delay {float(values[0, first])!r}, "
-                f"mu2 {float(values[1, first])!r}); check its instance "
+                f"net {net.net!r} has a non-finite {delay_model} delay or "
+                f"variance at sink {pins[first]} (delay "
+                f"{float(values[0, first])!r}, mu2 "
+                f"{float(values[1, first])!r}); check its instance "
                 "positions and wire parameters"
             )
         coefficients = None
@@ -340,60 +371,6 @@ def _precompute_elmore_batched(
             )
         return (nets, dict(zip(pins, values[0].tolist())),
                 dict(zip(pins, values[1].tolist())), coefficients)
-
-
-def _evaluate_per_net(
-    design: Design, model, wire_load, net_overrides
-) -> Tuple[_LazyNets, Dict[Pin, float], Dict[Pin, float]]:
-    """Non-batched models: evaluate each elaborated net on its own."""
-    nets = _LazyNets(_net_geometries(design, wire_load, net_overrides))
-    wire_delay: Dict[Pin, float] = {}
-    dispersion: Dict[Pin, float] = {}
-    for net_name, elaborated in nets.items():
-        _NETS_EVALUATED.inc()
-        with _span("sta.net", net=net_name,
-                   nodes=elaborated.tree.num_nodes):
-            wire_delay.update(model(elaborated))
-        with _span("sta.net_dispersion", net=net_name):
-            dispersion.update(_net_dispersion(elaborated))
-    return nets, wire_delay, dispersion
-
-
-def _exact_model(net: ElaboratedNet) -> Dict[Pin, float]:
-    analysis = ExactAnalysis(net.tree)
-    return {
-        sink: measure_delay(analysis, node)
-        for sink, node in net.sink_nodes.items()
-    }
-
-
-def _metric_model(metric: str) -> Callable[[ElaboratedNet], Dict[Pin, float]]:
-    fn = METRICS[metric]
-    order = 8 if metric == "awe4" else 4
-
-    def model(net: ElaboratedNet) -> Dict[Pin, float]:
-        moments = transfer_moments(net.tree, order)
-        out: Dict[Pin, float] = {}
-        for sink, node in net.sink_nodes.items():
-            try:
-                out[sink] = fn(moments, node)
-            except (AnalysisError, MetricError):
-                # Higher-order fits can fail on degenerate nets (complex
-                # or unstable fitted poles); fall back to the certified
-                # Elmore value rather than aborting the STA run.
-                _METRIC_FALLBACKS.labels(metric=metric).inc()
-                out[sink] = moments.mean(node)
-        return out
-
-    return model
-
-
-#: Available interconnect delay models for :func:`analyze`.
-DELAY_MODELS: Dict[str, Callable[[ElaboratedNet], Dict[Pin, float]]] = {
-    "elmore": _elmore_model,
-    "exact": _exact_model,
-    **{name: _metric_model(name) for name in METRICS},
-}
 
 
 @dataclass(frozen=True)
@@ -443,11 +420,14 @@ class TimingResult:
     _predecessor: Dict[Pin, Tuple[Optional[Pin], str, str, float]] = field(
         default_factory=dict, repr=False
     )
-    # The design's timing order this result was walked in, so SSTA
-    # levelises the same walk without a second ``timing_order()``.
+    # The design this result was walked on and its timing order, so the
+    # slack pass and SSTA reuse the same walk without a second
+    # ``timing_order()``.
     _order: List[Tuple[str, str]] = field(
         default_factory=list, repr=False, compare=False
     )
+    _design: Optional[Design] = field(default=None, repr=False,
+                                      compare=False)
 
     def arrival_at_output(self, port: str) -> float:
         """Arrival time at a primary output."""
@@ -523,26 +503,25 @@ def analyze(
     net_overrides:
         Optional per-net ``(tree, sink_node_map)`` overrides.
     jobs:
-        Only meaningful for the ``"elmore"`` model: fan the per-net
-        interconnect evaluation out through the sharded engine
-        (:mod:`repro.parallel`; ``1`` = serial backend, ``>= 2`` =
-        worker processes).  Arrival/slew results are bit-identical to
-        the default single-forest path.
+        Fan the per-net interconnect evaluation out through the sharded
+        engine (:mod:`repro.parallel`; ``1`` = serial backend, ``>= 2``
+        = worker processes), whatever the delay model.  Arrival/slew
+        results are bit-identical to the default single-forest path.
     backend:
         Execution backend for the sharded path (``"serial"`` or
         ``"shm"``; default auto).  ``"shm"`` selects the warm worker
         pool: each shard ships its nets' pickled routing inputs
         (:class:`~repro.sta.interconnect.NetGeometry`), the worker
         routes them straight to flat parent/R/C arrays
-        (:func:`~repro.sta.interconnect.net_arrays`) and sweeps them
-        without building RC trees, and one ``(2, sinks)`` delay /
-        variance array comes back.  Results stay bit-identical either
+        (:func:`~repro.sta.interconnect.net_arrays`) and evaluates them
+        in one forest sweep, and one ``(3, sinks)`` delay / variance /
+        fallback array comes back.  Results stay bit-identical either
         way.
     checkpoint_path, resume:
         Crash-safe journaling of the forest fan-out's per-shard results
-        (``"elmore"`` model only; see
-        :mod:`repro.resilience.checkpoint`).  ``resume=True`` skips
-        shards an interrupted run already journaled.
+        (see :mod:`repro.resilience.checkpoint`; the delay model is part
+        of the journal's fingerprint).  ``resume=True`` skips shards an
+        interrupted run already journaled.
     """
     return _analyze_traced(design, delay_model, input_arrivals,
                            input_slews, wire_load, net_overrides, jobs,
@@ -563,18 +542,11 @@ def _analyze_traced(
     process=None,
 ) -> Tuple[TimingResult, Optional[tuple]]:
     """:func:`analyze` plus, with a ``process``, the SSTA coefficients
-    :func:`_precompute_elmore_batched` computes in the same pass."""
+    :func:`_precompute_nets` computes in the same pass."""
     if delay_model not in DELAY_MODELS:
         raise TimingGraphError(
             f"unknown delay model {delay_model!r}; "
             f"choose from {sorted(DELAY_MODELS)}"
-        )
-    if (jobs is not None or backend is not None
-            or checkpoint_path is not None) and delay_model != "elmore":
-        raise TimingGraphError(
-            "jobs/backend/checkpoint are only supported with the "
-            "'elmore' delay model (the other models evaluate nets "
-            "one at a time)"
         )
     with _span("sta.analyze", model=delay_model) as sp:
         result, coefficients = _analyze(
@@ -601,22 +573,15 @@ def _analyze(
     order = design.timing_order()
     if not design.outputs:
         raise TimingGraphError("design has no primary outputs")
-    if delay_model == "elmore":
-        # Delay and dispersion don't depend on arrivals, so the whole
-        # netlist's interconnect is evaluated in batched forest sweeps
-        # (one call, or sharded across workers when jobs is given)
-        # before arrival propagation begins.
-        nets, wire_delay, dispersion, coefficients = \
-            _precompute_elmore_batched(
-                design, wire_load, net_overrides, jobs=jobs,
-                backend=backend, checkpoint_path=checkpoint_path,
-                resume=resume, process=process,
-            )
-    else:
-        nets, wire_delay, dispersion = _evaluate_per_net(
-            design, DELAY_MODELS[delay_model], wire_load, net_overrides
-        )
-        coefficients = None
+    # Delay and dispersion don't depend on arrivals, so the whole
+    # netlist's interconnect is evaluated in batched forest sweeps (one
+    # call, or sharded across workers when jobs is given) before arrival
+    # propagation begins.
+    nets, wire_delay, dispersion, coefficients = _precompute_nets(
+        design, delay_model, wire_load, net_overrides, jobs=jobs,
+        backend=backend, checkpoint_path=checkpoint_path, resume=resume,
+        process=process,
+    )
 
     arrivals: Dict[Pin, float] = {}
     slews: Dict[Pin, float] = {}
@@ -667,4 +632,5 @@ def _analyze(
         wire_delay=wire_delay,
         _predecessor=predecessor,
         _order=order,
+        _design=design,
     ), coefficients

@@ -256,8 +256,8 @@ class TestCodecHooksAndLifecycle:
 
 
 class TestStaJournal:
-    """``analyze`` journals each shard's ``(2, sinks)`` delay/variance
-    array and fingerprints the nets' geometry."""
+    """``analyze`` journals each shard's ``(3, sinks)`` delay/variance/
+    fallback array and fingerprints the nets' geometry."""
 
     @staticmethod
     def design(u2_position=(100e-6, 0.0)):
@@ -283,7 +283,7 @@ class TestStaJournal:
         # Three nets sit under the net shard floor: one shard, 3 sinks.
         assert len(records) == 1
         assert {r["payload"]["codec"] for r in records} == {"ndarray"}
-        assert {tuple(r["payload"]["shape"]) for r in records} == {(2, 3)}
+        assert {tuple(r["payload"]["shape"]) for r in records} == {(3, 3)}
 
     def test_resume_with_other_geometry_is_refused(self, tmp_path):
         from repro.sta import analyze

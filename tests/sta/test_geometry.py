@@ -24,6 +24,8 @@ from repro.sta import (
 )
 from repro.workloads import random_design
 
+from tests.sta.net_model_oracle import design_delays
+
 BACKENDS = [{}, {"jobs": 2, "backend": "shm"}]
 BACKEND_IDS = ["serial", "shm2"]
 
@@ -218,13 +220,9 @@ class TestBackendsBitIdentical:
         d = mixed_design()
         batched = analyze(d, net_overrides=overrides(), jobs=2,
                           backend="shm")
-        for name, net in d.nets.items():
-            elaborated = elaborate_net(d, net,
-                                       override=overrides().get(name))
-            per_net = timing._elmore_model(elaborated)
-            for pin, delay in per_net.items():
-                assert batched.wire_delay[pin] == pytest.approx(
-                    delay, rel=1e-12)
+        per_net, _, _ = design_delays(d, "elmore", overrides())
+        for pin, delay in per_net.items():
+            assert batched.wire_delay[pin] == pytest.approx(delay, rel=1e-12)
 
 
 class TestBadPositions:

@@ -86,7 +86,7 @@ class TestNetArrays:
         with pytest.raises(ValidationError, match="finite"):
             build_net(g)
         with pytest.raises(ValidationError, match="finite"):
-            timing._sta_shard_task([g])
+            timing._net_shard_task(([g], "elmore", None))
 
 
 class TestTreesUnchanged:
@@ -111,9 +111,9 @@ class TestShardTask:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(RCTree, "__init__", counting_init)
-        out = timing._sta_shard_task(geometries)
+        out = timing._net_shard_task((geometries, "elmore", None))
         assert built == []
-        assert out.shape == (2, sum(len(g.sink_pins())
+        assert out.shape == (3, sum(len(g.sink_pins())
                                     for g in geometries))
         build_net(geometries[0])  # the counter does see tree builds
         assert built == [1]
@@ -125,8 +125,9 @@ class TestShardTask:
                                                  None).values())
         for shard in plan_shards(len(geometries)):
             part = geometries[shard.start:shard.stop]
-            got = timing._sta_shard_task(part)
-            ref = timing._sweep_nets([build_net(g).arrays() for g in part])
+            got = timing._net_shard_task((part, "elmore", None))
+            ref = timing._sweep_nets([build_net(g).arrays() for g in part],
+                                     "elmore")
             assert got.tobytes() == ref.tobytes()
 
 

@@ -195,3 +195,25 @@ class TestConsistencyWithForward:
         r_exact = compute_slacks(fanout, exact, 1e-9)
         for pin, s in r_elmore.slack.items():
             assert s <= r_exact.slack[pin] + 1e-15
+
+
+class TestWalkOrder:
+    def test_backward_pass_reuses_the_forward_order(self, monkeypatch):
+        """``compute_slacks`` walks the order ``analyze`` recorded: no
+        second ``timing_order()``, and that order is the design's."""
+        from repro.workloads import random_design
+
+        design = random_design(4, 6, seed=5)
+        result = analyze(design)
+        assert result._order == design.timing_order()
+        calls = []
+        real = Design.timing_order
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(Design, "timing_order", counting)
+        report = compute_slacks(design, result, 1e-9)
+        assert calls == []
+        assert report.worst_slack == min(report.slack.values())

@@ -108,14 +108,15 @@ class TestShardTask:
                                                  None).values())
         whole = MODEL.net_columns([net_arrays(g) for g in geometries])
         built = count_tree_builds(monkeypatch)
-        parts = [timing._ssta_shard_task((geometries[s.start:s.stop],
-                                          MODEL))
+        parts = [timing._net_shard_task((geometries[s.start:s.stop],
+                                         "elmore", MODEL))
                  for s in plan_shards(len(geometries))]
         assert built == []
         # The sweep is the STA shard's, and each net's columns do not
         # depend on which shard holds it.
         assert np.concatenate([p[0] for p in parts], axis=1).tobytes() == \
-            timing._sweep_nets([net_arrays(g) for g in geometries]).tobytes()
+            timing._sweep_nets([net_arrays(g) for g in geometries],
+                               "elmore").tobytes()
         for got, want in zip(
                 (np.concatenate([p[1] for p in parts]),
                  np.concatenate([p[2] for p in parts])), whole):

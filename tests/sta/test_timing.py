@@ -143,20 +143,22 @@ class TestDelayModels:
         from repro._exceptions import MetricError
         from repro.obs.metrics import get_registry
         from repro.sta import timing
+        from tests.sta.net_model_oracle import design_delays
 
         def failing_fit(moments, node):
             raise MetricError("forced fit failure")
 
         monkeypatch.setitem(timing.METRICS, "d2m", failing_fit)
-        monkeypatch.setitem(timing.DELAY_MODELS, "d2m",
-                            timing._metric_model("d2m"))
         fallbacks = get_registry().get("sta_metric_fallbacks_total")
-        before = fallbacks.labels(metric="d2m").value
+        before = (fallbacks.value, fallbacks.labels(metric="d2m").value)
         result = analyze(chain, delay_model="d2m")
         sinks = sum(len(net.sinks) for net in chain.nets.values())
-        assert fallbacks.labels(metric="d2m").value - before == sinks
-        elmore = analyze(chain, delay_model="elmore")
-        for pin, delay in elmore.wire_delay.items():
+        assert fallbacks.value - before[0] == sinks
+        assert fallbacks.labels(metric="d2m").value - before[1] == sinks
+        # The per-tree oracle falls back the same way.
+        wire, _, failed = design_delays(chain, "d2m")
+        assert failed == sinks
+        for pin, delay in wire.items():
             assert result.wire_delay[pin] == pytest.approx(delay, rel=1e-12)
 
     def test_wire_load_scaling(self, chain):

@@ -183,20 +183,25 @@ def test_delay_model_choices_match_the_timing_engine():
 
 
 def test_non_elmore_sta_on_a_sharded_server(capsys):
-    """The sharded fan-out is Elmore-only: a jobs=2 server must still
-    answer other delay models, in-process."""
+    """Every delay model rides the sharded fan-out: a jobs=2 server
+    answers the exact model over >= 2 shards (the 8x40 design has ~360
+    nets), bit-identical to a serial in-process run."""
+    from repro.obs.metrics import counter
     from repro.sta import analyze
     from repro.workloads import random_design
 
+    shards = counter("parallel_shards_total")
+    before = shards.value
     with ServerThread(ServeConfig(port=0, jobs=2,
                                   manage_pool=False)) as thread:
         status, body = _post(
             thread.url, "/v1/sta",
-            json.dumps({"layers": 3, "width": 4,
+            json.dumps({"layers": 8, "width": 40, "seed": 1,
                         "delay_model": "exact"}).encode(),
         )
     assert status == 200
-    result = analyze(random_design(layers=3, width=4, seed=3), "exact")
+    assert shards.value - before >= 2
+    result = analyze(random_design(layers=8, width=40, seed=1), "exact")
     assert body["critical_output"] == result.critical_output
     assert body["critical_delay"] == float(result.critical_delay)
     OPS["sta"].render(body, Context())

@@ -102,12 +102,19 @@ def lognormal_metric(
 
 
 def d2m_metric(source: Union[RCTree, TransferMoments], node: str) -> float:
-    """The "delay with two moments" metric ``ln(2) M_1^2 / sqrt(M_2)``.
+    """The "delay with two moments" metric ``ln(2) M_1^2 / sqrt(M_2 / 2)``.
 
-    The lognormal median with the single-pole ``ln 2`` factor applied —
-    accurate far from the driver, pessimistic near it.
+    D2M (Alpert, Devgan and Kashyap, IEEE TCAD 2001) reads the first two
+    coefficients of ``H(s) = 1 - M_1 s + (M_2 / 2) s^2 - ...``, where
+    ``M_k`` are the raw moments of ``h(t)``: the ``s^2`` coefficient is
+    ``M_2 / 2``.  A single pole of time constant ``tau`` has ``M_1 =
+    tau`` and ``M_2 = 2 tau^2``, so D2M is then exactly its 50% delay
+    ``ln(2) tau``.  Since ``M_2 >= M_1^2`` it never exceeds
+    ``sqrt(2) ln(2) T_D ~ 0.98 T_D``, below the Elmore bound; it is an
+    estimate, not a bound, on either side of the true delay.
     """
-    return LN2 * lognormal_metric(source, node)
+    m1, m2 = _m1_m2(source, node)
+    return LN2 * m1 * m1 / math.sqrt(m2 / 2.0)
 
 
 def two_pole_metric(

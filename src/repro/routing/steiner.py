@@ -12,9 +12,10 @@ geometry.  This module supplies that flow:
 3. orient the tree away from the driver and emit wire segments
    (:func:`route_segments`), and
 4. lump the segments into an :class:`~repro.circuit.rctree.RCTree` through
-   the geometric wire model (:func:`route_net`).  The STA's workers stop
-   at flat parent/R/C arrays instead
-   (:func:`~repro.circuit.wires.layout_segments`).
+   the geometric wire model (:func:`route_net`).  The STA lays its MST
+   nets out as flat parent/R/C arrays straight from :func:`_mst_edges`
+   instead (:func:`repro.sta.interconnect.net_arrays`, the same arrays
+   as :func:`~repro.circuit.wires.layout_segments` gives here).
 """
 
 from __future__ import annotations

@@ -14,12 +14,15 @@ The returned mapping ``sink pin -> tree node name`` lets the timing engine
 query per-sink delays.
 
 Elaboration is two steps: :func:`net_geometry` reads a net's routing
-inputs off the design into a plain picklable :class:`NetGeometry`, and
-:func:`net_arrays` lays that record out as flat parent/R/C arrays
-(:class:`NetArrays`).  :func:`build_net` is the tree over those arrays
-(:meth:`RCTree.from_arrays`).  The STA ships geometries to its worker
-processes, which sweep the arrays without building any tree, so workers
-and the parent time identical nets by construction.
+inputs off the design into a :class:`NetGeometry`, and :func:`net_arrays`
+lays that record out as flat parent/R/C arrays (:class:`NetArrays`); a
+routed net goes straight from its rectilinear MST's index edges to the
+arrays, with no wire segments or name-keyed maps.  :func:`build_net` is
+the tree over those arrays (:meth:`RCTree.from_arrays`).  The STA's
+shard task gets each net as the plain :func:`net_record` tuple of what
+its layout reads and sweeps :func:`record_arrays` of it without
+building any tree, so shard tasks and the parent's trees see identical
+nets by construction.
 """
 
 from __future__ import annotations
@@ -28,17 +31,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro._exceptions import TimingGraphError
+from repro._exceptions import RoutingError, TimingGraphError, ValidationError
 from repro.circuit.rctree import RCTree, checked_load
-from repro.circuit.wires import (
-    DEFAULT_TECHNOLOGY, WireTechnology, layout_segments,
-)
-from repro.routing.steiner import route_segments
+from repro.circuit.wires import DEFAULT_TECHNOLOGY, WireTechnology
+from repro.routing.steiner import _MIN_SEGMENT, _mst_edges, manhattan
 from repro.sta.netlist import Design, Net, Pin
 
 __all__ = [
     "WireLoadModel", "ElaboratedNet", "NetGeometry", "NetArrays",
-    "net_geometry", "net_arrays", "build_net", "elaborate_net",
+    "net_geometry", "net_arrays", "net_record", "record_arrays",
+    "build_net", "elaborate_net",
 ]
 
 
@@ -89,10 +91,10 @@ _DEFAULT_WIRE_LOAD = WireLoadModel()
 class NetGeometry(NamedTuple):
     """Everything :func:`build_net` needs to build one net's RC tree.
 
-    A plain picklable record, cheap to build and to ship to worker
-    processes.  A routed net has a ``driver_position`` and one
-    ``sink_positions`` entry per sink, and is routed with
-    ``technology`` and ``wire_width``; a net without geometry
+    A plain record, cheap to build; the STA ships the leaner
+    :func:`net_record` of it to its shard tasks.  A routed net has a
+    ``driver_position`` and one ``sink_positions`` entry per sink, and
+    is routed with ``technology`` and ``wire_width``; a net without geometry
     (``driver_position`` is ``None``) becomes a ``wire_load`` star.
     ``sink_loads`` holds each sink pin's load capacitance, in ``sinks``
     order.  An override net carries the caller's own
@@ -200,55 +202,139 @@ def _tree_arrays(tree: RCTree, nodes) -> NetArrays:
 def net_arrays(geometry: NetGeometry) -> NetArrays:
     """Lay one net out as flat arrays, without building an RC tree.
 
-    A routed net goes through :func:`~repro.routing.steiner.route_segments`
-    and :func:`~repro.circuit.wires.layout_segments`; a wire-load net
-    becomes a star of ``s{k}`` nodes off ``drv``; an override net is its
-    tree's own arrays.  Each sink pin's load is added at its node.  A
-    pin listed twice keeps one node (its last) and one load.  R and C
-    are checked by the consumer (:meth:`RCTree.from_arrays` or
+    A routed net is laid out straight from its rectilinear MST; a
+    wire-load net becomes a star of ``s{k}`` nodes off ``drv``; an
+    override net is its tree's own arrays.  Each sink pin's load is
+    added at its node.  A pin listed twice keeps one node (its last) and
+    one load.  R and C are checked by the consumer
+    (:meth:`RCTree.from_arrays` or
     :func:`~repro.core.batch.compile_forest`), node names here.
+    """
+    return record_arrays(net_record(geometry))
+
+
+def net_record(geometry: NetGeometry) -> tuple:
+    """The plain tuple :func:`record_arrays` lays out, for shipping.
+
+    It holds only what the layout reads, in one of three shapes:
+
+    * routed: ``(driver_resistance, points, sink_loads, kept,
+      technology, wire_width)``, ``points`` being the driver position
+      followed by every sink position;
+    * wire-load star: ``(driver_resistance, None, sink_loads, kept,
+      wire_load)``;
+    * override: ``(tree, sink_nodes)``.
+
+    ``kept`` lists the position in ``sinks`` of each of
+    ``sink_pins()`` (the last time the pin is listed).  No
+    :class:`~repro.sta.netlist.Pin`, net name or :class:`NetGeometry`
+    is kept; the technology and wire-load objects are the geometry's
+    own, so a pickle of many records stores each one once.
     """
     if geometry.override is not None:
         tree, mapping = geometry.override
-        return _tree_arrays(tree, mapping.values())
-    return _lay_out(geometry)[0]
+        return (tree, tuple(mapping.values()))
+    sinks = geometry.sinks
+    kept = tuple(dict(zip(sinks, range(len(sinks)))).values())
+    if geometry.driver_position is None:
+        return (geometry.driver_resistance, None, geometry.sink_loads, kept,
+                geometry.wire_load)
+    return (geometry.driver_resistance,
+            (geometry.driver_position, *geometry.sink_positions),
+            geometry.sink_loads, kept, geometry.technology,
+            geometry.wire_width)
 
 
-def _lay_out(geometry: NetGeometry) -> Tuple[NetArrays, Dict[Pin, int]]:
-    """:func:`net_arrays` of a routed or wire-load net, plus each sink
-    pin's last position in ``sinks`` (keys in ``sink_pins()`` order)."""
-    last = dict(zip(geometry.sinks, range(len(geometry.sinks))))
-    loads = geometry.sink_loads
-    if geometry.driver_position is not None:
-        segments, nodes = route_segments(
-            geometry.driver_position, geometry.sink_positions,
-            geometry.technology, geometry.wire_width,
-        )
-        layout = layout_segments(  # route_net's two sections per segment
-            segments, geometry.driver_resistance,
-            {nodes[k]: loads[k] for k in last.values()},
-            sections_per_segment=2,
-        )
-        return NetArrays(
-            "in", *layout[:4],
-            [layout.index[nodes[k]] for k in last.values()],
-        ), last
+def record_arrays(record: tuple) -> NetArrays:
+    """:func:`net_arrays` of one :func:`net_record` tuple."""
+    if len(record) == 2:
+        return _tree_arrays(*record)
+    driver_resistance, points, loads, kept, *wire = record
+    if points is None:
+        return _star_arrays(driver_resistance, loads, kept, *wire)
+    return _routed_arrays(driver_resistance, points, loads, kept, *wire)
 
-    # Wire-load star: sink k hangs off ``drv`` as node k + 1, ``s{k}``.
-    model = geometry.wire_load
-    count = len(geometry.sinks)
+
+def _routed_arrays(
+    driver_resistance: float,
+    points: Sequence[Point],
+    loads: Sequence[float],
+    kept: Sequence[int],
+    technology: WireTechnology,
+    width: float,
+) -> NetArrays:
+    """A routed net's arrays, straight from its MST's index edges.
+
+    The same arrays, bit for bit, and the same checks in the same order
+    as :func:`~repro.routing.steiner.route_segments` followed by
+    :func:`~repro.circuit.wires.layout_segments` with two sections per
+    segment (``route_net``'s default): pin ``k`` (``0`` the driver) is
+    node ``p{k}``, and the MST edge into pin ``k`` is two pi sections,
+    ``p{k}.s1`` then ``p{k}``.  Edges are placed as ``layout_segments``
+    places them: a pin's child edges together, in the order Kruskal
+    accepted them, then the subtree of its last child first.
+    """
+    if len(points) < 2:
+        raise RoutingError("net has no sinks")
+    adjacency: List[List[int]] = [[] for _ in points]
+    for i, j, _ in _mst_edges(points):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    if driver_resistance <= 0:
+        raise ValidationError("driver_resistance must be > 0")
+    names = ["drv"]
+    parents = [-1]
+    res = [driver_resistance]
+    cap = [0.0]
+    node = [0] * len(points)  # each pin's node; the driver's is 0
+    stack = [0]
+    while stack:
+        pin = stack.pop()
+        at = node[pin]
+        for child in adjacency[pin]:
+            if child == 0 or node[child]:  # its parent, the one placed
+                continue
+            length = max(manhattan(points[pin], points[child]), _MIN_SEGMENT)
+            r_total, c_total = technology.segment_rc(length, width)
+            r = r_total / 2  # n = 2 sections: r_total / n, c_total / 2n
+            c = c_total / 4
+            mid = len(names)
+            names += (f"p{child}.s1", f"p{child}")
+            parents += (at, mid)
+            res += (r, r)
+            cap += (c, c)
+            cap[at] += c
+            cap[mid] += c
+            node[child] = mid + 1
+            stack.append(child)
+    for k in kept:
+        i = node[k + 1]
+        cap[i] += checked_load(names[i], loads[k])
+    return NetArrays("in", names, parents, res, cap,
+                     [node[k + 1] for k in kept])
+
+
+def _star_arrays(
+    driver_resistance: float,
+    loads: Sequence[float],
+    kept: Sequence[int],
+    model: WireLoadModel,
+) -> NetArrays:
+    """A wire-load star: sink ``k`` hangs off ``drv`` as node ``k + 1``,
+    ``s{k}``."""
+    count = len(loads)
     half = model.capacitance_per_sink / 2.0
     names = ["drv"] + [f"s{k}" for k in range(count)]
     cap = [0.0] + [half] * count
     for _ in range(count):  # summed one sink at a time, not half * count
         cap[0] += half
-    for k in last.values():
+    for k in kept:
         cap[k + 1] += checked_load(names[k + 1], loads[k])
     return NetArrays(
         "in", names, [-1] + [0] * count,
-        [geometry.driver_resistance] + [model.resistance_per_sink] * count,
-        cap, [k + 1 for k in last.values()],
-    ), last
+        [driver_resistance] + [model.resistance_per_sink] * count,
+        cap, [k + 1 for k in kept],
+    )
 
 
 def build_net(geometry: NetGeometry) -> ElaboratedNet:
@@ -264,11 +350,12 @@ def build_net(geometry: NetGeometry) -> ElaboratedNet:
             net=geometry.net, tree=tree, sink_nodes=dict(mapping),
             driver_node=tree.children_of(tree.input_node)[0],
         )
-    arrays, pins = _lay_out(geometry)
+    arrays = net_arrays(geometry)
     names = arrays.node_names
     return ElaboratedNet(
         net=geometry.net, tree=RCTree.from_arrays(*arrays[:5]),
-        sink_nodes={pin: names[i] for pin, i in zip(pins, arrays.sinks)},
+        sink_nodes={pin: names[i] for pin, i in
+                    zip(geometry.sink_pins(), arrays.sinks)},
         driver_node="drv",
     )
 

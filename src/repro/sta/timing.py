@@ -26,7 +26,6 @@ edge to their ``output_slew``.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -50,7 +49,7 @@ from repro.circuit.rctree import RCTree
 from repro.core.batch import batch_transfer_moments, compile_forest
 from repro.core.metrics import METRICS
 from repro.core.moments import TransferMoments
-from repro.parallel import DEFAULT_MAX_SHARDS, plan_shards, run_sharded
+from repro.parallel import DEFAULT_MAX_SHARDS, Shard, run_sharded
 
 from repro.sta.interconnect import (
     ElaboratedNet,
@@ -58,25 +57,29 @@ from repro.sta.interconnect import (
     NetGeometry,
     WireLoadModel,
     build_net,
-    net_arrays,
     net_geometry,
+    net_record,
+    record_arrays,
 )
 from repro.sta.netlist import Design, Pin
 
 
 #: Fewest nets one STA/SSTA shard holds.  Every shard pays its own
-#: forest compile, moment sweep and pool round trip, so a design of a
-#: few hundred nets runs in a handful of shards; past
-#: ``NET_SHARD_FLOOR * DEFAULT_MAX_SHARDS`` nets the plan is the usual
-#: ``DEFAULT_MAX_SHARDS`` near-equal shards.
-NET_SHARD_FLOOR = 64
+#: forest compile, moment sweep and pool round trip, so a design of
+#: ``total`` nets runs in ``total // NET_SHARD_FLOOR`` shards (at least
+#: one, at most ``DEFAULT_MAX_SHARDS``) whose sizes differ by one at most.
+NET_SHARD_FLOOR = 160
 
 
-def _net_plan(total: int):
+def _net_plan(total: int) -> List[Shard]:
     """The net shard plan: a function of the net count alone, never of
     ``jobs``, so results and journals do not depend on the workers."""
-    return plan_shards(total, shard_size=max(
-        math.ceil(total / DEFAULT_MAX_SHARDS), NET_SHARD_FLOOR))
+    if not total:
+        return []
+    count = min(max(total // NET_SHARD_FLOOR, 1), DEFAULT_MAX_SHARDS)
+    size, extra = divmod(total, count)  # the first ``extra`` get one more
+    stops = [k * size + min(k, extra) for k in range(count + 1)]
+    return [Shard(k, stops[k], stops[k + 1]) for k in range(count)]
 
 
 __all__ = ["TimingResult", "PathElement", "analyze", "DELAY_MODELS"]
@@ -167,19 +170,20 @@ def _evaluate_shard(nets: List[NetArrays], delay_model: str, process):
 def _net_shard_task(payload):
     """Lay out and evaluate one shard's nets (picklable task).
 
-    The payload is ``(geometries, delay_model, process)``: a list of
-    :class:`NetGeometry` records, a key of :data:`DELAY_MODELS` and a
-    :class:`~repro.sta.ssta.ProcessModel` or ``None``.  Each net is
-    routed straight to flat parent/R/C arrays with :func:`net_arrays`
-    and the shard's arrays go through :func:`_evaluate_shard`, so only
-    geometry goes in and the ``(3, sinks)`` array (with a process, also
-    the nets' SSTA coefficients, computed net by net so they do not
-    depend on which shard holds the net) comes back.  No
+    The payload is ``(records, delay_model, process)``: one plain
+    :func:`~repro.sta.interconnect.net_record` tuple per net, a key of
+    :data:`DELAY_MODELS` and a :class:`~repro.sta.ssta.ProcessModel` or
+    ``None``.  Each net is routed straight to flat parent/R/C arrays
+    with :func:`~repro.sta.interconnect.record_arrays` and the shard's
+    arrays go through :func:`_evaluate_shard`, so only the records go
+    in and the ``(3, sinks)`` array (with a process, also the nets'
+    SSTA coefficients, computed net by net so they do not depend on
+    which shard holds the net) comes back.  No
     :class:`~repro.circuit.rctree.RCTree` is built here except by the
     ``"exact"`` model, whose pole/residue analysis needs one per net.
     """
-    geometries, delay_model, process = payload
-    return _evaluate_shard([net_arrays(geometry) for geometry in geometries],
+    records, delay_model, process = payload
+    return _evaluate_shard([record_arrays(record) for record in records],
                            delay_model, process)
 
 
@@ -187,8 +191,8 @@ class _LazyNets(Mapping):
     """Read-only ``net name -> ElaboratedNet`` over recorded geometries.
 
     Each net's tree is built with :func:`build_net` on first access and
-    cached, so an Elmore run whose trees were built in worker processes
-    pays for parent-side trees only when a consumer reads them.
+    cached; the shard task sweeps flat arrays, so a run pays for trees
+    only when a consumer reads them.
     """
 
     def __init__(self, geometries: Dict[str, NetGeometry]) -> None:
@@ -262,21 +266,21 @@ def _precompute_nets(
     """Evaluate every net of the design through batched forest sweeps.
 
     The parent reads each net's routing inputs into a
-    :class:`NetGeometry`.  :func:`_sweep_nets` compiles the nets' flat
-    parent/R/C arrays (:class:`NetArrays`) side by side into one forest
-    topology and runs one :func:`batch_transfer_moments` sweep that
-    yields every sink's wire delay under ``delay_model`` (arrival
+    :class:`NetGeometry` and turns it into the plain tuple
+    (:func:`~repro.sta.interconnect.net_record`) a shard task lays out.
+    :func:`_net_shard_task` routes its nets straight to flat parent/R/C
+    arrays and :func:`_sweep_nets` compiles them side by side into one
+    forest topology and runs one :func:`batch_transfer_moments` sweep
+    that yields every sink's wire delay under ``delay_model`` (arrival
     propagation) and impulse-response variance (slew propagation) at
-    once.  With ``jobs`` unset this is ONE in-process sweep over the
-    whole net list: the trees are built (:func:`build_net`) and stay
-    cached in the returned nets, and the sweep reads their arrays.  With
-    ``jobs`` given, the geometry list is split into deterministic shards
+    once.  With ``jobs``, ``backend`` and ``checkpoint_path`` unset this
+    is ONE in-process shard task over the whole net list.  Otherwise the
+    records are split into the deterministic :func:`_net_plan` shards,
     fanned out through :mod:`repro.parallel` (``1`` = serial backend,
-    ``>= 2`` = worker processes) with bit-identical results.  Each
-    :func:`_net_shard_task` lays its nets out with :func:`net_arrays`,
-    so only the pickled geometries and one ``(3, sinks)`` array per
-    shard cross the process boundary, and the parent builds a tree only
-    when ``nets`` is read.  Sinks whose metric fit fell back to Elmore
+    ``>= 2`` = worker processes) with bit-identical results, so only
+    the pickled records and one ``(3, sinks)`` array per shard cross the
+    process boundary.  Either way the parent builds a tree only when
+    ``nets`` is read.  Sinks whose metric fit fell back to Elmore
     are counted here, in the parent, under
     ``sta_metric_fallbacks_total``.  Returns the nets and the per-sink
     delay and variance maps; a non-finite delay or variance raises
@@ -296,14 +300,13 @@ def _precompute_nets(
         if not payload:
             return nets, {}, {}, None
         _NETS_EVALUATED.inc(len(payload))
+        records = [net_record(geometry) for geometry in payload]
         if jobs is None and backend is None and checkpoint_path is None:
-            # In-process: build through ``nets`` so the trees are kept.
-            chunks = [_evaluate_shard([net.arrays() for net in nets.values()],
-                                      delay_model, process)]
+            chunks = [_net_shard_task((records, delay_model, process))]
         else:
             shards = _net_plan(len(payload))
             sp.set_attribute("shards", len(shards))
-            parts = [(payload[shard.start:shard.stop], delay_model, process)
+            parts = [(records[shard.start:shard.stop], delay_model, process)
                      for shard in shards]
             kind, extra = "sta.analyze", {}
             if process is not None:
@@ -510,13 +513,15 @@ def analyze(
     backend:
         Execution backend for the sharded path (``"serial"`` or
         ``"shm"``; default auto).  ``"shm"`` selects the warm worker
-        pool: each shard ships its nets' pickled routing inputs
-        (:class:`~repro.sta.interconnect.NetGeometry`), the worker
-        routes them straight to flat parent/R/C arrays
-        (:func:`~repro.sta.interconnect.net_arrays`) and evaluates them
-        in one forest sweep, and one ``(3, sinks)`` delay / variance /
-        fallback array comes back.  Results stay bit-identical either
-        way.
+        pool: each shard ships one plain tuple per net of what its
+        layout reads (:func:`~repro.sta.interconnect.net_record`; no
+        :class:`~repro.sta.netlist.Pin` or net name), the worker routes
+        them straight to flat parent/R/C arrays
+        (:func:`~repro.sta.interconnect.record_arrays`) and evaluates
+        them in one forest sweep, and one ``(3, sinks)`` delay /
+        variance / fallback array comes back.  Without ``jobs`` or
+        ``backend`` the same shard task runs in process on the whole
+        design.  Results stay bit-identical either way.
     checkpoint_path, resume:
         Crash-safe journaling of the forest fan-out's per-shard results
         (see :mod:`repro.resilience.checkpoint`; the delay model is part

@@ -46,9 +46,10 @@ class TestIndividualMetrics:
                     elmore_metric(moments, node) * (1 + 1e-12)
                 )
 
-    def test_d2m_is_ln2_lognormal(self, fig1):
-        assert d2m_metric(fig1, "n5") == pytest.approx(
-            math.log(2) * lognormal_metric(fig1, "n5")
+    def test_d2m_single_pole_is_ln2_tau(self, single_rc):
+        # One pole: M1 = tau, and the s^2 coefficient of H(s) is tau^2.
+        assert d2m_metric(single_rc, "out") == pytest.approx(
+            math.log(2) * 1e-9, rel=1e-12
         )
 
     def test_lower_bound_metric_clips(self, fig1):

@@ -4,7 +4,9 @@ flat parent/R/C arrays, the shard task sweeps them without building any
 trees as before, bit for bit."""
 
 import hashlib
+import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.sta import (
     net_arrays,
     net_geometry,
 )
+from repro.sta.interconnect import net_record
 from repro.workloads import random_design
 from tests.sta.test_geometry import mixed_design, overrides
 
@@ -86,7 +89,7 @@ class TestNetArrays:
         with pytest.raises(ValidationError, match="finite"):
             build_net(g)
         with pytest.raises(ValidationError, match="finite"):
-            timing._net_shard_task(([g], "elmore", None))
+            timing._net_shard_task(([net_record(g)], "elmore", None))
 
 
 class TestTreesUnchanged:
@@ -99,6 +102,33 @@ class TestTreesUnchanged:
 
 
 class TestShardTask:
+    def test_payload_is_plain_tuples(self):
+        geometries = timing._net_geometries(mixed_design(), None,
+                                            overrides()).values()
+        classes = []
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                classes.append(name)
+                return super().find_class(module, name)
+
+        blob = pickle.dumps([net_record(g) for g in geometries])
+        records = Recording(io.BytesIO(blob)).load()
+        # No Pin, net name or NetGeometry: the wire models and the
+        # override net's tree are the only objects besides tuples.
+        assert sorted(classes) == ["RCTree", "WireLoadModel",
+                                   "WireTechnology"]
+        assert not {"na", "nb", "n1", "n2", "n3", "n4", "n5"} & {
+            item for record in records for item in record
+            if isinstance(item, str)}
+        design = random_design(4, 6, seed=5)
+        records = pickle.loads(pickle.dumps([
+            net_record(g)
+            for g in timing._net_geometries(design, None, None).values()]))
+        routed = [r for r in records if len(r) == 6]
+        assert len(routed) > 1
+        assert all(r[4] is routed[0][4] for r in routed)  # one technology
+
     def test_builds_no_rc_tree(self, monkeypatch):
         design = random_design(4, 6, seed=5)
         geometries = list(timing._net_geometries(design, None,
@@ -111,7 +141,8 @@ class TestShardTask:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(RCTree, "__init__", counting_init)
-        out = timing._net_shard_task((geometries, "elmore", None))
+        out = timing._net_shard_task(
+            ([net_record(g) for g in geometries], "elmore", None))
         assert built == []
         assert out.shape == (3, sum(len(g.sink_pins())
                                     for g in geometries))
@@ -125,7 +156,8 @@ class TestShardTask:
                                                  None).values())
         for shard in plan_shards(len(geometries)):
             part = geometries[shard.start:shard.stop]
-            got = timing._net_shard_task((part, "elmore", None))
+            got = timing._net_shard_task(
+                ([net_record(g) for g in part], "elmore", None))
             ref = timing._sweep_nets([build_net(g).arrays() for g in part],
                                      "elmore")
             assert got.tobytes() == ref.tobytes()

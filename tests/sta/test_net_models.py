@@ -121,7 +121,7 @@ class TestJournal:
             analyze(design, "elmore", checkpoint_path=path, resume=True)
 
     def test_interrupted_d2m_run_resumes_bit_identical(self, tmp_path):
-        design = random_design(8, 40, seed=1)
+        design = random_design(11, 40, seed=1)  # 480 nets, three shards
         path = str(tmp_path / "sta.ckpt")
         full = analyze(design, "d2m", checkpoint_path=path)
         with open(path, "rb") as handle:

@@ -1,8 +1,10 @@
 """The STA/SSTA net shard plan: sized by the net count alone.
 
-Each shard holds at least ``NET_SHARD_FLOOR`` nets (a shard pays its own
-forest compile, sweep and pool round trip) and the plan never depends on
-``jobs``, so every backend and worker count gives the same bits.
+A design of ``total`` nets runs in ``total // NET_SHARD_FLOOR`` near-equal
+shards, at least one and at most ``DEFAULT_MAX_SHARDS`` (a shard pays its
+own forest compile, sweep and pool round trip), and the plan never
+depends on ``jobs``, so every backend and worker count gives the same
+bits.
 """
 
 import pytest
@@ -37,7 +39,8 @@ def shards_run(run=analyze, **kwargs):
 
 class TestPlan:
     @pytest.mark.parametrize("total, count", [
-        (1, 1), (FLOOR, 1), (FLOOR + 1, 2), (360, 6), (1050, 17),
+        (1, 1), (FLOOR, 1), (2 * FLOOR - 1, 1), (2 * FLOOR, 2), (360, 2),
+        (1050, 6),
         (FLOOR * DEFAULT_MAX_SHARDS, DEFAULT_MAX_SHARDS),
         (FLOOR * DEFAULT_MAX_SHARDS + 1, DEFAULT_MAX_SHARDS),
         (10_100, DEFAULT_MAX_SHARDS),
@@ -46,11 +49,14 @@ class TestPlan:
         shards = timing._net_plan(total)
         assert len(shards) == count
         assert shards[-1].stop == total
-        assert min(s.size for s in shards[:-1] or shards) >= min(
-            FLOOR, total)
+        assert [s.start for s in shards[1:]] == \
+            [s.stop for s in shards[:-1]]
+        sizes = [s.size for s in shards]
+        assert min(sizes) >= min(FLOOR, total)
+        assert max(sizes) - min(sizes) <= 1
 
     def test_plan_ignores_jobs(self):
-        design = design_with_nets(2 * FLOOR + 1)
+        design = design_with_nets(3 * FLOOR)
         two, at_two = shards_run(design=design, jobs=2)
         three, at_three = shards_run(design=design, jobs=3)
         assert at_two == at_three == 3
@@ -62,7 +68,7 @@ class TestFloorBitIdentity:
     one-shard/two-shard edge."""
 
     @pytest.mark.parametrize("total, count", [
-        (FLOOR - 1, 1), (FLOOR, 1), (FLOOR + 1, 2),
+        (FLOOR, 1), (2 * FLOOR - 1, 1), (2 * FLOOR, 2),
     ])
     def test_serial_equals_shm(self, total, count):
         design = design_with_nets(total)

@@ -14,19 +14,22 @@ gate-level SSTA formulation surveyed in arXiv:2401.03588:
   engines describe *the same* random design.
 
 * **Sensitivity extraction** — the Elmore delay is bilinear in (R, C),
-  so :func:`repro.core.sensitivity.elmore_sensitivity_arrays` gives
-  exact first-order coefficients for every sink of a net at once, from
-  the net's flat arrays; gate stages scale their nominal delay by the
-  cell-speed variation.
+  so its gradients (``dT/dR_k = Cdown(k)`` on the sink's root path,
+  ``dT/dC_k`` the path resistance the sink and ``k`` share) are exact
+  first-order coefficients; :meth:`ProcessModel.net_columns` computes
+  them for every sink of a whole shard of nets at once, over flat
+  per-node arrays of the shard's compiled forest, each net's bits
+  independent of the shard; gate stages scale their nominal delay by
+  the cell-speed variation.
 
 * **Exact label compression** — a net's per-element residuals form an
   ``S x K`` matrix ``G`` (sinks by RC elements).  Every later form holds
   them only as ``v^T G``, so the ``S x S`` factor ``L`` of ``G = L Q``
   replaces them with the same covariances: sink ``s`` of net ``n``
   carries the private labels ``net:n.q0 .. net:n.qs``
-  (:func:`_net_coefficients`).  The nominal STA shard task computes
-  these coefficients next to its sweep, so a sharded run builds no RC
-  tree in the parent.
+  (:func:`_forest_coefficients`).  The nominal STA shard task computes
+  these coefficients next to its sweep, over the forest it compiled
+  for it, so no run builds an RC tree for them.
 
 * **Propagation** — the nominal forest walk of :mod:`repro.sta.timing`
   runs first (batched forest sweeps, sharded/warm-pool capable) and
@@ -45,7 +48,8 @@ gate-level SSTA formulation surveyed in arXiv:2401.03588:
   and the level's net sinks are driver + wire in one gather and add.
   The outputs are folded left to right in ``design.outputs`` order.
   ``SSTAReport.arrival`` builds each pin's
-  :class:`~repro.core.canonical.CanonicalForm` on first access.
+  :class:`~repro.core.canonical.CanonicalForm` on first access, and
+  ``SSTAReport.outputs`` reads the output ports' forms from it.
 
 * **Validation** — :func:`monte_carlo_arrivals` replays the identical
   correlated draws through the batched Elmore engine ((B, N) forest
@@ -79,7 +83,6 @@ from repro.core.canonical import (
     canonical_max_many,
     clark_moments,
 )
-from repro.core.sensitivity import elmore_sensitivity_arrays
 from repro.core.variation import (
     VariationModel,
     _attached_topology,
@@ -88,7 +91,7 @@ from repro.core.variation import (
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 from repro.parallel import plan_shards, resolve_backend
-from repro.sta.interconnect import NetArrays
+from repro.sta.interconnect import NetArrays, net_arrays
 from repro.sta.levels import TimingLevels, _levelize, levelize
 from repro.sta.netlist import Design, Pin
 from repro.sta.timing import TimingResult, _analyze_traced, analyze
@@ -165,18 +168,21 @@ class ProcessModel:
             )
 
     def net_columns(
-        self, nets: Sequence[NetArrays]
+        self, nets: Sequence[NetArrays], forest: Optional[tuple] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """SSTA coefficients of every sink of ``nets``, net by net.
+        """SSTA coefficients of every sink of ``nets``, in one pass.
 
+        ``forest`` is ``compile_forest(nets)`` when the caller already
+        has it (the shard task compiles once for its sweep and this).
         Returns ``(a, l)``: ``a`` stacks each net's ``(S, 3)`` global
         coefficients and ``l`` concatenates each net's packed residual
-        factor (:func:`_net_coefficients`).  Each net's part depends on
-        that net alone.
+        factor (:func:`_forest_coefficients`).  Each net's part depends
+        on that net alone, bit for bit, whatever else ``nets`` holds.
         """
-        parts = [_net_coefficients(arrays, self) for arrays in nets]
-        return (np.concatenate([a for a, _ in parts]),
-                np.concatenate([l for _, l in parts]))
+        with _span("ssta.coefficients", nets=len(nets)):
+            if forest is None:
+                forest = compile_forest(nets)
+            return _forest_coefficients(nets, *forest, self)
 
 
 # ---------------------------------------------------------------------------
@@ -189,45 +195,120 @@ def _lower_triangle(size: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(size)
 
 
-def _net_coefficients(
-    arrays: NetArrays, model: ProcessModel
+def _forest_coefficients(
+    nets: Sequence[NetArrays], topology, offsets: Sequence[int],
+    model: ProcessModel,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One net's SSTA coefficients from its flat arrays.
+    """Every net's SSTA coefficients from the nets' compiled forest.
 
-    With ``S`` sinks and ``N`` elements, the first-order delay change of
-    sink ``s`` is ``sum_e gr[s, e] x_e + sum_k gc[s, k] y_k`` over the
-    elements' relative R and C variations, where ``gr = dT/dR * R * sr``
-    and ``gc = dT/dC * C * sc`` (:func:`elmore_sensitivity_arrays`).
-    Each variation splits by ``rho`` into the shared variable and a
-    private residual, which gives the ``(S, 3)`` global coefficients
-    ``a`` and the ``(S, 2N)`` residual matrix
+    For a net with ``S`` sinks and ``N`` elements, the first-order delay
+    change of sink ``s`` is ``sum_e gr[s, e] x_e + sum_k gc[s, k] y_k``
+    over the elements' relative R and C variations.  These are the
+    gradients of the Elmore delay: ``gr = dT/dR * R * sr`` with
+    ``dT/dR_e = Cdown(e)`` on the sink's root path (0 off it), and
+    ``gc = dT/dC * C * sc`` with ``dT/dC_k`` the path resistance the
+    sink and ``k`` share.  Each variation splits by ``rho`` into the
+    shared variable and a private residual, which gives the ``(S, 3)``
+    global coefficients ``a`` and the ``(S, 2N)`` residual matrix
     ``G = [sqrt(1 - rho_r) gr, sqrt(1 - rho_c) gc]``.
 
-    Every later form holds this net's residuals only as ``v^T G`` (adds
+    Every later form holds a net's residuals only as ``v^T G`` (adds
     pass them through, Clark's max interpolates them), so ``G`` can be
     replaced by the ``S x S`` lower-triangular ``L`` of ``G = L Q``
     (``Q`` with orthonormal rows, from the QR of ``G^T``): every
     covariance ``v^T G G^T w = v^T L L^T w`` is unchanged.  Returns
-    ``(a, l)`` with ``l`` the rows of ``L`` packed, row ``s`` holding
-    its ``s + 1`` coefficients on the net's labels ``q0 .. qs``.
+    ``(a, l)`` with ``l`` the rows of each ``L`` packed, row ``s``
+    holding its ``s + 1`` coefficients on the net's labels ``q0 .. qs``.
+
+    All nets are handled at once over flat arrays: the forest's nodes,
+    and every net's ``(sink, node)`` pairs laid out row by row.  Each
+    value takes the same operations in the same order as a one-net
+    walk, so a net's bits do not depend on the other nets: path
+    resistance is one add per node (the forest's root-path sweep),
+    ``Cdown`` adds each node's children in decreasing index (one
+    unbuffered ``np.add.at`` per depth level, deepest first), the
+    root-path mask and the shared resistance (a max over the node's
+    ancestors) are exact, each row of ``gr``/``gc`` is summed on its
+    own, and the QR runs once per net.
     """
-    res = np.asarray(arrays.resistances, dtype=np.float64)
-    cap = np.asarray(arrays.capacitances, dtype=np.float64)
-    d_r, d_c = elmore_sensitivity_arrays(arrays.parents, res, cap,
-                                         arrays.sinks)
-    sr, sc = model.variation.sigma_arrays(arrays.node_names)
-    gr = d_r * res * sr
-    gc = d_c * cap * sc
-    size = len(arrays.sinks)
-    a = np.zeros((size, len(PROCESS_VARIABLES)))
-    a[:, 0] = math.sqrt(model.rho_r) * gr.sum(axis=1)
-    a[:, 1] = math.sqrt(model.rho_c) * gc.sum(axis=1)
-    g_t = np.concatenate([math.sqrt(1.0 - model.rho_r) * gr,
-                          math.sqrt(1.0 - model.rho_c) * gc], axis=1).T
-    if g_t.shape[0] < size:  # more sinks than labels: pad G with zeros
-        g_t = np.vstack([g_t, np.zeros((size - g_t.shape[0], size))])
-    r = lapack.dgeqrf(g_t)[0]  # R = L^T in the upper triangle
-    return a, r.T[_lower_triangle(size)]
+    parents = topology.parents
+    res = topology.resistances
+    cap = topology.capacitances
+    path_res = topology.rootpath_sums(res)
+    cdown = cap.copy()
+    for level, above in zip(topology.levels[:0:-1],
+                            topology.level_parents[:0:-1]):
+        np.add.at(cdown, above[::-1], cdown[level[::-1]])
+
+    # One row per sink, one pair per (sink, node of its net): pair
+    # ``base[row] + node`` for the node's forest index.
+    sinks = [len(net.sinks) for net in nets]
+    sizes = [len(net.parents) for net in nets]
+    sink_node = np.array([offset + sink
+                          for net, offset in zip(nets, offsets)
+                          for sink in net.sinks], dtype=np.intp)
+    width = np.repeat(np.array(sizes, dtype=np.intp), sinks)
+    row_start = np.cumsum(width) - width
+    total = int(width.sum())
+    base = row_start - np.repeat(np.array(offsets, dtype=np.intp), sinks)
+    node = np.arange(total) - np.repeat(base, width)
+    on_path = np.zeros(total, dtype=bool)
+    at, up = base, sink_node
+    while len(up):
+        on_path[at + up] = True
+        up = parents[up]
+        keep = up >= 0
+        at, up = at[keep], up[keep]
+    # dT/dC: the largest masked path resistance over the node and its
+    # ancestors, by pointer doubling (``hop`` jumps to the pair of an
+    # ancestor; a root's jumps land on the 0.0 sentinel at ``total``).
+    d_c = np.append(on_path * path_res[node], 0.0)
+    above = parents[node]
+    hop = np.append(np.where(above >= 0, np.arange(total) + above - node,
+                             total), total)
+    reach = 1
+    while reach < topology.depth:
+        np.maximum(d_c, d_c[hop], out=d_c)
+        hop = hop[hop]
+        reach *= 2
+    d_c = d_c[:total]
+
+    variation = model.variation
+    if variation.resistance_sigmas or variation.capacitance_sigmas:
+        sigmas = [variation.sigma_arrays(net.node_names) for net in nets]
+        sr = np.concatenate([r for r, _ in sigmas])[node]
+        sc = np.concatenate([c for _, c in sigmas])[node]
+    else:
+        sr = variation.resistance_sigma
+        sc = variation.capacitance_sigma
+    gr = on_path * cdown[node] * res[node] * sr
+    gc = d_c * cap[node] * sc
+
+    a = np.zeros((len(width), len(PROCESS_VARIABLES)))
+    for size in set(sizes):
+        rows = np.flatnonzero(width == size)
+        cells = (row_start[rows, None] + np.arange(size)).ravel()
+        a[rows, 0] = gr[cells].reshape(-1, size).sum(axis=1)
+        a[rows, 1] = gc[cells].reshape(-1, size).sum(axis=1)
+    a[:, 0] *= math.sqrt(model.rho_r)
+    a[:, 1] *= math.sqrt(model.rho_c)
+
+    # Each row of G is [its gr row, its gc row].
+    g = np.empty(2 * total)
+    spot = np.arange(total) + np.repeat(row_start, width)
+    g[spot] = math.sqrt(1.0 - model.rho_r) * gr
+    g[spot + np.repeat(width, width)] = math.sqrt(1.0 - model.rho_c) * gc
+    packed = []
+    start = 0
+    for size, n in zip(sinks, sizes):
+        stop = start + 2 * n * size
+        g_t = g[start:stop].reshape(size, 2 * n).T
+        start = stop
+        if 2 * n < size:  # more sinks than labels: pad G with zeros
+            g_t = np.vstack([g_t, np.zeros((size - 2 * n, size))])
+        r = lapack.dgeqrf(g_t)[0]  # R = L^T in the upper triangle
+        packed.append(r.T[_lower_triangle(size)])
+    return a, np.concatenate(packed)
 
 
 class _RowStore:
@@ -329,6 +410,34 @@ class _Arrivals(Mapping):
         return f"<{len(self)} arrivals, {len(self._built)} built>"
 
 
+class _Outputs(Mapping):
+    """Read-only ``port -> CanonicalForm`` over a report's arrivals,
+    restricted to the design's primary outputs (in their order); each
+    form is the arrival mapping's, built on first access."""
+
+    def __init__(self, arrival: Mapping[Pin, CanonicalForm],
+                 ports: Sequence[str]) -> None:
+        self._arrival = arrival
+        self._ports = dict.fromkeys(ports)
+
+    def __getitem__(self, port: str) -> CanonicalForm:
+        if port not in self._ports:
+            raise KeyError(port)
+        return self._arrival[Pin(Pin.PORT, port)]
+
+    def __contains__(self, port: object) -> bool:
+        return port in self._ports
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ports)
+
+    def __len__(self) -> int:
+        return len(self._ports)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} outputs>"
+
+
 @dataclass(frozen=True)
 class _Columns:
     """The integer column of every residual source of one walk.
@@ -384,8 +493,8 @@ def _wire_rows(
     """Columns, the wire residual rows and the wire means/globals.
 
     ``coefficients`` is ``(net_sinks, a, l)`` as the nominal pass
-    returns it (:func:`_net_coefficients`, net by net in ``net_sinks``
-    order).  Sink ``s`` of net ``n`` carries residual columns
+    returns it (:meth:`ProcessModel.net_columns`, net by net in
+    ``net_sinks`` order).  Sink ``s`` of net ``n`` carries residual columns
     ``net_q0[n] + 0 .. s`` with the packed row ``s`` of the net's ``L``.
     Returns ``(columns, rows, wire_mu, wire_a)``, the last two by pin.
     """
@@ -432,7 +541,8 @@ class SSTAReport:
         ports): a read-only mapping that builds each form on first
         access.
     outputs:
-        Arrival form per primary output port.
+        Arrival form per primary output port: a read-only mapping over
+        ``arrival``, in ``design.outputs`` order.
     critical:
         Clark max over all primary-output arrivals — the design's delay
         distribution (yield curve = its CDF).
@@ -449,7 +559,7 @@ class SSTAReport:
     """
 
     arrival: Mapping[Pin, CanonicalForm]
-    outputs: Dict[str, CanonicalForm]
+    outputs: Mapping[str, CanonicalForm]
     critical: CanonicalForm
     criticality: Dict[str, float]
     pin_criticality: Dict[Pin, float]
@@ -774,7 +884,7 @@ def analyze_ssta(
     are forwarded to it, so the heavy interconnect evaluation shards
     across workers / the shm warm pool and journals exactly like
     ``repro sta``), and the same pass returns every net's SSTA
-    coefficients (computed in the shard task when sharded).  The
+    coefficients (computed in the shard task, next to its sweep).  The
     statistical walk then mirrors the deterministic one, a level of the
     timing graph at a time (see the module docstring): gate-input
     stages use the *nominal* slews (slew dispersion is a second-order
@@ -782,8 +892,11 @@ def analyze_ssta(
     first-order variation, and every fan-in competes through Clark's
     max.  ``report.arrival`` builds each pin's form on first access.
     Pass a precomputed ``nominal`` result (``"elmore"`` model) to skip
-    the deterministic pass; the coefficients then come from its ``nets``
-    through the same per-net function.
+    the deterministic pass; the coefficients then come from the net
+    geometries it recorded, laid out as the shard task lays them out
+    (:func:`~repro.sta.interconnect.net_arrays`) and fed to the same
+    :meth:`ProcessModel.net_columns`, so no RC tree is built and the
+    report is bit-identical to the default path's.
     """
     if not isinstance(model, ProcessModel):
         raise AnalysisError(
@@ -806,10 +919,10 @@ def analyze_ssta(
                 f"(got {nominal.delay_model!r})"
             )
         else:
-            nets = nominal.nets
+            geometries = nominal.nets.geometries.values()
             coefficients = (
-                [(name, list(net.sink_nodes)) for name, net in nets.items()],
-                *model.net_columns([net.arrays() for net in nets.values()]),
+                [(g.net, g.sink_pins()) for g in geometries],
+                *model.net_columns([net_arrays(g) for g in geometries]),
             )
 
         with _span("ssta.extract", nets=len(nominal.nets)):
@@ -824,9 +937,7 @@ def analyze_ssta(
                                                  mu, a)
         rows.trim()
         arrival = _Arrivals(levels, mu, a, rows, columns.labels)
-        outputs = {
-            port: arrival[Pin(Pin.PORT, port)] for port in design.outputs
-        }
+        outputs = _Outputs(arrival, design.outputs)
         criticality = dict(zip(design.outputs, out_weights))
         pin_criticality = dict(zip(
             levels.pins, _backward(levels, out_weights, weights).tolist()))

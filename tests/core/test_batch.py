@@ -229,6 +229,19 @@ class TestForest:
         assert topology.index_of("0/n1") == 0
         assert topology.index_of("1/n1") == offsets[1]
 
+    def test_forest_names_built_on_first_lookup(self):
+        trees = [rc_line(2, 10.0, 1e-13), rc_line(3, 20.0, 2e-13)]
+        topology, offsets = compile_forest(trees)
+        batch_transfer_moments(topology, 2)  # sweeps read no name
+        assert topology.node_names._names is None
+        assert not topology._index
+        assert len(topology.node_names) == 5
+        assert topology.index_of("1/n3") == 4
+        assert tuple(topology.node_names) == (
+            "0/n1", "0/n2", "1/n1", "1/n2", "1/n3")
+        with pytest.raises(ValidationError, match="unknown node"):
+            topology.index_of("n1")
+
     def test_empty_forest_rejected(self):
         with pytest.raises(ValidationError):
             compile_forest([])

@@ -12,7 +12,10 @@ differential tests compare against:
 * :func:`wire_forms` builds the compressed per-net wire forms and
   :func:`net_delay_forms` the per-element ones (one residual label per
   RC element);
-* :func:`monte_carlo_walk` is the per-pin Monte-Carlo arrival walk.
+* :func:`monte_carlo_walk` is the per-pin Monte-Carlo arrival walk;
+* :func:`net_coefficients` is one net's SSTA coefficients from its
+  flat arrays, the per-net reference of the shard-wide
+  :meth:`~repro.sta.ssta.ProcessModel.net_columns`.
 
 Labels use the engine's namespaces: ``net:{net}.q{j}`` (or
 ``net:{net}.r{i}`` / ``net:{net}.c{i}`` per element), ``cell:{gate}``,
@@ -34,9 +37,55 @@ from repro.core.canonical import (
     canonical_constant,
     canonical_max_many,
 )
-from repro.core.sensitivity import elmore_sensitivity
+from scipy.linalg import lapack
+
+from repro.core.sensitivity import (
+    elmore_sensitivity,
+    elmore_sensitivity_arrays,
+)
 from repro.sta import Pin, analyze
+from repro.sta.interconnect import NetArrays
 from repro.sta.ssta import PROCESS_VARIABLES, ProcessModel
+
+
+def net_coefficients(
+    arrays: NetArrays, model: ProcessModel
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One net's SSTA coefficients ``(a, l)`` from its flat arrays.
+
+    ``gr = dT/dR * R * sr`` and ``gc = dT/dC * C * sc`` by
+    :func:`elmore_sensitivity_arrays`; ``a`` is ``sqrt(rho)`` times
+    their row sums and ``l`` the packed rows of the ``S x S`` factor
+    ``L`` of ``G = [sqrt(1 - rho_r) gr, sqrt(1 - rho_c) gc] = L Q``
+    (the QR of ``G^T``, zero-padded when the net has more sinks than
+    ``G`` has columns).  ``net_columns`` must match it bit for bit.
+    """
+    res = np.asarray(arrays.resistances, dtype=np.float64)
+    cap = np.asarray(arrays.capacitances, dtype=np.float64)
+    d_r, d_c = elmore_sensitivity_arrays(arrays.parents, res, cap,
+                                         arrays.sinks)
+    sr, sc = model.variation.sigma_arrays(arrays.node_names)
+    gr = d_r * res * sr
+    gc = d_c * cap * sc
+    size = len(arrays.sinks)
+    a = np.zeros((size, len(PROCESS_VARIABLES)))
+    a[:, 0] = math.sqrt(model.rho_r) * gr.sum(axis=1)
+    a[:, 1] = math.sqrt(model.rho_c) * gc.sum(axis=1)
+    g_t = np.concatenate([math.sqrt(1.0 - model.rho_r) * gr,
+                          math.sqrt(1.0 - model.rho_c) * gc], axis=1).T
+    if g_t.shape[0] < size:  # more sinks than labels: pad G with zeros
+        g_t = np.vstack([g_t, np.zeros((size - g_t.shape[0], size))])
+    r = lapack.dgeqrf(g_t)[0]  # R = L^T in the upper triangle
+    return a, r.T[np.tril_indices(size)]
+
+
+def net_columns(nets, model: ProcessModel
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`net_coefficients` net by net, concatenated as
+    :meth:`~repro.sta.ssta.ProcessModel.net_columns` returns them."""
+    parts = [net_coefficients(arrays, model) for arrays in nets]
+    return (np.concatenate([a for a, _ in parts]),
+            np.concatenate([l for _, l in parts]))
 
 
 def wire_forms(coefficients: tuple, nominal_delays: Dict[Pin, float]

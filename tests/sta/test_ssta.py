@@ -285,6 +285,21 @@ class TestReport:
         with pytest.raises(TimingGraphError):
             report.arrival_at_output("ghost")
 
+    def test_outputs_read_the_arrival_forms_lazily(self, model):
+        design = random_design(layers=4, width=6, seed=3)
+        report = analyze_ssta(design, model)
+        assert "0 built" in repr(report.arrival)  # no form built yet
+        assert list(report.outputs) == list(design.outputs)
+        assert len(report.outputs) == len(design.outputs)
+        port = design.outputs[0]
+        assert report.outputs[port] is report.arrival[Pin(Pin.PORT, port)]
+        assert "1 built" in repr(report.arrival)
+        assert port in report.outputs and "ghost" not in report.outputs
+        with pytest.raises(KeyError):
+            report.outputs["ghost"]
+        with pytest.raises(TypeError):
+            report.outputs[port] = report.critical
+
 
 class TestNominalReuse:
     def test_precomputed_nominal_reused(self, chain, model):

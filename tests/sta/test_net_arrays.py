@@ -158,8 +158,8 @@ class TestShardTask:
             part = geometries[shard.start:shard.stop]
             got = timing._net_shard_task(
                 ([net_record(g) for g in part], "elmore", None))
-            ref = timing._sweep_nets([build_net(g).arrays() for g in part],
-                                     "elmore")
+            nets = [build_net(g).arrays() for g in part]
+            ref = timing._sweep_nets(nets, "elmore", compile_forest(nets))
             assert got.tobytes() == ref.tobytes()
 
 

@@ -12,7 +12,7 @@ from repro.awe.pade import (
     awe_delay,
     pade_from_moments,
 )
-from repro.awe.twopole import two_pole_delay, two_pole_model, two_pole_rates
+from repro.awe.twopole import two_pole_delay, two_pole_model
 
 __all__ = [
     "LN2",
@@ -25,5 +25,4 @@ __all__ = [
     "awe_delay",
     "two_pole_model",
     "two_pole_delay",
-    "two_pole_rates",
 ]

@@ -1,59 +1,20 @@
 """Two-pole approximation from the first four moments (Chu & Horowitz [4]).
 
-A convenience specialization of the general Padé machinery at ``q = 2``
-with a closed-form quadratic solve, kept separate because two-pole models
-are the historically significant middle ground between the Elmore metric
-and full AWE (Sec. II-E mentions them as the next refinement beyond the
-Penfield-Rubinstein bounds).
+The general Padé machinery at ``q = 2``, kept as its own entry point
+because two-pole models are the historically significant middle ground
+between the Elmore metric and full AWE (Sec. II-E mentions them as the
+next refinement beyond the Penfield-Rubinstein bounds).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
-import numpy as np
-
-from repro._exceptions import AnalysisError
 from repro.awe.pade import PadeApproximant, pade_from_moments
 from repro.circuit.rctree import RCTree
 from repro.core.moments import TransferMoments, transfer_moments
 
-__all__ = ["two_pole_model", "two_pole_delay", "two_pole_rates"]
-
-
-def two_pole_rates(moments: np.ndarray) -> tuple:
-    """Closed-form decay rates of the two-pole fit from ``m_0..m_3``.
-
-    The denominator ``1 + d_1 s + d_2 s^2`` has
-
-        d_2 = (m_1 m_3 - m_2^2) / (m_0 m_2 - m_1^2)
-        d_1 = (m_1 m_2 - m_0 m_3) / (m_0 m_2 - m_1^2)
-
-    and the rates are the negated roots.  Raises when the discriminant is
-    negative (complex poles — not an RC-realizable 2-pole fit).
-    """
-    m = np.asarray(moments, dtype=np.float64)
-    if m.shape[0] < 4:
-        raise AnalysisError("need moments m_0..m_3 for a two-pole fit")
-    m0, m1, m2, m3 = m[:4]
-    denom = m0 * m2 - m1 * m1
-    if denom == 0.0:
-        raise AnalysisError("degenerate moments: response is single-pole")
-    d2 = (m1 * m3 - m2 * m2) / denom
-    d1 = (m1 * m2 - m0 * m3) / denom
-    if d2 == 0.0:
-        raise AnalysisError("degenerate moments: response is single-pole")
-    disc = d1 * d1 - 4.0 * d2
-    if disc < 0.0:
-        raise AnalysisError("two-pole fit produced complex poles")
-    root = math.sqrt(disc)
-    s1 = (-d1 + root) / (2.0 * d2)
-    s2 = (-d1 - root) / (2.0 * d2)
-    if s1 >= 0.0 or s2 >= 0.0:
-        raise AnalysisError("two-pole fit produced unstable poles")
-    rates = sorted((-s1, -s2))
-    return rates[0], rates[1]
+__all__ = ["two_pole_model", "two_pole_delay"]
 
 
 def two_pole_model(

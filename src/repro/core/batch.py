@@ -411,7 +411,7 @@ class _ForestNames(_SequenceABC):
     """A forest's node names, ``"{k}/{name}"`` for node ``name`` of
     ``trees[k]``, formatted on the first read and then kept."""
 
-    def __init__(self, trees: List[Sequence[str]], count: int) -> None:
+    def __init__(self, trees: Sequence, count: int) -> None:
         self._trees = trees
         self._count = count
         self._names: Optional[Tuple[str, ...]] = None
@@ -419,8 +419,8 @@ class _ForestNames(_SequenceABC):
     def _all(self) -> Tuple[str, ...]:
         if self._names is None:
             self._names = tuple(f"{k}/{name}"
-                                for k, names in enumerate(self._trees)
-                                for name in names)
+                                for k, tree in enumerate(self._trees)
+                                for name in tree.node_names)
         return self._names
 
     def __getitem__(self, index):
@@ -440,15 +440,13 @@ class _ForestNames(_SequenceABC):
 def _compile_forest(
     trees: Sequence[Union[RCTree, tuple]],
 ) -> Tuple[TreeTopology, Tuple[int, ...]]:
-    tree_names = [tree.node_names for tree in trees]
     offsets: List[int] = []
     n = 0
-    for part in tree_names:
-        if not len(part):
+    for tree in trees:
+        if not len(tree.node_names):
             raise ValidationError("RC tree has no nodes")
         offsets.append(n)
-        n += len(part)
-    names = _ForestNames(tree_names, n)
+        n += len(tree.node_names)
 
     def flat(field: str, dtype: type) -> np.ndarray:
         return np.fromiter(
@@ -465,12 +463,39 @@ def _compile_forest(
             "node name"
         )
     shift = np.repeat(offsets, np.diff(offsets + [n]))
-    late = (local < -1) | (local >= np.arange(n) - shift)
+    parents = np.where(local >= 0, local + shift, local)
+    return (_checked_forest(trees, parents, resistances, capacitances,
+                            offsets),
+            tuple(offsets))
+
+
+def _checked_forest(
+    trees: Sequence,
+    parents: np.ndarray,
+    resistances: np.ndarray,
+    capacitances: np.ndarray,
+    offsets: List[int],
+) -> TreeTopology:
+    """Check trees laid out side by side and compile their forest.
+
+    Tree ``k``'s nodes start at forest index ``offsets[k]``;
+    ``parents`` holds forest indices, ``-1`` for each tree's roots.
+    The checks are :meth:`RCTree.from_arrays`' (each parent before its
+    child and in its own tree; R finite and > 0; C finite and >= 0,
+    with the first bad element's error) plus a capacitance-free tree's.
+    ``trees[k]`` is read only for its ``node_names``, ``resistances``
+    and ``capacitances`` (names on the first lookup, all three on the
+    error path), so it may lay its tree out on read.
+    """
+    n = parents.shape[0]
+    shift = np.repeat(offsets, np.diff(offsets + [n]))
+    late = (parents >= np.arange(n)) | ((parents < shift) & (parents != -1))
+    names = _ForestNames(trees, n)
     if late.any():
         i = int(np.argmax(late))
+        local = int(parents[i]) - (int(shift[i]) if parents[i] >= 0 else 0)
         raise TopologyError(
-            f"parent index {int(local[i])} of node {names[i]!r} does not "
-            "precede it"
+            f"parent index {local} of node {names[i]!r} does not precede it"
         )
     with np.errstate(invalid="ignore"):
         legal = (resistances > 0.0) & (capacitances >= 0.0)
@@ -481,15 +506,8 @@ def _compile_forest(
                            tree.capacitances)
     if (np.add.reduceat(capacitances, offsets) <= 0.0).any():
         raise ValidationError("RC tree carries no capacitance")
-    return (
-        TreeTopology.from_arrays(
-            np.where(local >= 0, local + shift, -1),
-            names,
-            resistances,
-            capacitances,
-        ),
-        tuple(offsets),
-    )
+    return TreeTopology.from_arrays(parents, names, resistances,
+                                    capacitances)
 
 
 def topology_to_arrays(

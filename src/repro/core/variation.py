@@ -238,11 +238,17 @@ def _draw_rows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``count`` rows of ``(R, C)`` drawn from ``rng`` around the nominal
     ``res``/``cap``: per row, N resistance normals then N capacitance
-    normals, scaled by the relative sigmas and clipped at ``+-clip``."""
-    draws = rng.normal(0.0, 1.0, (count, 2, res.shape[0]))
-    xr = np.clip(draws[:, 0, :] * sr, -clip, clip)
-    xc = np.clip(draws[:, 1, :] * sc, -clip, clip)
-    return res * (1.0 + xr), cap * (1.0 + xc)
+    normals, scaled by the relative sigmas and clipped at ``+-clip``.
+
+    The ``(count, 2, N)`` block of standard normals is turned into the
+    rows in place (scale, clip, add 1, times the nominal), so the two
+    returned ``(count, N)`` arrays are views of it."""
+    draws = rng.standard_normal((count, 2, res.shape[0]))
+    draws *= np.stack((sr, sc))
+    np.clip(draws, -clip, clip, out=draws)
+    draws += 1.0
+    draws *= np.stack((res, cap))
+    return draws[:, 0, :], draws[:, 1, :]
 
 
 def sample_parameter_batch(

@@ -63,11 +63,13 @@ def _mst_edges(points: Sequence[Point]) -> List[Tuple[int, int, float]]:
     if n < 2:
         raise RoutingError("routing needs at least two pins")
     pairs = sorted([
-        (manhattan(a, b), i, j)
+        (abs(a[0] - b[0]) + abs(a[1] - b[1]), i, j)  # manhattan(a, b)
         for (i, a), (j, b) in itertools.combinations(enumerate(points), 2)
     ])
     if not all(math.isfinite(weight) for weight, _, _ in pairs):
         raise RoutingError("pin coordinates must be finite")
+    if n <= 3:  # any n - 1 of these pairs form a tree: no cycle to skip
+        return [(i, j, weight) for weight, i, j in pairs[:n - 1]]
     component = list(range(n))
     edges: List[Tuple[int, int, float]] = []
     for weight, i, j in pairs:

@@ -20,27 +20,34 @@ routed net goes straight from its rectilinear MST's index edges to the
 arrays, with no wire segments or name-keyed maps.  :func:`build_net` is
 the tree over those arrays (:meth:`RCTree.from_arrays`).  The STA's
 shard task gets each net as the plain :func:`net_record` tuple of what
-its layout reads and sweeps :func:`record_arrays` of it without
-building any tree, so shard tasks and the parent's trees see identical
-nets by construction.
+its layout reads and lays the whole shard into one flat forest with
+:func:`net_forest`, which appends every net straight to shard-wide
+arrays: the arrays of :func:`record_arrays` side by side, bit for bit,
+without building any tree, so shard tasks and the parent's trees see
+identical nets.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro._exceptions import RoutingError, TimingGraphError, ValidationError
 from repro.circuit.rctree import RCTree, checked_load
 from repro.circuit.wires import DEFAULT_TECHNOLOGY, WireTechnology
+from repro.core.batch import TreeTopology, _checked_forest
+from repro.obs.trace import span as _span
 from repro.routing.steiner import _MIN_SEGMENT, _mst_edges, manhattan
 from repro.sta.netlist import Design, Net, Pin
 
 __all__ = [
     "WireLoadModel", "ElaboratedNet", "NetGeometry", "NetArrays",
-    "net_geometry", "net_arrays", "net_record", "record_arrays",
-    "build_net", "elaborate_net",
+    "NetForest", "net_geometry", "net_arrays", "net_record",
+    "record_arrays", "net_forest", "build_net", "elaborate_net",
 ]
 
 
@@ -246,7 +253,8 @@ def net_record(geometry: NetGeometry) -> tuple:
 
 
 def record_arrays(record: tuple) -> NetArrays:
-    """:func:`net_arrays` of one :func:`net_record` tuple."""
+    """:func:`net_arrays` of one :func:`net_record` tuple (a shard's
+    records go into one flat forest through :func:`net_forest`)."""
     if len(record) == 2:
         return _tree_arrays(*record)
     driver_resistance, points, loads, kept, *wire = record
@@ -335,6 +343,167 @@ def _star_arrays(
         [driver_resistance] + [model.resistance_per_sink] * count,
         cap, [k + 1 for k in kept],
     )
+
+
+class NetForest(NamedTuple):
+    """A shard's nets side by side in one compiled forest
+    (:func:`net_forest`).
+
+    Net ``k``'s nodes are forest nodes ``offsets[k]`` onwards.
+    ``sinks`` holds the forest index of each net's ``sink_pins()``
+    nodes, net by net, and ``counts`` how many each net has.  ``nets``
+    lays net ``k`` out again as :class:`NetArrays` when item ``k`` is
+    read: for node names (error messages, per-name sigma overrides) and
+    the ``"exact"`` model's per-net trees.
+    """
+
+    topology: TreeTopology
+    offsets: Tuple[int, ...]
+    sinks: np.ndarray
+    counts: List[int]
+    nets: Sequence[NetArrays]
+
+    def sigma_arrays(self, variation) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-node ``(sr, sc)`` over the whole forest: each net's
+        :meth:`~repro.core.variation.VariationModel.sigma_arrays`,
+        read off node names only when ``variation`` has per-name
+        overrides."""
+        if variation.resistance_sigmas or variation.capacitance_sigmas:
+            pairs = [variation.sigma_arrays(net.node_names)
+                     for net in self.nets]
+            return (np.concatenate([r for r, _ in pairs]),
+                    np.concatenate([c for _, c in pairs]))
+        n = self.topology.num_nodes
+        return (np.full(n, variation.resistance_sigma),
+                np.full(n, variation.capacitance_sigma))
+
+
+class _RecordNets(_SequenceABC):
+    """:func:`record_arrays` of each record, laid out on read."""
+
+    def __init__(self, records: Sequence[tuple]) -> None:
+        self._records = records
+
+    def __getitem__(self, k: int) -> NetArrays:
+        return record_arrays(self._records[k])
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+
+def net_forest(records: Sequence[tuple]) -> NetForest:
+    """Lay :func:`net_record` tuples out side by side and compile them.
+
+    One pass appends every net straight to shard-wide flat parent/R/C
+    lists, with forest parent indices, keeping each net's offset and
+    sink indices: the arrays of
+    ``compile_forest([record_arrays(r) for r in records])``, bit for
+    bit, with the same checks raising the same errors (the first bad
+    net's).  No :class:`NetArrays` is built and no node name formatted
+    (see :attr:`NetForest.nets` for when they are).
+    """
+    if not records:
+        raise ValidationError("net_forest needs at least one net")
+    with _span("batch.compile_forest", trees=len(records)):
+        parents: List[int] = []
+        res: List[float] = []
+        cap: List[float] = []
+        sinks: List[int] = []
+        offsets: List[int] = []
+        counts: List[int] = []
+        for record in records:
+            offsets.append(len(res))
+            listed = len(sinks)
+            if len(record) == 2:
+                _append_tree(*record, parents, res, cap, sinks)
+            elif record[1] is None:
+                _append_star(*record, parents, res, cap, sinks)
+            else:
+                _append_routed(*record, parents, res, cap, sinks)
+            counts.append(len(sinks) - listed)
+        nets = _RecordNets(records)
+        if not np.diff([*offsets, len(res)]).all():
+            raise ValidationError("RC tree has no nodes")
+        topology = _checked_forest(
+            nets, np.array(parents, dtype=np.int64), np.array(res),
+            np.array(cap), offsets)
+    return NetForest(topology, tuple(offsets),
+                     np.array(sinks, dtype=np.intp), counts, nets)
+
+
+def _append_tree(tree: RCTree, nodes, parents, res, cap, sinks) -> None:
+    """An override net: its tree's own arrays."""
+    at = len(res)
+    _, up, r, c = tree.to_arrays()
+    sinks += [at + tree.index_of(node) for node in nodes]
+    parents += [p + at if p >= 0 else p for p in up]
+    res += r
+    cap += c
+
+
+def _append_star(driver_resistance, _, loads, kept, model: WireLoadModel,
+                 parents, res, cap, sinks) -> None:
+    """:func:`_star_arrays`, appended."""
+    at = len(res)
+    count = len(loads)
+    half = model.capacitance_per_sink / 2.0
+    drive = 0.0
+    for _ in range(count):  # summed one sink at a time, as there
+        drive += half
+    parents += [-1] + [at] * count
+    res += [driver_resistance] + [model.resistance_per_sink] * count
+    cap += [drive] + [half] * count
+    for k in kept:
+        load = loads[k]
+        if not 0.0 <= load < math.inf:
+            checked_load(f"s{k}", load)
+        cap[at + k + 1] += float(load)
+    sinks += [at + k + 1 for k in kept]
+
+
+def _append_routed(driver_resistance, points, loads, kept,
+                   technology: WireTechnology, width: float,
+                   parents, res, cap, sinks) -> None:
+    """:func:`_routed_arrays`, appended: the same nodes, values and
+    checks in the same order, with forest indices and no names."""
+    if len(points) < 2:
+        raise RoutingError("net has no sinks")
+    adjacency: List[List[Tuple[int, float]]] = [[] for _ in points]
+    for i, j, length in _mst_edges(points):
+        adjacency[i].append((j, length))
+        adjacency[j].append((i, length))
+    if driver_resistance <= 0:
+        raise ValidationError("driver_resistance must be > 0")
+    node = [0] * len(points)  # each pin's forest index
+    node[0] = len(res)
+    parents.append(-1)
+    res.append(driver_resistance)
+    cap.append(0.0)
+    stack = [0]
+    while stack:
+        pin = stack.pop()
+        at = node[pin]
+        for child, length in adjacency[pin]:
+            if child == 0 or node[child]:  # its parent, the one placed
+                continue
+            r_total, c_total = technology.segment_rc(
+                max(length, _MIN_SEGMENT), width)
+            r = r_total / 2
+            c = c_total / 4
+            mid = len(res)
+            parents += (at, mid)
+            res += (r, r)
+            cap += (c, c)
+            cap[at] += c
+            cap[mid] += c
+            node[child] = mid + 1
+            stack.append(child)
+    for k in kept:
+        load = loads[k]
+        if not 0.0 <= load < math.inf:
+            checked_load(f"p{k + 1}", load)
+        cap[node[k + 1]] += float(load)
+    sinks += [node[k + 1] for k in kept]
 
 
 def build_net(geometry: NetGeometry) -> ElaboratedNet:

@@ -212,18 +212,25 @@ class Design:
         placed, followed by the net its output drives.  Every net thus
         comes after its driver and before its sinks: walk the list for
         arrivals and ``reversed`` for required times.  Raises
-        :class:`TimingGraphError` on an unconnected pin or port or a
-        combinational loop.
+        :class:`TimingGraphError` on an unconnected pin, then an
+        unconnected port, then a combinational loop: the first
+        unconnected instance pin in instance and cell-pin order wins,
+        then the first unconnected input or output port.  Pins are
+        looked up as the plain ``(instance, pin)`` tuples a :class:`Pin`
+        equals and hashes as.
         """
+        connected = self._pin_to_net
+        port = Pin.PORT
         for name, inst in self.instances.items():
             for pin in inst.cell.pin_names:
-                if Pin(name, pin) not in self._pin_to_net:
+                if (name, pin) not in connected:
                     raise TimingGraphError(
                         f"pin {name}.{pin} is unconnected"
                     )
-        for port in (*self.inputs, *self.outputs):
-            if Pin(Pin.PORT, port) not in self._pin_to_net:
-                raise TimingGraphError(f"port {port!r} is unconnected")
+        for name in (*self.inputs, *self.outputs):
+            if (port, name) not in connected:
+                raise TimingGraphError(f"port {name!r} is unconnected")
+        nets = self.nets
         waiting = {
             name: len(inst.cell.inputs)
             for name, inst in self.instances.items()
@@ -234,18 +241,18 @@ class Design:
         def place(net_name: str) -> None:
             order.append(("net", net_name))
             # A pin listed twice on one net still counts once.
-            for sink in dict.fromkeys(self.nets[net_name].sinks):
-                if not sink.is_port:
-                    waiting[sink.instance] -= 1
-                    if waiting[sink.instance] == 0:
-                        ready.append(sink.instance)
+            for instance, _ in dict.fromkeys(nets[net_name].sinks):
+                if instance != port:
+                    waiting[instance] -= 1
+                    if not waiting[instance]:
+                        ready.append(instance)
 
-        for port in self.inputs:
-            place(self.net_of(Pin.PORT, port))
+        for name in self.inputs:
+            place(connected[port, name])
         while ready:
             name = ready.popleft()
             order.append(("gate", name))
-            place(self.net_of(name, self.instances[name].cell.output))
+            place(connected[name, self.instances[name].cell.output])
         stuck = [name for name, count in waiting.items() if count]
         if stuck:
             raise TimingGraphError(

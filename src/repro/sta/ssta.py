@@ -76,7 +76,7 @@ from scipy.linalg import lapack
 from scipy.special import ndtr
 
 from repro._exceptions import AnalysisError, TimingGraphError
-from repro.core.batch import batch_elmore_delays, compile_forest
+from repro.core.batch import batch_elmore_delays
 from repro.core.canonical import (
     TIE_EPSILON,
     CanonicalForm,
@@ -91,7 +91,7 @@ from repro.core.variation import (
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 from repro.parallel import plan_shards, resolve_backend
-from repro.sta.interconnect import NetArrays, net_arrays
+from repro.sta.interconnect import NetForest, net_forest, net_record
 from repro.sta.levels import TimingLevels, _levelize, levelize
 from repro.sta.netlist import Design, Pin
 from repro.sta.timing import TimingResult, _analyze_traced, analyze
@@ -167,22 +167,19 @@ class ProcessModel:
                 f"sigma: {self.cell_sigma!r}"
             )
 
-    def net_columns(
-        self, nets: Sequence[NetArrays], forest: Optional[tuple] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """SSTA coefficients of every sink of ``nets``, in one pass.
+    def net_columns(self, forest: NetForest) -> Tuple[np.ndarray, np.ndarray]:
+        """SSTA coefficients of every sink of ``forest``, in one pass.
 
-        ``forest`` is ``compile_forest(nets)`` when the caller already
-        has it (the shard task compiles once for its sweep and this).
-        Returns ``(a, l)``: ``a`` stacks each net's ``(S, 3)`` global
-        coefficients and ``l`` concatenates each net's packed residual
-        factor (:func:`_forest_coefficients`).  Each net's part depends
-        on that net alone, bit for bit, whatever else ``nets`` holds.
+        ``forest`` is a shard's
+        :func:`~repro.sta.interconnect.net_forest` (the shard task
+        compiles it once for its sweep and this).  Returns ``(a, l)``:
+        ``a`` stacks each net's ``(S, 3)`` global coefficients and ``l``
+        concatenates each net's packed residual factor
+        (:func:`_forest_coefficients`).  Each net's part depends on that
+        net alone, bit for bit, whatever else the forest holds.
         """
-        with _span("ssta.coefficients", nets=len(nets)):
-            if forest is None:
-                forest = compile_forest(nets)
-            return _forest_coefficients(nets, *forest, self)
+        with _span("ssta.coefficients", nets=len(forest.offsets)):
+            return _forest_coefficients(forest, self)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +193,7 @@ def _lower_triangle(size: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _forest_coefficients(
-    nets: Sequence[NetArrays], topology, offsets: Sequence[int],
-    model: ProcessModel,
+    forest: NetForest, model: ProcessModel,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every net's SSTA coefficients from the nets' compiled forest.
 
@@ -231,6 +227,7 @@ def _forest_coefficients(
     ancestors) are exact, each row of ``gr``/``gc`` is summed on its
     own, and the QR runs once per net.
     """
+    topology, offsets = forest.topology, forest.offsets
     parents = topology.parents
     res = topology.resistances
     cap = topology.capacitances
@@ -242,11 +239,9 @@ def _forest_coefficients(
 
     # One row per sink, one pair per (sink, node of its net): pair
     # ``base[row] + node`` for the node's forest index.
-    sinks = [len(net.sinks) for net in nets]
-    sizes = [len(net.parents) for net in nets]
-    sink_node = np.array([offset + sink
-                          for net, offset in zip(nets, offsets)
-                          for sink in net.sinks], dtype=np.intp)
+    sinks = forest.counts
+    sizes = np.diff([*offsets, topology.num_nodes]).tolist()
+    sink_node = forest.sinks
     width = np.repeat(np.array(sizes, dtype=np.intp), sinks)
     row_start = np.cumsum(width) - width
     total = int(width.sum())
@@ -273,14 +268,8 @@ def _forest_coefficients(
         reach *= 2
     d_c = d_c[:total]
 
-    variation = model.variation
-    if variation.resistance_sigmas or variation.capacitance_sigmas:
-        sigmas = [variation.sigma_arrays(net.node_names) for net in nets]
-        sr = np.concatenate([r for r, _ in sigmas])[node]
-        sc = np.concatenate([c for _, c in sigmas])[node]
-    else:
-        sr = variation.resistance_sigma
-        sc = variation.capacitance_sigma
+    sr, sc = forest.sigma_arrays(model.variation)
+    sr, sc = sr[node], sc[node]
     gr = on_path * cdown[node] * res[node] * sr
     gc = d_c * cap[node] * sc
 
@@ -894,7 +883,7 @@ def analyze_ssta(
     Pass a precomputed ``nominal`` result (``"elmore"`` model) to skip
     the deterministic pass; the coefficients then come from the net
     geometries it recorded, laid out as the shard task lays them out
-    (:func:`~repro.sta.interconnect.net_arrays`) and fed to the same
+    (:func:`~repro.sta.interconnect.net_forest`) and fed to the same
     :meth:`ProcessModel.net_columns`, so no RC tree is built and the
     report is bit-identical to the default path's.
     """
@@ -922,7 +911,8 @@ def analyze_ssta(
             geometries = nominal.nets.geometries.values()
             coefficients = (
                 [(g.net, g.sink_pins()) for g in geometries],
-                *model.net_columns([net_arrays(g) for g in geometries]),
+                *model.net_columns(
+                    net_forest([net_record(g) for g in geometries])),
             )
 
         with _span("ssta.extract", nets=len(nominal.nets)):
@@ -1021,7 +1011,10 @@ def monte_carlo_arrivals(
     category + per-element/per-gate residuals, identical sigma grid from
     ``model.variation``), sweeps every net's Elmore delays through one
     batched (B, N) forest evaluation (sharded / shm warm pool when
-    ``jobs``/``backend`` are given), and propagates per-sample arrivals
+    ``jobs``/``backend`` are given) over the net geometries the nominal
+    result recorded, laid out by
+    :func:`~repro.sta.interconnect.net_forest` (no RC tree is built),
+    and propagates per-sample arrivals
     with vectorized max/add using the nominal slews — exactly the
     semantics the canonical walk linearizes.
 
@@ -1044,25 +1037,21 @@ def monte_carlo_arrivals(
             levels = _levelize(design, nominal._order)
         else:
             levels = levelize(design)
-        net_order = [n for n in design.nets if n in nominal.nets]
-        trees = [nominal.nets[n].tree for n in net_order]
-        topology, offsets = compile_forest(trees)
+        recorded = nominal.nets.geometries
+        geometries = [recorded[n] for n in design.nets if n in recorded]
+        forest = net_forest([net_record(g) for g in geometries])
+        topology = forest.topology
         n_forest = int(topology.num_nodes)
         sp.set_attribute("forest_nodes", n_forest)
-        sr_all = np.empty(n_forest)
-        sc_all = np.empty(n_forest)
-        for net_name, offset, tree in zip(net_order, offsets, trees):
-            sr, sc = model.variation.sigma_arrays(tree)
-            sr_all[offset:offset + tree.num_nodes] = sr
-            sc_all[offset:offset + tree.num_nodes] = sc
+        sr_all, sc_all = forest.sigma_arrays(model.variation)
 
         instances = list(design.instances)
         rng = np.random.default_rng(seed)
         # Draw order (stable contract): shared Z block, then the R/C
         # element residuals, then the per-gate residuals.
-        z = rng.normal(0.0, 1.0, (samples, 3))
-        eps = rng.normal(0.0, 1.0, (samples, 2, n_forest))
-        eps_cell = rng.normal(0.0, 1.0, (samples, len(instances)))
+        z = rng.standard_normal((samples, 3))
+        eps = rng.standard_normal((samples, 2, n_forest))
+        eps_cell = rng.standard_normal((samples, len(instances)))
         _MC_SAMPLES.inc(samples)
 
         xr = sr_all * (
@@ -1080,11 +1069,8 @@ def monte_carlo_arrivals(
         # Pin-major (pins, B) arrivals, one level at a time.
         wire = delays.T
         wire_row = np.zeros(len(levels.pins), dtype=np.intp)
-        for net_name, offset in zip(net_order, offsets):
-            elaborated = nominal.nets[net_name]
-            for sink, node in elaborated.sink_nodes.items():
-                wire_row[levels.index[sink]] = (
-                    offset + elaborated.tree.index_of(node))
+        wire_row[[levels.index[pin] for g in geometries
+                  for pin in g.sink_pins()]] = forest.sinks
 
         xg = model.cell_sigma * (
             math.sqrt(model.rho_cell) * z[:, 2:3]

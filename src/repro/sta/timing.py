@@ -46,7 +46,7 @@ _METRIC_FALLBACKS = _counter(
 from repro.analysis.responses import measure_delay
 from repro.analysis.state_space import ExactAnalysis
 from repro.circuit.rctree import RCTree
-from repro.core.batch import batch_transfer_moments, compile_forest
+from repro.core.batch import batch_transfer_moments
 from repro.core.metrics import METRICS
 from repro.core.moments import TransferMoments
 from repro.parallel import DEFAULT_MAX_SHARDS, Shard, run_sharded
@@ -54,12 +54,13 @@ from repro.parallel import DEFAULT_MAX_SHARDS, Shard, run_sharded
 from repro.sta.interconnect import (
     ElaboratedNet,
     NetArrays,
+    NetForest,
     NetGeometry,
     WireLoadModel,
     build_net,
+    net_forest,
     net_geometry,
     net_record,
-    record_arrays,
 )
 from repro.sta.netlist import Design, Pin
 
@@ -108,16 +109,14 @@ def _exact_delays(net: NetArrays) -> List[float]:
             for sink in net.sinks]
 
 
-def _sweep_nets(nets: List[NetArrays], delay_model: str,
-                forest: tuple) -> np.ndarray:
+def _sweep_nets(forest: NetForest, delay_model: str) -> np.ndarray:
     """Wire delay, ``mu2`` and fit fallback of every sink through one
     forest sweep.
 
-    ``forest`` is ``compile_forest(nets)``: the nets' flat arrays
-    (:class:`NetArrays`) side by side in one forest topology, swept once
-    at the moment order
-    ``DELAY_MODELS[delay_model]``.  Returns a ``(3, sinks)`` float64
-    array, net by net, each net's sinks in ``sink_pins()`` order:
+    ``forest`` is a shard's :func:`~repro.sta.interconnect.net_forest`,
+    swept once at the moment order ``DELAY_MODELS[delay_model]``.
+    Returns a ``(3, sinks)`` float64 array, net by net, each net's
+    sinks in ``sink_pins()`` order:
 
     * row 0, the wire delay: the Elmore delay ``-m1``; for ``"exact"``
       the measured 50% delay of the net's pole/residue response; for a
@@ -132,24 +131,20 @@ def _sweep_nets(nets: List[NetArrays], delay_model: str,
     tree roots), so a sub-forest reproduces the whole-forest results
     bit for bit.
     """
-    topology, offsets = forest
-    moments = batch_transfer_moments(topology, DELAY_MODELS[delay_model])
-    index = [
-        offset + sink
-        for net, offset in zip(nets, offsets)
-        for sink in net.sinks
-    ]
-    coefficients = moments.coefficients[:, 0, index]
+    moments = batch_transfer_moments(forest.topology,
+                                     DELAY_MODELS[delay_model])
+    coefficients = moments.coefficients[:, 0, forest.sinks]
     m1 = coefficients[1]
-    out = np.zeros((3, len(index)))
+    out = np.zeros((3, len(forest.sinks)))
     out[0] = -m1
     out[1] = np.maximum(2.0 * coefficients[2] - m1 * m1, 0.0)
     if delay_model == "exact":
-        out[0] = [delay for net in nets for delay in _exact_delays(net)]
+        out[0] = [delay for net in forest.nets
+                  for delay in _exact_delays(net)]
     elif delay_model != "elmore":
         metric = METRICS[delay_model]
         columns = TransferMoments(None, coefficients)
-        for j in range(len(index)):
+        for j in range(len(forest.sinks)):
             try:
                 out[0, j] = metric(columns, j)
             except (AnalysisError, MetricError):
@@ -160,35 +155,29 @@ def _sweep_nets(nets: List[NetArrays], delay_model: str,
     return out
 
 
-def _evaluate_shard(nets: List[NetArrays], delay_model: str, process):
-    """:func:`_sweep_nets`, plus ``process.net_columns`` over the same
-    compiled forest when a :class:`~repro.sta.ssta.ProcessModel` is
-    given."""
-    forest = compile_forest(nets)
-    values = _sweep_nets(nets, delay_model, forest)
-    if process is None:
-        return values
-    return (values, *process.net_columns(nets, forest))
-
-
 def _net_shard_task(payload):
     """Lay out and evaluate one shard's nets (picklable task).
 
     The payload is ``(records, delay_model, process)``: one plain
     :func:`~repro.sta.interconnect.net_record` tuple per net, a key of
     :data:`DELAY_MODELS` and a :class:`~repro.sta.ssta.ProcessModel` or
-    ``None``.  Each net is routed straight to flat parent/R/C arrays
-    with :func:`~repro.sta.interconnect.record_arrays` and the shard's
-    arrays go through :func:`_evaluate_shard`, so only the records go
-    in and the ``(3, sinks)`` array (with a process, also the nets'
-    SSTA coefficients, computed over the whole shard with each net's
-    bits independent of which shard holds it) comes back.  No
-    :class:`~repro.circuit.rctree.RCTree` is built here except by the
-    ``"exact"`` model, whose pole/residue analysis needs one per net.
+    ``None``.  :func:`~repro.sta.interconnect.net_forest` lays every
+    record straight into one flat forest (shard-wide parent/R/C arrays,
+    no per-net arrays, no node names) and compiles it;
+    :func:`_sweep_nets` sweeps it, and with a process
+    ``process.net_columns`` reads the same forest.  So only the records
+    go in and the ``(3, sinks)`` array (with a process, also the nets'
+    SSTA coefficients, each net's bits independent of which shard holds
+    it) comes back.  No :class:`~repro.circuit.rctree.RCTree` is built
+    here except by the ``"exact"`` model, whose pole/residue analysis
+    needs one per net.
     """
     records, delay_model, process = payload
-    return _evaluate_shard([record_arrays(record) for record in records],
-                           delay_model, process)
+    forest = net_forest(records)
+    values = _sweep_nets(forest, delay_model)
+    if process is None:
+        return values
+    return (values, *process.net_columns(forest))
 
 
 class _LazyNets(Mapping):
@@ -273,9 +262,10 @@ def _precompute_nets(
     The parent reads each net's routing inputs into a
     :class:`NetGeometry` and turns it into the plain tuple
     (:func:`~repro.sta.interconnect.net_record`) a shard task lays out.
-    :func:`_net_shard_task` routes its nets straight to flat parent/R/C
-    arrays, compiles them side by side into one forest topology and
-    :func:`_sweep_nets` runs one :func:`batch_transfer_moments` sweep
+    :func:`_net_shard_task` lays its records straight into one flat
+    forest (:func:`~repro.sta.interconnect.net_forest`: shard-wide
+    parent/R/C arrays, no per-net arrays or node names), compiles it
+    and :func:`_sweep_nets` runs one :func:`batch_transfer_moments` sweep
     that yields every sink's wire delay under ``delay_model`` (arrival
     propagation) and impulse-response variance (slew propagation) at
     once.  With ``jobs``, ``backend`` and ``checkpoint_path`` unset this
@@ -295,7 +285,7 @@ def _precompute_nets(
     same pass also returns every net's SSTA coefficients as
     ``(net_sinks, a, l)``: ``net_sinks`` lists ``(net, sink pins)`` in
     design order and ``a``/``l`` are ``process.net_columns`` over the
-    nets' arrays, computed next to the sweep (:func:`_evaluate_shard`).
+    shard's forest, computed next to the sweep (:func:`_net_shard_task`).
     Without one the fourth item is ``None``.
     """
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
@@ -520,10 +510,10 @@ def analyze(
         ``"shm"``; default auto).  ``"shm"`` selects the warm worker
         pool: each shard ships one plain tuple per net of what its
         layout reads (:func:`~repro.sta.interconnect.net_record`; no
-        :class:`~repro.sta.netlist.Pin` or net name), the worker routes
-        them straight to flat parent/R/C arrays
-        (:func:`~repro.sta.interconnect.record_arrays`) and evaluates
-        them in one forest sweep, and one ``(3, sinks)`` delay /
+        :class:`~repro.sta.netlist.Pin` or net name), the worker lays
+        them straight into one flat forest
+        (:func:`~repro.sta.interconnect.net_forest`) and evaluates it
+        in one sweep, and one ``(3, sinks)`` delay /
         variance / fallback array comes back.  Without ``jobs`` or
         ``backend`` the same shard task runs in process on the whole
         design.  Results stay bit-identical either way.
@@ -601,33 +591,35 @@ def _analyze(
         arrivals[pin] = (input_arrivals or {}).get(port, 0.0)
         slews[pin] = (input_slews or {}).get(port, 0.0)
 
+    design_nets, instances = design.nets, design.instances
     for kind, name in order:
         if kind == "net":
-            net = design.nets[name]
+            net = design_nets[name]
             driver = net.driver
             base = arrivals[driver]
-            base_slew = slews[driver]
+            base_var = slews[driver] ** 2
             for sink in net.sinks:
                 delay = wire_delay[sink]
                 arrivals[sink] = base + delay
                 # mu_2 adds under convolution: sigma_out^2 = sigma_in^2 + mu_2.
-                slews[sink] = (base_slew**2 + dispersion[sink]) ** 0.5
+                slews[sink] = (base_var + dispersion[sink]) ** 0.5
                 predecessor[sink] = (driver, "net", name, delay)
             continue
-        cell = design.instances[name].cell
-        worst: Optional[Tuple[float, float, Pin]] = None
+        cell = instances[name].cell
+        intrinsic, impact = cell.intrinsic_delay, cell.slew_impact
+        worst: Optional[Tuple[float, float, str]] = None
         for pin_name in cell.inputs:
-            pin = Pin(name, pin_name)
+            pin = (name, pin_name)  # finds the Pin key the net walk set
             # Slew-dependent gate delay (Sec. III-B's sigma measure).
-            stage = cell.intrinsic_delay + cell.slew_impact * slews[pin]
+            stage = intrinsic + impact * slews[pin]
             t = arrivals[pin] + stage
             if worst is None or t > worst[0]:
-                worst = (t, stage, pin)
+                worst = (t, stage, pin_name)
         assert worst is not None
         out_pin = Pin(name, cell.output)
         arrivals[out_pin] = worst[0]
         slews[out_pin] = cell.output_slew  # the gate regenerates the edge
-        predecessor[out_pin] = (worst[2], "gate", name, worst[1])
+        predecessor[out_pin] = (Pin(name, worst[2]), "gate", name, worst[1])
 
     critical_output = max(
         design.outputs, key=lambda p: arrivals[Pin(Pin.PORT, p)]

@@ -18,7 +18,6 @@ from repro.awe import (
     pade_from_moments,
     two_pole_delay,
     two_pole_model,
-    two_pole_rates,
 )
 from repro.core.moments import transfer_moments
 
@@ -55,7 +54,7 @@ class TestTwoPole:
         tree.add_node("a", "in", 100.0, 1e-12)
         tree.add_node("b", "a", 400.0, 2e-12)
         exact = ExactAnalysis(tree)
-        rates = two_pole_rates(transfer_moments(tree, 3).at("b"))
+        rates = two_pole_model(tree, "b").transfer.poles
         np.testing.assert_allclose(sorted(rates), exact.poles, rtol=1e-9)
 
     def test_delay_on_true_two_pole_is_exact(self):
@@ -67,13 +66,16 @@ class TestTwoPole:
         )
 
     def test_moment_guards(self):
+        # The two-pole model is the Pade fit at q = 2: it needs m_0..m_3.
         with pytest.raises(AnalysisError):
-            two_pole_rates(np.array([1.0, -1.0]))
-        # A true single-pole moment sequence is degenerate at q=2.
+            pade_from_moments(np.array([1.0, -1.0]), q=2)
+        # A true single-pole moment sequence is degenerate at q = 2 and
+        # falls back to its one pole.
         tau = 1e-9
         m = np.array([1.0, -tau, tau**2, -tau**3])
-        with pytest.raises(AnalysisError):
-            two_pole_rates(m)
+        np.testing.assert_allclose(
+            pade_from_moments(m, q=2).transfer.poles, [1.0 / tau],
+            rtol=1e-12)
 
     def test_more_accurate_than_one_pole(self, fig1):
         actual = measure_delay(fig1, "n5")

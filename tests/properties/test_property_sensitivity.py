@@ -14,7 +14,7 @@ from repro.core.sensitivity import (
     elmore_sensitivity_arrays,
 )
 from repro.core.variation import VariationModel
-from repro.sta.interconnect import NetArrays
+from repro.sta.interconnect import NetArrays, net_forest
 from repro.sta.ssta import ProcessModel
 from tests.sta.ssta_oracle import net_coefficients
 
@@ -137,7 +137,8 @@ def test_compressed_coefficients_keep_every_covariance(case):
     g = np.hstack([math.sqrt(1.0 - model.rho_r) * gr,
                    math.sqrt(1.0 - model.rho_c) * gc])
 
-    a, packed = model.net_columns([net])
+    a, packed = model.net_columns(net_forest(
+        [(tree, [tree.name_of(node) for node in net.sinks])]))
     # The per-net reference walk gives the same bits on these cases too
     # (multi-root trees, per-name overrides, an underflowing sigma).
     want_a, want_packed = net_coefficients(net, model)

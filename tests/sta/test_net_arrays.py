@@ -25,7 +25,7 @@ from repro.sta import (
     net_arrays,
     net_geometry,
 )
-from repro.sta.interconnect import net_record
+from repro.sta.interconnect import net_forest, net_record
 from repro.workloads import random_design
 from tests.sta.test_geometry import mixed_design, overrides
 
@@ -158,8 +158,11 @@ class TestShardTask:
             part = geometries[shard.start:shard.stop]
             got = timing._net_shard_task(
                 ([net_record(g) for g in part], "elmore", None))
-            nets = [build_net(g).arrays() for g in part]
-            ref = timing._sweep_nets(nets, "elmore", compile_forest(nets))
+            # The trees build_net makes, swept as override records.
+            trees = [build_net(g) for g in part]
+            ref = timing._sweep_nets(net_forest([
+                (net.tree, tuple(net.sink_nodes.values())) for net in trees
+            ]), "elmore")
             assert got.tobytes() == ref.tobytes()
 
 

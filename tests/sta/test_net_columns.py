@@ -8,6 +8,9 @@ whatever the mix of nets: routed, wire-load star and override nets
 twice, more sinks than the ``2N`` residual labels (the zero-padded QR),
 ``rho`` at 0 and 1, and per-name sigma overrides, which must raise the
 same :class:`~repro._exceptions.TopologyError` when a net lacks the name.
+The nets are drawn as :func:`~repro.sta.interconnect.net_record` tuples,
+laid out by :func:`~repro.sta.interconnect.net_forest` for
+``net_columns`` and by ``record_arrays`` for the reference.
 """
 
 from hypothesis import example, given, settings
@@ -16,10 +19,14 @@ from hypothesis import strategies as st
 from repro._exceptions import TopologyError
 from repro.circuit import RCTree
 from repro.circuit.wires import DEFAULT_TECHNOLOGY
-from repro.core.batch import compile_forest
 from repro.core.variation import VariationModel
-from repro.sta import NetGeometry, Pin, net_arrays
-from repro.sta.interconnect import WireLoadModel
+from repro.sta import NetGeometry, Pin
+from repro.sta.interconnect import (
+    WireLoadModel,
+    net_forest,
+    net_record,
+    record_arrays,
+)
 from repro.sta.ssta import ProcessModel
 from tests.sta import ssta_oracle
 
@@ -41,7 +48,7 @@ def listed_pins(draw):
 def routed_nets(draw):
     pins = draw(listed_pins())
     where = {pin: draw(_point) for pin in dict.fromkeys(pins)}
-    return net_arrays(NetGeometry(
+    return net_record(NetGeometry(
         net="n", sinks=tuple(pins),
         driver_resistance=draw(st.floats(1.0, 5e3)),
         driver_position=draw(_point),
@@ -55,7 +62,7 @@ def routed_nets(draw):
 @st.composite
 def star_nets(draw):
     pins = draw(listed_pins())
-    return net_arrays(NetGeometry(
+    return net_record(NetGeometry(
         net="n", sinks=tuple(pins),
         driver_resistance=draw(st.floats(1.0, 5e3)),
         sink_loads=tuple(draw(_load) for _ in pins),
@@ -78,7 +85,7 @@ def override_nets(draw):
         [draw(st.floats(1.0, 1e4)) for _ in range(n)], caps)
     sinks = draw(st.lists(st.sampled_from(names), min_size=1, max_size=7))
     mapping = {Pin(f"u{k}", "a"): node for k, node in enumerate(sinks)}
-    return net_arrays(NetGeometry(net="n", sinks=tuple(mapping),
+    return net_record(NetGeometry(net="n", sinks=tuple(mapping),
                                   override=(tree, mapping)))
 
 
@@ -112,7 +119,7 @@ def outcome(columns):
 _MODEL = ProcessModel(VariationModel(0.08, 0.06), rho_r=0.5, rho_c=0.3)
 _ONE_NODE = RCTree.from_arrays("in", ["drv"], [-1], [100.0], [4e-15])
 # One node, three pins on it: three sinks against two residual labels.
-_PADDED = net_arrays(NetGeometry(
+_PADDED = net_record(NetGeometry(
     net="n", sinks=(Pin("u0", "a"), Pin("u1", "a"), Pin("u2", "a")),
     override=(_ONE_NODE, {Pin(f"u{k}", "a"): "drv" for k in range(3)})))
 
@@ -124,8 +131,9 @@ _PADDED = net_arrays(NetGeometry(
     VariationModel(0.1, 0.1, resistance_sigmas={"drv": 0.2}),
     rho_r=0.0, rho_c=1.0))
 def test_shard_wide_columns_match_the_per_net_reference(nets, model):
-    want = outcome(lambda: ssta_oracle.net_columns(nets, model))
-    got = outcome(lambda: model.net_columns(nets))
+    want = outcome(lambda: ssta_oracle.net_columns(
+        [record_arrays(net) for net in nets], model))
+    got = outcome(lambda: model.net_columns(net_forest(nets)))
     if isinstance(want, TopologyError):
         assert isinstance(got, TopologyError)
         assert str(got) == str(want)
@@ -133,7 +141,8 @@ def test_shard_wide_columns_match_the_per_net_reference(nets, model):
     for have, ref in zip(got, want):
         assert have.shape == ref.shape and have.dtype == ref.dtype
         assert have.tobytes() == ref.tobytes()
-    # The caller's compiled forest gives the same bytes.
-    again = model.net_columns(nets, compile_forest(nets))
-    assert [x.tobytes() for x in again] == [x.tobytes() for x in got]
+    # Each net alone gives its own part of the same bytes.
+    alone = [model.net_columns(net_forest([net])) for net in nets]
+    for k, have in enumerate(got):
+        assert have.tobytes() == b"".join(x[k].tobytes() for x in alone)
 

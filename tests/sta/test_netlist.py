@@ -269,6 +269,55 @@ class TestTimingOrder:
                            match="port 'unused' is unconnected"):
             WALKS[walk](d)
 
+    @staticmethod
+    def faulty(lib, pins=True, ports=True):
+        """A loop u1 -> u2 -> u1, plus (``pins``) u3 with only its
+        first input wired and an unwired u4, plus (``ports``) an
+        unconnected output declared before an unconnected input."""
+        d = Design("faults", lib)
+        d.add_input("a")
+        d.add_output("z")
+        if ports:
+            d.add_output("late")
+            d.add_input("spare")
+        d.add_instance("u1", "NAND2")
+        d.add_instance("u2", "INV")
+        sinks = [("u1", "a")]
+        if pins:
+            d.add_instance("u3", "NAND2")
+            d.add_instance("u4", "INV")
+            sinks.append(("u3", "a"))
+        d.connect("na", ("@port", "a"), sinks)
+        d.connect("n1", ("u1", "y"), [("u2", "a")])
+        d.connect("n2", ("u2", "y"), [("u1", "b"), ("@port", "z")])
+        return d
+
+    @pytest.mark.parametrize("walk", ["timing_order", "analyze"])
+    @pytest.mark.parametrize("pins, ports, message", [
+        # The first unconnected pin: instance order, then cell-pin order.
+        (True, True, r"^pin u3\.b is unconnected$"),
+        (True, False, r"^pin u3\.b is unconnected$"),
+        # Then the first unconnected port: inputs before outputs.
+        (False, True, r"^port 'spare' is unconnected$"),
+        # Then the loop.
+        (False, False, r"^combinational loop detected: instances "
+                       r"\['u1', 'u2'\]"),
+    ])
+    def test_error_precedence_with_several_faults(self, lib, walk, pins,
+                                                   ports, message):
+        d = self.faulty(lib, pins, ports)
+        run = d.timing_order if walk == "timing_order" else \
+            (lambda: analyze(d))
+        with pytest.raises(TimingGraphError, match=message):
+            run()
+
+    def test_an_unconnected_output_port_beats_the_loop(self, lib):
+        d = self.faulty(lib, pins=False, ports=False)
+        d.add_output("late")
+        with pytest.raises(TimingGraphError,
+                           match=r"^port 'late' is unconnected$"):
+            d.timing_order()
+
     @pytest.mark.parametrize("name", ["in:u1", "out:u1", "in:a", "out:z"])
     def test_port_like_instance_names_time(self, lib, name):
         def inverter(inst):

@@ -13,15 +13,14 @@ import pytest
 
 import repro.sta.timing as timing
 from repro.circuit import RCTree
-from repro.core.batch import compile_forest
 from repro.core.variation import VariationModel
 from repro.parallel import plan_shards
 from repro.resilience.checkpoint import CheckpointError
-from repro.sta import analyze, net_arrays
-from repro.sta.interconnect import net_record
-from repro.sta.ssta import ProcessModel, analyze_ssta
+from repro.sta import analyze
+from repro.sta.interconnect import net_forest, net_record
+from repro.sta.ssta import ProcessModel, analyze_ssta, monte_carlo_arrivals
 from repro.workloads import random_design
-from tests.sta.ssta_oracle import ssta_walk
+from tests.sta.ssta_oracle import monte_carlo_walk, ssta_walk
 
 #: The correlated process model of ``benchmarks/bench_ssta.py``.
 MODEL = ProcessModel(
@@ -108,10 +107,9 @@ class TestShardTask:
         design = random_design(5, 8, seed=2)
         geometries = list(timing._net_geometries(design, None,
                                                  None).values())
-        nets = [net_arrays(g) for g in geometries]
-        whole = MODEL.net_columns(nets)
-        built = count_tree_builds(monkeypatch)
         records = [net_record(g) for g in geometries]
+        whole = MODEL.net_columns(net_forest(records))
+        built = count_tree_builds(monkeypatch)
         parts = [timing._net_shard_task((records[s.start:s.stop],
                                          "elmore", MODEL))
                  for s in plan_shards(len(geometries))]
@@ -119,8 +117,7 @@ class TestShardTask:
         # The sweep is the STA shard's, and each net's columns do not
         # depend on which shard holds it.
         assert np.concatenate([p[0] for p in parts], axis=1).tobytes() == \
-            timing._sweep_nets(nets, "elmore",
-                               compile_forest(nets)).tobytes()
+            timing._sweep_nets(net_forest(records), "elmore").tobytes()
         for got, want in zip(
                 (np.concatenate([p[1] for p in parts]),
                  np.concatenate([p[2] for p in parts])), whole):
@@ -167,6 +164,20 @@ class TestShardTask:
         assert got.criticality == want.criticality
         assert got.pin_criticality == want.pin_criticality
         assert built == []
+
+
+    @pytest.mark.parametrize("own", [True, False],
+                             ids=["own nominal", "caller nominal"])
+    def test_monte_carlo_builds_no_tree_and_is_bit_identical(
+            self, monkeypatch, own):
+        design = random_design(8, 40, seed=1)
+        _, want = monte_carlo_walk(design, MODEL, 120, seed=9)
+        nominal = None if own else analyze(design, "elmore")
+        built = count_tree_builds(monkeypatch)
+        _, got = monte_carlo_arrivals(design, MODEL, 120, seed=9,
+                                      nominal=nominal)
+        assert built == []
+        assert got.tobytes() == want.tobytes()
 
 
 class TestJournal:

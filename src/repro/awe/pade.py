@@ -106,10 +106,12 @@ class PadeApproximant:
         return 0.5 * (lo + hi)
 
 
-def pade_from_moments(
-    moments: Sequence[float], q: int, drop_unstable: bool = True
-) -> PadeApproximant:
+def pade_from_moments(moments: Sequence[float], q: int) -> PadeApproximant:
     """Fit a ``q``-pole Padé model from transfer coefficients ``m_0..``.
+
+    Complex or unstable fitted poles are discarded and the surviving
+    residues rescaled to restore the DC gain (``stable`` records whether
+    any pole was dropped).
 
     Parameters
     ----------
@@ -117,10 +119,6 @@ def pade_from_moments(
         Transfer coefficients; at least ``2q`` of them (``m_0..m_{2q-1}``).
     q:
         Number of poles requested (>= 1).
-    drop_unstable:
-        When True (default), discard complex/unstable fitted poles and
-        rescale the surviving residues to restore the DC gain; when False,
-        raise :class:`AnalysisError` instead.
     """
     m = np.asarray(moments, dtype=np.float64)
     if q < 1:
@@ -152,11 +150,6 @@ def pade_from_moments(
     roots = np.roots(poly[::-1])                # np.roots wants descending
     real = np.abs(roots.imag) <= 1e-9 * np.maximum(np.abs(roots.real), 1e-300)
     stable = real & (roots.real < 0.0)
-    if not np.all(stable):
-        if not drop_unstable:
-            raise AnalysisError(
-                f"Padé fit produced unstable/complex poles: {roots!r}"
-            )
     kept = np.sort(-roots[stable].real)          # decay rates, ascending
     if kept.size == 0:
         raise AnalysisError(
@@ -207,7 +200,6 @@ def awe_approximation(
     source: Union[RCTree, TransferMoments],
     node: str,
     q: int = 2,
-    drop_unstable: bool = True,
 ) -> PadeApproximant:
     """AWE reduced-order model at ``node`` of a tree (or moment set)."""
     if isinstance(source, RCTree):
@@ -219,7 +211,7 @@ def awe_approximation(
                 f"moment object has order {moments.order}; "
                 f"need {2 * q - 1} for q={q}"
             )
-    return pade_from_moments(moments.at(node)[: 2 * q], q, drop_unstable)
+    return pade_from_moments(moments.at(node)[: 2 * q], q)
 
 
 def awe_delay(

@@ -21,10 +21,14 @@ arrays, with no wire segments or name-keyed maps.  :func:`build_net` is
 the tree over those arrays (:meth:`RCTree.from_arrays`).  The STA's
 shard task gets each net as the plain :func:`net_record` tuple of what
 its layout reads and lays the whole shard into one flat forest with
-:func:`net_forest`, which appends every net straight to shard-wide
-arrays: the arrays of :func:`record_arrays` side by side, bit for bit,
-without building any tree, so shard tasks and the parent's trees see
-identical nets.
+:func:`net_forest`.  One appender per kind of net (routed, wire-load
+star, override) is the only code that lays a record out: ``net_forest``
+runs it for every net of a shard, and :func:`record_arrays` runs it for
+one net and names the nodes afterwards, so shard tasks and the parent's
+trees see identical nets.  The tests hold that layout to its slower
+references: :func:`~repro.routing.steiner.route_segments` +
+:func:`~repro.circuit.wires.layout_segments` for a routed net and the
+node-by-node :meth:`RCTree.add_node` star for a wire-load net.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from repro.circuit.rctree import RCTree, checked_load
 from repro.circuit.wires import DEFAULT_TECHNOLOGY, WireTechnology
 from repro.core.batch import TreeTopology, _checked_forest
 from repro.obs.trace import span as _span
-from repro.routing.steiner import _MIN_SEGMENT, _mst_edges, manhattan
+from repro.routing.steiner import _MIN_SEGMENT, _mst_edges
 from repro.sta.netlist import Design, Net, Pin
 
 __all__ = [
@@ -84,10 +88,6 @@ class ElaboratedNet:
     tree: RCTree
     sink_nodes: Dict[Pin, str]
     driver_node: str
-
-    def arrays(self) -> "NetArrays":
-        """This net as a :class:`NetArrays` record over its tree's arrays."""
-        return _tree_arrays(self.tree, self.sink_nodes.values())
 
 
 Point = Tuple[float, float]
@@ -201,11 +201,6 @@ class NetArrays(NamedTuple):
     sinks: List[int]
 
 
-def _tree_arrays(tree: RCTree, nodes) -> NetArrays:
-    return NetArrays(tree.input_node, *tree.to_arrays(),
-                     [tree.index_of(node) for node in nodes])
-
-
 def net_arrays(geometry: NetGeometry) -> NetArrays:
     """Lay one net out as flat arrays, without building an RC tree.
 
@@ -253,96 +248,33 @@ def net_record(geometry: NetGeometry) -> tuple:
 
 
 def record_arrays(record: tuple) -> NetArrays:
-    """:func:`net_arrays` of one :func:`net_record` tuple (a shard's
-    records go into one flat forest through :func:`net_forest`)."""
-    if len(record) == 2:
-        return _tree_arrays(*record)
-    driver_resistance, points, loads, kept, *wire = record
-    if points is None:
-        return _star_arrays(driver_resistance, loads, kept, *wire)
-    return _routed_arrays(driver_resistance, points, loads, kept, *wire)
+    """:func:`net_arrays` of one :func:`net_record` tuple.
 
-
-def _routed_arrays(
-    driver_resistance: float,
-    points: Sequence[Point],
-    loads: Sequence[float],
-    kept: Sequence[int],
-    technology: WireTechnology,
-    width: float,
-) -> NetArrays:
-    """A routed net's arrays, straight from its MST's index edges.
-
-    The same arrays, bit for bit, and the same checks in the same order
-    as :func:`~repro.routing.steiner.route_segments` followed by
-    :func:`~repro.circuit.wires.layout_segments` with two sections per
-    segment (``route_net``'s default): pin ``k`` (``0`` the driver) is
-    node ``p{k}``, and the MST edge into pin ``k`` is two pi sections,
-    ``p{k}.s1`` then ``p{k}``.  Edges are placed as ``layout_segments``
-    places them: a pin's child edges together, in the order Kruskal
-    accepted them, then the subtree of its last child first.
+    The record goes through the appender :func:`net_forest` runs for its
+    kind, into fresh lists at offset 0, so a net alone and the same net
+    in a shard's forest are laid out by one piece of code.  Names are
+    given after the layout: a routed net's pin ``k`` is node ``p{k}``
+    and the section before it ``p{k}.s1``; a star's sink ``k`` is
+    ``s{k}``; an override net keeps its tree's own names.
     """
-    if len(points) < 2:
-        raise RoutingError("net has no sinks")
-    adjacency: List[List[int]] = [[] for _ in points]
-    for i, j, _ in _mst_edges(points):
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    if driver_resistance <= 0:
-        raise ValidationError("driver_resistance must be > 0")
-    names = ["drv"]
-    parents = [-1]
-    res = [driver_resistance]
-    cap = [0.0]
-    node = [0] * len(points)  # each pin's node; the driver's is 0
-    stack = [0]
-    while stack:
-        pin = stack.pop()
-        at = node[pin]
-        for child in adjacency[pin]:
-            if child == 0 or node[child]:  # its parent, the one placed
-                continue
-            length = max(manhattan(points[pin], points[child]), _MIN_SEGMENT)
-            r_total, c_total = technology.segment_rc(length, width)
-            r = r_total / 2  # n = 2 sections: r_total / n, c_total / 2n
-            c = c_total / 4
-            mid = len(names)
-            names += (f"p{child}.s1", f"p{child}")
-            parents += (at, mid)
-            res += (r, r)
-            cap += (c, c)
-            cap[at] += c
-            cap[mid] += c
-            node[child] = mid + 1
-            stack.append(child)
-    for k in kept:
-        i = node[k + 1]
-        cap[i] += checked_load(names[i], loads[k])
-    return NetArrays("in", names, parents, res, cap,
-                     [node[k + 1] for k in kept])
-
-
-def _star_arrays(
-    driver_resistance: float,
-    loads: Sequence[float],
-    kept: Sequence[int],
-    model: WireLoadModel,
-) -> NetArrays:
-    """A wire-load star: sink ``k`` hangs off ``drv`` as node ``k + 1``,
-    ``s{k}``."""
-    count = len(loads)
-    half = model.capacitance_per_sink / 2.0
-    names = ["drv"] + [f"s{k}" for k in range(count)]
-    cap = [0.0] + [half] * count
-    for _ in range(count):  # summed one sink at a time, not half * count
-        cap[0] += half
-    for k in kept:
-        cap[k + 1] += checked_load(names[k + 1], loads[k])
-    return NetArrays(
-        "in", names, [-1] + [0] * count,
-        [driver_resistance] + [model.resistance_per_sink] * count,
-        cap, [k + 1 for k in kept],
-    )
+    parents: List[int] = []
+    res: List[float] = []
+    cap: List[float] = []
+    sinks: List[int] = []
+    if len(record) == 2:
+        names = _append_tree(*record, parents, res, cap, sinks)
+        return NetArrays(record[0].input_node, names, parents, res, cap,
+                         sinks)
+    if record[1] is None:
+        _append_star(*record, parents, res, cap, sinks)
+        names = ["drv"] + [f"s{k}" for k in range(len(record[2]))]
+    else:
+        node = _append_routed(*record, parents, res, cap, sinks)
+        names = ["drv"] * len(res)
+        for k in range(1, len(node)):
+            names[node[k] - 1] = f"p{k}.s1"
+            names[node[k]] = f"p{k}"
+    return NetArrays("in", names, parents, res, cap, sinks)
 
 
 class NetForest(NamedTuple):
@@ -398,9 +330,11 @@ def net_forest(records: Sequence[tuple]) -> NetForest:
     lists, with forest parent indices, keeping each net's offset and
     sink indices: the arrays of
     ``compile_forest([record_arrays(r) for r in records])``, bit for
-    bit, with the same checks raising the same errors (the first bad
-    net's).  No :class:`NetArrays` is built and no node name formatted
-    (see :attr:`NetForest.nets` for when they are).
+    bit, with the same checks raising the same errors: the first error
+    raised while a net is laid out, else the first bad R or C in forest
+    order, else a capacitance-free net's.  No :class:`NetArrays` is
+    built and no node name formatted (see :attr:`NetForest.nets` for
+    when they are).
     """
     if not records:
         raise ValidationError("net_forest needs at least one net")
@@ -431,24 +365,29 @@ def net_forest(records: Sequence[tuple]) -> NetForest:
                      np.array(sinks, dtype=np.intp), counts, nets)
 
 
-def _append_tree(tree: RCTree, nodes, parents, res, cap, sinks) -> None:
-    """An override net: its tree's own arrays."""
+def _append_tree(tree: RCTree, nodes, parents, res, cap,
+                 sinks) -> List[str]:
+    """Append an override net: its tree's own arrays, with ``nodes``
+    (sink node names) as its sinks.  Returns the tree's node names."""
     at = len(res)
-    _, up, r, c = tree.to_arrays()
+    names, up, r, c = tree.to_arrays()
     sinks += [at + tree.index_of(node) for node in nodes]
     parents += [p + at if p >= 0 else p for p in up]
     res += r
     cap += c
+    return names
 
 
 def _append_star(driver_resistance, _, loads, kept, model: WireLoadModel,
                  parents, res, cap, sinks) -> None:
-    """:func:`_star_arrays`, appended."""
+    """Append a wire-load star: sink ``k`` hangs off the driver node as
+    the net's node ``k + 1`` (``s{k}``), through the model's resistance,
+    with half its wire capacitance there and half at the driver."""
     at = len(res)
     count = len(loads)
     half = model.capacitance_per_sink / 2.0
     drive = 0.0
-    for _ in range(count):  # summed one sink at a time, as there
+    for _ in range(count):  # summed one sink at a time, not half * count
         drive += half
     parents += [-1] + [at] * count
     res += [driver_resistance] + [model.resistance_per_sink] * count
@@ -463,9 +402,19 @@ def _append_star(driver_resistance, _, loads, kept, model: WireLoadModel,
 
 def _append_routed(driver_resistance, points, loads, kept,
                    technology: WireTechnology, width: float,
-                   parents, res, cap, sinks) -> None:
-    """:func:`_routed_arrays`, appended: the same nodes, values and
-    checks in the same order, with forest indices and no names."""
+                   parents, res, cap, sinks) -> List[int]:
+    """Append a routed net, straight from its MST's index edges.
+
+    The same arrays, bit for bit, and the same checks in the same order
+    as :func:`~repro.routing.steiner.route_segments` followed by
+    :func:`~repro.circuit.wires.layout_segments` with two sections per
+    segment (``route_net``'s default): the MST edge into pin ``k``
+    (``0`` the driver) is two pi sections, the second ending at pin
+    ``k``'s node.  Edges are placed as ``layout_segments`` places them:
+    a pin's child edges together, in the order Kruskal accepted them,
+    then the subtree of its last child first.  Returns each pin's
+    forest index.
+    """
     if len(points) < 2:
         raise RoutingError("net has no sinks")
     adjacency: List[List[Tuple[int, float]]] = [[] for _ in points]
@@ -488,7 +437,7 @@ def _append_routed(driver_resistance, points, loads, kept,
                 continue
             r_total, c_total = technology.segment_rc(
                 max(length, _MIN_SEGMENT), width)
-            r = r_total / 2
+            r = r_total / 2  # n = 2 sections: r_total / n, c_total / 2n
             c = c_total / 4
             mid = len(res)
             parents += (at, mid)
@@ -504,6 +453,7 @@ def _append_routed(driver_resistance, points, loads, kept,
             checked_load(f"p{k + 1}", load)
         cap[node[k + 1]] += float(load)
     sinks += [node[k + 1] for k in kept]
+    return node
 
 
 def build_net(geometry: NetGeometry) -> ElaboratedNet:

@@ -74,13 +74,6 @@ class TestNetArrays:
         assert star.sinks == [2]
         assert star.capacitances[1] < star.capacitances[2]
 
-    def test_elaborated_net_arrays_view(self):
-        built = build_net(geometry("n1"))
-        view = built.arrays()
-        assert tuple(view.node_names) == built.tree.node_names
-        assert [view.node_names[i] for i in view.sinks] == \
-            list(built.sink_nodes.values())
-
     @pytest.mark.parametrize("load", [-1e-15, math.nan, math.inf])
     @pytest.mark.parametrize("name", ["n1", "n2"], ids=["routed", "star"])
     def test_bad_sink_load_rejected_on_both_paths(self, name, load):

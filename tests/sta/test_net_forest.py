@@ -1,14 +1,18 @@
-"""One flat forest per shard against the per-net layout.
+"""One flat forest per shard against the per-net references.
 
 :func:`~repro.sta.interconnect.net_forest` appends every
 :func:`~repro.sta.interconnect.net_record` of a shard straight to
-shard-wide parent/R/C lists.  It must give what laying each record out
-on its own and compiling the nets side by side gives,
-``compile_forest([record_arrays(r) for r in records])``: the same
-parents, R, C, offsets, sink indices and levels, bit for bit, whatever
-the mix of routed, wire-load star and override nets, technologies and
-widths; and on bad records the same exception type and message, the
-first bad net's.
+shard-wide parent/R/C lists.  It must give what building each net by
+its slower reference and compiling the nets side by side gives: a
+routed net through ``route_segments`` + ``layout_segments`` (two
+sections per segment), a wire-load net as the node-by-node ``add_node``
+star, an override net as its own tree, all through ``compile_forest``.
+That is the same parents, R, C, node names, offsets, sink indices and
+levels, bit for bit, whatever the mix of kinds, technologies and
+widths.  On bad records it must raise the same exception type and
+message: the first error raised while a net is laid out (routing, wire
+width, a routed net's driver, a pin load), else the first bad R or C in
+forest order, else a capacitance-free net's.
 """
 
 import math
@@ -17,17 +21,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._exceptions import ReproError
+from repro._exceptions import ReproError, ValidationError
 from repro.circuit import RCTree
 from repro.circuit.wires import DEFAULT_TECHNOLOGY, WireTechnology
 from repro.core.batch import compile_forest
 from repro.sta import NetGeometry, Pin
-from repro.sta.interconnect import (
-    WireLoadModel,
-    net_forest,
-    net_record,
-    record_arrays,
-)
+from repro.sta.interconnect import WireLoadModel, net_forest, net_record
+from tests.sta.test_routed_layout import reference_arrays
 
 _free = st.tuples(
     st.floats(-1e-3, 1e-3, allow_nan=False),
@@ -145,9 +145,27 @@ def outcome(lay_out):
         return type(exc), str(exc)
 
 
-def reference(records):
-    """Each record laid out alone, the nets compiled side by side."""
-    nets = [record_arrays(record) for record in records]
+#: How an R or C element error begins (``RCTree.add_node``'s checks).
+_ELEMENT_ERRORS = ("edge into node ", "node ")
+
+
+def reference(geometries):
+    """Each net built by its reference, the nets compiled side by side.
+
+    The ``add_node`` star checks its edges as it builds them; such an
+    error is held back to its net's place among the R/C checks."""
+    nets = []
+    for geometry in geometries:
+        try:
+            nets.append(reference_arrays(geometry))
+        except ValidationError as exc:
+            if not str(exc).startswith(_ELEMENT_ERRORS):
+                raise
+            nets.append(exc)
+    for net in nets:
+        if isinstance(net, Exception):
+            raise net
+        RCTree.from_arrays(*net[:5])  # the first bad R or C
     topology, offsets = compile_forest(nets)
     sinks = [offset + sink for net, offset in zip(nets, offsets)
              for sink in net.sinks]
@@ -156,7 +174,7 @@ def reference(records):
 
 def check(geometries):
     records = [net_record(g) for g in geometries]
-    want = outcome(lambda: reference(records))
+    want = outcome(lambda: reference(geometries))
     got = outcome(lambda: net_forest(records))
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want

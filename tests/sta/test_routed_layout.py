@@ -1,4 +1,4 @@
-"""Direct routed-net layout against the general route.
+"""The one net layout against its slower references.
 
 :func:`~repro.sta.interconnect.net_arrays` lays a routed net out straight
 from its MST's index edges.  It must give the arrays of
@@ -6,7 +6,8 @@ from its MST's index edges.  It must give the arrays of
 general Steiner/N-section path behind ``route_net``) bit for bit,
 including Kruskal's ``(weight, i, j)`` tie order, coincident pins
 (``_MIN_SEGMENT``) and pins listed twice, and raise the same exception
-type on bad input.
+type on bad input.  A wire-load net must give the star the node-by-node
+``RCTree.add_node``/``add_load`` construction builds, bit for bit.
 """
 
 import math
@@ -16,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._exceptions import ReproError
+from repro.circuit import RCTree
 from repro.circuit.wires import DEFAULT_TECHNOLOGY, layout_segments
 from repro.routing.steiner import route_segments
-from repro.sta import NetArrays, NetGeometry, Pin, net_arrays
+from repro.sta import NetArrays, NetGeometry, Pin, WireLoadModel, net_arrays
 
 _free = st.tuples(
     st.floats(-1e-3, 1e-3, allow_nan=False),
@@ -68,7 +70,54 @@ def routed_geometries(draw):
     )
 
 
+@st.composite
+def star_geometries(draw):
+    """A wire-load net of 1-8 listed sinks; a pin may be listed twice."""
+    pins = draw(st.lists(st.integers(0, 5), min_size=1, max_size=8))
+    return NetGeometry(
+        net="n",
+        sinks=tuple(Pin(f"u{pin}", "a") for pin in pins),
+        driver_resistance=draw(st.floats(1.0, 5e3)),
+        sink_loads=tuple(draw(_load) for _ in pins),
+        wire_load=WireLoadModel(draw(st.floats(1.0, 500.0)),
+                                draw(st.sampled_from([0.0, 1e-15, 5e-15]))),
+    )
+
+
 def reference_arrays(geometry):
+    """Any net by its slower reference: a routed net by
+    :func:`reference_routed`, a wire-load net by :func:`reference_star`,
+    an override net as its own tree."""
+    if geometry.override is not None:
+        tree, mapping = geometry.override
+        return NetArrays(tree.input_node, *tree.to_arrays(),
+                         [tree.index_of(node) for node in mapping.values()])
+    if geometry.driver_position is None:
+        return reference_star(geometry)
+    return reference_routed(geometry)
+
+
+def reference_star(geometry):
+    """The star node by node: each sink's ``add_node`` off ``drv``, then
+    half its wire capacitance added at ``drv``, then the pin loads."""
+    model = geometry.wire_load
+    tree = RCTree("in")
+    tree.add_node("drv", "in", geometry.driver_resistance, 0.0)
+    nodes = []
+    for k in range(len(geometry.sinks)):
+        tree.add_node(f"s{k}", "drv", model.resistance_per_sink,
+                      model.capacitance_per_sink / 2.0)
+        tree.add_load("drv", model.capacitance_per_sink / 2.0)
+        nodes.append(f"s{k}")
+    mapping = dict(zip(geometry.sinks, nodes))
+    load_of = dict(zip(geometry.sinks, geometry.sink_loads))
+    for sink, node in mapping.items():
+        tree.add_load(node, load_of[sink])
+    return NetArrays("in", *tree.to_arrays(),
+                     [tree.index_of(node) for node in mapping.values()])
+
+
+def reference_routed(geometry):
     """The general path: wire segments, then the name-keyed layout."""
     segments, nodes = route_segments(
         geometry.driver_position, geometry.sink_positions,
@@ -105,7 +154,7 @@ def assert_bit_identical(got, want):
 
 class TestDirectLayout:
     @settings(max_examples=300, deadline=None)
-    @given(routed_geometries())
+    @given(st.one_of(routed_geometries(), star_geometries()))
     def test_bit_identical_to_the_general_route(self, geometry):
         assert_bit_identical(net_arrays(geometry),
                              reference_arrays(geometry))
@@ -115,7 +164,7 @@ class TestDirectLayout:
     def test_same_exception_type(self, geometry, fault):
         bad = _FAULTS[fault](geometry)
         got = outcome(net_arrays, bad)
-        want = outcome(reference_arrays, bad)
+        want = outcome(reference_routed, bad)
         assert isinstance(want, type), f"{fault} was not rejected"
         assert got is want
 
@@ -127,6 +176,6 @@ class TestDirectLayout:
             sink_loads=(1e-15, 2e-15),
         )
         got = net_arrays(geometry)
-        assert_bit_identical(got, reference_arrays(geometry))
+        assert_bit_identical(got, reference_routed(geometry))
         assert got.node_names == ["drv", "p1.s1", "p1", "p2.s1", "p2"]
         assert got.resistances[1] > 0.0

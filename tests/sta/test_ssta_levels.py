@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import rc_line
@@ -35,8 +35,14 @@ REL = 1e-9
 #: A Clark residual minted from a deficit at the rounding level of the
 #: variance (``var - var_linear`` of order 1e-14 var) exists in one walk
 #: and not the other, or differs in size: its sign and size are rounding.
-#: Such a label is held to its variance share instead, to 1e-12.
+#: Such a label is held to its variance share instead, to 1e-12, plus
+#: the rounding of Clark's variance itself: ``second - mean * mean``
+#: cancels ``second`` ~ ``mu**2 + sigma**2`` down to ``sigma**2``, so the
+#: two walks' variances (and squared residuals) may differ by a few ulps
+#: of ``mu**2 + sigma**2``, which above mu/sigma ~ 70 exceeds 1e-12 of
+#: ``sigma**2``.
 ROUNDING_SHARE = 1e-12
+CLARK_ULPS = 4 * np.finfo(np.float64).eps
 
 
 def assert_forms_match(got, want):
@@ -50,7 +56,9 @@ def assert_forms_match(got, want):
         if abs(g - w) <= REL * scale:
             continue
         assert label.startswith("max"), label
-        assert abs(g * g - w * w) <= ROUNDING_SHARE * scale * scale, label
+        rounding = (ROUNDING_SHARE * scale * scale
+                    + CLARK_ULPS * (want.mu * want.mu + scale * scale))
+        assert abs(g * g - w * w) <= rounding, label
 
 
 def assert_reports_match(got, want):
@@ -119,6 +127,11 @@ class TestAgainstScalarWalk:
         assert got.pin_criticality[Pin("u1", "a")] > 0.0
 
     @settings(max_examples=25, deadline=None)
+    # Clark residuals off by 0.6-0.8 ulps of mu**2 at mu/sigma of 47-87.
+    @example(design=random_design(2, 3, seed=587), cell_sigma=0.0, rho=0.3,
+             arrival=1.1749879017625256e-12)
+    @example(design=random_design(4, 5, seed=55819), cell_sigma=0.0,
+             rho=0.0, arrival=7.186160476612308e-12)
     @given(design=st.one_of(
                st.builds(random_design, st.integers(1, 4),
                          st.integers(1, 5), seed=st.integers(0, 2**16)),

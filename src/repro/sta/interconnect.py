@@ -139,11 +139,12 @@ def net_geometry(
     """The routing inputs of one net (see :func:`elaborate_net`)."""
     if override is not None:
         tree, mapping = override
-        missing = [s for s in net.sinks if s not in mapping]
-        if missing:
+        missing = [str(p) for p in net.sinks if p not in mapping]
+        foreign = [str(p) for p in mapping if p not in net.sinks]
+        if missing or foreign:
             raise TimingGraphError(
-                f"override for net {net.name!r} lacks sink nodes for "
-                f"{[str(p) for p in missing]}"
+                f"override for net {net.name!r}: its sink-node map lacks "
+                f"{missing} and names non-sinks {foreign}"
             )
         return NetGeometry(net=net.name, sinks=tuple(net.sinks),
                            override=(tree, dict(mapping)))
@@ -507,7 +508,8 @@ def elaborate_net(
         Capacitance assumed for primary-output pins.
     override:
         Explicit ``(tree, sink_node_map)`` for the net; the tree must
-        already include driver resistance and sink loads.
+        already include driver resistance and sink loads, and the map
+        must name every sink of the net and no other pin.
     """
     return build_net(net_geometry(
         design, net, wire_load=wire_load, technology=technology,

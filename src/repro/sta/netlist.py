@@ -209,7 +209,9 @@ class Design:
 
         Nets driven by primary inputs come first; Kahn's algorithm over
         the instances then emits each gate once every input pin's net is
-        placed, followed by the net its output drives.  Every net thus
+        placed, followed by the net its output drives; its FIFO queue puts
+        the gates in non-decreasing level (what
+        :func:`~repro.sta.levels.levelize` relies on).  Every net thus
         comes after its driver and before its sinks: walk the list for
         arrivals and ``reversed`` for required times.  Raises
         :class:`TimingGraphError` on an unconnected pin, then an

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Union
 
+import numpy as np
+
 from repro._exceptions import TimingGraphError
 from repro.sta.netlist import Design, Pin
 from repro.sta.timing import TimingResult
@@ -39,7 +41,8 @@ class SlackReport:
     worst_slack:
         Minimum slack over all pins.
     worst_pin:
-        A pin achieving it (ties broken arbitrarily).
+        A pin achieving it: of equal slacks, the one last in timing
+        order.
     """
 
     required: Dict[Pin, float]
@@ -60,6 +63,21 @@ class SlackReport:
         return self.slack[key]
 
 
+def output_requirements(outputs: List[str],
+                        required: Union[float, Dict[str, float]]
+                        ) -> List[float]:
+    """``required`` (one time for all, or a map by port) at each of
+    ``outputs``; a map missing one raises :class:`TimingGraphError`."""
+    if not isinstance(required, dict):
+        return [float(required)] * len(outputs)
+    missing = [port for port in outputs if port not in required]
+    if missing:
+        raise TimingGraphError(
+            f"required times missing for outputs: {missing}"
+        )
+    return [float(required[port]) for port in outputs]
+
+
 def compute_slacks(
     design: Design,
     result: TimingResult,
@@ -70,66 +88,32 @@ def compute_slacks(
     Parameters
     ----------
     design:
-        The analyzed design (the one the result came from: its sink
-        pins index the result's ``wire_delay``, and the backward pass
-        walks the timing order the forward pass recorded).
+        The analyzed design
+        (:meth:`~repro.sta.levels.TimingLevels.check`).
     result:
-        Forward analysis result (supplies arrivals, slews, and the
-        per-sink ``wire_delay`` of whatever delay model was used).
+        Forward analysis result, whose levels are walked in reverse, a
+        level's nets before its gates, with its slews and wire delays.
     required:
         A single required time applied to every primary output, or a map
         from output port name to required time.
     """
-    if isinstance(required, dict):
-        missing = [p for p in design.outputs if p not in required]
-        if missing:
-            raise TimingGraphError(
-                f"required times missing for outputs: {missing}"
-            )
-        req_out = dict(required)
-    else:
-        req_out = {port: float(required) for port in design.outputs}
-
-    # The forward pass's own walk; another design is ordered (and so
-    # validated) afresh.
-    order = result._order if result._design is design \
-        else design.timing_order()
-    required_times: Dict[Pin, float] = {}
-    for port, value in req_out.items():
-        required_times[Pin(Pin.PORT, port)] = value
-
-    # Walk the forward order reversed: every sink of a net (a gate input
-    # or an output port) has its requirement before the net, and every
-    # gate's output net before the gate.  A net's driver needs the
-    # tightest sink requirement minus that sink's wire delay; a gate
-    # input needs the output requirement minus its stage delay.
-    for kind, name in reversed(order):
-        if kind == "net":
-            net = design.nets[name]
-            required_times[net.driver] = min(
-                required_times[sink] - result.wire_delay[sink]
-                for sink in net.sinks
-            )
-            continue
-        cell = design.instances[name].cell
-        out_required = required_times[Pin(name, cell.output)]
-        for pin_name in cell.inputs:
-            pin = Pin(name, pin_name)
-            stage = cell.intrinsic_delay + \
-                cell.slew_impact * result.slew[pin]
-            required_times[pin] = out_required - stage
-
-    slack = {
-        pin: required_times[pin] - result.arrival[pin]
-        for pin in required_times
-        if pin in result.arrival
-    }
-    if not slack:
-        raise TimingGraphError("no common pins between passes")
-    worst_pin = min(slack, key=slack.get)
+    levels = result.levels
+    levels.check(design)
+    rows = result._rows
+    times = np.full(len(levels.pins), np.inf)
+    times[levels.outputs] = output_requirements(
+        [levels.pins[row].pin for row in levels.outputs], required)
+    for level in reversed(levels.levels):
+        sinks, inputs = level.sinks, level.inputs
+        np.minimum.at(times, level.drivers, times[sinks] - rows.delay[sinks])
+        stage = level.intrinsic + level.slew_impact * rows.slew[inputs]
+        times[inputs] = times[level.outputs][level.owner] - stage
+    slacks = times - rows.arrival
+    worst = len(slacks) - 1 - int(np.argmin(slacks[::-1]))
+    pins = levels.pins
     return SlackReport(
-        required=required_times,
-        slack=slack,
-        worst_slack=slack[worst_pin],
-        worst_pin=worst_pin,
+        required=dict(zip(pins, times.tolist())),
+        slack=dict(zip(pins, slacks.tolist())),
+        worst_slack=float(slacks[worst]),
+        worst_pin=pins[worst],
     )

@@ -92,8 +92,9 @@ from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 from repro.parallel import plan_shards, resolve_backend
 from repro.sta.interconnect import NetForest, net_forest, net_record
-from repro.sta.levels import TimingLevels, _levelize, levelize
+from repro.sta.levels import TimingLevels
 from repro.sta.netlist import Design, Pin
+from repro.sta.slack import output_requirements
 from repro.sta.timing import TimingResult, _analyze_traced, analyze
 
 __all__ = [
@@ -325,8 +326,10 @@ class _RowStore:
         end = self.size + len(cols)
         if end > len(self.cols):
             grow = max(end, 2 * len(self.cols))
-            self.cols = np.resize(self.cols, grow)
-            self.vals = np.resize(self.vals, grow)
+            tail = grow - self.size  # np.resize would fill it by tiling
+            self.cols = np.append(self.cols[:self.size],
+                                  np.empty(tail, dtype=np.intp))
+            self.vals = np.append(self.vals[:self.size], np.empty(tail))
         self.cols[self.size:end] = cols
         self.vals[self.size:end] = vals
         self.start[rows] = self.size + np.cumsum(counts) - counts
@@ -476,42 +479,37 @@ def _columns(levels: TimingLevels, net_sizes: Dict[str, int],
 
 
 def _wire_rows(
-    levels: TimingLevels, coefficients: tuple,
-    nominal_delays: Dict[Pin, float], model: ProcessModel,
-) -> Tuple[_Columns, _RowStore, np.ndarray, np.ndarray]:
-    """Columns, the wire residual rows and the wire means/globals.
+    nominal: TimingResult, coefficients: tuple, model: ProcessModel,
+) -> Tuple[_Columns, _RowStore, np.ndarray]:
+    """Columns, the wire residual rows and the wire globals.
 
-    ``coefficients`` is ``(net_sinks, a, l)`` as the nominal pass
-    returns it (:meth:`ProcessModel.net_columns`, net by net in
-    ``net_sinks`` order).  Sink ``s`` of net ``n`` carries residual columns
-    ``net_q0[n] + 0 .. s`` with the packed row ``s`` of the net's ``L``.
-    Returns ``(columns, rows, wire_mu, wire_a)``, the last two by pin.
+    ``coefficients`` is ``(a, l)`` (:meth:`ProcessModel.net_columns`)
+    over the nominal result's evaluated sinks, net by net in its
+    ``_rows.sinks`` order.  Sink ``s`` of net ``n`` carries residual
+    columns ``net_q0[n] + 0 .. s`` with the packed row ``s`` of the net's
+    ``L``.  Returns ``(columns, rows, wire_a)``, the last by pin row; the
+    wire means are the nominal walk's own ``_rows.delay``.
     """
-    net_sinks, a, l = coefficients
-    sizes = {name: len(pins) for name, pins in net_sinks}
-    columns = _columns(levels, sizes,
+    a, l = coefficients
+    levels = nominal.levels
+    pins, counts = nominal._rows.sinks, nominal._rows.counts
+    names = list(nominal.nets)
+    columns = _columns(levels, dict(zip(names, counts.tolist())),
                        model.cell_sigma > 0.0 and model.rho_cell < 1.0)
-    index = levels.index
     num_pins = len(levels.pins)
-    pins = [index[pin] for _, sinks in net_sinks for pin in sinks]
-    width = np.array([s + 1 for _, sinks in net_sinks
-                      for s in range(len(sinks))], dtype=np.intp)
-    q0 = np.array([columns.net_q0[name] for name, sinks in net_sinks
-                   for _ in sinks], dtype=np.intp)
+    width = np.arange(len(pins)) + 1 - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+    q0 = np.repeat([columns.net_q0[name] for name in names], counts)
     first = np.cumsum(width) - width
     cols = np.arange(len(l)) + np.repeat(q0 - first, width)
     keep = l != 0.0
     rows = _RowStore(num_pins, levels.driver)
-    rows.put(np.array(pins, dtype=np.intp),
-             np.add.reduceat(keep, first, dtype=np.intp), cols[keep],
+    rows.put(pins, np.add.reduceat(keep, first, dtype=np.intp), cols[keep],
              l[keep])
-    wire_mu = np.zeros(num_pins)
-    wire_mu[pins] = [nominal_delays[pin] for _, sinks in net_sinks
-                     for pin in sinks]
     wire_a = np.zeros((num_pins, len(PROCESS_VARIABLES)))
     wire_a[pins] = a
     _FORMS.inc(len(pins))
-    return columns, rows, wire_mu, wire_a
+    return columns, rows, wire_a
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +580,8 @@ class SSTAReport:
     def _required_map(
         self, required: Union[float, Dict[str, float]]
     ) -> Dict[str, float]:
-        if isinstance(required, dict):
-            missing = sorted(set(self.outputs) - set(required))
-            if missing:
-                raise TimingGraphError(
-                    f"required times missing for outputs: {missing}"
-                )
-            return {port: float(required[port]) for port in self.outputs}
-        return {port: float(required) for port in self.outputs}
+        return dict(zip(self.outputs, output_requirements(
+            list(self.outputs), required)))
 
     def prob_slack_negative(
         self, required: Union[float, Dict[str, float]]
@@ -722,36 +714,29 @@ class _Block:
                 resid[r, c])
 
 
-def _input_slews(levels: TimingLevels, nominal: TimingResult) -> np.ndarray:
-    """The nominal slew at every gate input, by pin row (0 elsewhere)."""
-    slew = np.zeros(len(levels.pins))
-    pins = levels.pins
-    for level in levels.levels:
-        slew[level.inputs] = [nominal.slew[pins[r]] for r in level.inputs]
-    return slew
-
-
-def _walk(levels: TimingLevels, model: ProcessModel, nominal: TimingResult,
+def _walk(model: ProcessModel, nominal: TimingResult,
           input_arrivals: Optional[Dict[str, float]], columns: _Columns,
-          rows: _RowStore, wire_mu: np.ndarray, wire_a: np.ndarray
+          rows: _RowStore, wire_a: np.ndarray
           ) -> Tuple[np.ndarray, np.ndarray, List[Optional[np.ndarray]]]:
     """The forward statistical walk, one level at a time.
 
     Per level: every gate input's candidate ``arrival + stage`` as one
     dense block, Clark's max folded per fan-in slot across the level
     (:func:`_clark_fold`), the gate outputs stored compactly, then the
-    level's net sinks as driver + wire in one gather and add.  Returns
+    level's net sinks as driver + wire in one gather and add, on the
+    nominal result's levels with its wire delays and slews.  Returns
     ``(mu, a, weights)``: every pin's mean and shared coefficients, and
     each level's fan-in weights (row per gate, in the level's order;
     ``None`` for level 0, which has no gates).
     """
+    levels = nominal.levels
+    wire_mu, slew = nominal._rows.delay, nominal._rows.slew
     num_pins = len(levels.pins)
     mu = np.zeros(num_pins)
     a = np.zeros((num_pins, len(PROCESS_VARIABLES)))
     arrivals = input_arrivals or {}
     mu[levels.ports] = [arrivals.get(levels.pins[p].pin, 0.0)
                         for p in levels.ports]
-    slew = _input_slews(levels, nominal)
     scratch = np.zeros(len(columns.labels), dtype=np.intp)
     cell_sigma = model.cell_sigma
     cell_resid = cell_sigma > 0.0 and model.rho_cell < 1.0
@@ -880,12 +865,14 @@ def analyze_ssta(
     effect on the stage delay), interconnect delays carry the full
     first-order variation, and every fan-in competes through Clark's
     max.  ``report.arrival`` builds each pin's form on first access.
-    Pass a precomputed ``nominal`` result (``"elmore"`` model) to skip
-    the deterministic pass; the coefficients then come from the net
-    geometries it recorded, laid out as the shard task lays them out
+    Pass a precomputed ``nominal`` result (``"elmore"`` model) of
+    ``design`` to skip the deterministic pass: the walk runs on its
+    levels (:meth:`~repro.sta.levels.TimingLevels.check`), and the
+    coefficients come from the net geometries it recorded, laid out as
+    the shard task lays them out
     (:func:`~repro.sta.interconnect.net_forest`) and fed to the same
     :meth:`ProcessModel.net_columns`, so no RC tree is built and the
-    report is bit-identical to the default path's.
+    report is bit-identical.
     """
     if not isinstance(model, ProcessModel):
         raise AnalysisError(
@@ -894,41 +881,35 @@ def analyze_ssta(
     with _span("ssta.analyze", nets=len(design.nets)) as sp:
         if not design.outputs:
             raise TimingGraphError("design has no primary outputs")
-        order = None
         if nominal is None:
             nominal, coefficients = _analyze_traced(
                 design, "elmore", input_arrivals, input_slews, wire_load,
                 net_overrides, jobs, backend, checkpoint_path, resume,
                 process=model,
             )
-            order = nominal._order
         elif nominal.delay_model != "elmore":
             raise TimingGraphError(
                 "analyze_ssta requires an 'elmore' nominal result "
                 f"(got {nominal.delay_model!r})"
             )
         else:
-            geometries = nominal.nets.geometries.values()
-            coefficients = (
-                [(g.net, g.sink_pins()) for g in geometries],
-                *model.net_columns(
-                    net_forest([net_record(g) for g in geometries])),
-            )
+            nominal.levels.check(design)
+            coefficients = model.net_columns(net_forest(
+                [net_record(g) for g in nominal.nets.geometries.values()]))
 
+        levels = nominal.levels
         with _span("ssta.extract", nets=len(nominal.nets)):
-            levels = (levelize(design) if order is None
-                      else _levelize(design, order))
-            columns, rows, wire_mu, wire_a = _wire_rows(
-                levels, coefficients, nominal.wire_delay, model)
-        mu, a, weights = _walk(levels, model, nominal, input_arrivals,
-                               columns, rows, wire_mu, wire_a)
+            columns, rows, wire_a = _wire_rows(nominal, coefficients, model)
+        mu, a, weights = _walk(model, nominal, input_arrivals, columns, rows,
+                               wire_a)
         with _span("ssta.max", outputs=len(levels.outputs)):
             critical, out_weights = _output_fold(levels, columns, rows,
                                                  mu, a)
         rows.trim()
+        ports = [levels.pins[row].pin for row in levels.outputs]
         arrival = _Arrivals(levels, mu, a, rows, columns.labels)
-        outputs = _Outputs(arrival, design.outputs)
-        criticality = dict(zip(design.outputs, out_weights))
+        outputs = _Outputs(arrival, ports)
+        criticality = dict(zip(ports, out_weights))
         pin_criticality = dict(zip(
             levels.pins, _backward(levels, out_weights, weights).tolist()))
 
@@ -1034,12 +1015,10 @@ def monte_carlo_arrivals(
                 input_slews=input_slews, wire_load=wire_load,
                 net_overrides=net_overrides,
             )
-            levels = _levelize(design, nominal._order)
-        else:
-            levels = levelize(design)
-        recorded = nominal.nets.geometries
-        geometries = [recorded[n] for n in design.nets if n in recorded]
-        forest = net_forest([net_record(g) for g in geometries])
+        levels = nominal.levels
+        levels.check(design)
+        forest = net_forest(
+            [net_record(g) for g in nominal.nets.geometries.values()])
         topology = forest.topology
         n_forest = int(topology.num_nodes)
         sp.set_attribute("forest_nodes", n_forest)
@@ -1069,8 +1048,7 @@ def monte_carlo_arrivals(
         # Pin-major (pins, B) arrivals, one level at a time.
         wire = delays.T
         wire_row = np.zeros(len(levels.pins), dtype=np.intp)
-        wire_row[[levels.index[pin] for g in geometries
-                  for pin in g.sink_pins()]] = forest.sinks
+        wire_row[nominal._rows.sinks] = forest.sinks
 
         xg = model.cell_sigma * (
             math.sqrt(model.rho_cell) * z[:, 2:3]
@@ -1078,7 +1056,7 @@ def monte_carlo_arrivals(
         )
         gate_factor = (1.0 + np.clip(xg, -clip, clip)).T
         gate_index = {name: i for i, name in enumerate(instances)}
-        slew = _input_slews(levels, nominal)
+        slew = nominal._rows.slew
 
         arrivals = np.empty((len(levels.pins), samples))
         for p in levels.ports:
@@ -1096,7 +1074,7 @@ def monte_carlo_arrivals(
             arrivals[level.sinks] = (arrivals[level.drivers]
                                      + wire[wire_row[level.sinks]])
         matrix = np.ascontiguousarray(arrivals[levels.outputs].T)
-        return list(design.outputs), matrix
+        return [levels.pins[row].pin for row in levels.outputs], matrix
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Static timing analysis over the Elmore metric (or any other).
 
-Arrival times propagate through the gate-level design in
-:meth:`~repro.sta.netlist.Design.timing_order`.  Each net's interconnect
-delay is evaluated per sink from one batched forest sweep of the nets'
-RC trees (sharded across workers on request) with a pluggable delay
-model:
+Arrival times propagate level by level through the design's compiled
+timing graph (:func:`~repro.sta.levels.levelize`, which the result keeps
+for the slack pass and SSTA).  Each net's interconnect delay is
+evaluated per sink from one batched forest sweep of the nets' RC trees
+(sharded across workers on request) with a pluggable delay model:
 
 * ``"elmore"`` — the paper's bound (guaranteed pessimistic: safe STA);
 * ``"exact"`` — the pole/residue engine's measured 50% delay (reference);
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from repro.sta.interconnect import (
     net_geometry,
     net_record,
 )
+from repro.sta.levels import TimingLevels, levelize
 from repro.sta.netlist import Design, Pin
 
 
@@ -248,6 +249,7 @@ def _journal_key(geometry: NetGeometry) -> list:
 
 def _precompute_nets(
     design: Design,
+    levels: TimingLevels,
     delay_model: str,
     wire_load,
     net_overrides,
@@ -256,44 +258,39 @@ def _precompute_nets(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     process=None,
-) -> Tuple[_LazyNets, Dict[Pin, float], Dict[Pin, float], Optional[tuple]]:
+) -> Tuple[_LazyNets, Dict[Pin, float], np.ndarray, np.ndarray,
+           np.ndarray, Optional[tuple]]:
     """Evaluate every net of the design through batched forest sweeps.
 
     The parent reads each net's routing inputs into a
-    :class:`NetGeometry` and turns it into the plain tuple
-    (:func:`~repro.sta.interconnect.net_record`) a shard task lays out.
-    :func:`_net_shard_task` lays its records straight into one flat
-    forest (:func:`~repro.sta.interconnect.net_forest`: shard-wide
-    parent/R/C arrays, no per-net arrays or node names), compiles it
-    and :func:`_sweep_nets` runs one :func:`batch_transfer_moments` sweep
-    that yields every sink's wire delay under ``delay_model`` (arrival
-    propagation) and impulse-response variance (slew propagation) at
-    once.  With ``jobs``, ``backend`` and ``checkpoint_path`` unset this
-    is ONE in-process shard task over the whole net list.  Otherwise the
-    records are split into the deterministic :func:`_net_plan` shards,
-    fanned out through :mod:`repro.parallel` (``1`` = serial backend,
-    ``>= 2`` = worker processes) with bit-identical results, so only
-    the pickled records and one ``(3, sinks)`` array per shard cross the
-    process boundary.  Either way the parent builds a tree only when
-    ``nets`` is read.  Sinks whose metric fit fell back to Elmore
-    are counted here, in the parent, under
-    ``sta_metric_fallbacks_total``.  Returns the nets and the per-sink
-    delay and variance maps; a non-finite delay or variance raises
+    :class:`NetGeometry` and its plain
+    :func:`~repro.sta.interconnect.net_record`, which
+    :func:`_net_shard_task` lays out and sweeps.  With ``jobs``,
+    ``backend`` and ``checkpoint_path`` unset this is ONE in-process
+    shard task over the whole net list.  Otherwise the records are split
+    into the deterministic :func:`_net_plan` shards, fanned out through
+    :mod:`repro.parallel` (``1`` = serial backend, ``>= 2`` = worker
+    processes) with bit-identical results, so only the pickled records
+    and one ``(3, sinks)`` array per shard cross the process boundary.
+    Either way the parent builds a tree only when ``nets`` is read.
+    Sinks whose metric fit fell back to Elmore are counted here, in the
+    parent, under ``sta_metric_fallbacks_total``.  Returns ``(nets,
+    wire_delay, values, sinks, counts, coefficients)``: the nets, the
+    per-sink delay map, the :func:`_sweep_nets` rows of every sink (net
+    by net in design order), their pin rows in ``levels`` and each net's
+    sink count.  A non-finite delay or variance raises
     :class:`AnalysisError` naming the first net that produced one.
 
     With a ``process`` (a :class:`~repro.sta.ssta.ProcessModel`) the
-    same pass also returns every net's SSTA coefficients as
-    ``(net_sinks, a, l)``: ``net_sinks`` lists ``(net, sink pins)`` in
-    design order and ``a``/``l`` are ``process.net_columns`` over the
-    shard's forest, computed next to the sweep (:func:`_net_shard_task`).
-    Without one the fourth item is ``None``.
+    same pass also returns every net's SSTA coefficients as ``(a, l)``,
+    ``process.net_columns`` over the shard's forest in the sinks' order,
+    computed next to the sweep (:func:`_net_shard_task`).  Without one
+    the last item is ``None``.
     """
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
         geometries = _net_geometries(design, wire_load, net_overrides)
         payload = list(geometries.values())
         nets = _LazyNets(geometries)
-        if not payload:
-            return nets, {}, {}, None
         _NETS_EVALUATED.inc(len(payload))
         records = [net_record(geometry) for geometry in payload]
         if jobs is None and backend is None and checkpoint_path is None:
@@ -347,12 +344,14 @@ def _precompute_nets(
             # carry base series only, and the base series is the total.
             _METRIC_FALLBACKS.inc(fallbacks)
             _METRIC_FALLBACKS.labels(metric=delay_model).inc(fallbacks)
-        pins = [pin for geometry in payload for pin in geometry.sink_pins()]
+        sinks = [geometry.sink_pins() for geometry in payload]
+        pins = [pin for listed in sinks for pin in listed]
+        counts = np.fromiter(map(len, sinks), np.intp, len(sinks))
         finite = np.isfinite(values).all(axis=0)
         if not finite.all():
             first = int(np.argmin(finite))
-            ends = np.cumsum([len(g.sink_pins()) for g in payload])
-            net = payload[int(np.searchsorted(ends, first, side="right"))]
+            net = payload[int(np.searchsorted(np.cumsum(counts), first,
+                                              side="right"))]
             raise AnalysisError(
                 f"net {net.net!r} has a non-finite {delay_model} delay or "
                 f"variance at sink {pins[first]} (delay "
@@ -362,13 +361,12 @@ def _precompute_nets(
             )
         coefficients = None
         if process is not None:
-            coefficients = (
-                [(g.net, g.sink_pins()) for g in payload],
-                np.concatenate([c[0] for c in columns]),
-                np.concatenate([c[1] for c in columns]),
-            )
-        return (nets, dict(zip(pins, values[0].tolist())),
-                dict(zip(pins, values[1].tolist())), coefficients)
+            coefficients = (np.concatenate([c[0] for c in columns]),
+                            np.concatenate([c[1] for c in columns]))
+        rows = np.fromiter(map(levels.index.__getitem__, pins), np.intp,
+                           len(pins))
+        return (nets, dict(zip(pins, values[0].tolist())), values, rows,
+                counts, coefficients)
 
 
 @dataclass(frozen=True)
@@ -381,6 +379,21 @@ class PathElement:
     arrival: float         # arrival time at the element's output endpoint
 
 
+class _Rows(NamedTuple):
+    """The nominal walk by :class:`~repro.sta.levels.TimingLevels` row:
+    ``delay`` is the hop into each pin from its ``pred`` row (wire delay
+    at a net sink, winning stage at a gate output; ``pred`` is -1 at an
+    input port); ``sinks``/``counts`` are the evaluated sinks' rows and
+    each net's count, in ``wire_delay`` order."""
+
+    arrival: np.ndarray
+    slew: np.ndarray
+    delay: np.ndarray
+    pred: np.ndarray
+    sinks: np.ndarray
+    counts: np.ndarray
+
+
 @dataclass
 class TimingResult:
     """Output of :func:`analyze`.
@@ -389,7 +402,8 @@ class TimingResult:
     ----------
     arrival:
         Arrival time at every timing point.  Keys are pins (as
-        :class:`~repro.sta.netlist.Pin`), including port pins.
+        :class:`~repro.sta.netlist.Pin`), including port pins, in the
+        levels' row order.
     slew:
         Transition sigma (Sec. III-B measure, seconds) at every timing
         point.
@@ -405,7 +419,10 @@ class TimingResult:
         Name of the interconnect delay model used.
     wire_delay:
         Interconnect delay from each net's driver to every sink pin under
-        that model (the backward slack pass and SSTA extraction reuse it).
+        that model.
+    levels:
+        The compiled timing graph walked, which the slack pass and SSTA
+        walk again with this result's row arrays.
     """
 
     arrival: Dict[Pin, float]
@@ -415,17 +432,8 @@ class TimingResult:
     nets: Mapping[str, ElaboratedNet]
     delay_model: str
     wire_delay: Dict[Pin, float]
-    _predecessor: Dict[Pin, Tuple[Optional[Pin], str, str, float]] = field(
-        default_factory=dict, repr=False
-    )
-    # The design this result was walked on and its timing order, so the
-    # slack pass and SSTA reuse the same walk without a second
-    # ``timing_order()``.
-    _order: List[Tuple[str, str]] = field(
-        default_factory=list, repr=False, compare=False
-    )
-    _design: Optional[Design] = field(default=None, repr=False,
-                                      compare=False)
+    levels: TimingLevels = field(repr=False, compare=False)
+    _rows: _Rows = field(repr=False, compare=False)
 
     def arrival_at_output(self, port: str) -> float:
         """Arrival time at a primary output."""
@@ -456,17 +464,17 @@ class TimingResult:
         key = Pin(Pin.PORT, port)
         if key not in self.arrival:
             raise TimingGraphError(f"unknown output port {port!r}")
+        levels, rows, row = self.levels, self._rows, self.levels.index[key]
         elements: List[PathElement] = []
-        cursor: Optional[Pin] = key
-        while cursor is not None and cursor in self._predecessor:
-            prev, kind, name, delay = self._predecessor[cursor]
-            elements.append(
-                PathElement(
-                    kind=kind, name=name, delay=delay,
-                    arrival=self.arrival[cursor],
-                )
-            )
-            cursor = prev
+        while rows.pred[row] >= 0:
+            net = levels.net[row]
+            kind, name = ("net", levels.nets[net][0]) if net >= 0 else \
+                ("gate", levels.pins[row].instance)
+            elements.append(PathElement(
+                kind=kind, name=name, delay=float(rows.delay[row]),
+                arrival=float(rows.arrival[row]),
+            ))
+            row = rows.pred[row]
         elements.reverse()
         return elements
 
@@ -488,8 +496,9 @@ def analyze(
     Parameters
     ----------
     design:
-        The gate-level design, validated here through
-        :meth:`~repro.sta.netlist.Design.timing_order`.
+        The gate-level design, validated and compiled here through
+        :func:`~repro.sta.levels.levelize` (one
+        :meth:`~repro.sta.netlist.Design.timing_order`).
     delay_model:
         Key of :data:`DELAY_MODELS`.
     input_arrivals:
@@ -549,90 +558,74 @@ def _analyze_traced(
             f"choose from {sorted(DELAY_MODELS)}"
         )
     with _span("sta.analyze", model=delay_model) as sp:
-        result, coefficients = _analyze(
-            design, delay_model, input_arrivals, input_slews, wire_load,
-            net_overrides, jobs, backend, checkpoint_path, resume, process,
-        )
-        sp.set_attribute("nets", len(result.nets))
-        return result, coefficients
+        with _span("sta.levelize", instances=len(design.instances)):
+            levels = levelize(design)
+        if not design.outputs:
+            raise TimingGraphError("design has no primary outputs")
+        # Delay and dispersion don't depend on arrivals, so the whole
+        # netlist's interconnect is evaluated in batched forest sweeps
+        # (one call, or sharded across workers when jobs is given) before
+        # arrival propagation begins.
+        nets, wire_delay, values, sinks, counts, coefficients = \
+            _precompute_nets(design, levels, delay_model, wire_load,
+                             net_overrides, jobs=jobs, backend=backend,
+                             checkpoint_path=checkpoint_path, resume=resume,
+                             process=process)
+        rows = _walk(levels, values, sinks, counts, input_arrivals or {},
+                     input_slews or {})
+        arrival = rows.arrival[levels.outputs]
+        worst = int(np.argmax(arrival))  # the first of equal maxima
+        sp.set_attribute("nets", len(nets))
+        return TimingResult(
+            arrival=dict(zip(levels.pins, rows.arrival.tolist())),
+            slew=dict(zip(levels.pins, rows.slew.tolist())),
+            critical_delay=float(arrival[worst]),
+            critical_output=design.outputs[worst],
+            nets=nets,
+            delay_model=delay_model,
+            wire_delay=wire_delay,
+            levels=levels,
+            _rows=rows,
+        ), coefficients
 
 
-def _analyze(
-    design: Design,
-    delay_model: str,
-    input_arrivals: Optional[Dict[str, float]],
-    input_slews: Optional[Dict[str, float]],
-    wire_load: Optional[WireLoadModel],
-    net_overrides: Optional[Dict[str, Tuple]],
-    jobs: Optional[int] = None,
-    backend: Optional[str] = None,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
-    process=None,
-) -> Tuple[TimingResult, Optional[tuple]]:
-    order = design.timing_order()
-    if not design.outputs:
-        raise TimingGraphError("design has no primary outputs")
-    # Delay and dispersion don't depend on arrivals, so the whole
-    # netlist's interconnect is evaluated in batched forest sweeps (one
-    # call, or sharded across workers when jobs is given) before arrival
-    # propagation begins.
-    nets, wire_delay, dispersion, coefficients = _precompute_nets(
-        design, delay_model, wire_load, net_overrides, jobs=jobs,
-        backend=backend, checkpoint_path=checkpoint_path, resume=resume,
-        process=process,
-    )
+def _walk(levels: TimingLevels, values: np.ndarray, sinks: np.ndarray,
+          counts: np.ndarray, input_arrivals: Dict[str, float],
+          input_slews: Dict[str, float]) -> _Rows:
+    """Arrivals and slews over :func:`_precompute_nets`' sweep rows.
 
-    arrivals: Dict[Pin, float] = {}
-    slews: Dict[Pin, float] = {}
-    predecessor: Dict[Pin, Tuple[Optional[Pin], str, str, float]] = {}
-    for port in design.inputs:
-        pin = Pin(Pin.PORT, port)
-        arrivals[pin] = (input_arrivals or {}).get(port, 0.0)
-        slews[pin] = (input_slews or {}).get(port, 0.0)
-
-    design_nets, instances = design.nets, design.instances
-    for kind, name in order:
-        if kind == "net":
-            net = design_nets[name]
-            driver = net.driver
-            base = arrivals[driver]
-            base_var = slews[driver] ** 2
-            for sink in net.sinks:
-                delay = wire_delay[sink]
-                arrivals[sink] = base + delay
-                # mu_2 adds under convolution: sigma_out^2 = sigma_in^2 + mu_2.
-                slews[sink] = (base_var + dispersion[sink]) ** 0.5
-                predecessor[sink] = (driver, "net", name, delay)
-            continue
-        cell = instances[name].cell
-        intrinsic, impact = cell.intrinsic_delay, cell.slew_impact
-        worst: Optional[Tuple[float, float, str]] = None
-        for pin_name in cell.inputs:
-            pin = (name, pin_name)  # finds the Pin key the net walk set
-            # Slew-dependent gate delay (Sec. III-B's sigma measure).
-            stage = intrinsic + impact * slews[pin]
-            t = arrivals[pin] + stage
-            if worst is None or t > worst[0]:
-                worst = (t, stage, pin_name)
-        assert worst is not None
-        out_pin = Pin(name, cell.output)
-        arrivals[out_pin] = worst[0]
-        slews[out_pin] = cell.output_slew  # the gate regenerates the edge
-        predecessor[out_pin] = (Pin(name, worst[2]), "gate", name, worst[1])
-
-    critical_output = max(
-        design.outputs, key=lambda p: arrivals[Pin(Pin.PORT, p)]
-    )
-    return TimingResult(
-        arrival=arrivals,
-        slew=slews,
-        critical_delay=arrivals[Pin(Pin.PORT, critical_output)],
-        critical_output=critical_output,
-        nets=nets,
-        delay_model=delay_model,
-        wire_delay=wire_delay,
-        _predecessor=predecessor,
-        _order=order,
-        _design=design,
-    ), coefficients
+    Per level, each gate takes the first strictly largest ``arrival +
+    stage`` over its inputs in cell-pin order (a left fold per fan-in
+    slot), then the nets' sinks get driver + wire delay in one gather
+    and add.  Sink slews take Python's (libm's) ``** 0.5``, not
+    ``np.sqrt``, whose rounding differs on some inputs.
+    """
+    arrival, slew, delay, mu2 = np.zeros((4, len(levels.pins)))
+    delay[sinks], mu2[sinks] = values[0], values[1]
+    pred = levels.driver.copy()
+    ports = [levels.pins[p].pin for p in levels.ports]
+    arrival[levels.ports] = [input_arrivals.get(p, 0.0) for p in ports]
+    slew[levels.ports] = [input_slews.get(p, 0.0) for p in ports]
+    for level in levels.levels:
+        if level.gates:
+            inputs, starts = level.inputs, level.starts
+            stage = level.intrinsic + level.slew_impact * slew[inputs]
+            t = arrival[inputs] + stage
+            pick = starts.copy()
+            for i in range(1, int(level.fanin[0])):
+                n = int(np.count_nonzero(level.fanin > i))
+                later = t[starts[:n] + i] > t[pick[:n]]
+                pick[:n][later] = starts[:n][later] + i
+            outputs = level.outputs
+            arrival[outputs] = t[pick]
+            slew[outputs] = level.output_slew
+            delay[outputs] = stage[pick]
+            pred[outputs] = inputs[pick]
+        net_sinks, drivers = level.sinks, level.drivers
+        arrival[net_sinks] = arrival[drivers] + delay[net_sinks]
+        # mu_2 adds under convolution: sigma_out^2 = sigma_in^2 + mu_2.
+        slew[net_sinks] = [
+            (s ** 2 + m) ** 0.5
+            for s, m in zip(slew[drivers].tolist(), mu2[net_sinks].tolist())
+        ]
+    return _Rows(arrival, slew, delay, pred, sinks, counts)

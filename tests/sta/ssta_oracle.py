@@ -88,12 +88,14 @@ def net_columns(nets, model: ProcessModel
             np.concatenate([l for _, l in parts]))
 
 
-def wire_forms(coefficients: tuple, nominal_delays: Dict[Pin, float]
+def wire_forms(net_sinks, coefficients: tuple,
+               nominal_delays: Dict[Pin, float]
                ) -> Dict[Pin, CanonicalForm]:
     """Canonical delay form of every net sink from packed coefficients
-    ``(net_sinks, a, l)``: sink ``s`` of net ``n`` carries the labels
-    ``net:{n}.q0 .. net:{n}.q{s}``; exact zeros are left out."""
-    net_sinks, a, l = coefficients
+    ``(a, l)`` over ``net_sinks`` (``(net, sink pins)`` in order): sink
+    ``s`` of net ``n`` carries the labels ``net:{n}.q0 .. net:{n}.q{s}``;
+    exact zeros are left out."""
+    a, l = coefficients
     coeffs = l.tolist()
     forms: Dict[Pin, CanonicalForm] = {}
     row = pos = 0
@@ -163,7 +165,9 @@ def compressed_forms(design, model: ProcessModel, **kwargs):
         kwargs.get("net_overrides"), None, None, None, False,
         process=model,
     )
-    return nominal, wire_forms(coefficients, nominal.wire_delay)
+    net_sinks = [(g.net, g.sink_pins())
+                 for g in nominal.nets.geometries.values()]
+    return nominal, wire_forms(net_sinks, coefficients, nominal.wire_delay)
 
 
 def per_element_forms(design, model: ProcessModel, **kwargs):

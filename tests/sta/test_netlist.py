@@ -367,10 +367,13 @@ class TestTimingOrder:
             return real(self)
 
         monkeypatch.setattr(Design, "timing_order", counting)
+        # A given nominal result's levels are walked as they are: no
+        # call orders its design again.
+        own = 0 if nominal else 1
         analyze_ssta(design, MODEL, **given)
-        assert len(calls) == 1
+        assert len(calls) == own
         monte_carlo_arrivals(design, MODEL, 16, **given)
-        assert len(calls) == 2
+        assert len(calls) == 2 * own
 
 
 def _rebuilt(design, rng):

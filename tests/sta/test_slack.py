@@ -199,13 +199,15 @@ class TestConsistencyWithForward:
 
 class TestWalkOrder:
     def test_backward_pass_reuses_the_forward_order(self, monkeypatch):
-        """``compute_slacks`` walks the order ``analyze`` recorded: no
-        second ``timing_order()``, and that order is the design's."""
+        """``compute_slacks`` walks the levels ``analyze`` compiled: no
+        second ``timing_order()``, and their nets are in the design's
+        order."""
         from repro.workloads import random_design
 
         design = random_design(4, 6, seed=5)
         result = analyze(design)
-        assert result._order == design.timing_order()
+        assert [name for name, _ in result.levels.nets] == [
+            name for kind, name in design.timing_order() if kind == "net"]
         calls = []
         real = Design.timing_order
 

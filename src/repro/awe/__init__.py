@@ -11,8 +11,9 @@ from repro.awe.pade import (
     awe_approximation,
     awe_delay,
     pade_from_moments,
+    two_pole_delay,
+    two_pole_model,
 )
-from repro.awe.twopole import two_pole_delay, two_pole_model
 
 __all__ = [
     "LN2",

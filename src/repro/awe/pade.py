@@ -29,7 +29,14 @@ from repro.analysis.state_space import PoleResidueTransfer
 from repro.circuit.rctree import RCTree
 from repro.core.moments import TransferMoments, transfer_moments
 
-__all__ = ["PadeApproximant", "pade_from_moments", "awe_approximation", "awe_delay"]
+__all__ = [
+    "PadeApproximant",
+    "pade_from_moments",
+    "awe_approximation",
+    "awe_delay",
+    "two_pole_model",
+    "two_pole_delay",
+]
 
 
 @dataclass(frozen=True)
@@ -222,3 +229,27 @@ def awe_delay(
 ) -> float:
     """Threshold delay predicted by a q-pole AWE model at ``node``."""
     return awe_approximation(source, node, q).delay(threshold)
+
+
+def two_pole_model(
+    source: Union[RCTree, TransferMoments], node: str
+) -> PadeApproximant:
+    """Two-pole reduced model at ``node`` from the first four moments.
+
+    The Padé fit at ``q = 2`` (Chu & Horowitz [4]): the historically
+    significant middle ground between the Elmore metric and full AWE
+    (Sec. II-E mentions two-pole models as the next refinement beyond the
+    Penfield-Rubinstein bounds).
+    """
+    if isinstance(source, RCTree):
+        source = transfer_moments(source, 4)
+    return pade_from_moments(source.at(node)[:4], q=2)
+
+
+def two_pole_delay(
+    source: Union[RCTree, TransferMoments],
+    node: str,
+    threshold: float = 0.5,
+) -> float:
+    """Threshold delay of the two-pole step response."""
+    return two_pole_model(source, node).delay(threshold)

@@ -24,8 +24,7 @@ import numpy as np
 
 from repro._exceptions import AnalysisError, MetricError
 from repro.awe.onepole import LN2
-from repro.awe.pade import awe_delay
-from repro.awe.twopole import two_pole_delay
+from repro.awe.pade import awe_delay, two_pole_delay
 from repro.circuit.rctree import RCTree
 from repro.core.moments import TransferMoments, transfer_moments
 

@@ -4,12 +4,10 @@ from repro.opt.buffering import (
     BufferingResult,
     BufferSink,
     BufferType,
-    buffered_stage_delays,
-    insert_buffers,
-)
-from repro.opt.multibuffer import (
     MultiBufferingResult,
     assigned_stage_delays,
+    buffered_stage_delays,
+    insert_buffers,
     insert_buffers_multi,
 )
 from repro.opt.sizing import (

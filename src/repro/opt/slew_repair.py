@@ -18,14 +18,14 @@ repeater's regenerated edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro._exceptions import AnalysisError, ValidationError
 from repro.circuit.rctree import RCTree
 from repro.core.moments import transfer_moments
-from repro.opt.buffering import BufferSink, BufferType
+from repro.opt.buffering import BufferSink, BufferType, _sink_map, _stage
 
 __all__ = ["SlewRepairResult", "repair_slews", "stage_sigmas"]
 
@@ -55,6 +55,29 @@ class SlewRepairResult:
     iterations: int
 
 
+def _sigma_stages(
+    tree: RCTree,
+    sink_map: Dict[str, BufferSink],
+    assignments: Dict[str, BufferType],
+    driver_resistance: float,
+    input_sigma: float,
+) -> Iterator[Tuple[RCTree, List[str], Dict[str, str], float]]:
+    """Each non-empty stage of the buffered net in preorder, with its
+    sinks, stage parents and input sigma (``input_sigma`` at the driver,
+    0 after each repeater, which regenerates an ideal edge)."""
+    # An explicit stack, so buffer chains of any depth work.
+    work = [(None, input_sigma, driver_resistance)]
+    while work:
+        root, sigma_in, drive_r = work.pop()
+        stage, stage_sinks, stage_buffers, parent_of = _stage(
+            tree, root, sink_map, assignments, drive_r
+        )
+        if stage.num_nodes > 1:  # more than the driver node
+            yield stage, stage_sinks, parent_of, sigma_in
+        work.extend((name, 0.0, assignments[name].output_resistance)
+                    for name in reversed(stage_buffers))
+
+
 def stage_sigmas(
     tree: RCTree,
     sinks: Sequence[BufferSink],
@@ -71,49 +94,16 @@ def stage_sigmas(
     regenerates to ``buffer.output`` sigma 0 (ideal edge) before its own
     stage dispersion.
     """
-    buffer_set: Set[str] = set(buffer_nodes)
-    sink_map = {s.node: s for s in sinks}
+    sink_map = _sink_map(tree, sinks, buffer_nodes)
     out: Dict[str, float] = {}
-
-    def build_stage(root, drive_r):
-        stage = RCTree("in")
-        # The driving resistance is shared by every root child, so it
-        # gets its own series node.
-        stage.add_node("drv#", "in", drive_r, 0.0)
-        members_sinks: List[str] = []
-        members_buffers: List[str] = []
-        base = tree.children_of(root if root is not None
-                                else tree.input_node)
-        stack = [(child, "drv#") for child in base]
-        while stack:
-            name, parent = stack.pop()
-            view = tree.node(name)
-            stage.add_node(name, parent, view.resistance, view.capacitance)
-            if name in sink_map:
-                stage.add_load(name, sink_map[name].capacitance)
-                members_sinks.append(name)
-            if name in buffer_set:
-                stage.add_load(name, buffer.input_capacitance)
-                members_buffers.append(name)
-                continue
-            stack.extend((c, name) for c in tree.children_of(name))
-        return stage, members_sinks, members_buffers
-
-    def process(root, sigma_in, drive_r):
-        stage, s_sinks, s_buffers = build_stage(root, drive_r)
-        if stage.num_nodes <= 1:  # only the driver node: nothing below
-            return
+    for stage, stage_sinks, _, sigma_in in _sigma_stages(
+        tree, sink_map, dict.fromkeys(buffer_nodes, buffer),
+        driver_resistance, input_sigma,
+    ):
         moments = transfer_moments(stage, 2)
-        for name in s_sinks:
+        for name in stage_sinks:
             mu2 = max(moments.variance(name), 0.0)
             out[name] = float(np.sqrt(sigma_in**2 + mu2))
-        for name in s_buffers:
-            process(name, 0.0, buffer.output_resistance)
-
-    process(None, input_sigma, driver_resistance)
-    missing = [s.node for s in sinks if s.node not in out]
-    if missing:
-        raise AnalysisError(f"sinks unreachable in staged net: {missing}")
     return out
 
 
@@ -156,9 +146,7 @@ def repair_slews(
         raise ValidationError("sigma_limit must be > 0")
     if input_sigma < 0.0:
         raise ValidationError("input_sigma must be >= 0")
-    for sink in sinks:
-        if sink.node not in tree:
-            raise ValidationError(f"sink node {sink.node!r} not in tree")
+    _sink_map(tree, sinks)
 
     buffers: Set[str] = set()
     iterations = 0
@@ -204,61 +192,22 @@ def self_heal_pass(
     repeater is placed at that node's parent (or at the node itself when
     the parent is the stage root).
     """
+    sink_map = _sink_map(tree, sinks, buffers)
     sigma_budget2 = sigma_limit**2
-
-    def stage_violation(root, sigma_in, drive_r):
-        """Find the first violating node in the stage below ``root``."""
-        stage = RCTree("in")
-        stage.add_node("drv#", "in", drive_r, 0.0)
-        parent_map = {}
-        base = tree.children_of(root if root is not None
-                                else tree.input_node)
-        stack = [(child, "drv#") for child in base]
-        while stack:
-            name, parent = stack.pop()
-            view = tree.node(name)
-            stage.add_node(name, parent, view.resistance, view.capacitance)
-            parent_map[name] = parent
-            sink = next((s for s in sinks if s.node == name), None)
-            if sink is not None:
-                stage.add_load(name, sink.capacitance)
-            if name in buffers:
-                stage.add_load(name, buffer.input_capacitance)
-                continue
-            stack.extend((c, name) for c in tree.children_of(name))
-        if stage.num_nodes <= 1:
-            return None
+    for stage, _, parent_of, sigma_in in _sigma_stages(
+        tree, sink_map, dict.fromkeys(buffers, buffer), driver_resistance,
+        input_sigma,
+    ):
         moments = transfer_moments(stage, 2)
-        # Scan in topological (insertion-compatible) order so the first
-        # violation is the shallowest one.
-        for name in stage.node_names:
-            if name == "drv#":
-                continue
+        # Scan in topological (insertion-compatible) order, after the
+        # driver node, so the first violation is the shallowest one.
+        for name in stage.node_names[1:]:
             mu2 = max(moments.variance(name), 0.0)
             if sigma_in**2 + mu2 > sigma_budget2 * (1 + 1e-12):
-                parent = parent_map[name]
+                parent = parent_of[name]
                 placement = name if parent == "drv#" else parent
                 if placement in buffers:
-                    return None  # already buffered: unachievable here
-                return placement
-        return None
-
-    def walk(root, sigma_in, drive_r):
-        placement = stage_violation(root, sigma_in, drive_r)
-        if placement is not None:
-            buffers.add(placement)
-            return True
-        # Recurse into downstream stages.
-        stack = tree.children_of(root if root is not None
-                                 else tree.input_node)
-        frontier = list(stack)
-        while frontier:
-            name = frontier.pop()
-            if name in buffers:
-                if walk(name, 0.0, buffer.output_resistance):
-                    return True
-                continue
-            frontier.extend(tree.children_of(name))
-        return False
-
-    return walk(None, input_sigma, driver_resistance)
+                    break  # already buffered: unachievable in this stage
+                buffers.add(placement)
+                return True
+    return False

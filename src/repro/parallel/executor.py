@@ -106,6 +106,10 @@ _BACKOFF_SECONDS = _histogram(
 )
 
 
+#: Base seconds of the exponential backoff slept between retry waves.
+RETRY_BACKOFF = 0.05
+
+
 class _MalformedResultError(Exception):
     """Internal: a worker handed back something other than the
     ``(value, elapsed, obs)`` triple.  Treated like an infrastructure
@@ -253,7 +257,6 @@ def run_sharded(
     label: str = "parallel.run",
     backend: Optional[str] = None,
     checkpoint: Any = None,
-    retry_backoff: float = 0.05,
 ) -> List[Any]:
     """Evaluate ``task`` over ``payloads``; results in payload order.
 
@@ -273,7 +276,9 @@ def run_sharded(
         hung and recycling the pool (``None`` = wait forever).
     retries:
         How many times a dead/hung shard is re-submitted to a recycled
-        pool before degrading to in-process execution.
+        pool before degrading to in-process execution.  Each retry wave
+        waits an exponential backoff from :data:`RETRY_BACKOFF` seconds
+        (deterministic jitter, see :func:`_retry_backoff_delay`).
     backend:
         ``None``/``"auto"`` — serial for one job, the warm pool
         otherwise; ``"serial"`` — force in-process execution;
@@ -289,10 +294,6 @@ def run_sharded(
         killed run resumed from the journal is bit-identical to an
         uninterrupted one (the shard plan is deterministic; which
         process computed a shard never affects its bits).
-    retry_backoff:
-        Base seconds for the exponential backoff slept between retry
-        waves (deterministic jitter, see :func:`_retry_backoff_delay`);
-        ``0`` restores the legacy immediate re-submit.
     """
     jobs = resolve_jobs(jobs)
     backend = resolve_backend(backend)
@@ -300,10 +301,6 @@ def run_sharded(
         raise ValidationError(f"timeout must be > 0, got {timeout!r}")
     if retries < 0:
         raise ValidationError(f"retries must be >= 0, got {retries}")
-    if not retry_backoff >= 0.0:
-        raise ValidationError(
-            f"retry_backoff must be >= 0, got {retry_backoff!r}"
-        )
     payloads = list(payloads)
     if not payloads:
         return []
@@ -332,8 +329,7 @@ def run_sharded(
             return out
         return _run_on_pool(
             task, payloads, effective_jobs, timeout, retries, sp,
-            checkpoint=checkpoint, restored=restored,
-            retry_backoff=retry_backoff, label=label,
+            checkpoint=checkpoint, restored=restored, label=label,
         )
 
 
@@ -346,7 +342,6 @@ def _run_on_pool(
     run_span,
     checkpoint: Any = None,
     restored: Optional[Dict[int, Any]] = None,
-    retry_backoff: float = 0.05,
     label: str = "parallel.run",
 ) -> List[Any]:
     results: Dict[int, Any] = dict(restored or {})
@@ -413,8 +408,8 @@ def _run_on_pool(
                         _run_shard_inline(task, payloads[index], index),
                     )
             todo = retry_round
-            if todo and retry_backoff > 0.0:
-                delay = _retry_backoff_delay(retry_backoff, wave, label)
+            if todo:
+                delay = _retry_backoff_delay(RETRY_BACKOFF, wave, label)
                 _BACKOFF_SECONDS.observe(delay)
                 time.sleep(delay)
     finally:

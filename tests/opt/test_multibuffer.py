@@ -7,7 +7,7 @@ import pytest
 from repro._exceptions import ValidationError
 from repro.circuit import rc_line
 from repro.opt import BufferSink, BufferType, insert_buffers
-from repro.opt.multibuffer import (
+from repro.opt import (
     assigned_stage_delays,
     insert_buffers_multi,
 )

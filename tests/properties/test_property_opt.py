@@ -1,5 +1,7 @@
 """Property-based tests of the optimization and incremental layers."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,8 +11,10 @@ from repro.core.incremental import IncrementalElmore
 from repro.opt import (
     BufferSink,
     BufferType,
+    assigned_stage_delays,
     buffered_stage_delays,
     insert_buffers,
+    insert_buffers_multi,
 )
 
 from tests.properties.strategies import rc_trees
@@ -56,6 +60,11 @@ _buffers = st.builds(
                                 allow_nan=False),
     intrinsic_delay=st.floats(min_value=0.0, max_value=1e-10,
                               allow_nan=False),
+)
+
+_libraries = st.lists(_buffers, min_size=1, max_size=3).map(
+    lambda types: [dataclasses.replace(b, name=f"B{k}")
+                   for k, b in enumerate(types)]
 )
 
 
@@ -106,3 +115,21 @@ class TestBufferingOptimality:
         result = insert_buffers(tree, sinks, buffer, 200.0)
         assert result.required_at_driver >= \
             result.unbuffered_required - 1e-18
+
+    @given(tree=rc_trees(min_nodes=2, max_nodes=10), library=_libraries)
+    @settings(max_examples=40, **COMMON)
+    def test_library_dp_matches_reeval_and_beats_every_type(self, tree,
+                                                            library):
+        """With a 1-3-type library the DP's objective equals the typed
+        staged re-evaluation of its own solution, and is at least what
+        any single type of the library achieves alone."""
+        sinks = [BufferSink(leaf, 5e-15) for leaf in tree.leaves()]
+        result = insert_buffers_multi(tree, sinks, library, 200.0)
+        arrival = assigned_stage_delays(
+            tree, sinks, result.assignments, 200.0
+        )
+        worst = min(s.required_time - arrival[s.node] for s in sinks)
+        assert np.isclose(result.required_at_driver, worst, rtol=1e-9)
+        for buffer in library:
+            single = insert_buffers(tree, sinks, buffer, 200.0)
+            assert result.required_at_driver >= single.required_at_driver

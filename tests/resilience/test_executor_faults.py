@@ -47,7 +47,7 @@ class TestWorkerFaults:
         d0, b0 = degraded.value, backoff.count
         install_faults("worker.kill")
         out = run_sharded(_double, PAYLOADS, jobs=2, backend="shm",
-                          retries=1, retry_backoff=0.001)
+                          retries=1)
         assert out == EXPECTED
         assert degraded.value >= d0 + len(PAYLOADS)
         # A retry wave ran, so the deterministic backoff was observed.
@@ -59,7 +59,7 @@ class TestWorkerFaults:
         t0 = timeouts.value
         install_faults("worker.hang:delay=5")
         out = run_sharded(_double, PAYLOADS, jobs=2, backend="shm",
-                          timeout=0.3, retries=0, retry_backoff=0.0)
+                          timeout=0.3, retries=0)
         assert out == EXPECTED
         assert timeouts.value > t0
 
@@ -69,7 +69,7 @@ class TestWorkerFaults:
         m0 = malformed.value
         install_faults("result.malformed:times=inf")
         out = run_sharded(_double, PAYLOADS, jobs=2, backend="shm",
-                          retries=0, retry_backoff=0.0)
+                          retries=0)
         assert out == EXPECTED
         assert malformed.value >= m0 + len(PAYLOADS)
 
@@ -80,7 +80,7 @@ class TestWorkerFaults:
         d0, i0 = degraded.value, injected.value
         install_faults("pool.fork")
         out = run_sharded(_double, PAYLOADS, jobs=2, backend="shm",
-                          retries=1, retry_backoff=0.0)
+                          retries=1)
         assert out == EXPECTED
         assert degraded.value == d0 + len(PAYLOADS)
         assert injected.value > i0  # fired parent-side, so visible here
@@ -141,8 +141,3 @@ class TestRetryBackoff:
     def test_labels_desynchronize(self):
         assert _retry_backoff_delay(0.05, 1, "a") != \
             _retry_backoff_delay(0.05, 1, "b")
-
-    def test_negative_backoff_rejected(self):
-        from repro._exceptions import ValidationError
-        with pytest.raises(ValidationError):
-            run_sharded(_double, PAYLOADS, retry_backoff=-0.1)

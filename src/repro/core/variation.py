@@ -61,6 +61,7 @@ from repro.parallel import (
     spawn_shard_seeds,
 )
 from repro.parallel.shm import record_fallback
+from repro.resilience.checkpoint import journal, tree_fingerprint
 
 logger = logging.getLogger(__name__)
 
@@ -488,46 +489,29 @@ def monte_carlo_delay_matrix(
     sr, sc = model.sigma_arrays(tree)
     _SAMPLES_DRAWN.inc(samples)
     shards = plan_shards(samples, shard_size=shard_size)
-    checkpoint = None
-    if checkpoint_path is not None:
-        from repro.resilience.checkpoint import (
-            open_checkpoint, run_fingerprint, tree_fingerprint,
+    with journal(
+        checkpoint_path, "monte_carlo_delay_matrix", shards, resume,
+        {"samples": int(samples), "seed": int(seed)},
+        lambda: {"tree": tree_fingerprint(tree), "sr": sr, "sc": sc,
+                 "samples": int(samples), "seed": int(seed),
+                 "clip": float(clip)},
+    ) as checkpoint, _span("variation.monte_carlo_sharded",
+                           samples=samples, shards=len(shards),
+                           N=tree.num_nodes, backend=backend or "auto"):
+        seeds = spawn_shard_seeds(seed, len(shards))
+        return _sweep_on_workspace(
+            _mc_shard_task,
+            topology,
+            {"sr": sr, "sc": sc},
+            shards,
+            extras=[(clip, seeds[shard.index]) for shard in shards],
+            jobs=jobs,
+            backend=backend,
+            label="variation.parallel_run",
+            timeout=timeout,
+            retries=retries,
+            checkpoint=checkpoint,
         )
-
-        checkpoint = open_checkpoint(
-            checkpoint_path,
-            run_fingerprint(
-                "monte_carlo_delay_matrix",
-                tree=tree_fingerprint(tree),
-                sr=sr, sc=sc, samples=int(samples), seed=int(seed),
-                clip=float(clip), plan=[shard.size for shard in shards],
-            ),
-            len(shards),
-            meta={"kind": "monte_carlo_delay_matrix",
-                  "samples": int(samples), "seed": int(seed)},
-            resume=resume,
-        )
-    try:
-        with _span("variation.monte_carlo_sharded", samples=samples,
-                   shards=len(shards), N=tree.num_nodes,
-                   backend=backend or "auto"):
-            seeds = spawn_shard_seeds(seed, len(shards))
-            return _sweep_on_workspace(
-                _mc_shard_task,
-                topology,
-                {"sr": sr, "sc": sc},
-                shards,
-                extras=[(clip, seeds[shard.index]) for shard in shards],
-                jobs=jobs,
-                backend=backend,
-                label="variation.parallel_run",
-                timeout=timeout,
-                retries=retries,
-                checkpoint=checkpoint,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
 
 
 def monte_carlo_elmore(

@@ -29,6 +29,7 @@ from repro.core.statistics import WaveformStats, waveform_stats
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 from repro.parallel import plan_shards, run_sharded
+from repro.resilience.checkpoint import journal, tree_fingerprint
 from repro.signals.base import Signal
 from repro.signals.step import StepInput
 
@@ -137,11 +138,11 @@ def verify_tree(
         mode/median measurement accuracy only; delays and bounds are
         analytic).
     jobs:
-        ``None`` (default) verifies in-process with one shared exact
-        analysis.  Any integer routes the node list through the sharded
-        engine (:mod:`repro.parallel`): ``1`` = serial backend,
-        ``>= 2`` = that many worker processes.  Verdicts are
-        bit-identical across all of these.
+        ``None`` (default) verifies in-process: one shard task over
+        every node, sharing one exact analysis.  Any integer routes the
+        node list through the sharded engine (:mod:`repro.parallel`):
+        ``1`` = serial backend, ``>= 2`` = that many worker processes.
+        Verdicts are bit-identical across all of these.
     shard_size:
         Nodes per shard for the sharded path (default: an even split
         into at most :data:`repro.parallel.DEFAULT_MAX_SHARDS`).
@@ -162,60 +163,31 @@ def verify_tree(
     the mass lives) and a coarse grid out to the settle horizon.
     """
     target_nodes = list(nodes if nodes is not None else tree.node_names)
-    if jobs is not None or backend is not None \
-            or checkpoint_path is not None:
-        shards = plan_shards(len(target_nodes), shard_size=shard_size)
-        checkpoint = None
-        if checkpoint_path is not None:
-            from repro.resilience.checkpoint import (
-                open_checkpoint, run_fingerprint, tree_fingerprint,
-            )
-
-            checkpoint = open_checkpoint(
-                checkpoint_path,
-                run_fingerprint(
-                    "verify_tree",
-                    tree=tree_fingerprint(tree),
-                    nodes=target_nodes,
-                    samples=int(samples),
-                    plan=[shard.size for shard in shards],
-                ),
-                len(shards),
-                meta={"kind": "verify_tree",
-                      "nodes": len(target_nodes),
-                      "samples": int(samples)},
-                resume=resume,
-            )
-        try:
-            with _span("verify.tree", nodes=len(target_nodes),
-                       samples=samples, shards=len(shards)):
+    with _span("verify.tree", nodes=len(target_nodes),
+               samples=samples) as sp:
+        if jobs is None and backend is None and checkpoint_path is None:
+            chunks = [_verify_shard_task((tree, target_nodes, samples))]
+        else:
+            shards = plan_shards(len(target_nodes), shard_size=shard_size)
+            sp.set_attribute("shards", len(shards))
+            with journal(
+                checkpoint_path, "verify_tree", shards, resume,
+                {"nodes": len(target_nodes), "samples": int(samples)},
+                lambda: {"tree": tree_fingerprint(tree),
+                         "nodes": target_nodes, "samples": int(samples)},
+            ) as checkpoint:
                 chunks = run_sharded(
                     _verify_shard_task,
-                    [
-                        (tree, target_nodes[shard.start:shard.stop],
-                         samples)
-                        for shard in shards
-                    ],
+                    [(tree, target_nodes[shard.start:shard.stop], samples)
+                     for shard in shards],
                     jobs=jobs,
                     label="verify.parallel_run",
                     backend=backend,
                     checkpoint=checkpoint,
                 )
-        finally:
-            if checkpoint is not None:
-                checkpoint.close()
-        return TreeVerdict(
-            nodes=[verdict for chunk in chunks for verdict in chunk]
-        )
-    with _span("verify.tree", nodes=len(target_nodes), samples=samples):
-        analysis = ExactAnalysis(tree)
-        moments = transfer_moments(tree, 3)
-        verdicts: List[NodeVerdict] = []
-        for name in target_nodes:
-            verdicts.append(
-                _verify_node(analysis, moments, name, samples)
-            )
-    return TreeVerdict(nodes=verdicts)
+    return TreeVerdict(
+        nodes=[verdict for chunk in chunks for verdict in chunk]
+    )
 
 
 def _corpus_shard_task(payload) -> List[TreeVerdict]:
@@ -262,45 +234,24 @@ def verify_corpus(
     if not trees:
         return []
     shards = plan_shards(len(trees), shard_size=shard_size)
-    checkpoint = None
-    if checkpoint_path is not None:
-        from repro.resilience.checkpoint import (
-            open_checkpoint, run_fingerprint, tree_fingerprint,
+    with journal(
+        checkpoint_path, "verify_corpus", shards, resume,
+        {"trees": len(trees), "samples": int(samples)},
+        lambda: {"trees": [tree_fingerprint(tree) for tree in trees],
+                 "samples": int(samples)},
+    ) as checkpoint, _span("verify.corpus", trees=len(trees),
+                           shards=len(shards), samples=samples):
+        chunks = run_sharded(
+            _corpus_shard_task,
+            [(trees[shard.start:shard.stop], samples) for shard in shards],
+            jobs=jobs,
+            timeout=timeout,
+            retries=retries,
+            label="verify.parallel_run",
+            backend=backend,
+            checkpoint=checkpoint,
         )
-
-        checkpoint = open_checkpoint(
-            checkpoint_path,
-            run_fingerprint(
-                "verify_corpus",
-                trees=[tree_fingerprint(tree) for tree in trees],
-                samples=int(samples),
-                plan=[shard.size for shard in shards],
-            ),
-            len(shards),
-            meta={"kind": "verify_corpus", "trees": len(trees),
-                  "samples": int(samples)},
-            resume=resume,
-        )
-    try:
-        with _span("verify.corpus", trees=len(trees),
-                   shards=len(shards), samples=samples):
-            chunks = run_sharded(
-                _corpus_shard_task,
-                [
-                    (trees[shard.start:shard.stop], samples)
-                    for shard in shards
-                ],
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
-                label="verify.parallel_run",
-                backend=backend,
-                checkpoint=checkpoint,
-            )
-        return [verdict for chunk in chunks for verdict in chunk]
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
+    return [verdict for chunk in chunks for verdict in chunk]
 
 
 def _verify_node(

@@ -41,6 +41,7 @@ __all__ = [
     "healthz_body",
     "metrics_body",
     "spans_body",
+    "OBS_ROUTES",
 ]
 
 logger = logging.getLogger(__name__)
@@ -68,22 +69,29 @@ def spans_body() -> bytes:
     return json.dumps(payload, indent=2).encode("utf-8")
 
 
+_TEXT_TYPE = "text/plain; charset=utf-8"
+
+#: ``{path: (body builder, content type)}`` of the read-only obs routes,
+#: served by this endpoint and by ``repro serve`` alike.
+OBS_ROUTES = {
+    "/healthz": (healthz_body, _TEXT_TYPE),
+    "/metrics": (metrics_body, PROMETHEUS_CONTENT_TYPE),
+    "/spans": (spans_body, "application/json; charset=utf-8"),
+}
+
+
 class _ObsRequestHandler(BaseHTTPRequestHandler):
-    """Routes /metrics, /healthz, /spans; 404 elsewhere."""
+    """Routes :data:`OBS_ROUTES`; 404 elsewhere."""
 
     server_version = "repro-obs/1"
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            self._reply(200, PROMETHEUS_CONTENT_TYPE, metrics_body())
-        elif path == "/healthz":
-            self._reply(200, "text/plain; charset=utf-8", healthz_body())
-        elif path == "/spans":
-            self._reply(200, "application/json; charset=utf-8",
-                        spans_body())
+        route = OBS_ROUTES.get(self.path.split("?", 1)[0])
+        if route is None:
+            self._reply(404, _TEXT_TYPE, b"not found\n")
         else:
-            self._reply(404, "text/plain; charset=utf-8", b"not found\n")
+            body, content_type = route
+            self._reply(200, content_type, body())
 
     def _reply(self, status: int, content_type: str, body: bytes) -> None:
         self.send_response(status)

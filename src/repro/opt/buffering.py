@@ -207,8 +207,10 @@ def _sink_map(
     sinks: Sequence[BufferSink],
     buffer_nodes: Iterable[str] = (),
 ) -> Dict[str, BufferSink]:
-    """Sinks by node; every sink and buffer node must be in ``tree`` and
-    no node may be listed as a sink twice."""
+    """Sinks by node; there must be a sink, every sink and buffer node
+    must be in ``tree`` and no node may be listed as a sink twice."""
+    if not sinks:
+        raise ValidationError("net has no sinks")
     for name in buffer_nodes:
         if name not in tree:
             raise ValidationError(f"buffer node {name!r} not in tree")
@@ -282,8 +284,6 @@ def insert_buffers_multi(
     """
     if driver_resistance <= 0:
         raise ValidationError("driver_resistance must be > 0")
-    if not sinks:
-        raise ValidationError("net has no sinks")
     if not buffers:
         raise ValidationError("buffer library is empty")
     names = [b.name for b in buffers]

@@ -28,10 +28,11 @@ Lifecycle rules (the part that keeps ``/dev/shm`` clean):
 * a killed worker cannot leak a segment: its mapping dies with the
   process and the name vanishes as soon as the parent unlinks.
 
-Dirty-block tracking makes repeated publication cheap: :meth:`put`
-skips the copy when the same (read-only) array object is already
-published, and reuses the existing segment when only the bytes changed
-(``parallel_shm_publish_skipped_total`` counts the skips).
+Repeated publication reuses segments: while a block's layout (shape,
+dtype, strides) stays the same, :meth:`put` rewrites its bytes in place
+and :meth:`allocate` hands back the existing output block without a
+copy (``parallel_shm_publish_skipped_total`` counts these reused output
+blocks); a changed layout unlinks the segment and creates a fresh one.
 
 Observability: spans ``shm.publish`` / ``shm.attach``; counters
 ``parallel_shm_publish_total``, ``parallel_shm_publish_skipped_total``,
@@ -47,7 +48,6 @@ import itertools
 import logging
 import os
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -90,8 +90,7 @@ _PUBLISHED = _counter(
 )
 _PUBLISH_SKIPPED = _counter(
     "parallel_shm_publish_skipped_total",
-    "Block publications skipped because the block was already "
-    "published and clean",
+    "Output blocks reused as-is because their layout already matched",
 )
 _BYTES = _counter(
     "parallel_shm_bytes_total",
@@ -242,29 +241,14 @@ class WorkspaceDescriptor:
 
 
 class _Block:
-    """One owned segment plus its published view and dirty-tracking."""
+    """One owned segment plus its published view and wire spec."""
 
-    __slots__ = ("shm", "view", "spec", "source_ref", "readonly_source")
+    __slots__ = ("shm", "view", "spec")
 
-    def __init__(self, shm, view, spec, source_ref, readonly_source):
+    def __init__(self, shm, view, spec):
         self.shm = shm
         self.view = view
         self.spec = spec
-        self.source_ref = source_ref
-        self.readonly_source = readonly_source
-
-
-def _weak_source(array: np.ndarray) -> Optional["weakref.ref"]:
-    """A weakref to the published source array (``None`` for types that
-    refuse weak references).  The publish-skip fast path compares the
-    *object* through this weakref, never a raw ``id()``: once the source
-    is collected the ref reads ``None``, so a new array that happens to
-    reuse the old object's id can never masquerade as already
-    published."""
-    try:
-        return weakref.ref(array)
-    except TypeError:
-        return None
 
 
 def _segment_suffix(key: str) -> str:
@@ -317,70 +301,12 @@ class ShmWorkspace:
     def put(self, key: str, array: np.ndarray) -> ArraySpec:
         """Publish ``array`` under ``key``; returns its wire spec.
 
-        Dirty tracking: when the same read-only array object is already
-        published under ``key`` the call is a no-op (counted by
-        ``parallel_shm_publish_skipped_total``); when shapes/dtypes still
-        match, the existing segment is rewritten in place; otherwise the
-        old segment is unlinked and a fresh one created.
+        When a block under ``key`` has the same shape, dtype and strides
+        its segment is rewritten in place; otherwise the old segment is
+        unlinked and a fresh one created.
         """
-        if self._closed:
-            raise ShmError(f"workspace {self._id} is closed")
-        if _fault_check("shm.publish") is not None:
-            raise ShmError("injected fault: shm.publish")
         array = _publishable(np.asarray(array))
-        block = self._blocks.get(key)
-        if block is not None:
-            source = (
-                block.source_ref() if block.source_ref is not None
-                else None
-            )
-            if (
-                block.readonly_source
-                and source is array
-                and not array.flags.writeable
-            ):
-                _PUBLISH_SKIPPED.inc()
-                return block.spec
-            if (
-                block.view.shape == array.shape
-                and block.view.dtype == array.dtype
-                and block.view.strides == array.strides
-            ):
-                with _span("shm.publish", key=key, reused=True,
-                           bytes=int(array.nbytes)):
-                    np.copyto(block.view, array)
-                block.source_ref = _weak_source(array)
-                block.readonly_source = not array.flags.writeable
-                _PUBLISHED.inc()
-                _BYTES.inc(int(array.nbytes))
-                return block.spec
-            self._unlink_block(key)
-        name = f"{self._id}_g{next(self._generation)}_" \
-            f"{_segment_suffix(key)}"
-        with _span("shm.publish", key=key, reused=False,
-                   bytes=int(array.nbytes)):
-            try:
-                seg = _create_segment(max(int(array.nbytes), 1), name)
-            except Exception as exc:
-                raise ShmError(
-                    f"cannot create shared segment {name!r}: {exc}"
-                ) from exc
-            spec = ArraySpec(
-                segment=name,
-                dtype=array.dtype.str,
-                shape=tuple(array.shape),
-                strides=tuple(array.strides),
-            )
-            view = spec.view(seg.buf)
-            np.copyto(view, array)
-        self._blocks[key] = _Block(
-            seg, view, spec, _weak_source(array),
-            not array.flags.writeable,
-        )
-        _PUBLISHED.inc()
-        _BYTES.inc(int(array.nbytes))
-        _ACTIVE.set(_ACTIVE.value + 1)
-        return spec
+        return self._publish(key, array, copy=True).spec
 
     def put_many(self, arrays: Dict[str, np.ndarray]) -> None:
         """Publish every ``{key: array}`` entry."""
@@ -396,40 +322,61 @@ class ShmWorkspace:
         into the block (e.g. each shard filling its own row slice of a
         result matrix) and the parent reads the assembled result back
         through the returned view.  An existing block with a matching
-        layout is reused as-is; contents are unspecified until written.
+        layout is reused as-is (counted by
+        ``parallel_shm_publish_skipped_total``); contents are
+        unspecified until written.
+        """
+        template = np.empty(tuple(int(s) for s in shape), dtype=dtype)
+        return self._publish(key, template, copy=False).view
+
+    def _publish(self, key: str, array: np.ndarray, copy: bool) -> _Block:
+        """The block under ``key`` laid out like ``array``, holding its
+        bytes when ``copy``.
+
+        A block whose layout matches is reused; otherwise the old one is
+        unlinked and a fresh generation-stamped segment created.
         """
         if self._closed:
             raise ShmError(f"workspace {self._id} is closed")
         if _fault_check("shm.publish") is not None:
             raise ShmError("injected fault: shm.publish")
-        dtype = np.dtype(dtype)
-        shape = tuple(int(s) for s in shape)
+        nbytes = int(array.nbytes)
         block = self._blocks.get(key)
-        if block is not None:
-            if block.view.shape == shape and block.view.dtype == dtype:
+        if block is not None and block.view.shape == array.shape \
+                and block.view.dtype == array.dtype \
+                and block.view.strides == array.strides:
+            if not copy:
                 _PUBLISH_SKIPPED.inc()
-                return block.view
+                return block
+            with _span("shm.publish", key=key, reused=True, bytes=nbytes):
+                np.copyto(block.view, array)
+        else:
             self._unlink_block(key)
-        template = np.empty(shape, dtype=dtype)
-        name = f"{self._id}_g{next(self._generation)}_" \
-            f"{_segment_suffix(key)}"
-        with _span("shm.publish", key=key, reused=False, output=True,
-                   bytes=int(template.nbytes)):
-            try:
-                seg = _create_segment(max(int(template.nbytes), 1), name)
-            except Exception as exc:
-                raise ShmError(
-                    f"cannot create shared segment {name!r}: {exc}"
-                ) from exc
-            spec = ArraySpec(
-                segment=name, dtype=dtype.str, shape=shape,
-                strides=tuple(template.strides),
-            )
-            view = spec.view(seg.buf)
-        self._blocks[key] = _Block(seg, view, spec, None, False)
+            name = f"{self._id}_g{next(self._generation)}_" \
+                f"{_segment_suffix(key)}"
+            with _span("shm.publish", key=key, reused=False,
+                       output=not copy, bytes=nbytes):
+                try:
+                    seg = _create_segment(max(nbytes, 1), name)
+                except Exception as exc:
+                    raise ShmError(
+                        f"cannot create shared segment {name!r}: {exc}"
+                    ) from exc
+                spec = ArraySpec(
+                    segment=name,
+                    dtype=array.dtype.str,
+                    shape=tuple(array.shape),
+                    strides=tuple(array.strides),
+                )
+                view = spec.view(seg.buf)
+                if copy:
+                    np.copyto(view, array)
+            block = self._blocks[key] = _Block(seg, view, spec)
+            _ACTIVE.set(_ACTIVE.value + 1)
         _PUBLISHED.inc()
-        _ACTIVE.set(_ACTIVE.value + 1)
-        return view
+        if copy:
+            _BYTES.inc(nbytes)
+        return block
 
     def get(self, key: str) -> np.ndarray:
         """The parent-side live view of block ``key``."""

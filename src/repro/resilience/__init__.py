@@ -20,6 +20,7 @@ from repro.resilience.checkpoint import (
     CheckpointError,
     ShardCheckpoint,
     close_open_journals,
+    journal,
     open_checkpoint,
     run_fingerprint,
     tree_fingerprint,
@@ -41,6 +42,7 @@ __all__ = [
     "CheckpointError",
     "ShardCheckpoint",
     "close_open_journals",
+    "journal",
     "open_checkpoint",
     "run_fingerprint",
     "tree_fingerprint",

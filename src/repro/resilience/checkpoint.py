@@ -30,7 +30,8 @@ before appending resumes.
 The fingerprint (:func:`run_fingerprint`) hashes the workload identity
 — inputs, seed, and the shard plan — so ``--resume`` against a journal
 from a *different* run fails loudly (:class:`CheckpointError`) instead
-of silently splicing foreign results.
+of silently splicing foreign results.  Every sharded entry point opens
+its journal through :func:`journal`, which builds that fingerprint.
 
 Observability: ``checkpoint.write`` / ``checkpoint.resume`` spans,
 ``resilience_checkpoint_shards_written_total`` /
@@ -47,7 +48,8 @@ import json
 import os
 import pickle
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +62,7 @@ __all__ = [
     "CheckpointError",
     "ShardCheckpoint",
     "open_checkpoint",
+    "journal",
     "close_open_journals",
     "run_fingerprint",
     "tree_fingerprint",
@@ -401,3 +404,35 @@ def open_checkpoint(
     return ShardCheckpoint(
         path, fingerprint, total_shards, completed, handle
     )
+
+
+@contextmanager
+def journal(
+    path: Optional[str],
+    kind: str,
+    shards: Sequence[Any],
+    resume: bool,
+    meta: Dict[str, Any],
+    ingredients: Callable[[], Dict[str, Any]],
+) -> Iterator[Optional[ShardCheckpoint]]:
+    """Open the journal of one sharded run, closed on exit.
+
+    Yields ``None`` when ``path`` is ``None``, else the open
+    :class:`ShardCheckpoint`.  ``shards`` is the run's shard plan; the
+    fingerprint is ``run_fingerprint(kind, plan=[shard sizes],
+    **ingredients())`` and the header meta ``{"kind": kind, **meta}``.
+    ``ingredients`` runs only when a journal is opened, so a run
+    without one never pays for its fingerprint.
+    """
+    if path is None:
+        yield None
+        return
+    with open_checkpoint(
+        path,
+        run_fingerprint(kind, plan=[shard.size for shard in shards],
+                        **ingredients()),
+        len(shards),
+        meta={"kind": kind, **meta},
+        resume=resume,
+    ) as checkpoint:
+        yield checkpoint

@@ -27,6 +27,7 @@ from repro.core.elmore import elmore_delays
 from repro.routing.steiner import (
     Point,
     _MIN_SEGMENT,
+    _hanan_points,
     manhattan,
     rectilinear_mst,
 )
@@ -221,11 +222,7 @@ def route_net_timing_driven(
             continue
         # Move 2: add a Hanan Steiner point and rebuild the MST over the
         # augmented point set (keeping any improvement).
-        xs = sorted({p[0] for p in current_points})
-        ys = sorted({p[1] for p in current_points})
-        existing = set(current_points)
-        for candidate in ((x, y) for x in xs for y in ys
-                          if (x, y) not in existing):
+        for candidate in _hanan_points(current_points):
             trial_points = current_points + [candidate]
             trial_mst = rectilinear_mst(trial_points)
             if trial_mst.degree(len(trial_points) - 1) < 3:

@@ -41,12 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro._exceptions import ReproError, ValidationError
-from repro.obs.server import (
-    PROMETHEUS_CONTENT_TYPE,
-    healthz_body,
-    metrics_body,
-    spans_body,
-)
+from repro.obs.server import OBS_ROUTES
 from repro.obs.trace import span as _span
 from repro.ops import OPS, Context
 from repro.serve import metrics as _metrics
@@ -81,7 +76,7 @@ _OP_ROUTES = {f"/v1/{name}": op for name, op in OPS.items()}
 #: The served route set; anything else is labeled ``unknown`` in
 #: metrics/spans so scanner traffic cannot grow label cardinality.
 _ENDPOINTS = frozenset(
-    {"/healthz", "/metrics", "/spans", "/v1/stats", *_OP_ROUTES}
+    {*OBS_ROUTES, "/v1/stats", *_OP_ROUTES}
 )
 
 
@@ -415,16 +410,11 @@ class ReproServer:
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Tuple[bytes, str]]:
         try:
-            if path == "/healthz":
+            route = OBS_ROUTES.get(path)
+            if route is not None:
                 self._require(method, "GET")
-                return 200, (healthz_body(),
-                             "text/plain; charset=utf-8")
-            if path == "/metrics":
-                self._require(method, "GET")
-                return 200, (metrics_body(), PROMETHEUS_CONTENT_TYPE)
-            if path == "/spans":
-                self._require(method, "GET")
-                return 200, (spans_body(), _JSON_TYPE)
+                body_of, content_type = route
+                return 200, (body_of(), content_type)
             if path == "/v1/stats":
                 self._require(method, "POST")
                 return 200, self._json(await self._handle_stats(body))

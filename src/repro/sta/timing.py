@@ -50,6 +50,7 @@ from repro.core.batch import batch_transfer_moments
 from repro.core.metrics import METRICS
 from repro.core.moments import TransferMoments
 from repro.parallel import DEFAULT_MAX_SHARDS, Shard, run_sharded
+from repro.resilience.checkpoint import journal, tree_fingerprint
 
 from repro.sta.interconnect import (
     ElaboratedNet,
@@ -226,8 +227,6 @@ def _net_geometries(design: Design, wire_load, net_overrides
 
 def _journal_key(geometry: NetGeometry) -> list:
     """A net's geometry as a checkpoint-fingerprint ingredient."""
-    from repro.resilience.checkpoint import tree_fingerprint
-
     override = None
     if geometry.override is not None:
         tree, mapping = geometry.override
@@ -303,26 +302,12 @@ def _precompute_nets(
             kind, extra = "sta.analyze", {}
             if process is not None:
                 kind, extra = "ssta.analyze", {"process": astuple(process)}
-            checkpoint = None
-            if checkpoint_path is not None:
-                from repro.resilience.checkpoint import (
-                    open_checkpoint, run_fingerprint,
-                )
-
-                checkpoint = open_checkpoint(
-                    checkpoint_path,
-                    run_fingerprint(
-                        kind,
-                        nets=[_journal_key(g) for g in payload],
-                        plan=[shard.size for shard in shards],
-                        delay_model=delay_model,
-                        **extra,
-                    ),
-                    len(shards),
-                    meta={"kind": kind, "nets": len(payload)},
-                    resume=resume,
-                )
-            try:
+            with journal(
+                checkpoint_path, kind, shards, resume,
+                {"nets": len(payload)},
+                lambda: {"nets": [_journal_key(g) for g in payload],
+                         "delay_model": delay_model, **extra},
+            ) as checkpoint:
                 chunks = run_sharded(
                     _net_shard_task,
                     parts,
@@ -331,9 +316,6 @@ def _precompute_nets(
                     backend=backend,
                     checkpoint=checkpoint,
                 )
-            finally:
-                if checkpoint is not None:
-                    checkpoint.close()
         if process is not None:
             columns = [chunk[1:] for chunk in chunks]
             chunks = [chunk[0] for chunk in chunks]

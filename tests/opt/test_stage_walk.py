@@ -9,6 +9,8 @@ from repro.opt import (
     BufferType,
     assigned_stage_delays,
     buffered_stage_delays,
+    insert_buffers,
+    insert_buffers_multi,
     repair_slews,
     stage_sigmas,
 )
@@ -79,6 +81,7 @@ ONE_SINK = [BufferSink("w6", 10e-15)]
 TWICE = [BufferSink("w6", 10e-15), BufferSink("w6", 20e-15)]
 DUPLICATE = "duplicate sink at 'w6'"
 UNKNOWN = "buffer node 'ghost' not in tree"
+NO_SINKS = "net has no sinks"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -91,9 +94,19 @@ UNKNOWN = "buffer node 'ghost' not in tree"
      DUPLICATE),
     (lambda: buffered_stage_delays(_wire(), ONE_SINK, BUF, DRIVER,
                                    ["ghost"]), UNKNOWN),
+    (lambda: insert_buffers(_wire(), [], BUF, DRIVER), NO_SINKS),
+    (lambda: insert_buffers_multi(_wire(), [], [BUF], DRIVER), NO_SINKS),
+    (lambda: buffered_stage_delays(_wire(), [], BUF, DRIVER, []), NO_SINKS),
+    (lambda: assigned_stage_delays(_wire(), [], {}, DRIVER), NO_SINKS),
+    (lambda: stage_sigmas(_wire(), [], BUF, DRIVER, []), NO_SINKS),
+    (lambda: repair_slews(_wire(), [], BUF, DRIVER, sigma_limit=1e-9),
+     NO_SINKS),
 ], ids=["stage_sigmas-duplicate-sink", "stage_sigmas-unknown-buffer",
         "repair_slews-duplicate-sink", "staged-delays-duplicate-sink",
-        "staged-delays-unknown-buffer"])
+        "staged-delays-unknown-buffer", "insert_buffers-no-sinks",
+        "insert_buffers_multi-no-sinks", "staged-delays-no-sinks",
+        "assigned-delays-no-sinks", "stage_sigmas-no-sinks",
+        "repair_slews-no-sinks"])
 def test_sink_and_buffer_nodes_are_validated(call, message):
     with pytest.raises(ValidationError, match=message):
         call()

@@ -181,32 +181,6 @@ class TestRepublication:
             detach_all()
         assert active_segment_names() == ()
 
-    def test_collected_source_never_skips_publication(self):
-        """The publish-skip fast path holds a weakref to the source
-        array: once the source is collected, a new array — even one
-        reusing the old object's id() — must be re-published."""
-        from repro.obs.metrics import counter
-
-        with ShmWorkspace(tag="weak") as ws:
-            first = np.arange(4.0)
-            first.setflags(write=False)
-            ws.put("a", first)
-            skipped = counter("parallel_shm_publish_skipped_total").value
-            ws.put("a", first)  # same live read-only object: skipped
-            assert counter(
-                "parallel_shm_publish_skipped_total"
-            ).value == skipped + 1
-            del first
-            replacement = np.full(4, 7.0)
-            replacement.setflags(write=False)
-            published = counter("parallel_shm_publish_total").value
-            ws.put("a", replacement)
-            assert counter(
-                "parallel_shm_publish_total"
-            ).value == published + 1
-            np.testing.assert_array_equal(ws.get("a"), replacement)
-        assert active_segment_names() == ()
-
 
 class TestShmEqualsSerial:
     @given(

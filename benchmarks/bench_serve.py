@@ -82,8 +82,7 @@ def _drive(url, concurrency):
 
 def _batch_stats(thread):
     stats = thread.server.batcher.stats
-    sizes = stats.batch_sizes
-    return stats.batches, (max(sizes) if sizes else 0)
+    return stats.batches, stats.max_batch_size
 
 
 def test_serve_throughput(benchmark):

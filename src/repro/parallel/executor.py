@@ -304,56 +304,50 @@ def run_sharded(
     payloads = list(payloads)
     if not payloads:
         return []
-    restored: Dict[int, Any] = (
-        checkpoint.restore_results(len(payloads))
-        if checkpoint is not None else {}
-    )
+    results: Dict[int, Any] = {} if checkpoint is None \
+        else checkpoint.restore_results(len(payloads))
+    todo = [index for index in range(len(payloads)) if index not in results]
+
+    def accept(index: int, value: Any) -> None:
+        results[index] = value
+        if checkpoint is not None:
+            checkpoint.record(index, value)
+
     effective_jobs = min(jobs, len(payloads))
-    chosen = (
-        "serial" if backend == "serial" or effective_jobs == 1 else "shm"
-    )
+    chosen = "serial" if backend == "serial" or effective_jobs == 1 else "shm"
     with _span(label, shards=len(payloads), jobs=effective_jobs,
                backend=chosen) as sp:
-        if restored:
-            sp.set_attribute("resumed", len(restored))
-        if chosen == "serial":
-            out: List[Any] = []
-            for index, payload in enumerate(payloads):
-                if index in restored:
-                    out.append(restored[index])
-                    continue
-                value = _run_shard_inline(task, payload, index)
-                if checkpoint is not None:
-                    checkpoint.record(index, value)
-                out.append(value)
-            return out
-        return _run_on_pool(
-            task, payloads, effective_jobs, timeout, retries, sp,
-            checkpoint=checkpoint, restored=restored, label=label,
-        )
+        if results:
+            sp.set_attribute("resumed", len(results))
+        if chosen == "shm" and todo:
+            todo = _run_on_pool(
+                task, payloads, todo, effective_jobs, timeout, retries,
+                sp, accept, label,
+            )
+            if todo:
+                sp.set_attribute("degraded", True)
+                _DEGRADED.inc(len(todo))
+        # The serial backend, and every shard the pool gave up on.
+        for index in todo:
+            accept(index, _run_shard_inline(task, payloads[index], index))
+    return [results[index] for index in range(len(payloads))]
 
 
 def _run_on_pool(
     task: Callable[[Any], Any],
     payloads: List[Any],
+    todo: List[int],
     jobs: int,
     timeout: Optional[float],
     retries: int,
-    run_span,
-    checkpoint: Any = None,
-    restored: Optional[Dict[int, Any]] = None,
-    label: str = "parallel.run",
-) -> List[Any]:
-    results: Dict[int, Any] = dict(restored or {})
-    attempts = {index: 0 for index in range(len(payloads))}
-    todo = [index for index in range(len(payloads)) if index not in results]
-    wave = 0
-
-    def _accept(index: int, value: Any) -> None:
-        results[index] = value
-        if checkpoint is not None:
-            checkpoint.record(index, value)
-
+    run_span: Any,
+    accept: Callable[[int, Any], None],
+    label: str,
+) -> List[int]:
+    """Run the ``todo`` shards on the warm pool, handing each result to
+    ``accept``; returns the shards it gave up on, for the caller to run
+    in-process: all of them when no worker can fork, or those still
+    failing once ``retries`` waves ran out."""
     # Decided once, parent-side: workers capture their own spans/metric
     # deltas only while the parent tracer is recording.  Shards that
     # later degrade to _run_shard_inline run *in* the parent, where the
@@ -363,7 +357,9 @@ def _run_on_pool(
     # mid-wave (the pool is retired instead; see repro.parallel.pool).
     warm = lease_warm_pool(jobs)
     try:
-        while todo:
+        # Only a failed wave's shards make the next one, so every shard
+        # in wave ``attempt`` has failed ``attempt - 1`` times before.
+        for attempt in range(1, retries + 2):
             try:
                 pool = warm.executor()
             except Exception as exc:
@@ -371,52 +367,32 @@ def _run_on_pool(
                     "warm pool unavailable (%s); degrading %d "
                     "shards to the serial backend", exc, len(todo),
                 )
-                run_span.set_attribute("degraded", True)
-                for index in todo:
-                    _DEGRADED.inc()
-                    _accept(
-                        index,
-                        _run_shard_inline(task, payloads[index], index),
-                    )
                 break
-            failed = _submit_and_collect(
-                task, payloads, todo, pool, timeout, results,
-                capture, run_span, checkpoint,
+            todo = _submit_and_collect(
+                task, payloads, todo, pool, timeout, accept, capture,
+                run_span,
             )
-            if not failed:
+            if not todo:
                 break
             # The pool is suspect (a worker died or a shard hung in it):
             # recycle it so no poisoned worker serves the retries.
             warm.recycle()
-            wave += 1
-            retry_round: List[int] = []
-            for index in failed:
-                attempts[index] += 1
-                if attempts[index] <= retries:
-                    _RETRIES.inc()
-                    retry_round.append(index)
-                else:
-                    logger.warning(
-                        "shard %d failed %d attempt(s) on the warm "
-                        "pool; degrading it to in-process execution",
-                        index, attempts[index],
-                    )
-                    run_span.set_attribute("degraded", True)
-                    _DEGRADED.inc()
-                    _accept(
-                        index,
-                        _run_shard_inline(task, payloads[index], index),
-                    )
-            todo = retry_round
-            if todo:
-                delay = _retry_backoff_delay(RETRY_BACKOFF, wave, label)
-                _BACKOFF_SECONDS.observe(delay)
-                time.sleep(delay)
+            if attempt > retries:
+                logger.warning(
+                    "shards %s failed %d attempt(s) on the warm pool; "
+                    "degrading them to in-process execution",
+                    todo, attempt,
+                )
+                break
+            _RETRIES.inc(len(todo))
+            delay = _retry_backoff_delay(RETRY_BACKOFF, attempt, label)
+            _BACKOFF_SECONDS.observe(delay)
+            time.sleep(delay)
     finally:
         # Workers stay warm for the next run; a retired pool tears down
         # on its last lease release.
         warm.release_lease()
-    return [results[index] for index in range(len(payloads))]
+    return todo
 
 
 def _submit_and_collect(
@@ -425,49 +401,40 @@ def _submit_and_collect(
     todo: List[int],
     pool: ProcessPoolExecutor,
     timeout: Optional[float],
-    results: Dict[int, Any],
-    capture: bool = False,
-    run_span: Any = None,
-    checkpoint: Any = None,
+    accept: Callable[[int, Any], None],
+    capture: bool,
+    run_span: Any,
 ) -> List[int]:
     """One submission wave; returns the shard indices needing a retry.
 
     Only *infrastructure* failures (a worker death's
-    ``BrokenProcessPool``, a shard timeout) mark shards for retry.  An
-    exception raised by the task itself is deterministic — it would fail
-    identically on every attempt — so it propagates immediately, from
-    here, on the first raise.
+    ``BrokenProcessPool``, a shard timeout, a malformed result) mark
+    shards for retry.  An exception raised by the task itself is
+    deterministic — it would fail identically on every attempt — so it
+    propagates immediately, from here, on the first raise.
 
     Worker obs payloads merge here and only here, at the moment a
-    shard's result is accepted into ``results`` — so a killed or hung
-    attempt whose retry succeeds contributes its deltas exactly once.
+    shard's result is accepted — so a killed or hung attempt whose
+    retry succeeds contributes its deltas exactly once.
     """
     futures: Dict[int, Future] = {}
     failed: List[int] = []
-    broken = False
-    for index in todo:
-        if broken:
-            failed.append(index)
-            continue
+    for position, index in enumerate(todo):
         try:
             futures[index] = pool.submit(
                 _timed_task, task, payloads[index], capture
             )
         except (BrokenProcessPool, RuntimeError):
-            broken = True
-            failed.append(index)
-    def _accept(index: int, value: Any, elapsed: float, obs: Any) -> None:
-        results[index] = value
-        if checkpoint is not None:
-            checkpoint.record(index, value)
-        _SHARD_SECONDS.observe(elapsed)
-        _SHARDS.inc()
-        if capture:
-            _aggregate.merge_worker_payload(
-                obs, shard=index, run_span=run_span
-            )
-
+            failed.extend(todo[position:])
+            break
+    timed_out = False
     for index, future in futures.items():
+        if timed_out and not future.done():
+            # One hung shard poisons the wave's unfinished futures too
+            # (the pool is about to be recycled); finished ones still
+            # pass the checks below.
+            failed.append(index)
+            continue
         try:
             value, elapsed, obs = _shard_result(
                 future.result(timeout=timeout)
@@ -477,41 +444,23 @@ def _submit_and_collect(
                 "shard %d exceeded its %.3gs timeout", index, timeout
             )
             _TIMEOUTS.inc()
-            failed.append(index)
-            # One hung shard poisons the wave's remaining futures too
-            # (the pool is about to be recycled); collect whatever is
-            # already finished and retry the rest — but a finished
-            # future holding a *task* exception still propagates: that
-            # failure is deterministic, not the pool's fault.
-            for later_index, later in futures.items():
-                if later_index <= index or later_index in results:
-                    continue
-                exc = later.exception() if later.done() else None
-                if later.done() and exc is None:
-                    try:
-                        value, elapsed, obs = _shard_result(later.result())
-                    except _MalformedResultError:
-                        _MALFORMED.inc()
-                        failed.append(later_index)
-                        continue
-                    _accept(later_index, value, elapsed, obs)
-                elif exc is not None and \
-                        not isinstance(exc, BrokenProcessPool):
-                    raise exc
-                else:
-                    failed.append(later_index)
-            break
+            timed_out = True
         except BrokenProcessPool:
             logger.warning("worker died while evaluating shard %d", index)
-            failed.append(index)
-            continue
         except _MalformedResultError as exc:
             logger.warning(
                 "shard %d returned a malformed result payload (%s); "
                 "scheduling a retry", index, exc,
             )
             _MALFORMED.inc()
-            failed.append(index)
+        else:
+            accept(index, value)
+            _SHARD_SECONDS.observe(elapsed)
+            _SHARDS.inc()
+            if capture:
+                _aggregate.merge_worker_payload(
+                    obs, shard=index, run_span=run_span
+                )
             continue
-        _accept(index, value, elapsed, obs)
+        failed.append(index)
     return failed

@@ -222,7 +222,9 @@ class ReproServer:
         native call, so replace it — swap in a fresh single-thread
         executor, point the batcher at it, abandon the old one without
         waiting, and recycle the warm pool in case the wedge lives in a
-        worker process rather than the thread itself."""
+        worker process rather than the thread itself.  The engine drops
+        its compiled topologies too, so no later batch shares a shm
+        workspace with the abandoned sweep."""
         logger.warning(
             "recycling stuck sweep executor (topology key %s)", key
         )
@@ -232,6 +234,7 @@ class ReproServer:
         )
         self.batcher.replace_executor(self._sweep_executor)
         old.shutdown(wait=False, cancel_futures=True)
+        self.engine.drop_topologies()
         from repro.parallel.pool import shutdown_warm_pool
 
         shutdown_warm_pool()

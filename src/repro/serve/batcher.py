@@ -35,7 +35,7 @@ import asyncio
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro._exceptions import ReproError
@@ -104,7 +104,7 @@ class BatcherStats:
     expired: int = 0
     failed: int = 0
     stuck: int = 0
-    batch_sizes: List[int] = field(default_factory=list)
+    max_batch_size: int = 0
 
 
 class Batcher:
@@ -291,7 +291,9 @@ class Batcher:
         _metrics.COALESCED.inc(len(live) - 1)
         self.stats.batches += 1
         self.stats.coalesced += len(live) - 1
-        self.stats.batch_sizes.append(len(live))
+        self.stats.max_batch_size = max(
+            self.stats.max_batch_size, len(live)
+        )
         loop = asyncio.get_running_loop()
         try:
             sweep = loop.run_in_executor(

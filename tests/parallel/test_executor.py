@@ -155,6 +155,25 @@ class TestProcessBackend:
         # nowhere near the 30 s worker sleep.
         assert elapsed < 20.0
 
+    def test_finished_sibling_is_accepted_after_a_timeout(self):
+        """Once a shard times out, a sibling that already finished in
+        its worker is accepted from there, not degraded and rerun."""
+        run_sharded(_square, [1, 2], jobs=2)  # fork the warm pool first
+        timeouts_before = counter("parallel_timeouts_total").value
+        degraded_before = counter("parallel_degraded_total").value
+
+        out = run_sharded(
+            _hang_or_raise,
+            [("hang", 30.0, "a"), ("ok", 0.0, "b")],
+            jobs=2, timeout=0.5, retries=0,
+        )
+
+        assert out == ["a", "b"]
+        assert counter("parallel_timeouts_total").value == \
+            timeouts_before + 1
+        assert counter("parallel_degraded_total").value == \
+            degraded_before + 1
+
     def test_zero_retries_degrades_immediately(self):
         degraded_before = counter("parallel_degraded_total").value
         out = run_sharded(_die_in_worker, [5, 6], jobs=2, retries=0)

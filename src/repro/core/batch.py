@@ -513,35 +513,33 @@ def _checked_forest(
 def topology_to_arrays(
     topo: TreeTopology,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
-    """Flatten a compiled topology into named arrays plus picklable meta.
+    """Pack a compiled topology into three flat arrays plus picklable meta.
 
     The inverse of :func:`topology_from_arrays`.  This is the shape the
-    zero-copy shared-memory transport (:mod:`repro.parallel.shm`) ships:
-    each array becomes one published block, and ``meta`` (node names,
-    depth, which levels carry reduceat segments) rides along in the
-    compact workspace descriptor.  Nothing is recomputed on the other
-    side — the reconstruction is pure views, bit-identical to the
-    original compile.
+    zero-copy shared-memory transport (:mod:`repro.parallel.shm`) ships,
+    one published block per array, so a topology costs three segments
+    whatever its depth: ``index`` concatenates every index array
+    (parents, then each level and its parents, then each level's
+    reduceat segments), ``bounds`` holds the offsets of those pieces,
+    and ``values`` is the resistances followed by the capacitances.
+    ``meta`` (node names, depth, which levels carry reduceat segments)
+    rides along in the compact workspace descriptor.  Nothing is
+    recomputed on the other side — the reconstruction is pure views,
+    bit-identical to the original compile.
     """
-    arrays: Dict[str, np.ndarray] = {
-        "parents": topo.parents,
-        "resistances": topo.resistances,
-        "capacitances": topo.capacitances,
-    }
-    for k, (level, level_par) in enumerate(
-        zip(topo.levels, topo.level_parents)
-    ):
-        arrays[f"level_{k}"] = level
-        arrays[f"level_parents_{k}"] = level_par
+    pieces = [topo.parents]
+    for level, level_par in zip(topo.levels, topo.level_parents):
+        pieces += [level, level_par]
     has_segments = []
-    for k, seg in enumerate(topo._segments):
+    for seg in topo._segments:
         has_segments.append(seg is not None)
         if seg is not None:
-            idx_sorted, par_sorted, uniq, starts = seg
-            arrays[f"seg_{k}_idx"] = idx_sorted
-            arrays[f"seg_{k}_par"] = par_sorted
-            arrays[f"seg_{k}_uniq"] = uniq
-            arrays[f"seg_{k}_starts"] = starts
+            pieces.extend(seg)
+    arrays = {
+        "index": np.concatenate(pieces).astype(np.intp, copy=False),
+        "bounds": np.cumsum([0] + [len(piece) for piece in pieces]),
+        "values": np.concatenate([topo.resistances, topo.capacitances]),
+    }
     meta = {
         "node_names": list(topo.node_names),
         "depth": topo.depth,
@@ -555,7 +553,7 @@ def topology_from_arrays(
 ) -> TreeTopology:
     """Rebuild a :class:`TreeTopology` from :func:`topology_to_arrays`.
 
-    The arrays are used as-is (no copy, no recompile) — when they are
+    The arrays are sliced as-is (no copy, no recompile) — when they are
     zero-copy shared-memory views, the reconstructed topology reads the
     parent's pages directly.  Views are marked read-only to mirror the
     compile-time immutability contract.
@@ -570,30 +568,22 @@ def topology_from_arrays(
             arr.setflags(write=False)
         return arr
 
-    levels = tuple(_ro(arrays[f"level_{k}"]) for k in range(depth))
-    level_parents = tuple(
-        _ro(arrays[f"level_parents_{k}"]) for k in range(depth)
-    )
-    segments: List[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray]]] = []
-    for k in range(depth):
-        if not has_segments[k]:
-            segments.append(None)
-            continue
-        segments.append((
-            _ro(arrays[f"seg_{k}_idx"]),
-            _ro(arrays[f"seg_{k}_par"]),
-            _ro(arrays[f"seg_{k}_uniq"]),
-            _ro(arrays[f"seg_{k}_starts"]),
-        ))
+    index = _ro(arrays["index"])
+    bounds = arrays["bounds"].tolist()
+    pieces = [index[a:b] for a, b in zip(bounds, bounds[1:])]
+    rest = iter(pieces[2 * depth + 1:])
+    values = _ro(arrays["values"])
     return TreeTopology(
-        parents=_ro(arrays["parents"]),
-        levels=levels,
-        level_parents=level_parents,
+        parents=pieces[0],
+        levels=tuple(pieces[1:2 * depth + 1:2]),
+        level_parents=tuple(pieces[2:2 * depth + 2:2]),
         node_names=tuple(names),
-        resistances=_ro(arrays["resistances"]),
-        capacitances=_ro(arrays["capacitances"]),
-        _segments=tuple(segments),
+        resistances=values[:len(names)],
+        capacitances=values[len(names):],
+        _segments=tuple(  # type: ignore[arg-type]
+            tuple(next(rest) for _ in range(4)) if has else None
+            for has in has_segments
+        ),
     )
 
 

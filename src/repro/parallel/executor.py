@@ -416,9 +416,15 @@ def _submit_and_collect(
     Worker obs payloads merge here and only here, at the moment a
     shard's result is accepted — so a killed or hung attempt whose
     retry succeeds contributes its deltas exactly once.
+
+    The wave's round trip is attributed on ``run_span``: ``submit_ms``
+    is the time to submit every shard (pickling the payloads), and
+    ``first_result_ms`` the time from the first submit until the first
+    good shard result comes back (a retry wave overwrites both).
     """
     futures: Dict[int, Future] = {}
     failed: List[int] = []
+    start = time.perf_counter()
     for position, index in enumerate(todo):
         try:
             futures[index] = pool.submit(
@@ -427,6 +433,8 @@ def _submit_and_collect(
         except (BrokenProcessPool, RuntimeError):
             failed.extend(todo[position:])
             break
+    run_span.set_attribute("submit_ms", (time.perf_counter() - start) * 1e3)
+    first = True
     timed_out = False
     for index, future in futures.items():
         if timed_out and not future.done():
@@ -454,6 +462,10 @@ def _submit_and_collect(
             )
             _MALFORMED.inc()
         else:
+            if first:
+                first = False
+                run_span.set_attribute(
+                    "first_result_ms", (time.perf_counter() - start) * 1e3)
             accept(index, value)
             _SHARD_SECONDS.observe(elapsed)
             _SHARDS.inc()

@@ -1,8 +1,13 @@
 """The timing graph as a levelised integer form, the one every walk runs on.
 
 :func:`levelize` compiles :meth:`~repro.sta.netlist.Design.timing_order`
-once per analysis into integer arrays so a walk treats a whole *level*
-at once:
+into integer arrays so a walk treats a whole *level* at once.  The
+timing engine compiles a design once per design version: it caches the
+levels on the design (``repro.sta.timing._compile``) and every analysis
+reuses them until a :class:`~repro.sta.netlist.Design` mutator runs or
+an instance's cell or position is reassigned.  Every result of one
+version shares the same levels, so their arrays are read-only (a walk
+that writes into them raises).  The form:
 
 * every pin gets a row (input ports first, then each net's sinks and
   each gate's output in walk order, so iterating rows replays the
@@ -78,6 +83,16 @@ class GateLevel:
     sinks: np.ndarray
     drivers: np.ndarray
 
+    def __post_init__(self) -> None:
+        _read_only(self)
+
+
+def _read_only(record) -> None:
+    """Mark every array field of a frozen ``record`` non-writeable."""
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class TimingLevels:
@@ -111,6 +126,9 @@ class TimingLevels:
     net: np.ndarray
     nets: List[Tuple[str, int]]
     levels: List[GateLevel]
+
+    def __post_init__(self) -> None:
+        _read_only(self)
 
     def check(self, design: Design) -> None:
         """Refuse a ``design`` (another one, or this one grown since)

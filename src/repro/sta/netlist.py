@@ -87,6 +87,13 @@ def _checked_position(name: str, position) -> Optional[Tuple[float, float]]:
 class Design:
     """A gate-level netlist over a cell library.
 
+    The timing engine compiles a design once per design version and
+    caches the compiled form on it (see :func:`repro.sta.analyze`).  The
+    mutators below drop that form, and a reassigned
+    :attr:`Instance.cell` or :attr:`Instance.position` is seen at the
+    next analysis; edits made in place to ``nets``, ``instances`` or a
+    net's sinks, past these methods, are not.
+
     Examples
     --------
     A two-inverter chain from input ``a`` to output ``z``::
@@ -110,6 +117,8 @@ class Design:
         self.inputs: List[str] = []
         self.outputs: List[str] = []
         self._pin_to_net: Dict[Pin, str] = {}
+        # Filled by repro.sta.timing._compile; every mutator drops it.
+        self._compiled = None
 
     # ------------------------------------------------------------------
     def add_instance(
@@ -128,6 +137,7 @@ class Design:
         inst = Instance(name=name, cell=self.library.get(cell_name),
                         position=_checked_position(name, position))
         self.instances[name] = inst
+        self._compiled = None
         return inst
 
     def add_input(self, port: str) -> None:
@@ -135,12 +145,14 @@ class Design:
         if port in self.inputs or port in self.outputs:
             raise TimingGraphError(f"port {port!r} already declared")
         self.inputs.append(port)
+        self._compiled = None
 
     def add_output(self, port: str) -> None:
         """Declare a primary output."""
         if port in self.inputs or port in self.outputs:
             raise TimingGraphError(f"port {port!r} already declared")
         self.outputs.append(port)
+        self._compiled = None
 
     def connect(
         self,
@@ -169,6 +181,7 @@ class Design:
         self.nets[net_name] = net
         for pin in (driver_pin, *sink_pins):
             self._pin_to_net[pin] = net_name
+        self._compiled = None
         return net
 
     def _resolve(self, ref: Tuple[str, str], driving: bool) -> Pin:

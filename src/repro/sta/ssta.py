@@ -91,7 +91,7 @@ from repro.core.variation import (
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 from repro.parallel import plan_shards, resolve_backend
-from repro.sta.interconnect import NetForest, net_forest, net_record
+from repro.sta.interconnect import NetForest, net_forest
 from repro.sta.levels import TimingLevels
 from repro.sta.netlist import Design, Pin
 from repro.sta.slack import output_requirements
@@ -868,9 +868,9 @@ def analyze_ssta(
     Pass a precomputed ``nominal`` result (``"elmore"`` model) of
     ``design`` to skip the deterministic pass: the walk runs on its
     levels (:meth:`~repro.sta.levels.TimingLevels.check`), and the
-    coefficients come from the net geometries it recorded, laid out as
-    the shard task lays them out
-    (:func:`~repro.sta.interconnect.net_forest`) and fed to the same
+    coefficients come from the net records its shard tasks got
+    (``nominal.nets.records``), laid out as the shard task lays them
+    out (:func:`~repro.sta.interconnect.net_forest`) and fed to the same
     :meth:`ProcessModel.net_columns`, so no RC tree is built and the
     report is bit-identical.
     """
@@ -894,8 +894,7 @@ def analyze_ssta(
             )
         else:
             nominal.levels.check(design)
-            coefficients = model.net_columns(net_forest(
-                [net_record(g) for g in nominal.nets.geometries.values()]))
+            coefficients = model.net_columns(net_forest(nominal.nets.records))
 
         levels = nominal.levels
         with _span("ssta.extract", nets=len(nominal.nets)):
@@ -992,8 +991,8 @@ def monte_carlo_arrivals(
     category + per-element/per-gate residuals, identical sigma grid from
     ``model.variation``), sweeps every net's Elmore delays through one
     batched (B, N) forest evaluation (sharded / shm warm pool when
-    ``jobs``/``backend`` are given) over the net geometries the nominal
-    result recorded, laid out by
+    ``jobs``/``backend`` are given) over the net records the nominal
+    result's shard tasks got (``nominal.nets.records``), laid out by
     :func:`~repro.sta.interconnect.net_forest` (no RC tree is built),
     and propagates per-sample arrivals
     with vectorized max/add using the nominal slews — exactly the
@@ -1017,8 +1016,7 @@ def monte_carlo_arrivals(
             )
         levels = nominal.levels
         levels.check(design)
-        forest = net_forest(
-            [net_record(g) for g in nominal.nets.geometries.values()])
+        forest = net_forest(nominal.nets.records)
         topology = forest.topology
         n_forest = int(topology.num_nodes)
         sp.set_attribute("forest_nodes", n_forest)

@@ -2,7 +2,8 @@
 
 Arrival times propagate level by level through the design's compiled
 timing graph (:func:`~repro.sta.levels.levelize`, which the result keeps
-for the slack pass and SSTA).  Each net's interconnect delay is
+for the slack pass and SSTA, and the design keeps for its next analysis
+until it changes; see :func:`_compile`).  Each net's interconnect delay is
 evaluated per sink from one batched forest sweep of the nets' RC trees
 (sharded across workers on request) with a pluggable delay model:
 
@@ -188,11 +189,17 @@ class _LazyNets(Mapping):
     Each net's tree is built with :func:`build_net` on first access and
     cached; the shard task sweeps flat arrays, so a run pays for trees
     only when a consumer reads them.  ``geometries`` holds the recorded
-    :class:`NetGeometry` per net, in design order.
+    :class:`NetGeometry` per net, in design order, and ``records`` the
+    :func:`~repro.sta.interconnect.net_record` of each, as the shard
+    tasks got them (the ``nominal=`` paths of :mod:`repro.sta.ssta` lay
+    these out again).  Both are shared by every result of one design
+    version (:class:`_NetPart`); the trees are this result's own.
     """
 
-    def __init__(self, geometries: Dict[str, NetGeometry]) -> None:
+    def __init__(self, geometries: Dict[str, NetGeometry],
+                 records: Tuple[tuple, ...]) -> None:
         self.geometries = geometries
+        self.records = records
         self._built: Dict[str, ElaboratedNet] = {}
 
     def __getitem__(self, name: str) -> ElaboratedNet:
@@ -225,6 +232,86 @@ def _net_geometries(design: Design, wire_load, net_overrides
     }
 
 
+class _NetPart(NamedTuple):
+    """The net half of a compiled design, for one ``wire_load``.
+
+    ``geometries`` is every net's :class:`NetGeometry` (in design
+    order; shared, so never written to), ``records`` their
+    :func:`~repro.sta.interconnect.net_record` tuples, ``pins`` every
+    evaluated sink pin net by net (each net's ``sink_pins()``),
+    ``counts`` each net's sink count and ``rows`` the pins' rows in the
+    design's levels.
+    """
+
+    wire_load: Optional[WireLoadModel]
+    geometries: Dict[str, NetGeometry]
+    records: Tuple[tuple, ...]
+    pins: Tuple[Pin, ...]
+    counts: np.ndarray
+    rows: np.ndarray
+
+
+class _Compiled:
+    """A design's compiled form, cached on it as ``design._compiled``.
+
+    ``levels`` is the design's :func:`~repro.sta.levels.levelize` and
+    ``nets`` the :class:`_NetPart` of the last ``wire_load`` analysed
+    without ``net_overrides`` (``None`` until one is).  ``state`` is
+    every instance's ``(cell, position)`` when ``levels`` was compiled.
+    :func:`_compile` reuses the form while the design's mutators leave
+    it in place (each of them drops it) and ``state`` still equals the
+    design's.
+    """
+
+    __slots__ = ("state", "levels", "nets")
+
+    def __init__(self, state: list, levels: TimingLevels) -> None:
+        self.state = state
+        self.levels = levels
+        self.nets: Optional[_NetPart] = None
+
+
+def _compile(design: Design) -> Tuple[_Compiled, bool]:
+    """The design's cached :class:`_Compiled` form and ``True``, or a
+    fresh one (validated and levelised, cached on the design) and
+    ``False``.  An instance's ``cell`` or ``position`` reassigned since
+    the compile is seen here, by comparing every instance's pair."""
+    state = [(inst.cell, inst.position)
+             for inst in design.instances.values()]
+    compiled = design._compiled
+    if compiled is not None and compiled.state == state:
+        return compiled, True
+    compiled = _Compiled(state, levelize(design))
+    design._compiled = compiled
+    return compiled, False
+
+
+def _net_part(design: Design, compiled: _Compiled, wire_load,
+              net_overrides) -> Tuple[_NetPart, bool]:
+    """The design's :class:`_NetPart` for ``wire_load`` and ``True``
+    when ``compiled`` holds it, else a fresh one and ``False``.  A fresh
+    part is kept on ``compiled`` unless ``net_overrides`` were given:
+    their trees are the caller's, and may change between calls."""
+    part = compiled.nets
+    if not net_overrides and part is not None \
+            and part.wire_load == wire_load:
+        return part, True
+    geometries = _net_geometries(design, wire_load, net_overrides)
+    payload = list(geometries.values())
+    records = tuple(net_record(geometry) for geometry in payload)
+    sinks = [geometry.sink_pins() for geometry in payload]
+    pins = tuple(pin for listed in sinks for pin in listed)
+    counts = np.fromiter(map(len, sinks), np.intp, len(sinks))
+    rows = np.fromiter(map(compiled.levels.index.__getitem__, pins),
+                       np.intp, len(pins))
+    counts.setflags(write=False)
+    rows.setflags(write=False)
+    part = _NetPart(wire_load, geometries, records, pins, counts, rows)
+    if not net_overrides:
+        compiled.nets = part
+    return part, False
+
+
 def _journal_key(geometry: NetGeometry) -> list:
     """A net's geometry as a checkpoint-fingerprint ingredient."""
     override = None
@@ -248,7 +335,7 @@ def _journal_key(geometry: NetGeometry) -> list:
 
 def _precompute_nets(
     design: Design,
-    levels: TimingLevels,
+    compiled: _Compiled,
     delay_model: str,
     wire_load,
     net_overrides,
@@ -264,7 +351,10 @@ def _precompute_nets(
     The parent reads each net's routing inputs into a
     :class:`NetGeometry` and its plain
     :func:`~repro.sta.interconnect.net_record`, which
-    :func:`_net_shard_task` lays out and sweeps.  With ``jobs``,
+    :func:`_net_shard_task` lays out and sweeps; the reads are the
+    design's :class:`_NetPart`, cached on ``compiled`` and reused while
+    the design and ``wire_load`` stay the same (see :func:`_net_part`).
+    With ``jobs``,
     ``backend`` and ``checkpoint_path`` unset this is ONE in-process
     shard task over the whole net list.  Otherwise the records are split
     into the deterministic :func:`_net_plan` shards, fanned out through
@@ -276,8 +366,8 @@ def _precompute_nets(
     parent, under ``sta_metric_fallbacks_total``.  Returns ``(nets,
     wire_delay, values, sinks, counts, coefficients)``: the nets, the
     per-sink delay map, the :func:`_sweep_nets` rows of every sink (net
-    by net in design order), their pin rows in ``levels`` and each net's
-    sink count.  A non-finite delay or variance raises
+    by net in design order), their pin rows in the design's levels and
+    each net's sink count.  A non-finite delay or variance raises
     :class:`AnalysisError` naming the first net that produced one.
 
     With a ``process`` (a :class:`~repro.sta.ssta.ProcessModel`) the
@@ -287,15 +377,15 @@ def _precompute_nets(
     the last item is ``None``.
     """
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
-        geometries = _net_geometries(design, wire_load, net_overrides)
-        payload = list(geometries.values())
-        nets = _LazyNets(geometries)
-        _NETS_EVALUATED.inc(len(payload))
-        records = [net_record(geometry) for geometry in payload]
+        part, cached = _net_part(design, compiled, wire_load, net_overrides)
+        sp.set_attribute("cached", cached)
+        geometries, records = part.geometries, part.records
+        nets = _LazyNets(geometries, records)
+        _NETS_EVALUATED.inc(len(records))
         if jobs is None and backend is None and checkpoint_path is None:
             chunks = [_net_shard_task((records, delay_model, process))]
         else:
-            shards = _net_plan(len(payload))
+            shards = _net_plan(len(records))
             sp.set_attribute("shards", len(shards))
             parts = [(records[shard.start:shard.stop], delay_model, process)
                      for shard in shards]
@@ -304,8 +394,9 @@ def _precompute_nets(
                 kind, extra = "ssta.analyze", {"process": astuple(process)}
             with journal(
                 checkpoint_path, kind, shards, resume,
-                {"nets": len(payload)},
-                lambda: {"nets": [_journal_key(g) for g in payload],
+                {"nets": len(records)},
+                lambda: {"nets": [_journal_key(g)
+                                  for g in geometries.values()],
                          "delay_model": delay_model, **extra},
             ) as checkpoint:
                 chunks = run_sharded(
@@ -326,16 +417,14 @@ def _precompute_nets(
             # carry base series only, and the base series is the total.
             _METRIC_FALLBACKS.inc(fallbacks)
             _METRIC_FALLBACKS.labels(metric=delay_model).inc(fallbacks)
-        sinks = [geometry.sink_pins() for geometry in payload]
-        pins = [pin for listed in sinks for pin in listed]
-        counts = np.fromiter(map(len, sinks), np.intp, len(sinks))
+        pins, counts = part.pins, part.counts
         finite = np.isfinite(values).all(axis=0)
         if not finite.all():
             first = int(np.argmin(finite))
-            net = payload[int(np.searchsorted(np.cumsum(counts), first,
-                                              side="right"))]
+            net = list(geometries)[int(np.searchsorted(
+                np.cumsum(counts), first, side="right"))]
             raise AnalysisError(
-                f"net {net.net!r} has a non-finite {delay_model} delay or "
+                f"net {net!r} has a non-finite {delay_model} delay or "
                 f"variance at sink {pins[first]} (delay "
                 f"{float(values[0, first])!r}, mu2 "
                 f"{float(values[1, first])!r}); check its instance "
@@ -345,10 +434,8 @@ def _precompute_nets(
         if process is not None:
             coefficients = (np.concatenate([c[0] for c in columns]),
                             np.concatenate([c[1] for c in columns]))
-        rows = np.fromiter(map(levels.index.__getitem__, pins), np.intp,
-                           len(pins))
-        return (nets, dict(zip(pins, values[0].tolist())), values, rows,
-                counts, coefficients)
+        return (nets, dict(zip(pins, values[0].tolist())), values,
+                part.rows, counts, coefficients)
 
 
 @dataclass(frozen=True)
@@ -478,9 +565,15 @@ def analyze(
     Parameters
     ----------
     design:
-        The gate-level design, validated and compiled here through
+        The gate-level design, validated and compiled through
         :func:`~repro.sta.levels.levelize` (one
-        :meth:`~repro.sta.netlist.Design.timing_order`).
+        :meth:`~repro.sta.netlist.Design.timing_order`) once per design
+        version: the compiled graph and the nets' geometries and records
+        are cached on the design and reused by every later analysis
+        until a :class:`~repro.sta.netlist.Design` mutator runs, an
+        instance's ``cell`` or ``position`` is reassigned, or another
+        ``wire_load`` is given.  Calls with ``net_overrides`` read the
+        nets afresh every time.
     delay_model:
         Key of :data:`DELAY_MODELS`.
     input_arrivals:
@@ -540,8 +633,10 @@ def _analyze_traced(
             f"choose from {sorted(DELAY_MODELS)}"
         )
     with _span("sta.analyze", model=delay_model) as sp:
-        with _span("sta.levelize", instances=len(design.instances)):
-            levels = levelize(design)
+        with _span("sta.levelize", instances=len(design.instances)) as lp:
+            compiled, cached = _compile(design)
+            lp.set_attribute("cached", cached)
+        levels = compiled.levels
         if not design.outputs:
             raise TimingGraphError("design has no primary outputs")
         # Delay and dispersion don't depend on arrivals, so the whole
@@ -549,7 +644,7 @@ def _analyze_traced(
         # (one call, or sharded across workers when jobs is given) before
         # arrival propagation begins.
         nets, wire_delay, values, sinks, counts, coefficients = \
-            _precompute_nets(design, levels, delay_model, wire_load,
+            _precompute_nets(design, compiled, delay_model, wire_load,
                              net_overrides, jobs=jobs, backend=backend,
                              checkpoint_path=checkpoint_path, resume=resume,
                              process=process)

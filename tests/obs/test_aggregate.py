@@ -223,6 +223,11 @@ class TestSharded:
             assert [c.name for c in wrapper.children] == ["aggtest.work"]
         run_root = tracer.find("parallel.run")[0]
         assert all(w in run_root.children for w in workers)
+        # The pool round trip is attributed on the run span: submitting
+        # every shard, then waiting for the first result, within its wall.
+        submit = run_root.attributes["submit_ms"]
+        first = run_root.attributes["first_result_ms"]
+        assert 0.0 <= submit <= first <= run_root.duration * 1e3
 
     def test_disabled_tracing_ships_no_payloads(self):
         reg = get_registry()

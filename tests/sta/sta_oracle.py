@@ -34,8 +34,10 @@ def nominal_walk(design, delay_model: str = "elmore",
     ``predecessor`` (``pin -> (prev pin, kind, name, delay)``),
     ``critical_delay``, ``critical_output`` and ``wire_delay``."""
     order = design.timing_order()
+    # A fresh compile, not the design's cached one.
     nets, wire_delay, values, _, _, _ = timing._precompute_nets(
-        design, levelize(design), delay_model, wire_load, net_overrides)
+        design, timing._Compiled([], levelize(design)), delay_model,
+        wire_load, net_overrides)
     pins = [pin for g in nets.geometries.values() for pin in g.sink_pins()]
     dispersion = dict(zip(pins, values[1].tolist()))
 

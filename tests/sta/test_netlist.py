@@ -355,8 +355,8 @@ class TestTimingOrder:
 
     @pytest.mark.parametrize("nominal", [False, True],
                              ids=["own-nominal", "given-nominal"])
-    def test_one_timing_order_per_statistical_call(self, monkeypatch,
-                                                   nominal):
+    def test_statistical_calls_order_each_design_version_once(
+            self, monkeypatch, nominal):
         design = random_design(layers=3, width=4, seed=3)
         given = {"nominal": analyze(design)} if nominal else {}
         calls = []
@@ -367,13 +367,22 @@ class TestTimingOrder:
             return real(self)
 
         monkeypatch.setattr(Design, "timing_order", counting)
-        # A given nominal result's levels are walked as they are: no
-        # call orders its design again.
+        # A given nominal result's levels are walked as they are, and a
+        # design analysed before keeps its compiled graph: an unchanged
+        # design is ordered once, by whichever call analyses it first.
         own = 0 if nominal else 1
         analyze_ssta(design, MODEL, **given)
         assert len(calls) == own
         monte_carlo_arrivals(design, MODEL, 16, **given)
-        assert len(calls) == 2 * own
+        analyze_ssta(design, MODEL)
+        monte_carlo_arrivals(design, MODEL, 16)
+        assert len(calls) == own
+        # A new design version is ordered again, once.
+        inst = next(iter(design.instances.values()))
+        inst.position = (inst.position[0] + 1e-6, inst.position[1])
+        analyze_ssta(design, MODEL)
+        monte_carlo_arrivals(design, MODEL, 16)
+        assert len(calls) == own + 1
 
 
 def _rebuilt(design, rng):

@@ -6,7 +6,7 @@ bit for bit under every delay model, with given input arrivals and
 slews, a pin listed twice on a net, an override net and equal-arrival
 fan-in ties.  The compiled levels must equal a one-step-at-a-time replay
 of the timing order, the timing graph must be ordered and compiled once
-per analysis, and a result must refuse another design.
+per design version, and a result must refuse another design.
 """
 
 import numpy as np
@@ -19,7 +19,10 @@ from repro._exceptions import TimingGraphError
 from repro.core.variation import VariationModel
 from repro.sta import DELAY_MODELS, Design, analyze, compute_slacks
 from repro.sta.levels import levelize
-from repro.sta.ssta import ProcessModel, analyze_ssta, monte_carlo_arrivals
+from repro.sta.ssta import (
+    ProcessModel, analyze_ssta, monte_carlo_arrivals,
+    validate_against_monte_carlo,
+)
 from repro.workloads import random_design
 from tests.sta.sta_oracle import backward_walk, nominal_walk, replayed_levels
 from tests.sta.test_geometry import mixed_design, overrides
@@ -125,9 +128,12 @@ class TestAgainstDictWalk:
 
 
 def test_one_order_and_one_compile_per_design(monkeypatch):
+    """Per design version: one ``timing_order``, one ``levelize`` and
+    one read of the net geometries, whichever analyses run on it."""
     design = random_design(4, 6, seed=3)
-    orders, compiles = [], []
+    orders, compiles, reads = [], [], []
     real_order, real_compile = Design.timing_order, timing.levelize
+    real_read = timing._net_geometries
 
     def order(self):
         orders.append(self.name)
@@ -137,15 +143,32 @@ def test_one_order_and_one_compile_per_design(monkeypatch):
         compiles.append(d.name)
         return real_compile(d)
 
+    def read(d, wire_load, net_overrides):
+        reads.append(d.name)
+        return real_read(d, wire_load, net_overrides)
+
+    def counts():
+        return len(orders), len(compiles), len(reads)
+
     monkeypatch.setattr(Design, "timing_order", order)
     monkeypatch.setattr(timing, "levelize", compile_)
+    monkeypatch.setattr(timing, "_net_geometries", read)
     result = analyze(design)
     analyze_ssta(design, MODEL, nominal=result)
     monte_carlo_arrivals(design, MODEL, 8, nominal=result)
     compute_slacks(design, result, 1e-9)
-    assert (len(orders), len(compiles)) == (1, 1)
+    assert counts() == (1, 1, 1)
     analyze_ssta(design, MODEL)
-    assert (len(orders), len(compiles)) == (2, 2)
+    analyze(design, "d2m", jobs=1)
+    monte_carlo_arrivals(design, MODEL, 8)
+    validate_against_monte_carlo(design, MODEL, samples=8)
+    assert counts() == (1, 1, 1)
+    gate = design.instances["g0_0"]
+    assert gate.cell.name == "OR2"
+    gate.cell = design.library.get("AND2")  # the same pins
+    analyze(design)
+    analyze_ssta(design, MODEL)
+    assert counts() == (2, 2, 2)
 
 
 @pytest.mark.parametrize("walk", [

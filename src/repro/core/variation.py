@@ -30,7 +30,6 @@ closed forms and supports arbitrary distributions.
 from __future__ import annotations
 
 import logging
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -53,6 +52,7 @@ from repro.parallel import (
     Shard,
     ShmError,
     ShmWorkspace,
+    WorkspaceRegistry,
     attach_workspace,
     plan_shards,
     resolve_backend,
@@ -325,17 +325,10 @@ def _mc_shard_task(payload) -> int:
     return stop - start
 
 
-#: Workspaces holding published topology blocks, keyed by ``id(topology)``.
-#: A ``weakref.finalize`` on the topology evicts (and closes) the entry
-#: when the topology is collected, so a stale id can never alias a new
-#: object's workspace.
-_TOPO_WORKSPACES: Dict[int, ShmWorkspace] = {}
-
-
-def _evict_topology_workspace(key: int) -> None:
-    workspace = _TOPO_WORKSPACES.pop(key, None)
-    if workspace is not None:
-        workspace.close()
+#: Workspaces holding published topology blocks, one per compiled
+#: topology, unlinked when the topology is collected (and beyond the
+#: registry's cap, least recently swept first).
+_TOPOLOGY_WORKSPACES = WorkspaceRegistry("mc")
 
 
 def _topology_workspace(topology) -> ShmWorkspace:
@@ -345,21 +338,12 @@ def _topology_workspace(topology) -> ShmWorkspace:
     reused across sweeps — this is the warm half of the shm transport:
     repeat sweeps ship only dirty parameter blocks.
     """
-    key = id(topology)
-    workspace = _TOPO_WORKSPACES.get(key)
-    if workspace is not None and not workspace._closed:
-        return workspace
-    workspace = ShmWorkspace(tag="mc")
-    arrays, meta = topology_to_arrays(topology)
-    try:
-        workspace.put_many({f"topo/{k}": v for k, v in arrays.items()})
-    except BaseException:
-        workspace.close()
-        raise
-    workspace.meta["topology"] = meta
-    _TOPO_WORKSPACES[key] = workspace
-    weakref.finalize(topology, _evict_topology_workspace, key)
-    return workspace
+    def build():
+        arrays, meta = topology_to_arrays(topology)
+        return {f"topo/{k}": v for k, v in arrays.items()}, \
+            {"topology": meta}
+
+    return _TOPOLOGY_WORKSPACES.workspace(topology, build)[0]
 
 
 def _sweep_on_workspace(

@@ -60,6 +60,7 @@ from repro.parallel.shm import (
     ShmError,
     ShmWorkspace,
     WorkspaceDescriptor,
+    WorkspaceRegistry,
     attach_workspace,
     close_all_workspaces,
     detach_all,
@@ -85,6 +86,7 @@ __all__ = [
     "LocalWorkspace",
     "ArraySpec",
     "WorkspaceDescriptor",
+    "WorkspaceRegistry",
     "AttachedWorkspace",
     "attach_workspace",
     "close_all_workspaces",

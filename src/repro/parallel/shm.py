@@ -26,7 +26,11 @@ Lifecycle rules (the part that keeps ``/dev/shm`` clean):
   exiting (or being killed) neither destroys segments the parent still
   owns nor spams ``resource_tracker`` warnings;
 * a killed worker cannot leak a segment: its mapping dies with the
-  process and the name vanishes as soon as the parent unlinks.
+  process and the name vanishes as soon as the parent unlinks;
+* a workspace published for an object (a compiled topology, a design
+  version) lives in a :class:`WorkspaceRegistry`, which unlinks it when
+  the object is collected and keeps at most
+  :data:`MAX_PUBLISHED_WORKSPACES` objects published.
 
 Repeated publication reuses segments: while a block's layout (shape,
 dtype, strides) stays the same, :meth:`put` rewrites its bytes in place
@@ -48,6 +52,7 @@ import itertools
 import logging
 import os
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -69,6 +74,9 @@ __all__ = [
     "WorkspaceDescriptor",
     "ShmWorkspace",
     "LocalWorkspace",
+    "WorkspaceRegistry",
+    "MAX_PUBLISHED_WORKSPACES",
+    "publish_workspace",
     "AttachedWorkspace",
     "attach_workspace",
     "detach_all",
@@ -453,12 +461,107 @@ def close_all_workspaces() -> None:
 atexit.register(close_all_workspaces)
 
 
+def publish_workspace(tag: str, arrays: Dict[str, np.ndarray],
+                      meta: Dict[str, Any]) -> ShmWorkspace:
+    """A fresh workspace holding ``arrays`` and ``meta``.  A failed
+    publish leaves no segment and raises :class:`ShmError`."""
+    workspace = ShmWorkspace(tag=tag)
+    try:
+        workspace.put_many(arrays)
+    except BaseException:
+        workspace.close()
+        raise
+    workspace.meta.update(meta)
+    return workspace
+
+
+#: Owners whose workspaces one :class:`WorkspaceRegistry` keeps published
+#: at once; publishing for another unlinks the least recently used one's.
+MAX_PUBLISHED_WORKSPACES = 4
+
+
+class WorkspaceRegistry:
+    """Workspaces published once per owner object, while it lives.
+
+    Keyed by ``id(owner)``: :meth:`workspace` hands back the owner's
+    live workspace, or publishes one.  A ``weakref.finalize``, registered
+    once per owner, unlinks the workspace when the owner is collected, so
+    an id is never reused stale.  At most ``cap`` owners stay published
+    (least recently used unlinked first), and a workspace closed under
+    the registry (:func:`close_all_workspaces`) is published afresh.
+    Building and copying the blocks happen outside the lock, which is
+    reentrant: a finalizer run by a collection inside it takes it again.
+    """
+
+    def __init__(self, tag: str, cap: int = MAX_PUBLISHED_WORKSPACES) -> None:
+        self._tag = tag
+        self._cap = cap
+        self._entries: "OrderedDict[int, ShmWorkspace]" = OrderedDict()
+        self._watched: set = set()
+        self._lock = threading.RLock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _live(self, key: int) -> Optional[ShmWorkspace]:
+        workspace = self._entries.get(key)
+        if workspace is None or workspace._closed:
+            return None
+        self._entries.move_to_end(key)
+        return workspace
+
+    def workspace(self, owner, build) -> Tuple[ShmWorkspace, bool]:
+        """``owner``'s workspace and whether this call published it.
+
+        ``build()`` returns the ``({key: array}, meta)`` to publish; it
+        runs only when ``owner`` has no live workspace.  A failed publish
+        leaves no segment and raises :class:`ShmError`.
+        """
+        key = id(owner)
+        with self._lock:
+            workspace = self._live(key)
+        if workspace is not None:
+            return workspace, False
+        workspace = publish_workspace(self._tag, *build())
+        with self._lock:
+            current = self._live(key)
+            if current is not None:  # another thread published first
+                evicted, workspace = [workspace], current
+            else:
+                self._entries[key] = workspace
+                self._entries.move_to_end(key)
+                evicted = []
+                while len(self._entries) > self._cap:
+                    evicted.append(self._entries.popitem(last=False)[1])
+            watch = key not in self._watched
+            self._watched.add(key)
+        if watch:
+            weakref.finalize(owner, self._forget, key)
+        for old in evicted:
+            old.close()
+        return workspace, current is None
+
+    def discard(self, owner) -> None:
+        """Unlink ``owner``'s workspace; a later call publishes afresh."""
+        with self._lock:
+            workspace = self._entries.pop(id(owner), None)
+        if workspace is not None:
+            workspace.close()
+
+    def _forget(self, key: int) -> None:
+        with self._lock:
+            self._watched.discard(key)
+            workspace = self._entries.pop(key, None)
+        if workspace is not None:
+            workspace.close()
+
+
 class LocalWorkspace:
     """In-process stand-in for :class:`ShmWorkspace` on the serial path.
 
-    Same ``put``/``allocate``/``descriptor`` surface, but every block is
-    an ordinary ndarray held by reference (no segment, no copy), and
-    :meth:`descriptor` returns the workspace itself, which
+    Same ``put``/``allocate``/``descriptor``/``meta`` surface, but every
+    block is an ordinary ndarray held by reference (no segment, no
+    copy), and :meth:`descriptor` returns the workspace itself, which
     :func:`attach_workspace` hands straight back — so one descriptor-
     shaped shard task serves both backends.  The serial backend runs
     shards in the parent, so a local workspace is never pickled.
@@ -466,6 +569,7 @@ class LocalWorkspace:
 
     def __init__(self) -> None:
         self.arrays: Dict[str, np.ndarray] = {}
+        self.meta: Dict[str, Any] = {}
         self.cache: Dict[str, Any] = {}
 
     def put(self, key: str, array: np.ndarray) -> None:

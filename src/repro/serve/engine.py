@@ -13,7 +13,8 @@ With ``jobs >= 2`` a big enough batch rides the zero-copy row sweep of
 ``res``/``cap`` blocks and write their ``m_0..m_3`` into one ``out``
 block.  The shard plan depends only on the row count, so results stay
 bit-identical to the in-process sweep for any worker count and backend.
-The engine keeps at most :data:`MAX_PUBLISHED_TOPOLOGIES` topologies
+The sweep's registry keeps at most
+:data:`~repro.parallel.shm.MAX_PUBLISHED_WORKSPACES` topologies
 published, so the segments and ``/dev/shm`` bytes a server holds stay
 bounded whatever trees its clients send.
 
@@ -32,8 +33,7 @@ import numpy as np
 
 from repro.core.batch import BatchMoments, TreeTopology, \
     batch_transfer_moments, compile_topology
-from repro.core.variation import _attached_topology, \
-    _evict_topology_workspace, _sweep_on_workspace
+from repro.core.variation import _attached_topology, _sweep_on_workspace
 from repro.obs.trace import span as _span
 from repro.parallel import DEFAULT_MAX_SHARDS, plan_shards
 from repro.serve.schemas import StatsRequest
@@ -52,11 +52,6 @@ MIN_ROWS_PER_SHARD = 64
 #: pool ran slower than the in-process sweep, its publication and round
 #: trips outweighing the half of the sweep it saves.
 MIN_SHARDED_ELEMENTS = 1 << 19
-
-#: Compiled topologies whose shm workspace (three topology blocks plus
-#: the last batch's ``res``/``cap``/``out``) the engine keeps; the
-#: least recently swept one beyond this is unlinked.
-MAX_PUBLISHED_TOPOLOGIES = 4
 
 
 def _stats_shard_task(payload) -> int:
@@ -93,9 +88,6 @@ class StatsEngine:
         self.backend = backend
         self._max_topologies = int(max_topologies)
         self._topologies: "OrderedDict[str, TreeTopology]" = OrderedDict()
-        # Topologies swept on the pool, by id, oldest first: each may own
-        # a published shm workspace.
-        self._published: "OrderedDict[int, TreeTopology]" = OrderedDict()
 
     # -- topology cache ------------------------------------------------
     def _topology(self, key: str, request: StatsRequest) -> TreeTopology:
@@ -116,7 +108,6 @@ class StatsEngine:
         a shm workspace with a sweep left running on an abandoned thread.
         The forgotten workspaces close when that thread lets go of them."""
         self._topologies = OrderedDict()
-        self._published = OrderedDict()
 
     # -- the coalesced sweep -------------------------------------------
     def evaluate(
@@ -157,10 +148,6 @@ class StatsEngine:
             return batch_transfer_moments(
                 topo, STATS_ORDER, resistances, capacitances
             ).coefficients
-        self._published[id(topo)] = topo
-        self._published.move_to_end(id(topo))
-        while len(self._published) > MAX_PUBLISHED_TOPOLOGIES:
-            _evict_topology_workspace(self._published.popitem(last=False)[0])
         shards = plan_shards(total, shard_size=max(
             MIN_ROWS_PER_SHARD, -(-total // DEFAULT_MAX_SHARDS)
         ))

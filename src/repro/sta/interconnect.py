@@ -18,10 +18,11 @@ inputs off the design into a :class:`NetGeometry`, and :func:`net_arrays`
 lays that record out as flat parent/R/C arrays (:class:`NetArrays`); a
 routed net goes straight from its rectilinear MST's index edges to the
 arrays, with no wire segments or name-keyed maps.  :func:`build_net` is
-the tree over those arrays (:meth:`RCTree.from_arrays`).  The STA's
-shard task gets each net as the plain :func:`net_record` tuple of what
-its layout reads and lays the whole shard into one flat forest with
-:func:`net_forest`.  One appender per kind of net (routed, wire-load
+the tree over those arrays (:meth:`RCTree.from_arrays`).  The STA
+reads each net as the plain :func:`net_record` tuple of what its layout
+reads and lays each shard into one flat forest with :func:`net_forest`,
+once per design version (a pool worker, once per attachment of the
+version's published records).  One appender per kind of net (routed, wire-load
 star, override) is the only code that lays a record out: ``net_forest``
 runs it for every net of a shard, and :func:`record_arrays` runs it for
 one net and names the nodes afterwards, so shard tasks and the parent's

@@ -16,6 +16,7 @@ a real signoff statement.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, List, Union
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro._exceptions import TimingGraphError
 from repro.sta.netlist import Design, Pin
-from repro.sta.timing import TimingResult
+from repro.sta.timing import TimingResult, _PinValues
 
 __all__ = ["SlackReport", "compute_slacks"]
 
@@ -35,9 +36,11 @@ class SlackReport:
     Attributes
     ----------
     required:
-        Required arrival time per pin.
+        Required arrival time per pin, a read-only mapping over the
+        backward pass's row array (equal to the plain dict of the same
+        items), in the levels' row order.
     slack:
-        ``required - arrival`` per pin.
+        ``required - arrival`` per pin, likewise.
     worst_slack:
         Minimum slack over all pins.
     worst_pin:
@@ -45,8 +48,8 @@ class SlackReport:
         order.
     """
 
-    required: Dict[Pin, float]
-    slack: Dict[Pin, float]
+    required: Mapping[Pin, float]
+    slack: Mapping[Pin, float]
     worst_slack: float
     worst_pin: Pin
 
@@ -112,8 +115,8 @@ def compute_slacks(
     worst = len(slacks) - 1 - int(np.argmin(slacks[::-1]))
     pins = levels.pins
     return SlackReport(
-        required=dict(zip(pins, times.tolist())),
-        slack=dict(zip(pins, slacks.tolist())),
+        required=_PinValues(pins, levels.index, times),
+        slack=_PinValues(pins, levels.index, slacks),
         worst_slack=float(slacks[worst]),
         worst_pin=pins[worst],
     )

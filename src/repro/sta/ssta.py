@@ -28,8 +28,8 @@ gate-level SSTA formulation surveyed in arXiv:2401.03588:
   replaces them with the same covariances: sink ``s`` of net ``n``
   carries the private labels ``net:n.q0 .. net:n.qs``
   (:func:`_forest_coefficients`).  The nominal STA shard task computes
-  these coefficients next to its sweep, over the forest it compiled
-  for it, so no run builds an RC tree for them.
+  these coefficients next to its sweep, over the shard forest it
+  sweeps, so no run builds an RC tree for them.
 
 * **Propagation** — the nominal forest walk of :mod:`repro.sta.timing`
   runs first (batched forest sweeps, sharded/warm-pool capable) and
@@ -91,7 +91,7 @@ from repro.core.variation import (
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
 from repro.parallel import plan_shards, resolve_backend
-from repro.sta.interconnect import NetForest, net_forest
+from repro.sta.interconnect import NetForest
 from repro.sta.levels import TimingLevels
 from repro.sta.netlist import Design, Pin
 from repro.sta.slack import output_requirements
@@ -173,7 +173,7 @@ class ProcessModel:
 
         ``forest`` is a shard's
         :func:`~repro.sta.interconnect.net_forest` (the shard task
-        compiles it once for its sweep and this).  Returns ``(a, l)``:
+        sweeps it and reads it for this).  Returns ``(a, l)``:
         ``a`` stacks each net's ``(S, 3)`` global coefficients and ``l``
         concatenates each net's packed residual factor
         (:func:`_forest_coefficients`).  Each net's part depends on that
@@ -868,11 +868,10 @@ def analyze_ssta(
     Pass a precomputed ``nominal`` result (``"elmore"`` model) of
     ``design`` to skip the deterministic pass: the walk runs on its
     levels (:meth:`~repro.sta.levels.TimingLevels.check`), and the
-    coefficients come from the net records its shard tasks got
-    (``nominal.nets.records``), laid out as the shard task lays them
-    out (:func:`~repro.sta.interconnect.net_forest`) and fed to the same
-    :meth:`ProcessModel.net_columns`, so no RC tree is built and the
-    report is bit-identical.
+    coefficients come from the design version's forest of every net
+    (``nominal.nets.forest``, laid out once per version), fed to the
+    same :meth:`ProcessModel.net_columns`, so no RC tree is built and
+    the report is bit-identical.
     """
     if not isinstance(model, ProcessModel):
         raise AnalysisError(
@@ -894,7 +893,7 @@ def analyze_ssta(
             )
         else:
             nominal.levels.check(design)
-            coefficients = model.net_columns(net_forest(nominal.nets.records))
+            coefficients = model.net_columns(nominal.nets.forest)
 
         levels = nominal.levels
         with _span("ssta.extract", nets=len(nominal.nets)):
@@ -991,10 +990,9 @@ def monte_carlo_arrivals(
     category + per-element/per-gate residuals, identical sigma grid from
     ``model.variation``), sweeps every net's Elmore delays through one
     batched (B, N) forest evaluation (sharded / shm warm pool when
-    ``jobs``/``backend`` are given) over the net records the nominal
-    result's shard tasks got (``nominal.nets.records``), laid out by
-    :func:`~repro.sta.interconnect.net_forest` (no RC tree is built),
-    and propagates per-sample arrivals
+    ``jobs``/``backend`` are given) over the design version's forest of
+    every net (``nominal.nets.forest``, laid out once per version; no RC
+    tree is built), and propagates per-sample arrivals
     with vectorized max/add using the nominal slews — exactly the
     semantics the canonical walk linearizes.
 
@@ -1016,7 +1014,7 @@ def monte_carlo_arrivals(
             )
         levels = nominal.levels
         levels.check(design)
-        forest = net_forest(nominal.nets.records)
+        forest = nominal.nets.forest
         topology = forest.topology
         n_forest = int(topology.num_nodes)
         sp.set_attribute("forest_nodes", n_forest)

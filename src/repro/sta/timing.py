@@ -27,9 +27,11 @@ edge to their ``output_slew``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import logging
+import pickle
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import astuple, dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +52,19 @@ from repro.circuit.rctree import RCTree
 from repro.core.batch import batch_transfer_moments
 from repro.core.metrics import METRICS
 from repro.core.moments import TransferMoments
-from repro.parallel import DEFAULT_MAX_SHARDS, Shard, run_sharded
+from repro.parallel import (
+    DEFAULT_MAX_SHARDS,
+    LocalWorkspace,
+    Shard,
+    ShmError,
+    ShmWorkspace,
+    WorkspaceRegistry,
+    attach_workspace,
+    resolve_backend,
+    resolve_jobs,
+    run_sharded,
+)
+from repro.parallel.shm import publish_workspace, record_fallback
 from repro.resilience.checkpoint import journal, tree_fingerprint
 
 from repro.sta.interconnect import (
@@ -68,10 +82,14 @@ from repro.sta.levels import TimingLevels, levelize
 from repro.sta.netlist import Design, Pin
 
 
+logger = logging.getLogger(__name__)
+
 #: Fewest nets one STA/SSTA shard holds.  Every shard pays its own
-#: forest compile, moment sweep and pool round trip, so a design of
-#: ``total`` nets runs in ``total // NET_SHARD_FLOOR`` shards (at least
-#: one, at most ``DEFAULT_MAX_SHARDS``) whose sizes differ by one at most.
+#: moment sweep (over its forest, laid out once per design version, or
+#: on the pool once per worker attachment) and pool round trip, so a
+#: design of ``total`` nets runs in ``total // NET_SHARD_FLOOR`` shards
+#: (at least one, at most ``DEFAULT_MAX_SHARDS``) whose sizes differ by
+#: one at most.
 NET_SHARD_FLOOR = 160
 
 
@@ -159,24 +177,34 @@ def _sweep_nets(forest: NetForest, delay_model: str) -> np.ndarray:
 
 
 def _net_shard_task(payload):
-    """Lay out and evaluate one shard's nets (picklable task).
+    """Sweep one shard's laid-out forest (picklable task).
 
-    The payload is ``(records, delay_model, process)``: one plain
-    :func:`~repro.sta.interconnect.net_record` tuple per net, a key of
-    :data:`DELAY_MODELS` and a :class:`~repro.sta.ssta.ProcessModel` or
-    ``None``.  :func:`~repro.sta.interconnect.net_forest` lays every
-    record straight into one flat forest (shard-wide parent/R/C arrays,
-    no per-net arrays, no node names) and compiles it;
-    :func:`_sweep_nets` sweeps it, and with a process
-    ``process.net_columns`` reads the same forest.  So only the records
-    go in and the ``(3, sinks)`` array (with a process, also the nets'
-    SSTA coefficients, each net's bits independent of which shard holds
-    it) comes back.  No :class:`~repro.circuit.rctree.RCTree` is built
-    here except by the ``"exact"`` model, whose pole/residue analysis
-    needs one per net.
+    The payload is ``(descriptor, index, delay_model, process)``: the
+    workspace of the design version's net records, the shard's index, a
+    key of :data:`DELAY_MODELS` and a
+    :class:`~repro.sta.ssta.ProcessModel` or ``None``.  A worker lays
+    shard ``index`` out from its pickled
+    :func:`~repro.sta.interconnect.net_record` tuples (:func:`_publish`)
+    with :func:`~repro.sta.interconnect.net_forest` once per attachment
+    and keeps the forest in ``ws.cache``; a
+    :class:`~repro.parallel.LocalWorkspace` arrives with every forest
+    in its cache, laid out once per design version in the parent.
+    :func:`_sweep_nets` sweeps the forest, and with a process
+    ``process.net_columns`` reads the same forest.  So a descriptor goes
+    in and the ``(3, sinks)`` array (with a process, also the nets' SSTA
+    coefficients, each net's bits independent of which shard holds it)
+    comes back.  No :class:`~repro.circuit.rctree.RCTree` is built
+    except by the ``"exact"`` model, whose pole/residue analysis needs
+    one per net.
     """
-    records, delay_model, process = payload
-    forest = net_forest(records)
+    descriptor, index, delay_model, process = payload
+    ws = attach_workspace(descriptor)
+    key = f"forest/{index}"
+    forest = ws.cache.get(key)
+    if forest is None:
+        start, stop = ws.meta["bounds"][index:index + 2]
+        forest = ws.cache[key] = net_forest(
+            pickle.loads(ws.arrays["records"][start:stop]))
     values = _sweep_nets(forest, delay_model)
     if process is None:
         return values
@@ -189,18 +217,25 @@ class _LazyNets(Mapping):
     Each net's tree is built with :func:`build_net` on first access and
     cached; the shard task sweeps flat arrays, so a run pays for trees
     only when a consumer reads them.  ``geometries`` holds the recorded
-    :class:`NetGeometry` per net, in design order, and ``records`` the
-    :func:`~repro.sta.interconnect.net_record` of each, as the shard
-    tasks got them (the ``nominal=`` paths of :mod:`repro.sta.ssta` lay
-    these out again).  Both are shared by every result of one design
-    version (:class:`_NetPart`); the trees are this result's own.
+    :class:`NetGeometry` per net, in design order, shared by every
+    result of one design version (:class:`_NetPart`), as is
+    :attr:`forest`; the trees are this result's own.
     """
 
-    def __init__(self, geometries: Dict[str, NetGeometry],
-                 records: Tuple[tuple, ...]) -> None:
-        self.geometries = geometries
-        self.records = records
+    def __init__(self, part: "_NetPart") -> None:
+        # Not the part itself: its published records go with it.
+        self.geometries = part.geometries
+        self._records = part.records
+        self._forests = part.forests
         self._built: Dict[str, ElaboratedNet] = {}
+
+    @property
+    def forest(self) -> NetForest:
+        """One forest of every net, the in-process analysis' own: laid
+        out once per design version, and swept again by the ``nominal=``
+        paths of :mod:`repro.sta.ssta`."""
+        whole = [Shard(0, 0, len(self._records))]
+        return _shard_forests(self._records, self._forests, whole)[0][0]
 
     def __getitem__(self, name: str) -> ElaboratedNet:
         net = self._built.get(name)
@@ -221,6 +256,58 @@ class _LazyNets(Mapping):
         return f"<{len(self)} nets, {len(self._built)} built>"
 
 
+class _PinValues(Mapping):
+    """Read-only ``pin -> float`` over one row array of a result.
+
+    ``pins`` are the keys in order, ``index`` maps each to its entry of
+    ``values``.  Reads give the floats a ``dict(zip(pins,
+    values.tolist()))`` holds, and the view equals that dict, without
+    hashing every pin to build it; an unknown pin raises ``KeyError``.
+    """
+
+    def __init__(self, pins: Sequence[Pin], index: Dict[Pin, int],
+                 values: np.ndarray) -> None:
+        self._pins = pins
+        self._index = index
+        self._values = values
+
+    def __getitem__(self, pin: Pin) -> float:
+        return float(self._values[self._index[pin]])
+
+    def __contains__(self, pin: object) -> bool:
+        return pin in self._index
+
+    def __iter__(self) -> Iterator[Pin]:
+        return iter(self._pins)
+
+    def __len__(self) -> int:
+        return len(self._pins)
+
+    def items(self) -> "_PinItems":
+        return _PinItems(self)
+
+    def values(self) -> "_PinFloats":
+        return _PinFloats(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _PinItems(ItemsView):
+    """``(pin, float)`` pairs in one pass over the array."""
+
+    def __iter__(self):
+        view = self._mapping
+        return zip(view._pins, view._values.tolist())
+
+
+class _PinFloats(ValuesView):
+    """The floats in one pass over the array."""
+
+    def __iter__(self):
+        return iter(self._mapping._values.tolist())
+
+
 def _net_geometries(design: Design, wire_load, net_overrides
                     ) -> Dict[str, NetGeometry]:
     """Every net's routing inputs, in design order."""
@@ -232,23 +319,31 @@ def _net_geometries(design: Design, wire_load, net_overrides
     }
 
 
-class _NetPart(NamedTuple):
+@dataclass(eq=False)
+class _NetPart:
     """The net half of a compiled design, for one ``wire_load``.
 
     ``geometries`` is every net's :class:`NetGeometry` (in design
     order; shared, so never written to), ``records`` their
     :func:`~repro.sta.interconnect.net_record` tuples, ``pins`` every
     evaluated sink pin net by net (each net's ``sink_pins()``),
-    ``counts`` each net's sink count and ``rows`` the pins' rows in the
-    design's levels.
+    ``index`` each pin's position in ``pins``, ``counts`` each net's
+    sink count and ``rows`` the pins' rows in the design's levels.
+    ``forests`` maps a shard count to each shard's
+    :func:`~repro.sta.interconnect.net_forest`, laid out on the part's
+    first in-process or serial analysis with that plan
+    (:func:`_shard_forests`); the worker pool lays out the records the
+    part publishes instead (:func:`_publish`).
     """
 
     wire_load: Optional[WireLoadModel]
     geometries: Dict[str, NetGeometry]
     records: Tuple[tuple, ...]
     pins: Tuple[Pin, ...]
+    index: Dict[Pin, int]
     counts: np.ndarray
     rows: np.ndarray
+    forests: Dict[int, Tuple[NetForest, ...]] = field(default_factory=dict)
 
 
 class _Compiled:
@@ -260,7 +355,8 @@ class _Compiled:
     every instance's ``(cell, position)`` when ``levels`` was compiled.
     :func:`_compile` reuses the form while the design's mutators leave
     it in place (each of them drops it) and ``state`` still equals the
-    design's.
+    design's.  Its part's published records are unlinked when the part
+    is dropped with it or replaced (:func:`_publish`).
     """
 
     __slots__ = ("state", "levels", "nets")
@@ -306,10 +402,109 @@ def _net_part(design: Design, compiled: _Compiled, wire_load,
                        np.intp, len(pins))
     counts.setflags(write=False)
     rows.setflags(write=False)
-    part = _NetPart(wire_load, geometries, records, pins, counts, rows)
+    part = _NetPart(wire_load, geometries, records, pins,
+                    dict(zip(pins, range(len(pins)))), counts, rows)
     if not net_overrides:
         compiled.nets = part
     return part, False
+
+
+def _shard_forests(records: Sequence[tuple],
+                   cache: Dict[int, Tuple[NetForest, ...]],
+                   shards: List[Shard]
+                   ) -> Tuple[Tuple[NetForest, ...], bool]:
+    """The forest of ``records`` in each of ``shards``, and ``True``
+    when this call laid them out (once per ``cache``, a part's
+    ``forests``, and shard count).  A net that cannot be laid out raises
+    here, in the parent, the error its shard's
+    :func:`~repro.sta.interconnect.net_forest` raises."""
+    forests = cache.get(len(shards))
+    if forests is not None:
+        return forests, False
+    forests = cache[len(shards)] = tuple(
+        net_forest(records[shard.start:shard.stop]) for shard in shards)
+    return forests, True
+
+
+#: Each design version's published net records, by its :class:`_NetPart`.
+_PUBLISHED = WorkspaceRegistry("sta")
+
+
+def _publish(part: _NetPart, shards: List[Shard],
+             keep: bool) -> Tuple[ShmWorkspace, bool]:
+    """The shm workspace of ``part``'s records for the pool, and whether
+    this call published it.
+
+    The workspace holds the one block of :func:`_pickled_records`
+    whatever the shard count.  With ``keep`` it is the part's, kept in
+    :data:`_PUBLISHED` while the part lives; otherwise the caller
+    closes it.  A failed publish leaves no segment and raises
+    :class:`~repro.parallel.ShmError`.
+    """
+    def build():
+        return _pickled_records(part.records, shards)
+
+    if keep:
+        return _PUBLISHED.workspace(part, build)
+    return publish_workspace("sta", *build()), True
+
+
+def _pickled_records(records: Sequence[tuple], shards: List[Shard]
+                     ) -> Tuple[Dict[str, np.ndarray], Dict[str, list]]:
+    """``records`` as the workspace :func:`_net_shard_task` lays shards
+    out from: one ``records`` block, each shard's tuples pickled back to
+    back, and the shards' byte offsets into it as ``bounds`` meta."""
+    blobs = [pickle.dumps(records[shard.start:shard.stop],
+                          protocol=pickle.HIGHEST_PROTOCOL)
+             for shard in shards]
+    bounds = np.cumsum([0] + [len(blob) for blob in blobs]).tolist()
+    return {"records": np.frombuffer(b"".join(blobs), np.uint8)}, \
+        {"bounds": bounds}
+
+
+def _shm_fallback(part: _NetPart, exc: ShmError) -> None:
+    """Count and log one shm-to-serial fallback; drop ``part``'s
+    published records (a later analysis publishes them afresh)."""
+    _PUBLISHED.discard(part)
+    record_fallback("shm-unavailable")
+    logger.warning("shm transport unavailable (%s); rerunning the net "
+                   "shards serially", exc)
+
+
+def _run_shards(part: _NetPart, shards: List[Shard],
+                forests: Optional[Tuple[NetForest, ...]],
+                workspace: Optional[ShmWorkspace], delay_model: str,
+                process, sharded: bool, jobs, backend, checkpoint) -> list:
+    """Every shard's :func:`_net_shard_task` result, in plan order.
+
+    With a ``workspace`` (``part``'s published records) the tasks run on
+    the pool; otherwise, or when the shm transport raises
+    :class:`~repro.parallel.ShmError`, in process on a
+    :class:`~repro.parallel.LocalWorkspace` holding the shards'
+    ``forests`` (laid out here if not given), through
+    :func:`~repro.parallel.run_sharded` when ``sharded``, else called
+    directly.
+    """
+    def run(descriptor, run_backend):
+        payloads = [(descriptor, k, delay_model, process)
+                    for k in range(len(shards))]
+        if not sharded:
+            return [_net_shard_task(payload) for payload in payloads]
+        return run_sharded(_net_shard_task, payloads, jobs=jobs,
+                           label="sta.parallel_run", backend=run_backend,
+                           checkpoint=checkpoint)
+
+    if workspace is not None:
+        try:
+            return run(workspace.descriptor(), "shm")
+        except ShmError as exc:
+            _shm_fallback(part, exc)
+    if forests is None:
+        forests = _shard_forests(part.records, part.forests, shards)[0]
+    local = LocalWorkspace()
+    local.cache.update((f"forest/{k}", forest)
+                       for k, forest in enumerate(forests))
+    return run(local, "serial")
 
 
 def _journal_key(geometry: NetGeometry) -> list:
@@ -344,69 +539,102 @@ def _precompute_nets(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     process=None,
-) -> Tuple[_LazyNets, Dict[Pin, float], np.ndarray, np.ndarray,
+) -> Tuple[_LazyNets, Mapping[Pin, float], np.ndarray, np.ndarray,
            np.ndarray, Optional[tuple]]:
     """Evaluate every net of the design through batched forest sweeps.
 
     The parent reads each net's routing inputs into a
     :class:`NetGeometry` and its plain
-    :func:`~repro.sta.interconnect.net_record`, which
-    :func:`_net_shard_task` lays out and sweeps; the reads are the
-    design's :class:`_NetPart`, cached on ``compiled`` and reused while
-    the design and ``wire_load`` stay the same (see :func:`_net_part`).
-    With ``jobs``,
-    ``backend`` and ``checkpoint_path`` unset this is ONE in-process
-    shard task over the whole net list.  Otherwise the records are split
-    into the deterministic :func:`_net_plan` shards, fanned out through
-    :mod:`repro.parallel` (``1`` = serial backend, ``>= 2`` = worker
-    processes) with bit-identical results, so only the pickled records
-    and one ``(3, sinks)`` array per shard cross the process boundary.
-    Either way the parent builds a tree only when ``nets`` is read.
-    Sinks whose metric fit fell back to Elmore are counted here, in the
-    parent, under ``sta_metric_fallbacks_total``.  Returns ``(nets,
-    wire_delay, values, sinks, counts, coefficients)``: the nets, the
-    per-sink delay map, the :func:`_sweep_nets` rows of every sink (net
-    by net in design order), their pin rows in the design's levels and
-    each net's sink count.  A non-finite delay or variance raises
-    :class:`AnalysisError` naming the first net that produced one.
+    :func:`~repro.sta.interconnect.net_record`; each shard's records are
+    laid out into one compiled forest
+    (:func:`~repro.sta.interconnect.net_forest`) that
+    :func:`_net_shard_task` sweeps.  All of it is the design's
+    :class:`_NetPart`, cached on ``compiled`` and reused while the
+    design and ``wire_load`` stay the same (see :func:`_net_part`).
+    Calls with ``net_overrides`` lay their nets out afresh and keep
+    nothing.  With ``jobs``, ``backend`` and ``checkpoint_path`` unset
+    the task runs in process on one shard of every net.  Otherwise the
+    nets split into the deterministic :func:`_net_plan` shards, fanned
+    out through :mod:`repro.parallel` (``1`` = serial backend, ``>= 2``
+    = worker processes) with bit-identical results.  In the parent the
+    forests are laid out once per design version.  On the pool the
+    records are published once per design version as one shared-memory
+    block (an overrides call's for that call only), so only a
+    descriptor and the shard index go to a worker, which lays its shard
+    out once per attachment, and one ``(3, sinks)`` array per shard
+    comes back.  Either way the parent builds a tree only when ``nets``
+    is read.  Sinks whose metric fit
+    fell back to Elmore are counted here, in the parent, under
+    ``sta_metric_fallbacks_total``.  Returns
+    ``(nets, wire_delay, values, sinks, counts, coefficients)``: the
+    nets, the per-sink delay map, the :func:`_sweep_nets` rows of every
+    sink (net by net in design order), their pin rows in the design's
+    levels and each net's sink count.  A non-finite delay or variance
+    raises :class:`AnalysisError` naming the first net that produced
+    one.
 
     With a ``process`` (a :class:`~repro.sta.ssta.ProcessModel`) the
     same pass also returns every net's SSTA coefficients as ``(a, l)``,
-    ``process.net_columns`` over the shard's forest in the sinks' order,
-    computed next to the sweep (:func:`_net_shard_task`).  Without one
-    the last item is ``None``.
+    ``process.net_columns`` over each shard's forest in the sinks'
+    order, computed next to the sweep (:func:`_net_shard_task`).
+    Without one the last item is ``None``.
     """
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
         part, cached = _net_part(design, compiled, wire_load, net_overrides)
         sp.set_attribute("cached", cached)
-        geometries, records = part.geometries, part.records
-        nets = _LazyNets(geometries, records)
-        _NETS_EVALUATED.inc(len(records))
-        if jobs is None and backend is None and checkpoint_path is None:
-            chunks = [_net_shard_task((records, delay_model, process))]
-        else:
-            shards = _net_plan(len(records))
+        geometries = part.geometries
+        total = len(part.records)
+        _NETS_EVALUATED.inc(total)
+        sharded = not (jobs is None and backend is None
+                       and checkpoint_path is None)
+        # In process, one shard of every net: one sweep of one forest.
+        shards = _net_plan(total) if sharded else [Shard(0, 0, total)]
+        if sharded:
             sp.set_attribute("shards", len(shards))
-            parts = [(records[shard.start:shard.stop], delay_model, process)
-                     for shard in shards]
-            kind, extra = "sta.analyze", {}
-            if process is not None:
-                kind, extra = "ssta.analyze", {"process": astuple(process)}
-            with journal(
-                checkpoint_path, kind, shards, resume,
-                {"nets": len(records)},
-                lambda: {"nets": [_journal_key(g)
-                                  for g in geometries.values()],
-                         "delay_model": delay_model, **extra},
-            ) as checkpoint:
-                chunks = run_sharded(
-                    _net_shard_task,
-                    parts,
-                    jobs=jobs,
-                    label="sta.parallel_run",
-                    backend=backend,
-                    checkpoint=checkpoint,
-                )
+        keep = not net_overrides
+        workspace = forests = None
+        with _span("sta.forest_publish", shards=len(shards)) as fp:
+            if sharded and resolve_backend(backend) != "serial" \
+                    and min(resolve_jobs(jobs), len(shards)) >= 2:
+                try:
+                    workspace, fresh = _publish(part, shards, keep)
+                except ShmError as exc:
+                    _shm_fallback(part, exc)
+            if workspace is None:
+                forests, fresh = _shard_forests(part.records, part.forests,
+                                                shards)
+            fp.set_attribute("cached", not fresh)
+            published = 0
+            if workspace is not None:
+                specs = workspace.descriptor().arrays.values()
+                fp.set_attribute("segments", len(specs))
+                if fresh:
+                    published = sum(spec.nbytes for spec in specs)
+            fp.set_attribute("bytes", published)
+        nets = _LazyNets(part)
+        try:
+            if not sharded:
+                chunks = _run_shards(part, shards, forests, None,
+                                     delay_model, process, False, jobs,
+                                     backend, None)
+            else:
+                kind, extra = "sta.analyze", {}
+                if process is not None:
+                    kind, extra = "ssta.analyze", \
+                        {"process": astuple(process)}
+                with journal(
+                    checkpoint_path, kind, shards, resume,
+                    {"nets": total},
+                    lambda: {"nets": [_journal_key(g)
+                                      for g in geometries.values()],
+                             "delay_model": delay_model, **extra},
+                ) as checkpoint:
+                    chunks = _run_shards(part, shards, forests, workspace,
+                                         delay_model, process, True, jobs,
+                                         backend, checkpoint)
+        finally:
+            if workspace is not None and not keep:
+                workspace.close()
         if process is not None:
             columns = [chunk[1:] for chunk in chunks]
             chunks = [chunk[0] for chunk in chunks]
@@ -432,9 +660,9 @@ def _precompute_nets(
             )
         coefficients = None
         if process is not None:
-            coefficients = (np.concatenate([c[0] for c in columns]),
-                            np.concatenate([c[1] for c in columns]))
-        return (nets, dict(zip(pins, values[0].tolist())), values,
+            coefficients = tuple(np.concatenate(block)
+                                 for block in zip(*columns))
+        return (nets, _PinValues(pins, part.index, values[0]), values,
                 part.rows, counts, coefficients)
 
 
@@ -472,7 +700,9 @@ class TimingResult:
     arrival:
         Arrival time at every timing point.  Keys are pins (as
         :class:`~repro.sta.netlist.Pin`), including port pins, in the
-        levels' row order.
+        levels' row order.  Like ``slew`` and ``wire_delay``, a
+        read-only mapping over the walk's row arrays, equal to the plain
+        dict of the same items.
     slew:
         Transition sigma (Sec. III-B measure, seconds) at every timing
         point.
@@ -494,13 +724,13 @@ class TimingResult:
         walk again with this result's row arrays.
     """
 
-    arrival: Dict[Pin, float]
-    slew: Dict[Pin, float]
+    arrival: Mapping[Pin, float]
+    slew: Mapping[Pin, float]
     critical_delay: float
     critical_output: str
     nets: Mapping[str, ElaboratedNet]
     delay_model: str
-    wire_delay: Dict[Pin, float]
+    wire_delay: Mapping[Pin, float]
     levels: TimingLevels = field(repr=False, compare=False)
     _rows: _Rows = field(repr=False, compare=False)
 
@@ -568,11 +798,12 @@ def analyze(
         The gate-level design, validated and compiled through
         :func:`~repro.sta.levels.levelize` (one
         :meth:`~repro.sta.netlist.Design.timing_order`) once per design
-        version: the compiled graph and the nets' geometries and records
-        are cached on the design and reused by every later analysis
-        until a :class:`~repro.sta.netlist.Design` mutator runs, an
-        instance's ``cell`` or ``position`` is reassigned, or another
-        ``wire_load`` is given.  Calls with ``net_overrides`` read the
+        version: the compiled graph, the nets' geometries and records
+        and each shard's laid-out net forest are cached on the design
+        and reused by every later analysis until a
+        :class:`~repro.sta.netlist.Design` mutator runs, an instance's
+        ``cell`` or ``position`` is reassigned, or another ``wire_load``
+        is given.  Calls with ``net_overrides`` read and lay out the
         nets afresh every time.
     delay_model:
         Key of :data:`DELAY_MODELS`.
@@ -588,19 +819,21 @@ def analyze(
         Fan the per-net interconnect evaluation out through the sharded
         engine (:mod:`repro.parallel`; ``1`` = serial backend, ``>= 2``
         = worker processes), whatever the delay model.  Arrival/slew
-        results are bit-identical to the default single-forest path.
+        results are bit-identical to the default in-process path.
     backend:
         Execution backend for the sharded path (``"serial"`` or
         ``"shm"``; default auto).  ``"shm"`` selects the warm worker
-        pool: each shard ships one plain tuple per net of what its
-        layout reads (:func:`~repro.sta.interconnect.net_record`; no
-        :class:`~repro.sta.netlist.Pin` or net name), the worker lays
-        them straight into one flat forest
-        (:func:`~repro.sta.interconnect.net_forest`) and evaluates it
-        in one sweep, and one ``(3, sinks)`` delay /
-        variance / fallback array comes back.  Without ``jobs`` or
-        ``backend`` the same shard task runs in process on the whole
-        design.  Results stay bit-identical either way.
+        pool: the design version's net records are published once as
+        shared-memory blocks (unlinked when the version is dropped, and
+        for at most :data:`~repro.parallel.shm.MAX_PUBLISHED_WORKSPACES`
+        versions at once; a ``net_overrides`` call's only for that
+        call), each shard ships a descriptor and its index, the worker
+        lays its shard's nets out once per attachment and evaluates
+        them in one sweep, and one ``(3, sinks)`` delay / variance /
+        fallback array comes back.  Without ``jobs`` or ``backend`` the
+        same shard task runs in process on each shard's forest, laid out
+        once per design version.  Results stay
+        bit-identical either way.
     checkpoint_path, resume:
         Crash-safe journaling of the forest fan-out's per-shard results
         (see :mod:`repro.resilience.checkpoint`; the delay model is part
@@ -641,8 +874,8 @@ def _analyze_traced(
             raise TimingGraphError("design has no primary outputs")
         # Delay and dispersion don't depend on arrivals, so the whole
         # netlist's interconnect is evaluated in batched forest sweeps
-        # (one call, or sharded across workers when jobs is given) before
-        # arrival propagation begins.
+        # (one per shard, in process or across workers when jobs is
+        # given) before arrival propagation begins.
         nets, wire_delay, values, sinks, counts, coefficients = \
             _precompute_nets(design, compiled, delay_model, wire_load,
                              net_overrides, jobs=jobs, backend=backend,
@@ -654,8 +887,8 @@ def _analyze_traced(
         worst = int(np.argmax(arrival))  # the first of equal maxima
         sp.set_attribute("nets", len(nets))
         return TimingResult(
-            arrival=dict(zip(levels.pins, rows.arrival.tolist())),
-            slew=dict(zip(levels.pins, rows.slew.tolist())),
+            arrival=_PinValues(levels.pins, levels.index, rows.arrival),
+            slew=_PinValues(levels.pins, levels.index, rows.slew),
             critical_delay=float(arrival[worst]),
             critical_output=design.outputs[worst],
             nets=nets,

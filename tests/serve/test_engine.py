@@ -15,12 +15,12 @@ import pytest
 
 from repro.obs.metrics import counter
 from repro.obs.trace import tracing
-from repro.parallel.shm import active_segment_names
+from repro.parallel.shm import MAX_PUBLISHED_WORKSPACES, \
+    active_segment_names
 from repro.resilience.faults import clear_faults, install_faults
 from repro.serve import ServeConfig
 from repro.serve.app import ReproServer
-from repro.serve.engine import MAX_PUBLISHED_TOPOLOGIES, \
-    MIN_SHARDED_ELEMENTS, StatsEngine
+from repro.serve.engine import MIN_SHARDED_ELEMENTS, StatsEngine
 from repro.serve.schemas import parse_stats_request, resolve_workload
 
 #: Blocks in one published stats workspace: the topology's index,
@@ -130,11 +130,11 @@ def test_published_segments_stay_bounded():
     engine = StatsEngine(jobs=2, backend="shm")
     engine.evaluate("chain", requests)
     assert len(_own_segments()) == WORKSPACE_BLOCKS
-    for k in range(MAX_PUBLISHED_TOPOLOGIES + 2):
+    for k in range(MAX_PUBLISHED_WORKSPACES + 2):
         # A new key compiles a new topology, and with it a new workspace.
         engine.evaluate(f"chain-{k}", requests)
         assert len(_own_segments()) <= \
-            MAX_PUBLISHED_TOPOLOGIES * WORKSPACE_BLOCKS
+            MAX_PUBLISHED_WORKSPACES * WORKSPACE_BLOCKS
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")

@@ -1,14 +1,18 @@
 """A design's compiled timing graph and net records, reused across analyses.
 
-``analyze`` compiles a design once per design version: its levels and
-its nets' geometries and records are cached on the design and reused by
-every later analysis until something they depend on changes.  Reused,
-they must give the bits a cold analysis of a freshly built copy gives,
-under every delay model and backend, and for the slack pass, SSTA and
-the Monte-Carlo oracle.  Every change they depend on must force a
-recompile: each of the four mutators, a reassigned instance position or
-cell, another ``wire_load`` and an override tree mutated in place.
+``analyze`` compiles a design once per design version: its levels, its
+nets' geometries and records and each plan's laid-out net forests are
+cached on the design and reused by every later analysis until something
+they depend on changes.  Reused, they must give the bits a cold analysis
+of a freshly built copy gives, under every delay model and backend, and
+for the slack pass, SSTA and the Monte-Carlo oracle.  Every change they
+depend on must force a recompile: each of the four mutators, a
+reassigned instance position or cell, another ``wire_load`` and an
+override tree mutated in place.
 """
+
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ import pytest
 import repro.sta.timing as timing
 from repro._exceptions import TimingGraphError
 from repro.core.variation import VariationModel
+from repro.obs.metrics import counter
 from repro.sta import DELAY_MODELS, Design, Pin, analyze, compute_slacks
 from repro.sta.interconnect import WireLoadModel
 from repro.sta.ssta import ProcessModel, analyze_ssta, monte_carlo_arrivals
@@ -30,9 +35,18 @@ MODEL = ProcessModel(
 BACKENDS = [{}, {"jobs": 1}, {"jobs": 2, "backend": "shm"}]
 BACKEND_IDS = ["in-process", "jobs=1", "shm@2"]
 
-#: ``random_design`` arguments of the cached-against-cold suite: enough
-#: nets (about 300) for several shards.
+#: ``random_design`` arguments of the cached-against-cold suite (280
+#: nets, one shard).
 PARAMS = dict(layers=6, width=40, seed=7)
+
+#: ``random_design`` arguments of a two-shard design (320 nets), whose
+#: shm@2 analyses run on the worker pool.
+SHARDED = dict(layers=7, width=40, seed=7)
+
+#: A journal the STA wrote before the shard forests were cached: the
+#: header and one of the two shards of ``random_design(1, 160, seed=3)``.
+PARTIAL_JOURNAL = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                               "data", "sta_journal_partial.ckpt")
 
 
 def copy_of(design):
@@ -108,7 +122,7 @@ class TestCachedEqualsCold:
 
     def test_nominal_paths_lay_out_the_shipped_records(self, warm):
         result = analyze(warm)
-        assert result.nets.records is warm._compiled.nets.records
+        assert result.nets.forest is warm._compiled.nets.forests[1][0]
         given = analyze_ssta(warm, MODEL, nominal=result)
         own = analyze_ssta(random_design(**PARAMS), MODEL)
         assert ssta_outcome(given) == ssta_outcome(own)
@@ -233,3 +247,96 @@ class TestSharedLevelsAreReadOnly:
                 array[...] = 0
         assert np.array_equal(analyze(d)._rows.arrival,
                               analyze(copy_of(d))._rows.arrival)
+
+
+@pytest.fixture(scope="module")
+def sharded():
+    """A two-shard design analysed once, so its forests are cached."""
+    design = random_design(**SHARDED)
+    assert len(timing._net_plan(len(design.nets))) == 2
+    analyze(design)
+    return design
+
+
+class TestCachedForests:
+    """The forests laid out once per design version (in the parent, or
+    by a pool worker from the published records) are what every backend
+    sweeps: in process, ``jobs=1`` and shm@2 give the bits a freshly
+    generated design gives."""
+
+    @pytest.mark.parametrize("delay_model", sorted(DELAY_MODELS))
+    def test_nominal_across_backends(self, sharded, delay_model):
+        cold = sta_outcome(random_design(**SHARDED), delay_model)
+        for kwargs in BACKENDS:
+            assert sta_outcome(sharded, delay_model, **kwargs) == cold
+        # The parent keeps one forest of every net (in process) and one
+        # per shard (jobs=1), each laid out once.
+        forests = dict(sharded._compiled.nets.forests)
+        assert sorted(forests) == [1, 2]
+        for kwargs in BACKENDS:
+            analyze(sharded, delay_model, **kwargs)
+            now = sharded._compiled.nets.forests
+            assert all(now[k] is forests[k] for k in forests)
+
+    def test_statistical_with_per_name_sigmas(self, sharded):
+        # Per-name sigmas read each net's node names (every net has a
+        # ``drv``) from the forest's ``nets``, in a worker too.
+        model = ProcessModel(
+            VariationModel(0.08, 0.08, resistance_sigmas={"drv": 0.2},
+                           capacitance_sigmas={"drv": 0.12}),
+            rho_r=0.4, rho_c=0.6, cell_sigma=0.05, rho_cell=0.5,
+        )
+        cold = random_design(**SHARDED)
+        want = ssta_outcome(analyze_ssta(cold, model))
+        ports, matrix = monte_carlo_arrivals(cold, model, 32, seed=3)
+        for kwargs in BACKENDS:
+            assert ssta_outcome(analyze_ssta(sharded, model, **kwargs)) \
+                == want
+            got = monte_carlo_arrivals(sharded, model, 32, seed=3,
+                                       **kwargs)
+            assert got[0] == ports
+            assert got[1].tobytes() == matrix.tobytes()
+        for kwargs in BACKENDS:
+            nominal = analyze(sharded, **kwargs)
+            assert ssta_outcome(analyze_ssta(sharded, model,
+                                             nominal=nominal)) == want
+
+    @pytest.mark.parametrize("kwargs", BACKENDS[1:], ids=BACKEND_IDS[1:])
+    def test_resume_from_a_journal_written_before(self, tmp_path, kwargs):
+        path = str(tmp_path / "run.ckpt")
+        shutil.copy(PARTIAL_JOURNAL, path)
+        resumed = counter("resilience_checkpoint_shards_resumed_total")
+        before = resumed.value
+        got = sta_outcome(random_design(1, 160, seed=3),
+                          checkpoint_path=path, resume=True, **kwargs)
+        assert resumed.value == before + 1
+        assert got == sta_outcome(random_design(1, 160, seed=3))
+
+
+class TestResultViews:
+    def test_views_equal_the_dicts_they_replace(self, sharded):
+        result = analyze(sharded)
+        rows, levels = result._rows, result.levels
+        arrival = dict(zip(levels.pins, rows.arrival.tolist()))
+        assert result.arrival == arrival and arrival == result.arrival
+        assert list(result.arrival) == list(arrival)
+        assert list(result.slew.items()) == \
+            list(zip(levels.pins, rows.slew.tolist()))
+        pins = sharded._compiled.nets.pins
+        assert list(result.wire_delay) == list(pins)
+        assert list(result.wire_delay.values()) == \
+            [float(rows.delay[levels.index[pin]]) for pin in pins]
+        slacks = compute_slacks(sharded, result, 1e-9)
+        for view in (result.arrival, result.slew, slacks.required,
+                     slacks.slack):
+            pin = levels.pins[-1]
+            assert type(view[pin]) is float
+            assert pin in view and len(view) == len(levels.pins)
+        gate_output = next(pin for pin in levels.pins
+                           if pin not in result.wire_delay)
+        with pytest.raises(KeyError):
+            result.wire_delay[gate_output]
+        with pytest.raises(KeyError):
+            result.arrival[Pin("nowhere", "a")]
+        with pytest.raises(TypeError):
+            result.arrival[levels.pins[0]] = 0.0

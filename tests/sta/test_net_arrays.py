@@ -15,7 +15,7 @@ import repro.sta.timing as timing
 from repro._exceptions import TimingGraphError, TopologyError, ValidationError
 from repro.circuit import RCTree
 from repro.core.batch import compile_forest
-from repro.parallel import plan_shards
+from repro.parallel import LocalWorkspace, Shard, plan_shards
 from repro.resilience.checkpoint import tree_fingerprint
 from repro.sta import (
     NetArrays,
@@ -42,6 +42,17 @@ NETS = ["na", "nb", "n1", "n3", "n2", "n4", "n5"]
 def geometry(name):
     d = mixed_design()
     return net_geometry(d, d.nets[name], override=overrides().get(name))
+
+
+def shard_task(records, delay_model="elmore", process=None):
+    """The shard task over ``records`` as one shard, laid out from the
+    blocks a pool worker reads."""
+    arrays, meta = timing._pickled_records(records,
+                                           [Shard(0, 0, len(records))])
+    workspace = LocalWorkspace()
+    workspace.arrays.update(arrays)
+    workspace.meta.update(meta)
+    return timing._net_shard_task((workspace, 0, delay_model, process))
 
 
 class TestNetArrays:
@@ -82,7 +93,7 @@ class TestNetArrays:
         with pytest.raises(ValidationError, match="finite"):
             build_net(g)
         with pytest.raises(ValidationError, match="finite"):
-            timing._net_shard_task(([net_record(g)], "elmore", None))
+            shard_task([net_record(g)])
 
 
 class TestTreesUnchanged:
@@ -134,8 +145,7 @@ class TestShardTask:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(RCTree, "__init__", counting_init)
-        out = timing._net_shard_task(
-            ([net_record(g) for g in geometries], "elmore", None))
+        out = shard_task([net_record(g) for g in geometries])
         assert built == []
         assert out.shape == (3, sum(len(g.sink_pins())
                                     for g in geometries))
@@ -149,8 +159,7 @@ class TestShardTask:
                                                  None).values())
         for shard in plan_shards(len(geometries)):
             part = geometries[shard.start:shard.stop]
-            got = timing._net_shard_task(
-                ([net_record(g) for g in part], "elmore", None))
+            got = shard_task([net_record(g) for g in part])
             # The trees build_net makes, swept as override records.
             trees = [build_net(g) for g in part]
             ref = timing._sweep_nets(net_forest([

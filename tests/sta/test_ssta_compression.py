@@ -21,6 +21,7 @@ from repro.sta.interconnect import net_forest, net_record
 from repro.sta.ssta import ProcessModel, analyze_ssta, monte_carlo_arrivals
 from repro.workloads import random_design
 from tests.sta.ssta_oracle import monte_carlo_walk, ssta_walk
+from tests.sta.test_net_arrays import shard_task
 
 #: The correlated process model of ``benchmarks/bench_ssta.py``.
 MODEL = ProcessModel(
@@ -110,8 +111,7 @@ class TestShardTask:
         records = [net_record(g) for g in geometries]
         whole = MODEL.net_columns(net_forest(records))
         built = count_tree_builds(monkeypatch)
-        parts = [timing._net_shard_task((records[s.start:s.stop],
-                                         "elmore", MODEL))
+        parts = [shard_task(records[s.start:s.stop], "elmore", MODEL)
                  for s in plan_shards(len(geometries))]
         assert built == []
         # The sweep is the STA shard's, and each net's columns do not

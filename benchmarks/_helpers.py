@@ -76,14 +76,16 @@ def report(
     header: Sequence[str],
     rows: Iterable[Sequence[Any]],
     extra: Optional[Dict[str, Any]] = None,
+    notes: Sequence[str] = (),
 ) -> None:
     """Print the table and persist ``<name>.txt`` + ``<name>.json``.
 
     ``extra`` carries benchmark-specific scalars (speedups, corpus sizes)
-    into the JSON row file alongside the tabulated data.
+    into the JSON row file alongside the tabulated data; ``notes`` are
+    lines printed after the table and written to ``<name>.txt`` only.
     """
     rows = [list(map(str, row)) for row in rows]
-    text = render_table(title, header, rows)
+    text = "\n".join([render_table(title, header, rows), *notes])
     print("\n" + text + "\n")
     atomic_write_text(os.path.join(RESULTS_DIR, f"{name}.txt"), text + "\n")
     environment = environment_info()

@@ -28,10 +28,11 @@ HTTP JSON service (``/v1/stats`` with request coalescing,
 regenerate the paper's tables from the reconstructed circuits.
 
 ``stats``, ``verify``, ``sta`` and ``ssta`` accept ``--jobs/-j N`` to
-fan their sweep out over N worker processes through the sharded engine
-(:mod:`repro.parallel`); results are bit-identical to ``--jobs 1`` for
-the same seed, and the run degrades to in-process execution if workers
-cannot be spawned.
+fan their sweep out over at most N worker processes through the sharded
+engine (:mod:`repro.parallel`); a sweep whose estimated work is too
+small to pay for the pool stays in process.  Results are bit-identical
+to ``--jobs 1`` for the same seed, and the run degrades to in-process
+execution if workers cannot be spawned.
 
 Every subcommand additionally accepts the observability flags:
 
@@ -371,18 +372,19 @@ def build_parser() -> argparse.ArgumentParser:
     sharded = argparse.ArgumentParser(add_help=False)
     sharded.add_argument(
         "--jobs", "-j", type=_int_arg("--jobs", minimum=0), default=None,
-        help="fan the sweep out over this many worker processes via the "
-             "sharded engine (results are bit-identical for any value; "
-             "default: serial, in-process)",
+        help="fan the sweep out over at most this many worker processes "
+             "via the sharded engine; a sweep too small to pay for the "
+             "pool stays in process (results are bit-identical for any "
+             "value; default: serial, in-process)",
     )
     sharded.add_argument(
         "--backend", choices=("auto", "serial", "shm"),
         default=None,
-        help="sharded-engine transport: 'shm' = warm worker pool fed by "
-             "zero-copy shared-memory blocks (falls back to 'serial' "
-             "when unavailable); 'serial' = in-process; 'auto' = 'shm' "
-             "for --jobs >= 2; results are bit-identical for every "
-             "choice (default: auto)",
+        help="sharded-engine transport when a sweep fans out: 'shm' = "
+             "warm worker pool fed by zero-copy shared-memory blocks "
+             "(falls back to 'serial' when unavailable); 'serial' = "
+             "in-process; 'auto' = 'shm' for --jobs >= 2; results are "
+             "bit-identical for every choice (default: auto)",
     )
     sharded.add_argument(
         "--checkpoint", default=None, metavar="PATH",

@@ -56,9 +56,9 @@ from repro.parallel import (
     attach_workspace,
     plan_shards,
     resolve_backend,
-    resolve_jobs,
     run_sharded,
     spawn_shard_seeds,
+    use_pool,
 )
 from repro.parallel.shm import record_fallback
 from repro.resilience.checkpoint import journal, tree_fingerprint
@@ -69,6 +69,11 @@ _SAMPLES_DRAWN = _counter(
     "variation_samples_total",
     "Monte-Carlo parameter samples drawn for variation sweeps",
 )
+
+#: In-process nanoseconds per sample and node of a Monte-Carlo shard
+#: (draw and Elmore sweep), the unit of its :func:`~repro.parallel.use_pool`
+#: estimate (``benchmarks/results/parallel.txt``).
+_MC_NS = 50.0
 
 __all__ = [
     "VariationModel",
@@ -351,6 +356,7 @@ def _sweep_on_workspace(
     topology,
     inputs: Dict[str, np.ndarray],
     shards: Sequence[Shard],
+    pool: Optional[bool],
     extras: Optional[Sequence[tuple]] = None,
     jobs: Optional[int] = None,
     backend: Optional[str] = None,
@@ -366,13 +372,16 @@ def _sweep_on_workspace(
     ``(rows, width)`` float64 ``out`` block (``width`` defaults to the
     node count N); shard ``i`` gets the payload
     ``(descriptor, start, stop, *extras[i])`` and must fill
-    ``out[start:stop]``.  With ``backend="shm"``, or ``"auto"`` and
-    ``jobs >= 2``, the workspace is ``topology``'s cached shm workspace,
-    served by the warm pool; otherwise — or when the shm transport
-    raises :class:`~repro.parallel.ShmError`, which is counted by
-    ``parallel_shm_fallback_total`` — the same task runs in-process
-    against a :class:`~repro.parallel.LocalWorkspace`.  Either way the
-    rows are bit-identical.
+    ``out[start:stop]``.  When ``pool``, the caller's
+    :func:`~repro.parallel.use_pool` answer, is ``True`` the workspace
+    is ``topology``'s cached shm workspace, served by the warm pool
+    (with ``backend="shm"`` and one worker, ``pool`` is ``None`` and
+    that transport runs in process); otherwise — or when the shm
+    transport raises :class:`~repro.parallel.ShmError`, which is
+    counted by ``parallel_shm_fallback_total`` — the same plan runs in
+    process on the serial backend against a
+    :class:`~repro.parallel.LocalWorkspace`.  Either way the rows are
+    bit-identical.
 
     A ``checkpoint`` journals each shard's ``out`` rows (the task itself
     only acks a row count), so a journal resumes on either workspace.
@@ -416,9 +425,7 @@ def _sweep_on_workspace(
         )
         return np.array(current["out"], copy=True)
 
-    if backend == "shm" or (
-        backend is None and min(resolve_jobs(jobs), len(shards)) >= 2
-    ):
+    if pool or (pool is None and backend == "shm"):
         try:
             return _run(_topology_workspace(topology), "shm")
         except ShmError as exc:
@@ -454,11 +461,15 @@ def monte_carlo_delay_matrix(
     backend (``jobs`` in ``(None, 1)``).  The rows are those of
     :func:`sample_parameter_batch` for the same seed.
 
-    ``backend`` picks the transport: ``"shm"`` (the ``None``/``"auto"``
-    choice for ``jobs >= 2``) publishes the compiled topology and sigma
-    arrays as zero-copy shared-memory blocks served by the warm worker
-    pool, falling back to serial when shared memory or workers are
-    unavailable; ``"serial"`` forces in-process evaluation.
+    ``jobs`` is an upper bound on workers: an op whose estimated work
+    (samples x nodes) is too small for the pool
+    (:func:`~repro.parallel.use_pool`) runs the same shards in process.
+    ``backend`` picks the transport when it does shard: ``"shm"`` (the
+    ``None``/``"auto"`` choice for ``jobs >= 2``) publishes the compiled
+    topology and sigma arrays as zero-copy shared-memory blocks served
+    by the warm worker pool, falling back to serial when shared memory
+    or workers are unavailable; ``"serial"`` forces in-process
+    evaluation.
 
     ``timeout``/``retries`` bound each shard's wall clock and its
     re-submission budget (see :func:`repro.parallel.run_sharded`).
@@ -484,17 +495,22 @@ def monte_carlo_delay_matrix(
                  "clip": float(clip)},
     ) as checkpoint, _span("variation.monte_carlo_sharded",
                            samples=samples, shards=len(shards),
-                           N=tree.num_nodes, backend=backend or "auto"):
+                           N=tree.num_nodes,
+                           backend=backend or "auto") as sp:
         seeds = spawn_shard_seeds(seed, len(shards))
+        label = "variation.parallel_run"
+        pool = use_pool(label, samples * tree.num_nodes * _MC_NS * 1e-6,
+                        jobs, backend, len(shards), sp)
         return _sweep_on_workspace(
             _mc_shard_task,
             topology,
             {"sr": sr, "sc": sc},
             shards,
+            pool,
             extras=[(clip, seeds[shard.index]) for shard in shards],
             jobs=jobs,
             backend=backend,
-            label="variation.parallel_run",
+            label=label,
             timeout=timeout,
             retries=retries,
             checkpoint=checkpoint,

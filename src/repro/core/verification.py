@@ -28,7 +28,7 @@ from repro.core.moments import transfer_moments
 from repro.core.statistics import WaveformStats, waveform_stats
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
-from repro.parallel import plan_shards, run_sharded
+from repro.parallel import plan_shards, run_sharded, use_pool
 from repro.resilience.checkpoint import journal, tree_fingerprint
 from repro.signals.base import Signal
 from repro.signals.step import StepInput
@@ -40,6 +40,19 @@ _SAMPLES_EVALUATED = _counter(
 _NODES_VERIFIED = _counter(
     "verify_nodes_total", "Nodes checked against the paper's claims"
 )
+
+#: In-process nanoseconds per verified node, impulse-response sample
+#: and tree node (the exact response sums one term per pole), the unit
+#: of the verification pool estimate (:func:`_estimate_ms`,
+#: ``benchmarks/results/parallel.txt``).
+_VERIFY_NS = 55.0
+
+
+def _estimate_ms(tree: RCTree, nodes: int, samples: int) -> float:
+    """Estimated in-process milliseconds to verify ``nodes`` of
+    ``tree`` at ``samples`` grid points per scale."""
+    return nodes * samples * tree.num_nodes * _VERIFY_NS * 1e-6
+
 
 __all__ = [
     "NodeVerdict",
@@ -141,8 +154,10 @@ def verify_tree(
         ``None`` (default) verifies in-process: one shard task over
         every node, sharing one exact analysis.  Any integer routes the
         node list through the sharded engine (:mod:`repro.parallel`):
-        ``1`` = serial backend, ``>= 2`` = that many worker processes.
-        Verdicts are bit-identical across all of these.
+        ``1`` = serial backend, ``>= 2`` = at most that many worker
+        processes, when the estimated work (nodes x samples x tree
+        size) pays for the pool; a smaller run verifies in process as
+        with ``None``.  Verdicts are bit-identical across all of these.
     shard_size:
         Nodes per shard for the sharded path (default: an even split
         into at most :data:`repro.parallel.DEFAULT_MAX_SHARDS`).
@@ -165,10 +180,21 @@ def verify_tree(
     target_nodes = list(nodes if nodes is not None else tree.node_names)
     with _span("verify.tree", nodes=len(target_nodes),
                samples=samples) as sp:
-        if jobs is None and backend is None and checkpoint_path is None:
+        sharded = not (jobs is None and backend is None
+                       and checkpoint_path is None)
+        if sharded:
+            shards = plan_shards(len(target_nodes), shard_size=shard_size)
+            pool = use_pool(
+                "verify.parallel_run",
+                _estimate_ms(tree, len(target_nodes), samples),
+                jobs, backend, len(shards), sp)
+            if pool is False:
+                # Too small for the pool: a journal keeps its plan on
+                # the serial backend, anything else runs as if unset.
+                sharded, backend = checkpoint_path is not None, "serial"
+        if not sharded:
             chunks = [_verify_shard_task((tree, target_nodes, samples))]
         else:
-            shards = plan_shards(len(target_nodes), shard_size=shard_size)
             sp.set_attribute("shards", len(shards))
             with journal(
                 checkpoint_path, "verify_tree", shards, resume,
@@ -240,14 +266,20 @@ def verify_corpus(
         lambda: {"trees": [tree_fingerprint(tree) for tree in trees],
                  "samples": int(samples)},
     ) as checkpoint, _span("verify.corpus", trees=len(trees),
-                           shards=len(shards), samples=samples):
+                           shards=len(shards), samples=samples) as sp:
+        label = "verify.parallel_run"
+        estimate = sum(_estimate_ms(tree, tree.num_nodes, samples)
+                       for tree in trees)
+        if use_pool(label, estimate, jobs, backend, len(shards),
+                    sp) is False:
+            backend = "serial"
         chunks = run_sharded(
             _corpus_shard_task,
             [(trees[shard.start:shard.stop], samples) for shard in shards],
             jobs=jobs,
             timeout=timeout,
             retries=retries,
-            label="verify.parallel_run",
+            label=label,
             backend=backend,
             checkpoint=checkpoint,
         )

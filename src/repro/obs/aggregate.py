@@ -19,7 +19,8 @@ The aggregation protocol has a worker half and a parent half:
 * **Parent** (:func:`merge_worker_payload`, called at the single point
   a shard result is *accepted*): graft the worker's span trees under
   the live ``parallel.run`` span as a ``parallel.worker`` subtree
-  tagged with ``pid``/``worker_id``/``shard``, fold counter and
+  tagged with ``pid``/``worker_id``/``shard`` (and the shard's
+  ``queue_ms``, submit to task start), fold counter and
   histogram deltas into the same-named parent metrics (so traced
   parallel totals match a serial run), and mirror every delta into a
   ``worker``-labeled child series for per-worker attribution.
@@ -296,8 +297,10 @@ def merge_worker_payload(
         return
     tracer = get_tracer()
     children = [span_from_dict(entry, tracer) for entry in spans]
-    wrapper = Span(tracer, "parallel.worker",
-                   {"pid": pid, "worker_id": wid, "shard": shard})
+    attributes = {"pid": pid, "worker_id": wid, "shard": shard}
+    if "queue_ms" in payload:
+        attributes["queue_ms"] = payload["queue_ms"]
+    wrapper = Span(tracer, "parallel.worker", attributes)
     if pid is not None:
         wrapper.pid = int(pid)
     wrapper.seq = next(tracer._seq)

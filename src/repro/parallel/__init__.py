@@ -14,6 +14,10 @@ them on one of two backends (:mod:`repro.parallel.executor`):
   descriptors instead of unpickling topology arrays and parameter
   matrices per shard.  ``auto`` picks it for ``jobs >= 2``.
 
+``jobs`` is an upper bound: every sharded op of the library asks
+:func:`use_pool` whether its estimated in-process work pays for a pool
+round trip, and a small op runs its shard task in process.
+
 The pool retries dead or hung shards on recycled workers and degrades
 to serial execution when retries run out or no worker can be forked;
 ndarray workloads whose shared memory is unavailable rerun serially on
@@ -40,6 +44,7 @@ from repro.parallel.executor import (
     resolve_backend,
     resolve_jobs,
     run_sharded,
+    use_pool,
 )
 from repro.parallel.plan import (
     DEFAULT_MAX_SHARDS,
@@ -73,6 +78,7 @@ __all__ = [
     "spawn_shard_seeds",
     "DEFAULT_MAX_SHARDS",
     "run_sharded",
+    "use_pool",
     "resolve_jobs",
     "resolve_backend",
     "available_backends",

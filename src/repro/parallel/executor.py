@@ -12,9 +12,16 @@ shard payloads and returns the results in payload order.  Backends
   long-lived :class:`~repro.parallel.pool.WarmPool` (forked once,
   reused across calls).  Workloads that publish their arrays through
   :mod:`repro.parallel.shm` hand workers compact descriptors instead of
-  pickled payloads; object workloads ride the same warm workers with
-  small pickled payloads (verification shards, and the STA's per-net
-  routing inputs, from which workers build the RC trees themselves).
+  pickled payloads (MC and row sweeps, and the STA, whose shards get
+  the descriptor of the design version's published net records and lay
+  their nets out once per worker); object workloads ride the same warm
+  workers with small pickled payloads (verification shards).
+
+``jobs`` is an upper bound on the workers, not a promise to use them:
+the library's sharded ops ask :func:`use_pool` first, and an op whose
+estimated in-process work is below one pool round trip's worth
+(:data:`_POOL_MIN_MS`) runs its shard task in process instead, with the
+same shard plan where it has one, so the rule moves no output bit.
 
 Robustness is built in rather than bolted on:
 
@@ -35,6 +42,7 @@ Robustness is built in rather than bolted on:
 
 Observability (``docs/observability.md``): spans ``parallel.run`` /
 ``parallel.shard``, counters ``parallel_shards_total``,
+``parallel_in_process_total``,
 ``parallel_retries_total``, ``parallel_timeouts_total``,
 ``parallel_degraded_total``, the warm-pool ``parallel_pool_*`` family,
 and the ``parallel_shard_seconds`` histogram of worker-measured shard
@@ -69,7 +77,8 @@ from repro.obs.trace import span as _span
 from repro.parallel.pool import lease_warm_pool
 from repro.resilience.faults import check as _fault_check
 
-__all__ = ["run_sharded", "resolve_jobs", "available_backends", "BACKENDS"]
+__all__ = ["run_sharded", "use_pool", "resolve_jobs", "available_backends",
+           "BACKENDS"]
 
 logger = logging.getLogger(__name__)
 
@@ -104,6 +113,21 @@ _BACKOFF_SECONDS = _histogram(
     "parallel_retry_backoff_seconds",
     "Backoff slept between retry waves after a pool rebuild",
 )
+_IN_PROCESS = _counter(
+    "parallel_in_process_total",
+    "Sharded ops run in process because their estimated work was below "
+    "the warm pool's threshold",
+)
+
+#: Estimated in-process milliseconds below which a sharded op runs in
+#: process although ``jobs >= 2`` allows the pool.  Two workers save at
+#: most half the work and add a round trip, so the pool pays once the
+#: work exceeds twice the round trip's overhead plus the busy time its
+#: shards add; ``benchmarks/bench_parallel.py::test_pool_threshold``
+#: derives both from the spans of warm pool runs (``wait_ms``,
+#: ``queue_ms``, worker busy time) and checks the rule against measured
+#: in-process and pool times (``benchmarks/results/parallel.txt``).
+_POOL_MIN_MS = 12.0
 
 
 #: Base seconds of the exponential backoff slept between retry waves.
@@ -138,6 +162,34 @@ def resolve_backend(backend: Optional[str]) -> Optional[str]:
             f"got {backend!r}"
         )
     return backend
+
+
+def use_pool(label: str, estimate_ms: float, jobs: Optional[int],
+             backend: Optional[str], shards: int,
+             span: Any) -> Optional[bool]:
+    """The one in-process-or-pool rule of the library's sharded ops.
+
+    ``None`` when ``jobs``/``backend`` alone keep an op of ``shards``
+    shards in process (``backend="serial"``, or fewer than two workers
+    once ``jobs`` is capped at ``shards``); nothing is recorded.
+    Otherwise ``True`` — fan out on the warm pool — when
+    ``estimate_ms``, the caller's estimate of its in-process work from
+    the sizes it can see, is at least :data:`_POOL_MIN_MS`, else
+    ``False``: the op runs its shard task in process.  ``span`` (the
+    op's span) gets ``pool`` and ``estimate_ms``, and an op the
+    estimate keeps in process counts in ``parallel_in_process_total``
+    under ``run=label``.
+    """
+    if resolve_backend(backend) == "serial" \
+            or min(resolve_jobs(jobs), shards) < 2:
+        return None
+    pool = estimate_ms >= _POOL_MIN_MS
+    span.set_attribute("pool", pool)
+    span.set_attribute("estimate_ms", round(float(estimate_ms), 3))
+    if not pool:
+        _IN_PROCESS.inc()
+        _IN_PROCESS.labels(run=label).inc()
+    return pool
 
 
 def available_backends() -> List[str]:
@@ -194,20 +246,26 @@ def _shard_result(out: Any) -> Tuple[Any, float, Any]:
 
 
 def _timed_task(
-    task: Callable[[Any], Any], payload: Any, capture: bool = False
+    task: Callable[[Any], Any], payload: Any, capture: bool,
+    submitted: float,
 ) -> Any:
     """Worker-side wrapper: run the shard, measure its duration, and —
     when the parent requested ``capture`` — record the worker's own
     spans and metric deltas into an obs payload
-    (:class:`repro.obs.aggregate.ShardObsCapture`).  Returns
-    ``(value, elapsed, obs_payload_or_None)``."""
+    (:class:`repro.obs.aggregate.ShardObsCapture`), with ``queue_ms``,
+    the time since the parent submitted the shard at ``submitted``
+    (``time.monotonic``, one clock for every process on the host).
+    Returns ``(value, elapsed, obs_payload_or_None)``."""
+    queued = time.monotonic() - submitted
     _worker_entry_faults()
     if capture:
         with _aggregate.ShardObsCapture() as obs:
             start = time.perf_counter()
             value = task(payload)
             elapsed = time.perf_counter() - start
-        return _maybe_malform((value, elapsed, obs.payload()))
+        report = obs.payload()
+        report["queue_ms"] = queued * 1e3
+        return _maybe_malform((value, elapsed, report))
     tracer = _get_tracer()
     if tracer.enabled:
         # A warm worker forked while the parent was tracing inherits an
@@ -269,8 +327,13 @@ def run_sharded(
         be deterministic (see :func:`repro.parallel.plan.plan_shards`);
         this function only chooses where each shard runs.
     jobs:
-        ``None``/``0``/``1`` — serial backend; ``>= 2`` — that many
-        worker processes (capped at the shard count).
+        An upper bound on worker processes: ``None``/``0``/``1`` —
+        serial backend; ``>= 2`` — at most that many workers (capped at
+        the shard count).  This function runs the shards where
+        ``jobs``/``backend`` say; the library's sharded ops ask
+        :func:`use_pool` first and pass ``backend="serial"`` when their
+        estimated work is too small for the pool, so small ops stay in
+        process whatever ``jobs`` allows.
     timeout:
         Per-shard seconds the parent waits before declaring the shard
         hung and recycling the pool (``None`` = wait forever).
@@ -418,9 +481,13 @@ def _submit_and_collect(
     retry succeeds contributes its deltas exactly once.
 
     The wave's round trip is attributed on ``run_span``: ``submit_ms``
-    is the time to submit every shard (pickling the payloads), and
-    ``first_result_ms`` the time from the first submit until the first
-    good shard result comes back (a retry wave overwrites both).
+    is the time to queue every shard with the pool, ``first_result_ms``
+    the time from the first submit until the first good shard result
+    comes back, and ``wait_ms`` the time the parent spent blocked on
+    results (a retry wave overwrites all three).  Each worker's
+    ``parallel.worker`` span carries its shard's ``queue_ms``, from
+    submit to task start: payload pickling in the pool's feeder thread,
+    the pipe, and the wait for a free worker.
     """
     futures: Dict[int, Future] = {}
     failed: List[int] = []
@@ -428,7 +495,8 @@ def _submit_and_collect(
     for position, index in enumerate(todo):
         try:
             futures[index] = pool.submit(
-                _timed_task, task, payloads[index], capture
+                _timed_task, task, payloads[index], capture,
+                time.monotonic(),
             )
         except (BrokenProcessPool, RuntimeError):
             failed.extend(todo[position:])
@@ -436,6 +504,7 @@ def _submit_and_collect(
     run_span.set_attribute("submit_ms", (time.perf_counter() - start) * 1e3)
     first = True
     timed_out = False
+    waited = 0.0
     for index, future in futures.items():
         if timed_out and not future.done():
             # One hung shard poisons the wave's unfinished futures too
@@ -443,10 +512,13 @@ def _submit_and_collect(
             # pass the checks below.
             failed.append(index)
             continue
+        blocked = time.perf_counter()
         try:
-            value, elapsed, obs = _shard_result(
-                future.result(timeout=timeout)
-            )
+            try:
+                out = future.result(timeout=timeout)
+            finally:
+                waited += time.perf_counter() - blocked
+            value, elapsed, obs = _shard_result(out)
         except FuturesTimeoutError:
             logger.warning(
                 "shard %d exceeded its %.3gs timeout", index, timeout
@@ -475,4 +547,5 @@ def _submit_and_collect(
                 )
             continue
         failed.append(index)
+    run_span.set_attribute("wait_ms", waited * 1e3)
     return failed

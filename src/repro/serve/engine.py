@@ -8,7 +8,9 @@ sweeps are row-independent, slicing a request's rows back out of the
 coalesced result returns exactly the bits a solo sweep of that request
 would have produced — the property the coalescing tests pin.
 
-With ``jobs >= 2`` a big enough batch rides the zero-copy row sweep of
+With ``jobs >= 2`` a batch big enough for the pool
+(:func:`~repro.parallel.use_pool`, from rows x nodes) rides the
+zero-copy row sweep of
 :mod:`repro.core.variation`: shards read the shm-published topology and
 ``res``/``cap`` blocks and write their ``m_0..m_3`` into one ``out``
 block.  The shard plan depends only on the row count, so results stay
@@ -35,7 +37,7 @@ from repro.core.batch import BatchMoments, TreeTopology, \
     batch_transfer_moments, compile_topology
 from repro.core.variation import _attached_topology, _sweep_on_workspace
 from repro.obs.trace import span as _span
-from repro.parallel import DEFAULT_MAX_SHARDS, plan_shards
+from repro.parallel import DEFAULT_MAX_SHARDS, plan_shards, use_pool
 from repro.serve.schemas import StatsRequest
 
 __all__ = ["StatsEngine"]
@@ -44,14 +46,13 @@ __all__ = ["StatsEngine"]
 #: sigma, and skewness — the paper's whole bound pipeline).
 STATS_ORDER = 3
 
-#: Rows per shard when a sweep fans out over the pool; small batches
-#: stay in-process (sharding a 4-row sweep would be pure overhead).
+#: Fewest rows per shard when a sweep fans out over the pool.
 MIN_ROWS_PER_SHARD = 64
 
-#: Smallest sweep (rows x nodes) that fans out: below it a 2-worker
-#: pool ran slower than the in-process sweep, its publication and round
-#: trips outweighing the half of the sweep it saves.
-MIN_SHARDED_ELEMENTS = 1 << 19
+#: In-process nanoseconds per row and node of the order-3 moment sweep,
+#: the unit of the sweep's pool estimate
+#: (``benchmarks/results/parallel.txt``).
+_STATS_NS = 90.0
 
 
 def _stats_shard_task(payload) -> int:
@@ -121,8 +122,8 @@ class StatsEngine:
         resistances = np.concatenate([r.resistances for r in requests])
         capacitances = np.concatenate([r.capacitances for r in requests])
         with _span("serve.batch", key=key, requests=len(requests),
-                   rows=int(resistances.shape[0])):
-            coeffs = self._sweep(topo, resistances, capacitances)
+                   rows=int(resistances.shape[0])) as sp:
+            coeffs = self._sweep(topo, resistances, capacitances, sp)
         bounds = np.cumsum([0] + [r.rows for r in requests]).tolist()
         return [
             self._response(r, BatchMoments(topo, coeffs[:, a:b, :]),
@@ -135,28 +136,35 @@ class StatsEngine:
         topo: TreeTopology,
         resistances: np.ndarray,
         capacitances: np.ndarray,
+        span,
     ) -> np.ndarray:
         """``(order + 1, B, N)`` transfer coefficients for the batch.
 
-        Shards the rows only when both the configured ``jobs`` and the
-        batch size warrant it; the plan reads the row count alone, and
-        either path returns the same bits (row-independent sweeps).
+        Shards the rows only when the configured ``jobs`` and the rule
+        of :func:`~repro.parallel.use_pool` (recorded on ``span``) both
+        warrant it; the plan reads the row count alone, and either path
+        returns the same bits (row-independent sweeps).
         """
         total = int(resistances.shape[0])
-        if (self.jobs or 1) < 2 or total < 2 * MIN_ROWS_PER_SHARD \
-                or total * topo.num_nodes < MIN_SHARDED_ELEMENTS:
-            return batch_transfer_moments(
-                topo, STATS_ORDER, resistances, capacitances
-            ).coefficients
         shards = plan_shards(total, shard_size=max(
             MIN_ROWS_PER_SHARD, -(-total // DEFAULT_MAX_SHARDS)
         ))
+        label = "serve.sweep"
+        if not use_pool(label, resistances.size * _STATS_NS * 1e-6,
+                        self.jobs, self.backend, len(shards), span):
+            return batch_transfer_moments(
+                topo, STATS_ORDER, resistances, capacitances
+            ).coefficients
         out = _sweep_on_workspace(
             _stats_shard_task, topo, {"res": resistances, "cap": capacitances},
-            shards, jobs=self.jobs, backend=self.backend, label="serve.sweep",
+            shards, pool=True, jobs=self.jobs, backend=self.backend,
+            label=label,
             width=(STATS_ORDER + 1) * topo.num_nodes,
         )
-        return out.reshape(total, STATS_ORDER + 1, -1).transpose(1, 0, 2)
+        # Contiguous like the in-process sweep's: the response shaping
+        # runs ~30% slower over the transposed view.
+        return np.ascontiguousarray(
+            out.reshape(total, STATS_ORDER + 1, -1).transpose(1, 0, 2))
 
     # -- per-request response shaping ----------------------------------
     def _response(

@@ -90,7 +90,7 @@ from repro.core.variation import (
 )
 from repro.obs.metrics import counter as _counter
 from repro.obs.trace import span as _span
-from repro.parallel import plan_shards, resolve_backend
+from repro.parallel import plan_shards, resolve_backend, use_pool
 from repro.sta.interconnect import NetForest
 from repro.sta.levels import TimingLevels
 from repro.sta.netlist import Design, Pin
@@ -124,6 +124,11 @@ _FORMS = _counter(
 _MC_SAMPLES = _counter(
     "ssta_mc_samples_total", "Monte-Carlo oracle samples evaluated"
 )
+
+#: In-process nanoseconds per row and node of a batched Elmore sweep of
+#: pre-drawn rows, the unit of :func:`_sweep_rows`' pool estimate
+#: (``benchmarks/results/parallel.txt``).
+_ROWS_NS = 20.0
 
 
 @dataclass(frozen=True)
@@ -855,9 +860,12 @@ def analyze_ssta(
 
     The deterministic Elmore analysis runs first (reusing its batched
     forest sweeps; ``jobs``/``backend``/``checkpoint_path``/``resume``
-    are forwarded to it, so the heavy interconnect evaluation shards
-    across workers / the shm warm pool and journals exactly like
-    ``repro sta``), and the same pass returns every net's SSTA
+    are forwarded to it, so the interconnect evaluation shards across
+    workers / the shm warm pool and journals exactly like ``repro sta``:
+    ``jobs`` is an upper bound, and a design whose estimated shard work
+    with the coefficients is too small for the pool
+    (:func:`~repro.parallel.use_pool`) is evaluated in process), and
+    the same pass returns every net's SSTA
     coefficients (computed in the shard task, next to its sweep).  The
     statistical walk then mirrors the deterministic one, a level of the
     timing graph at a time (see the module docstring): gate-input
@@ -948,24 +956,33 @@ def _sweep_rows(
     cap: np.ndarray,
     jobs: Optional[int],
     backend: Optional[str],
+    span,
 ) -> np.ndarray:
     """Batched Elmore delays for explicit (B, N) parameter rows.
 
     One in-process call by default; with ``jobs``/``backend`` the rows
-    shard across the parallel engine — on the warm pool the compiled
-    forest and both parameter blocks are published as shm blocks and
-    workers write into a shared output block (zero pickled arrays).
+    shard across the parallel engine — on the warm pool, when the rule
+    of :func:`~repro.parallel.use_pool` gives it ``B x N`` (recorded on
+    ``span``), the compiled forest and both parameter blocks are
+    published as shm blocks and workers write into a shared output
+    block (zero pickled arrays); otherwise the same shards run in
+    process.
     """
     if jobs is None and resolve_backend(backend) is None:
         return batch_elmore_delays(topology, res, cap)
+    shards = plan_shards(res.shape[0])
+    label = "ssta.parallel_run"
+    pool = use_pool(label, res.size * _ROWS_NS * 1e-6, jobs, backend,
+                    len(shards), span)
     return _sweep_on_workspace(
         _rows_shard_task,
         topology,
         {"res": res, "cap": cap},
-        plan_shards(res.shape[0]),
+        shards,
+        pool,
         jobs=jobs,
         backend=backend,
-        label="ssta.parallel_run",
+        label=label,
     )
 
 
@@ -1039,7 +1056,8 @@ def monte_carlo_arrivals(
         )
         res_rows = topology.resistances * (1.0 + np.clip(xr, -clip, clip))
         cap_rows = topology.capacitances * (1.0 + np.clip(xc, -clip, clip))
-        delays = _sweep_rows(topology, res_rows, cap_rows, jobs, backend)
+        delays = _sweep_rows(topology, res_rows, cap_rows, jobs, backend,
+                             sp)
 
         # Pin-major (pins, B) arrivals, one level at a time.
         wire = delays.T

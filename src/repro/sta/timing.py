@@ -60,9 +60,8 @@ from repro.parallel import (
     ShmWorkspace,
     WorkspaceRegistry,
     attach_workspace,
-    resolve_backend,
-    resolve_jobs,
     run_sharded,
+    use_pool,
 )
 from repro.parallel.shm import publish_workspace, record_fallback
 from repro.resilience.checkpoint import journal, tree_fingerprint
@@ -121,6 +120,39 @@ DELAY_MODELS: Dict[str, int] = {
     "two_pole": 4,
     "awe4": 8,
 }
+
+
+#: In-process microseconds per evaluated sink of each delay model's
+#: shard task (the forest sweep and the model's delay), the unit of the
+#: STA/SSTA pool estimate (:func:`_estimate_ms`); with a process model
+#: each sink adds :data:`_COEFFICIENT_US` of SSTA coefficients, and on
+#: a design version's first analysis :data:`_LAYOUT_US` of net layout
+#: (``benchmarks/results/parallel.txt``).
+_SINK_US: Dict[str, float] = {
+    "elmore": 0.3,
+    "exact": 270.0,
+    "ln2_elmore": 1.0,
+    "lower_bound": 2.0,
+    "lognormal": 9.0,
+    "d2m": 9.0,
+    "two_pole": 800.0,
+    "awe4": 800.0,
+}
+_COEFFICIENT_US = 2.5
+_LAYOUT_US = 5.0
+
+
+def _estimate_ms(sinks: int, delay_model: str, process,
+                 laid_out: bool) -> float:
+    """Estimated in-process milliseconds of the net shard task over
+    ``sinks`` sinks: the model's sweep, the coefficients with a
+    ``process``, and the layout unless the version is ``laid_out``."""
+    per_sink = _SINK_US[delay_model]
+    if process is not None:
+        per_sink += _COEFFICIENT_US
+    if not laid_out:
+        per_sink += _LAYOUT_US
+    return sinks * per_sink * 1e-3
 
 
 def _exact_delays(net: NetArrays) -> List[float]:
@@ -552,11 +584,15 @@ def _precompute_nets(
     :class:`_NetPart`, cached on ``compiled`` and reused while the
     design and ``wire_load`` stay the same (see :func:`_net_part`).
     Calls with ``net_overrides`` lay their nets out afresh and keep
-    nothing.  With ``jobs``, ``backend`` and ``checkpoint_path`` unset
-    the task runs in process on one shard of every net.  Otherwise the
-    nets split into the deterministic :func:`_net_plan` shards, fanned
-    out through :mod:`repro.parallel` (``1`` = serial backend, ``>= 2``
-    = worker processes) with bit-identical results.  In the parent the
+    nothing.  With ``jobs``, ``backend`` and ``checkpoint_path`` unset,
+    or when :func:`~repro.parallel.use_pool` finds the estimated work
+    (:func:`_estimate_ms`) too small for the pool and no journal is
+    kept, the task runs in process on one shard of every net.
+    Otherwise the nets split into the deterministic :func:`_net_plan`
+    shards, fanned out through :mod:`repro.parallel` (``1`` = serial
+    backend, ``>= 2`` = worker processes; a journaled run the rule keeps
+    in process runs them on the serial backend) with bit-identical
+    results.  In the parent the
     forests are laid out once per design version.  On the pool the
     records are published once per design version as one shared-memory
     block (an overrides call's for that call only), so only a
@@ -587,15 +623,24 @@ def _precompute_nets(
         _NETS_EVALUATED.inc(total)
         sharded = not (jobs is None and backend is None
                        and checkpoint_path is None)
-        # In process, one shard of every net: one sweep of one forest.
-        shards = _net_plan(total) if sharded else [Shard(0, 0, total)]
+        shards, pool = _net_plan(total), None
+        if sharded:
+            pool = use_pool("sta.parallel_run",
+                            _estimate_ms(len(part.pins), delay_model,
+                                         process, cached),
+                            jobs, backend, len(shards), sp)
+            # Too small for the pool: a journal keeps its plan on the
+            # serial backend, anything else runs as if ``jobs`` unset.
+            sharded = not (pool is False and checkpoint_path is None)
         if sharded:
             sp.set_attribute("shards", len(shards))
+        else:
+            # In process, one shard of every net: one sweep of one forest.
+            shards = [Shard(0, 0, total)]
         keep = not net_overrides
         workspace = forests = None
         with _span("sta.forest_publish", shards=len(shards)) as fp:
-            if sharded and resolve_backend(backend) != "serial" \
-                    and min(resolve_jobs(jobs), len(shards)) >= 2:
+            if pool:
                 try:
                     workspace, fresh = _publish(part, shards, keep)
                 except ShmError as exc:
@@ -818,12 +863,20 @@ def analyze(
     jobs:
         Fan the per-net interconnect evaluation out through the sharded
         engine (:mod:`repro.parallel`; ``1`` = serial backend, ``>= 2``
-        = worker processes), whatever the delay model.  Arrival/slew
-        results are bit-identical to the default in-process path.
+        = at most that many worker processes), whatever the delay
+        model.  ``jobs`` is an upper bound: an analysis whose estimated
+        shard work (the sinks weighted by the delay model's cost, plus
+        the SSTA coefficients and, on a design version's first
+        analysis, the net layout) is below one pool round trip's worth
+        (:func:`~repro.parallel.use_pool`) runs in process as without
+        ``jobs`` (a journaled one keeps its shards, on the serial
+        backend).  Arrival/slew results are bit-identical to the
+        default in-process path.
     backend:
         Execution backend for the sharded path (``"serial"`` or
         ``"shm"``; default auto).  ``"shm"`` selects the warm worker
-        pool: the design version's net records are published once as
+        pool for an analysis that does fan out: the design version's
+        net records are published once as
         shared-memory blocks (unlinked when the version is dropped, and
         for at most :data:`~repro.parallel.shm.MAX_PUBLISHED_WORKSPACES`
         versions at once; a ``net_overrides`` call's only for that

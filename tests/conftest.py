@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.parallel as parallel
+import repro.parallel.executor as executor
 from repro.circuit import RCTree, rc_line
 from repro.parallel.shm import active_segment_names
 from repro.workloads import fig1_tree, mixed_corpus, tree25
@@ -127,3 +128,13 @@ def corpus():
 def rng():
     """Seeded generator for test-local randomness."""
     return np.random.default_rng(20260707)
+
+
+@pytest.fixture()
+def pool_always(monkeypatch):
+    """Pin the in-process-or-pool threshold (``_POOL_MIN_MS``) to 0, so
+    every op that ``jobs``/``backend`` allow on the warm pool fans out
+    on it whatever its size: for the tests whose subject is the pool
+    itself (worker death and retry, timeouts, malformed results, shm
+    publication and leaks, worker obs merge, cross-backend resume)."""
+    monkeypatch.setattr(executor, "_POOL_MIN_MS", 0.0)

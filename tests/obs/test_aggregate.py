@@ -196,6 +196,7 @@ class TestMergeWorkerPayload:
 # End to end through the sharded engine.
 
 @needs_shm
+@pytest.mark.usefixtures("pool_always")
 class TestSharded:
     def test_traced_run_merges_spans_and_counter_sums(self):
         reg = get_registry()
@@ -224,10 +225,15 @@ class TestSharded:
         run_root = tracer.find("parallel.run")[0]
         assert all(w in run_root.children for w in workers)
         # The pool round trip is attributed on the run span: submitting
-        # every shard, then waiting for the first result, within its wall.
+        # every shard, then waiting for the first result, within its wall;
+        # the parent's blocked wait; each shard's submit-to-start queueing.
+        wall = run_root.duration * 1e3
         submit = run_root.attributes["submit_ms"]
         first = run_root.attributes["first_result_ms"]
-        assert 0.0 <= submit <= first <= run_root.duration * 1e3
+        assert 0.0 <= submit <= first <= wall
+        assert 0.0 <= run_root.attributes["wait_ms"] <= wall
+        for wrapper in workers:
+            assert 0.0 <= wrapper.attributes["queue_ms"] <= wall
 
     def test_disabled_tracing_ships_no_payloads(self):
         reg = get_registry()

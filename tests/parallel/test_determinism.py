@@ -8,6 +8,7 @@ the **same bits**, not merely statistically equivalent output.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.variation import (
     VariationModel,
@@ -17,6 +18,10 @@ from repro.core.variation import (
 from repro.core.verification import verify_corpus, verify_tree
 from repro.sta import analyze
 from repro.workloads import fig1_tree, mixed_corpus, random_design
+
+# Each test pins the pool against the serial reference, so small ops
+# stay on the pool rather than in process.
+pytestmark = pytest.mark.usefixtures("pool_always")
 
 MODEL = VariationModel(resistance_sigma=0.1, capacitance_sigma=0.08)
 

@@ -35,9 +35,12 @@ from repro.parallel import (
 )
 from repro.parallel.shm import active_segment_names
 
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="no shared-memory support on this host"
-)
+pytestmark = [
+    pytest.mark.skipif(not shm_available(),
+                       reason="no shared-memory support on this host"),
+    # Every test here is about the pool: keep small ops on it.
+    pytest.mark.usefixtures("pool_always"),
+]
 
 _PARENT = os.getpid()
 

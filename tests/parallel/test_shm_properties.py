@@ -182,6 +182,7 @@ class TestRepublication:
         assert active_segment_names() == ()
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestShmEqualsSerial:
     @given(
         tree=rc_trees(min_nodes=2, max_nodes=10),

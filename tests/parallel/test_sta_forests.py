@@ -52,6 +52,7 @@ def publishes(tracer):
             for span in tracer.find("sta.forest_publish")]
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestPublishOnce:
     def test_one_publish_per_design_version(self):
         design = random_design(**SHARDED)
@@ -96,6 +97,7 @@ class TestPublishOnce:
         assert len(sizes) == 2
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestUnlink:
     def test_a_dropped_version_unlinks_its_records(self):
         design = random_design(**SHARDED)
@@ -142,6 +144,7 @@ class TestUnlink:
         assert design._compiled.nets is None
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestFallback:
     def test_failed_publish_falls_back_and_leaves_no_segment(self):
         design = random_design(**SHARDED)
@@ -204,6 +207,7 @@ class TestConcurrentPublish:
         assert sta_segments() == []
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestFinalizers:
     def test_republishing_adds_no_finalizer(self):
         """Cycling one design more than the cap through the pool evicts

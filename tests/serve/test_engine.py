@@ -3,8 +3,10 @@
 A coalesced batch big enough to shard must answer with exactly the
 bytes of the in-process sweep on every backend and worker count, ride
 the shm transport when asked to, and plan its shards from the row count
-alone.  A small batch stays in-process, and the segments a server
-publishes stay bounded whatever topologies its clients send.
+alone.  A batch too small for the pool stays in process (the shared
+rule of ``repro.parallel.use_pool``), and the segments a server
+publishes stay bounded whatever topologies its clients send.  The tests
+of the sharded path pin the rule's threshold to 0 (``pool_always``).
 """
 
 import json
@@ -13,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.parallel.executor as executor
 from repro.obs.metrics import counter
 from repro.obs.trace import tracing
 from repro.parallel.shm import MAX_PUBLISHED_WORKSPACES, \
@@ -20,7 +23,7 @@ from repro.parallel.shm import MAX_PUBLISHED_WORKSPACES, \
 from repro.resilience.faults import clear_faults, install_faults
 from repro.serve import ServeConfig
 from repro.serve.app import ReproServer
-from repro.serve.engine import MIN_SHARDED_ELEMENTS, StatsEngine
+from repro.serve.engine import StatsEngine
 from repro.serve.schemas import parse_stats_request, resolve_workload
 
 #: Blocks in one published stats workspace: the topology's index,
@@ -30,8 +33,7 @@ WORKSPACE_BLOCKS = 6
 
 def _batch(workload="balanced:10x2", rows=(470, 50)):
     """Two coalesced requests on one topology (by default 470 + 50 rows
-    of a 1023-node tree, past the engine's sharding threshold), each
-    reporting three nodes."""
+    of a 1023-node tree), each reporting three nodes."""
     nodes = list(resolve_workload(workload).node_names)[-3:]
     return [
         parse_stats_request({
@@ -64,12 +66,14 @@ def reference():
 @pytest.mark.parametrize("jobs, backend", [
     (2, "shm"), (3, None), (2, "serial"),
 ])
+@pytest.mark.usefixtures("pool_always")
 def test_sharded_sweep_matches_in_process(reference, jobs, backend):
     requests = _batch()
     engine = StatsEngine(jobs=jobs, backend=backend)
     assert _dump(engine.evaluate(requests[0].key, requests)) == reference
 
 
+@pytest.mark.usefixtures("pool_always")
 def test_shm_sweep_publishes_through_the_workspace():
     requests = _batch()
     published = counter("parallel_shm_publish_total").value
@@ -81,17 +85,23 @@ def test_shm_sweep_publishes_through_the_workspace():
 
 def test_small_batch_stays_in_process():
     requests = _batch("tree25", rows=(300, 50))
-    assert 350 * 25 < MIN_SHARDED_ELEMENTS
     published = counter("parallel_shm_publish_total").value
+    kept = counter("parallel_in_process_total").labels(run="serve.sweep")
+    before = kept.value
     with tracing() as tracer:
         responses = StatsEngine(jobs=2, backend="shm").evaluate(
             requests[0].key, requests)
         assert tracer.find("serve.sweep") == []
+        (batch,) = tracer.find("serve.batch")
+    assert batch.attributes["pool"] is False
+    assert 0.0 < batch.attributes["estimate_ms"] < executor._POOL_MIN_MS
+    assert kept.value == before + 1
     assert counter("parallel_shm_publish_total").value == published
     assert _dump(responses) == _dump(
         StatsEngine().evaluate(requests[0].key, requests))
 
 
+@pytest.mark.usefixtures("pool_always")
 def test_shard_plan_reads_the_row_count_alone():
     requests = _batch()
     shards = {}
@@ -103,6 +113,7 @@ def test_shard_plan_reads_the_row_count_alone():
     assert shards[2] == shards[3] > 1
 
 
+@pytest.mark.usefixtures("pool_always")
 def test_recycled_sweep_retires_the_engine_topologies():
     server = ReproServer(ServeConfig(port=0, jobs=2, backend="shm"))
     try:
@@ -123,6 +134,7 @@ def test_recycled_sweep_retires_the_engine_topologies():
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+@pytest.mark.usefixtures("pool_always")
 def test_published_segments_stay_bounded():
     """A 2000-level chain publishes as many blocks as a shallow tree,
     and only the newest few topologies stay published."""
@@ -138,6 +150,7 @@ def test_published_segments_stay_bounded():
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+@pytest.mark.usefixtures("pool_always")
 def test_failed_topology_publication_leaves_no_segment():
     requests = _batch("balanced:2000x1", rows=(250, 20))
     reference = _dump(StatsEngine().evaluate("chain", requests))

@@ -64,6 +64,7 @@ def test_matches_the_per_tree_oracle(model, case):
                 (driver ** 2 + dispersion[sink]) ** 0.5, sink
 
 
+@pytest.mark.usefixtures("pool_always")
 @pytest.mark.parametrize("model", list(DELAY_MODELS))
 def test_serial_equals_shm(model):
     design = random_design(8, 40, seed=1)
@@ -87,6 +88,7 @@ def one_rc_chain():
         {"n1": (tree, {Pin("u1", "a"): "drv"})}
 
 
+@pytest.mark.usefixtures("pool_always")
 @pytest.mark.parametrize("engine", [{}, {"jobs": 2, "backend": "shm"}],
                          ids=["serial", "shm2"])
 @pytest.mark.parametrize("model", ["two_pole", "awe4"])

@@ -55,6 +55,7 @@ class TestPlan:
         assert min(sizes) >= min(FLOOR, total)
         assert max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.usefixtures("pool_always")
     def test_plan_ignores_jobs(self):
         design = design_with_nets(3 * FLOOR)
         two, at_two = shards_run(design=design, jobs=2)
@@ -63,6 +64,7 @@ class TestPlan:
         assert two.arrival == three.arrival
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestFloorBitIdentity:
     """Serial and shm@2 arrivals agree bit for bit on both sides of the
     one-shard/two-shard edge."""
@@ -81,6 +83,7 @@ class TestFloorBitIdentity:
         assert serial.critical_delay == shm.critical_delay
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestSmallDesignsThroughThePool:
     """A design under the floor is one shard, which the executor runs
     in the parent; with the floor lowered to one net per shard the same

@@ -134,6 +134,7 @@ class TestMonteCarloValidation:
         assert val.max_sigma_rel_err <= SIGMA_TOL
         assert val.within(MEAN_TOL, SIGMA_TOL)
 
+    @pytest.mark.usefixtures("pool_always")
     def test_shm_backend_oracle_within_tolerance(self, model):
         # The acceptance gate: canonical mean/sigma vs the Monte-Carlo
         # oracle swept on the shm warm pool.
@@ -144,6 +145,7 @@ class TestMonteCarloValidation:
         assert val.max_mean_rel_err <= MEAN_TOL
         assert val.max_sigma_rel_err <= SIGMA_TOL
 
+    @pytest.mark.usefixtures("pool_always")
     def test_oracle_bit_identical_across_backends(self, model):
         design = random_design(layers=3, width=4, seed=5)
         ports, serial = monte_carlo_arrivals(design, model, 400, seed=11)

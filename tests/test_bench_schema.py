@@ -83,6 +83,7 @@ class TestSerialBaselineUnperturbed:
     the serial sweep; that baseline must be byte-stable across shm
     activity in the same process."""
 
+    @pytest.mark.usefixtures("pool_always")
     def test_serial_rows_identical_before_and_after_shm(self):
         tree = balanced_tree(5, 2, 25.0, 8e-15, driver_resistance=120.0,
                              leaf_load=4e-15)

@@ -118,6 +118,7 @@ class TestUnreadableInput:
 
 
 class TestStatsMonteCarlo:
+    @pytest.mark.usefixtures("pool_always")
     @pytest.mark.parametrize("flags", [
         ["--jobs", "1"], ["--jobs", "2"], ["--backend", "serial"],
     ])

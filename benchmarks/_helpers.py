@@ -17,9 +17,12 @@ End-to-end performance is measured by ``benchmarks/e2e/`` instead.
 
 import json
 import os
+import platform
 import subprocess
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.obs.report import atomic_write_text, environment_info
 
@@ -49,6 +52,20 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
     if out.returncode != 0:
         return None
     return out.stdout.strip() or None
+
+
+def host_fingerprint() -> str:
+    """One line naming the CPU model and count, Python, NumPy and OS."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as handle:
+            model = next(line.split(":", 1)[1].strip() for line in handle
+                         if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return (f"host: {model}, {os.cpu_count()} cpus, Python "
+            f"{platform.python_version()}, NumPy {np.__version__}, "
+            f"{platform.platform()}")
 
 
 def render_table(

@@ -31,9 +31,9 @@ Quick mode (``REPRO_BENCH_QUICK=1``) shrinks the sample count and the
 designs so the CI smoke job finishes in seconds.
 """
 
+import functools
 import gc
 import os
-import platform
 import statistics
 import time
 from contextlib import contextmanager
@@ -43,7 +43,7 @@ import numpy as np
 from repro.circuit import balanced_tree
 from repro.core.variation import VariationModel, monte_carlo_delay_matrix
 
-from benchmarks._helpers import report
+from benchmarks._helpers import host_fingerprint, report
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 SAMPLES = 600 if QUICK else 6000
@@ -63,13 +63,9 @@ def mc_sweep(tree, jobs, backend):
     )
 
 
-def _time(fn, *args, repeats=2):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Timed calls per leg of :func:`test_parallel_speedup`, whose medians
+#: it compares.
+SPEEDUP_REPEATS = 7
 
 
 def test_parallel_speedup(benchmark):
@@ -80,25 +76,26 @@ def test_parallel_speedup(benchmark):
     cores = os.cpu_count() or 1
 
     legs = [("serial", 1)] + [("shm", jobs) for jobs in SHM_JOBS]
-    rows = []
-    speedups = {}
-    serial_time = None
-    for backend, jobs in legs:
-        result = mc_sweep(tree, jobs, backend)
-        # Determinism gate: every row returns the serial bits.
-        np.testing.assert_array_equal(result, reference)
-        # The first (untimed) call above also warmed the pool and
-        # published the topology blocks, so the timing below measures
-        # the steady state the transport is designed for.
-        elapsed = _time(mc_sweep, tree, jobs, backend)
-        serial_time = serial_time or elapsed
-        speedups[(backend, jobs)] = serial_time / elapsed
-        rows.append([
-            backend, str(jobs), str(tree.num_nodes), str(SAMPLES),
-            f"{elapsed * 1e3:.1f} ms",
-            f"{speedups[(backend, jobs)]:.2f}x",
-            "yes",
-        ])
+    modes = [(f"{backend}@{jobs}", {"jobs": jobs, "backend": backend}, None)
+             for backend, jobs in legs]
+    for _, kwargs, _ in modes:
+        # Determinism gate: every leg returns the serial bits.  This
+        # untimed call also warms the pool and publishes the topology
+        # blocks, so the timings below measure the steady state the
+        # transport is designed for.
+        np.testing.assert_array_equal(mc_sweep(tree, **kwargs), reference)
+    # The legs take turns, so a drift in the host's speed reaches each
+    # of their medians alike.
+    medians, _ = _interleaved(lambda: functools.partial(mc_sweep, tree),
+                              SPEEDUP_REPEATS, modes)
+    speedups = {name: medians["serial@1"] / elapsed
+                for name, elapsed in medians.items()}
+    rows = [
+        [kwargs["backend"], str(kwargs["jobs"]), str(tree.num_nodes),
+         str(SAMPLES), f"{medians[name] * 1e3:.1f} ms",
+         f"{speedups[name]:.2f}x", "yes"]
+        for name, kwargs, _ in modes
+    ]
     report(
         "parallel_speedup",
         f"Sharded Monte-Carlo Elmore sweep ({SAMPLES} samples, "
@@ -108,9 +105,7 @@ def test_parallel_speedup(benchmark):
         rows,
         extra={
             "cores": cores, "samples": SAMPLES,
-            "speedup": {
-                f"{b}@{j}": s for (b, j), s in speedups.items()
-            },
+            "speedup": speedups,
         },
     )
     repro.parallel.shutdown()
@@ -118,9 +113,9 @@ def test_parallel_speedup(benchmark):
     # Speedup needs cores; a 1-core container still validated the
     # determinism gate and produced the table above.
     if cores >= 2 and not QUICK:
-        assert speedups[("shm", 2)] >= 1.3, (
+        assert speedups["shm@2"] >= 1.3, (
             f"expected the shm backend >= 1.3x over serial at jobs=2 on "
-            f"{cores} cores, got {speedups[('shm', 2)]:.2f}x"
+            f"{cores} cores, got {speedups['shm@2']:.2f}x"
         )
 
 
@@ -225,19 +220,6 @@ def _median_ms(fn, repeats=REPEATS):
         fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times) * 1e3
-
-
-def _host():
-    model = platform.processor() or platform.machine()
-    try:
-        with open("/proc/cpuinfo") as handle:
-            model = next(line.split(":", 1)[1].strip() for line in handle
-                         if line.startswith("model name"))
-    except (OSError, StopIteration):
-        pass
-    return (f"host: {model}, {os.cpu_count()} cpus, Python "
-            f"{platform.python_version()}, NumPy {np.__version__}, "
-            f"{platform.platform()}")
 
 
 def _unit_costs():
@@ -380,7 +362,7 @@ def test_pool_threshold():
     from repro.sta.ssta import analyze_ssta
     from repro.workloads import random_design
 
-    notes = [_host(), ""]
+    notes = [host_fingerprint(), ""]
     units = _unit_costs()
     notes.append("Per-unit in-process costs (median), against the "
                  "constants the estimates use:")

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from repro._exceptions import AnalysisError, TopologyError, ValidationError
 from repro.analysis.state_space import PoleResidueTransfer
@@ -167,6 +166,8 @@ class GeneralAnalysis:
     """Exact pole/residue analysis of a :class:`GeneralRCNetwork`."""
 
     def __init__(self, network: GeneralRCNetwork) -> None:
+        import scipy.linalg
+
         self.network = network
         g, c, b = network.assemble()
         try:

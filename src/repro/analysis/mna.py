@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from repro._exceptions import AnalysisError
 from repro.circuit.rctree import RCTree
@@ -92,6 +91,8 @@ def mna_transfer_moments(tree: RCTree, order: int) -> np.ndarray:
     :func:`repro.core.moments.transfer_moments` (which should agree to
     machine precision — this is the cross-check oracle).
     """
+    import scipy.linalg
+
     if order < 0:
         raise AnalysisError(f"order must be >= 0, got {order!r}")
     system = build_mna(tree)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-import scipy.optimize
 
 from repro._exceptions import AnalysisError, ConvergenceError
 from repro.analysis.state_space import ExactAnalysis, PoleResidueTransfer
@@ -96,6 +95,8 @@ def threshold_crossing(
                 "could not bracket the threshold crossing; the response "
                 "may not settle"
             )
+    import scipy.optimize
+
     return float(
         scipy.optimize.brentq(gap, 0.0, t_hi, xtol=1e-300, rtol=1e-14)
     )
@@ -141,6 +142,8 @@ def _signal_crossing(signal: Signal, threshold: float) -> float:
         expansions += 1
         if expansions > 60:
             raise ConvergenceError("input never reaches the threshold")
+    import scipy.optimize
+
     return float(
         scipy.optimize.brentq(gap, 0.0, t_hi, xtol=1e-300, rtol=1e-14)
     )

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from repro._exceptions import AnalysisError
 from repro.analysis.mna import build_mna
@@ -197,6 +196,8 @@ class ExactAnalysis:
     """
 
     def __init__(self, tree: RCTree) -> None:
+        import scipy.linalg
+
         self.tree = tree
         system = build_mna(tree)
         caps = system.capacitance

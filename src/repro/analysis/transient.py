@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from repro._exceptions import AnalysisError
 from repro.analysis.mna import build_mna
@@ -228,6 +227,8 @@ def _march(
     num_steps: int,
     method: str,
 ) -> TransientResult:
+    import scipy.linalg
+
     if method not in ("trapezoidal", "backward-euler"):
         raise AnalysisError(
             f"unknown method {method!r}; use 'trapezoidal' or 'backward-euler'"

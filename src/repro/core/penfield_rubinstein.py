@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-import scipy.optimize
-
 from repro._exceptions import AnalysisError
 from repro.circuit.rctree import RCTree
 from repro.core.elmore import RPHNodeConstants, rph_time_constants
@@ -129,6 +127,8 @@ class PRHBounds:
             # t_max(0) = T_D - T_R may be positive: before that time the
             # bound gives no information beyond v >= 0.
             return 0.0
+        import scipy.optimize
+
         return float(
             scipy.optimize.brentq(lambda v: bound(v) - t, lo, hi, rtol=1e-13)
         )

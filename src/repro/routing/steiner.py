@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro._exceptions import RoutingError
 from repro.circuit.rctree import RCTree
@@ -39,6 +37,9 @@ __all__ = [
     "route_net",
     "route_segments",
 ]
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Point = Tuple[float, float]
 
@@ -101,6 +102,8 @@ def _bfs_edges(adjacency) -> List[Tuple[int, int]]:
 def rectilinear_mst(points: Sequence[Point]) -> "nx.Graph":
     """Minimum spanning tree of the complete Manhattan graph over
     ``points``.  Nodes are point indices; edges carry ``weight``."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(len(points)))
     graph.add_weighted_edges_from(_mst_edges(points))

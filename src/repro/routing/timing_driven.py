@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro._exceptions import RoutingError
 from repro.circuit.rctree import RCTree
 from repro.circuit.wires import DEFAULT_TECHNOLOGY, WireTechnology
@@ -80,6 +78,8 @@ def _build_tree(
     num_sinks: int,
     sections_per_segment: int,
 ) -> Tuple[RCTree, List[str]]:
+    import networkx as nx
+
     def node_name(index: int) -> str:
         if index == 0:
             return "drv"
@@ -153,6 +153,8 @@ def route_net_timing_driven(
     TimingDrivenResult
         Final route plus the wirelength-driven baseline objective.
     """
+    import networkx as nx
+
     if not sink_positions:
         raise RoutingError("net has no sinks")
     num_sinks = len(sink_positions)

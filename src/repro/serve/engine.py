@@ -179,8 +179,13 @@ class StatsEngine:
         Mirrors :func:`repro.core.bounds.delay_bounds` elementwise —
         mean/sigma/skewness of the output derivative density under the
         request's input signal, re-referenced to the input's 50%
-        crossing — vectorized over rows and nodes.
+        crossing — vectorized over rows and the requested nodes.  Every
+        step is elementwise per node, so shaping only the requested
+        columns gives each of them the full-width pipeline's bits.
         """
+        names = request.nodes or list(request.tree.node_names)
+        moments = BatchMoments(moments.topology, moments.coefficients[
+            :, :, [moments.topology.index_of(name) for name in names]])
         din = request.signal.derivative_moments()
         t50_in = request.signal.t50
         elmore = moments.elmore_delays()
@@ -192,8 +197,6 @@ class StatsEngine:
         lower = np.maximum(np.maximum(mean - sigma, 0.0) - t50_in, 0.0)
         safe = np.where(mu2 > 0.0, mu2, 1.0)
         skewness = np.where(mu2 > 0.0, mu3 / safe**1.5, 0.0)
-        names = request.nodes or list(request.tree.node_names)
-        indices = [moments.topology.index_of(name) for name in names]
         single = moments.batch_size == 1
 
         def _column(values: np.ndarray, i: int):
@@ -205,7 +208,7 @@ class StatsEngine:
         nodes = {
             name: {field: _column(values, i)
                    for field, values in fields.items()}
-            for name, i in zip(names, indices)
+            for i, name in enumerate(names)
         }
         return {
             "workload": request.label,

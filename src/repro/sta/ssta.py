@@ -72,8 +72,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.special import ndtr
 
 from repro._exceptions import AnalysisError, TimingGraphError
 from repro.core.batch import batch_elmore_delays
@@ -233,6 +231,8 @@ def _forest_coefficients(
     ancestors) are exact, each row of ``gr``/``gc`` is summed on its
     own, and the QR runs once per net.
     """
+    from scipy.linalg import lapack
+
     topology, offsets = forest.topology, forest.offsets
     parents = topology.parents
     res = topology.resistances
@@ -620,12 +620,14 @@ class SSTAReport:
 # ---------------------------------------------------------------------------
 
 
-def _clark(mu_x, var_x, mu_y, var_y, cov):
+def _clark(mu_x, var_x, mu_y, var_y, cov, ndtr):
     """:func:`~repro.core.canonical.canonical_max`'s moments, row-wise.
 
     Returns ``(tightness, mean, var, tie)``.  Tie rows (``X - Y``
     deterministic up to :data:`TIE_EPSILON`) get tightness 1 or 0, so
     interpolating with it picks the larger-mean operand exactly.
+    ``ndtr`` is :func:`scipy.special.ndtr`, which the caller binds once
+    per walk.
     """
     theta = np.sqrt(np.maximum(var_x + var_y - 2.0 * cov, 0.0))
     tie = theta <= TIE_EPSILON * np.sqrt(np.maximum(var_x, var_y))
@@ -643,7 +645,7 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _clark_fold(block: np.ndarray, mu: np.ndarray, starts: np.ndarray,
-                fanin: np.ndarray, fresh: int
+                fanin: np.ndarray, fresh: int, ndtr
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-fold Clark max of each group of rows, all groups at once.
 
@@ -654,7 +656,8 @@ def _clark_fold(block: np.ndarray, mu: np.ndarray, starts: np.ndarray,
     ``fresh + starts[g] - g + i - 1``.  Returns ``(rows, mu, weights)``:
     each group's max and its tightness-chain weights (row ``g``, columns
     ``0 .. fanin[g] - 1``), normalised as in
-    :func:`~repro.core.canonical.canonical_max_many`.
+    :func:`~repro.core.canonical.canonical_max_many`.  ``ndtr`` is
+    passed on to :func:`_clark`.
     """
     out = block[starts]
     out_mu = mu[starts]
@@ -666,7 +669,7 @@ def _clark_fold(block: np.ndarray, mu: np.ndarray, starts: np.ndarray,
         y = block[starts[:n] + i]
         mu_y = mu[starts[:n] + i]
         t, mean, var, tie = _clark(out_mu[:n], _rowdot(x, x), mu_y,
-                                   _rowdot(y, y), _rowdot(x, y))
+                                   _rowdot(y, y), _rowdot(x, y), ndtr)
         x *= t[:, None]
         x += (1.0 - t)[:, None] * y
         var_linear = _rowdot(x, x)
@@ -734,6 +737,8 @@ def _walk(model: ProcessModel, nominal: TimingResult,
     each level's fan-in weights (row per gate, in the level's order;
     ``None`` for level 0, which has no gates).
     """
+    from scipy.special import ndtr
+
     levels = nominal.levels
     wire_mu, slew = nominal._rows.delay, nominal._rows.slew
     num_pins = len(levels.pins)
@@ -765,7 +770,7 @@ def _walk(model: ProcessModel, nominal: TimingResult,
                         math.sqrt(1.0 - model.rho_cell) * scale)
             out, out_mu, weights = _clark_fold(
                 coef, mu[inputs] + stage, level.starts, level.fanin,
-                block.tail + cells)
+                block.tail + cells, ndtr)
             _MAX_OPS.inc(len(inputs) - gates)
             mu[level.outputs] = out_mu
             a[level.outputs] = out[:, :len(PROCESS_VARIABLES)]

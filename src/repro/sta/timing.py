@@ -192,8 +192,9 @@ def _sweep_nets(forest: NetForest, delay_model: str) -> np.ndarray:
     out[0] = -m1
     out[1] = np.maximum(2.0 * coefficients[2] - m1 * m1, 0.0)
     if delay_model == "exact":
-        out[0] = [delay for net in forest.nets
-                  for delay in _exact_delays(net)]
+        with _span("sta.exact_delays", nets=len(forest.offsets)):
+            out[0] = [delay for net in forest.nets
+                      for delay in _exact_delays(net)]
     elif delay_model != "elmore":
         metric = METRICS[delay_model]
         columns = TransferMoments(None, coefficients)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.parallel.executor as executor
+from repro.core.batch import batch_transfer_moments, compile_topology
 from repro.obs.metrics import counter
 from repro.obs.trace import tracing
 from repro.parallel.shm import MAX_PUBLISHED_WORKSPACES, \
@@ -23,7 +24,7 @@ from repro.parallel.shm import MAX_PUBLISHED_WORKSPACES, \
 from repro.resilience.faults import clear_faults, install_faults
 from repro.serve import ServeConfig
 from repro.serve.app import ReproServer
-from repro.serve.engine import StatsEngine
+from repro.serve.engine import STATS_ORDER, StatsEngine
 from repro.serve.schemas import parse_stats_request, resolve_workload
 
 #: Blocks in one published stats workspace: the topology's index,
@@ -165,3 +166,44 @@ def test_failed_topology_publication_leaves_no_segment():
     assert _own_segments() == []
     assert counter("parallel_shm_fallback_total").value == fellback + 1
     assert _dump(responses) == reference
+
+
+def _full_width_fields(request):
+    """The bound pipeline over every node of ``request``'s tree, as
+    ``{field: (rows, N)}``, with the node indices' topology."""
+    topo = compile_topology(request.tree)
+    moments = batch_transfer_moments(topo, STATS_ORDER, request.resistances,
+                                     request.capacitances)
+    din = request.signal.derivative_moments()
+    mean = moments.elmore_delays() + din.mean
+    mu2 = moments.variance() + din.mu2
+    mu3 = moments.third_central_moment() + din.mu3
+    sigma = np.sqrt(np.maximum(mu2, 0.0))
+    safe = np.where(mu2 > 0.0, mu2, 1.0)
+    return topo, {
+        "elmore": moments.elmore_delays(),
+        "upper": mean - request.signal.t50,
+        "lower": np.maximum(np.maximum(mean - sigma, 0.0)
+                            - request.signal.t50, 0.0),
+        "mean": mean,
+        "sigma": sigma,
+        "skewness": np.where(mu2 > 0.0, mu3 / safe**1.5, 0.0),
+    }
+
+
+@pytest.mark.parametrize("rows", [1, 300])
+def test_served_nodes_carry_the_full_width_bits(rows):
+    """Shaping only the requested nodes changes no bit of their values."""
+    names = list(resolve_workload("balanced:8x2").node_names)
+    nodes = [names[-1], names[0], names[len(names) // 2]]
+    request = parse_stats_request({
+        "workload": "balanced:8x2", "signal": "ramp:2ns", "nodes": nodes,
+        "rscale": np.linspace(0.5, 1.5, rows).tolist(),
+    })
+    served = StatsEngine().evaluate(request.key, [request])[0]["nodes"]
+    topo, fields = _full_width_fields(request)
+    assert list(served) == nodes
+    for name in nodes:
+        for field, values in fields.items():
+            got = np.atleast_1d(np.asarray(served[name][field]))
+            assert got.tobytes() == values[:, topo.index_of(name)].tobytes()

@@ -29,7 +29,11 @@ gate-level SSTA formulation surveyed in arXiv:2401.03588:
   carries the private labels ``net:n.q0 .. net:n.qs``
   (:func:`_forest_coefficients`).  The nominal STA shard task computes
   these coefficients next to its sweep, over the shard forest it
-  sweeps, so no run builds an RC tree for them.
+  sweeps, so no run builds an RC tree for them.  A design version keeps
+  them, with the walk's label columns and wire rows (:class:`_Inputs`),
+  for the last process model analysed on it
+  (:class:`~repro.sta.timing._ProcessSlot`); an analysis under an equal
+  model reuses them and its shard task computes none.
 
 * **Propagation** — the nominal forest walk of :mod:`repro.sta.timing`
   runs first (batched forest sweeps, sharded/warm-pool capable) and
@@ -44,8 +48,9 @@ gate-level SSTA formulation surveyed in arXiv:2401.03588:
   moment-matched max is folded once per fan-in slot for all the
   level's gates at once (:func:`_clark_fold`, the same tie, deficit and
   rescale rules as :func:`~repro.core.canonical.canonical_max`); the
-  gate outputs keep only their nonzero entries (:class:`_RowStore`);
-  and the level's net sinks are driver + wire in one gather and add.
+  gate outputs keep only their nonzero entries (:class:`_RowStore`,
+  sized once per walk from a bound on the compiled levels); and the
+  level's net sinks are driver + wire in one gather and add.
   The outputs are folded left to right in ``design.outputs`` order.
   ``SSTAReport.arrival`` builds each pin's
   :class:`~repro.core.canonical.CanonicalForm` on first access, and
@@ -69,7 +74,9 @@ import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -93,7 +100,12 @@ from repro.sta.interconnect import NetForest
 from repro.sta.levels import TimingLevels
 from repro.sta.netlist import Design, Pin
 from repro.sta.slack import output_requirements
-from repro.sta.timing import TimingResult, _analyze_traced, analyze
+from repro.sta.timing import (
+    TimingResult,
+    _analyze_traced,
+    _PinValues,
+    analyze,
+)
 
 __all__ = [
     "ProcessModel",
@@ -310,31 +322,30 @@ class _RowStore:
     """Every pin's residual coefficients, stored compactly.
 
     A pin's own entries (a gate output's interpolated row, or a net
-    sink's wire labels) are one slice of the growable ``cols``/``vals``
-    buffers, exact zeros left out.  A net sink's full residual is its
-    driver's entries followed by its own, so a driver's row is stored
-    once however many sinks read it.
+    sink's wire labels) are one slice of the ``cols``/``vals`` buffers,
+    exact zeros left out.  A net sink's full residual is its driver's
+    entries followed by its own, so a driver's row is stored once
+    however many sinks read it.  A store starts as a copy of the
+    version's wire entries (:class:`_Inputs`), with room for
+    ``capacity`` entries in all, sized once for the whole walk.
     """
 
-    def __init__(self, num_pins: int, driver: np.ndarray) -> None:
+    def __init__(self, inputs: "_Inputs", driver: np.ndarray) -> None:
         self.driver = driver
-        self.start = np.zeros(num_pins, dtype=np.intp)
-        self.count = np.zeros(num_pins, dtype=np.intp)
-        self.cols = np.empty(1024, dtype=np.intp)
-        self.vals = np.empty(1024)
-        self.size = 0
+        self.start = inputs.start.copy()
+        self.count = inputs.count.copy()
+        self.size = len(inputs.cols)
+        # np.empty: the tail the walk never writes is never touched.
+        self.cols = np.empty(inputs.capacity, dtype=np.intp)
+        self.vals = np.empty(inputs.capacity)
+        self.cols[:self.size] = inputs.cols
+        self.vals[:self.size] = inputs.vals
 
     def put(self, rows: np.ndarray, counts: np.ndarray, cols: np.ndarray,
             vals: np.ndarray) -> None:
         """Append the entries of ``rows`` (``counts[i]`` each, in row
         order) as those pins' own entries."""
         end = self.size + len(cols)
-        if end > len(self.cols):
-            grow = max(end, 2 * len(self.cols))
-            tail = grow - self.size  # np.resize would fill it by tiling
-            self.cols = np.append(self.cols[:self.size],
-                                  np.empty(tail, dtype=np.intp))
-            self.vals = np.append(self.vals[:self.size], np.empty(tail))
         self.cols[self.size:end] = cols
         self.vals[self.size:end] = vals
         self.start[rows] = self.size + np.cumsum(counts) - counts
@@ -342,21 +353,20 @@ class _RowStore:
         self.size = end
 
     def trim(self) -> None:
-        """Release the buffers' unused tail once the walk is done."""
-        self.cols = self.cols[:self.size].copy()
-        self.vals = self.vals[:self.size].copy()
+        """Release the buffers' unused tail once the walk is done, in
+        place (no view of them is held yet)."""
+        self.cols.resize(self.size, refcheck=False)
+        self.vals.resize(self.size, refcheck=False)
 
     def gather(self, pins: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(owner, cols, vals)``: the residual entries of net sinks
-        ``pins``, ``owner[e]`` the position in ``pins`` entry ``e``
-        belongs to."""
-        seg = np.concatenate([self.driver[pins], pins])
-        counts = self.count[seg]
+        """``(owner, cols, vals)``: the own entries of ``pins``,
+        ``owner[e]`` the position in ``pins`` entry ``e`` belongs to."""
+        counts = self.count[pins]
         index = np.arange(counts.sum()) + np.repeat(
-            self.start[seg] - np.cumsum(counts) + counts, counts)
-        owner = np.repeat(np.tile(np.arange(len(pins)), 2), counts)
-        return owner, self.cols[index], self.vals[index]
+            self.start[pins] - np.cumsum(counts) + counts, counts)
+        return (np.repeat(np.arange(len(pins)), counts), self.cols[index],
+                self.vals[index])
 
     def entries(self, pin: int) -> Tuple[np.ndarray, np.ndarray]:
         """One pin's residual ``(cols, vals)``: driver's, then own."""
@@ -365,6 +375,19 @@ class _RowStore:
                  for p in parts]
         return (np.concatenate([self.cols[s] for s in spans]),
                 np.concatenate([self.vals[s] for s in spans]))
+
+
+def _drivers(driver: np.ndarray, pins: np.ndarray
+             ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(drivers, pick)`` of net sinks ``pins``: their distinct driver
+    rows, and the position in ``drivers`` of each pin's driver; when no
+    two pins share a driver, every pin's driver in order and ``None``
+    (a :class:`_Block` then reads each driver's entries into its pin's
+    own row, with no copy of the rows)."""
+    held, pick = np.unique(driver[pins], return_inverse=True)
+    if len(held) == len(pins):
+        return driver[pins], None
+    return held, pick
 
 
 class _Arrivals(Mapping):
@@ -483,24 +506,73 @@ def _columns(levels: TimingLevels, net_sizes: Dict[str, int],
                     outputs_tail)
 
 
-def _wire_rows(
-    nominal: TimingResult, coefficients: tuple, model: ProcessModel,
-) -> Tuple[_Columns, _RowStore, np.ndarray]:
-    """Columns, the wire residual rows and the wire globals.
+class _LevelIndex(NamedTuple):
+    """Index arrays of one gate level that depend on the compiled
+    levels alone: the :func:`_drivers` of its gate inputs, and each
+    input's fan-in slot in its gate."""
+
+    drivers: np.ndarray
+    pick: Optional[np.ndarray]
+    slot: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Inputs:
+    """A design version's SSTA inputs under one process model.
+
+    ``coefficients`` is every net's ``(a, l)``
+    (:meth:`ProcessModel.net_columns`), ``columns`` the walk's label
+    columns, ``start``/``count``/``cols``/``vals`` the wire entries of
+    a :class:`_RowStore` (net sinks only) and ``wire_a`` the wire
+    globals, both by pin row.  ``capacity`` bounds the entries a walk
+    stores (:func:`_capacity`); ``index`` holds each level's
+    :class:`_LevelIndex` (``None`` for a level without gates) and
+    ``outputs`` the outputs' :func:`_drivers`.  The version's
+    :class:`~repro.sta.timing._ProcessSlot` shares them between
+    reports, so every array is read-only; each report stores its rows
+    in a :class:`_RowStore` of its own.
+    """
+
+    coefficients: Tuple[np.ndarray, np.ndarray]
+    columns: _Columns
+    start: np.ndarray
+    count: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    wire_a: np.ndarray
+    capacity: int
+    index: List[Optional[_LevelIndex]]
+    outputs: Tuple[np.ndarray, Optional[np.ndarray]]
+
+    def __post_init__(self) -> None:
+        arrays = [*self.coefficients, self.columns.labels, self.start,
+                  self.count, self.cols, self.vals, self.wire_a,
+                  *self.outputs]
+        for index in self.index:
+            arrays += index or ()
+        for array in arrays:
+            if array is not None:
+                array.setflags(write=False)
+
+
+def _inputs(nominal: TimingResult, coefficients: tuple,
+            model: ProcessModel) -> _Inputs:
+    """Columns, wire rows and index arrays of one walk.
 
     ``coefficients`` is ``(a, l)`` (:meth:`ProcessModel.net_columns`)
     over the nominal result's evaluated sinks, net by net in its
     ``_rows.sinks`` order.  Sink ``s`` of net ``n`` carries residual
     columns ``net_q0[n] + 0 .. s`` with the packed row ``s`` of the net's
-    ``L``.  Returns ``(columns, rows, wire_a)``, the last by pin row; the
-    wire means are the nominal walk's own ``_rows.delay``.
+    ``L``; its globals are ``wire_a``, by pin row.  The wire means are
+    the nominal walk's own ``_rows.delay``, not an input.
     """
     a, l = coefficients
     levels = nominal.levels
     pins, counts = nominal._rows.sinks, nominal._rows.counts
     names = list(nominal.nets)
+    cell_resid = model.cell_sigma > 0.0 and model.rho_cell < 1.0
     columns = _columns(levels, dict(zip(names, counts.tolist())),
-                       model.cell_sigma > 0.0 and model.rho_cell < 1.0)
+                       cell_resid)
     num_pins = len(levels.pins)
     width = np.arange(len(pins)) + 1 - np.repeat(np.cumsum(counts) - counts,
                                                  counts)
@@ -508,13 +580,48 @@ def _wire_rows(
     first = np.cumsum(width) - width
     cols = np.arange(len(l)) + np.repeat(q0 - first, width)
     keep = l != 0.0
-    rows = _RowStore(num_pins, levels.driver)
-    rows.put(pins, np.add.reduceat(keep, first, dtype=np.intp), cols[keep],
-             l[keep])
+    own = np.add.reduceat(keep, first, dtype=np.intp)
+    start = np.zeros(num_pins, dtype=np.intp)
+    count = np.zeros(num_pins, dtype=np.intp)
+    start[pins] = np.cumsum(own) - own
+    count[pins] = own
     wire_a = np.zeros((num_pins, len(PROCESS_VARIABLES)))
     wire_a[pins] = a
-    _FORMS.inc(len(pins))
-    return columns, rows, wire_a
+    index = [
+        _LevelIndex(*_drivers(levels.driver, level.inputs),
+                    np.arange(len(level.inputs))
+                    - level.starts[level.owner])
+        if level.gates else None for level in levels.levels
+    ]
+    return _Inputs(
+        coefficients, columns, start, count, cols[keep], l[keep], wire_a,
+        int(keep.sum()) + _capacity(levels, columns, count, cell_resid),
+        index,
+        _drivers(levels.driver, levels.outputs),
+    )
+
+
+def _capacity(levels: TimingLevels, columns: _Columns, count: np.ndarray,
+              cell_resid: bool) -> int:
+    """An upper bound on the entries one walk stores for gate outputs,
+    from the compiled levels and each net sink's wire entry ``count``.
+
+    A gate output's row holds at most the residual columns of its
+    inputs' rows, none allocated from its level's first
+    (``level_tail``) on, plus its own cell and Clark labels; a net
+    sink's full row is its driver's plus its own wire entries.
+    """
+    full = np.zeros(len(count), dtype=np.intp)
+    total = 0
+    for level, tail0 in zip(levels.levels, columns.level_tail):
+        if level.gates:
+            held = np.add.reduceat(full[level.inputs], level.starts)
+            own = np.minimum(held, tail0 - len(PROCESS_VARIABLES)) \
+                + level.fanin - 1 + int(cell_resid)
+            full[level.outputs] = own
+            total += int(own.sum())
+        full[level.sinks] = full[level.drivers] + count[level.sinks]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +649,9 @@ class SSTAReport:
         Per primary output: probability that it is the critical one.
     pin_criticality:
         Per pin: probability that the pin lies on the critical path
-        (input-port criticalities sum to ~1).
+        (input-port criticalities sum to ~1).  A read-only mapping over
+        the backward walk's row array, in the levels' row order, equal
+        to the plain dict of the same items.
     nominal:
         The deterministic :class:`~repro.sta.timing.TimingResult` the
         statistical walk mirrored (means shift only through ``max``).
@@ -554,7 +663,7 @@ class SSTAReport:
     outputs: Mapping[str, CanonicalForm]
     critical: CanonicalForm
     criticality: Dict[str, float]
-    pin_criticality: Dict[Pin, float]
+    pin_criticality: Mapping[Pin, float]
     nominal: TimingResult
     model: ProcessModel = field(repr=False)
 
@@ -696,17 +805,26 @@ class _Block:
     Columns are the shared variables, then the residual columns any of
     the rows holds (ascending), then ``tail`` columns ``tail0 ..``
     private to the caller (cell and Clark labels), which no row holds
-    yet; ``self.tail`` is the first of those.
+    yet; ``self.tail`` is the first of those.  ``drivers`` is the
+    sinks' :func:`_drivers`: each distinct driver's entries are read
+    and placed once, and each sink's row is its driver's plus its own
+    wire entries, whose columns no driver holds.
     """
 
     def __init__(self, rows: _RowStore, a: np.ndarray, pins: np.ndarray,
+                 drivers: Tuple[np.ndarray, Optional[np.ndarray]],
                  tail0: int, tail: int, scratch: np.ndarray) -> None:
+        held, pick = drivers
+        held_owner, held_cols, held_vals = rows.gather(held)
         owner, cols, vals = rows.gather(pins)
+        scratch[held_cols] = 1
         scratch[cols] = 1
         used = np.flatnonzero(scratch)
         self.tail = len(PROCESS_VARIABLES) + len(used)
         scratch[used] = np.arange(len(PROCESS_VARIABLES), self.tail)
-        self.coef = np.zeros((len(pins), self.tail + tail))
+        dense = np.zeros((len(held), self.tail + tail))
+        dense[held_owner, scratch[held_cols]] = held_vals
+        self.coef = dense if pick is None else dense[pick]
         self.coef[:, :len(PROCESS_VARIABLES)] = a[pins]
         self.coef[owner, scratch[cols]] = vals
         scratch[used] = 0
@@ -717,29 +835,33 @@ class _Block:
         """``(counts, cols, vals)``: the nonzero residual entries of the
         dense ``rows``, row by row, as global columns."""
         resid = rows[:, len(PROCESS_VARIABLES):]
-        r, c = np.nonzero(resid != 0.0)
-        return (np.bincount(r, minlength=len(rows)), self.columns[c],
-                resid[r, c])
+        keep = resid != 0.0
+        flat = keep.ravel()
+        return (np.count_nonzero(keep, axis=1),
+                np.compress(flat, np.broadcast_to(self.columns, keep.shape)),
+                np.compress(flat, resid))
 
 
 def _walk(model: ProcessModel, nominal: TimingResult,
-          input_arrivals: Optional[Dict[str, float]], columns: _Columns,
-          rows: _RowStore, wire_a: np.ndarray
+          input_arrivals: Optional[Dict[str, float]], inputs: _Inputs,
+          rows: _RowStore
           ) -> Tuple[np.ndarray, np.ndarray, List[Optional[np.ndarray]]]:
     """The forward statistical walk, one level at a time.
 
     Per level: every gate input's candidate ``arrival + stage`` as one
-    dense block, Clark's max folded per fan-in slot across the level
-    (:func:`_clark_fold`), the gate outputs stored compactly, then the
-    level's net sinks as driver + wire in one gather and add, on the
-    nominal result's levels with its wire delays and slews.  Returns
-    ``(mu, a, weights)``: every pin's mean and shared coefficients, and
-    each level's fan-in weights (row per gate, in the level's order;
-    ``None`` for level 0, which has no gates).
+    dense block (span ``ssta.gather``), Clark's max folded per fan-in
+    slot across the level (:func:`_clark_fold`, span ``ssta.fold``), the
+    gate outputs stored compactly (``ssta.store``), then the level's
+    net sinks as driver + wire in one gather and add (``ssta.sinks``),
+    on the nominal result's levels with its wire delays and slews.
+    Returns ``(mu, a, weights)``: every pin's mean and shared
+    coefficients, and each level's fan-in weights (row per gate, in the
+    level's order; ``None`` for level 0, which has no gates).
     """
     from scipy.special import ndtr
 
     levels = nominal.levels
+    columns, wire_a = inputs.columns, inputs.wire_a
     wire_mu, slew = nominal._rows.delay, nominal._rows.slew
     num_pins = len(levels.pins)
     mu = np.zeros(num_pins)
@@ -751,37 +873,45 @@ def _walk(model: ProcessModel, nominal: TimingResult,
     cell_sigma = model.cell_sigma
     cell_resid = cell_sigma > 0.0 and model.rho_cell < 1.0
     all_weights: List[Optional[np.ndarray]] = []
-    for level, tail0 in zip(levels.levels, columns.level_tail):
+    for k, (level, tail0, index) in enumerate(zip(
+            levels.levels, columns.level_tail, inputs.index)):
         weights = None
         if level.gates:
-            inputs = level.inputs
+            gate_inputs = level.inputs
             gates = len(level.gates)
-            stage = level.intrinsic + level.slew_impact * slew[inputs]
-            cells = gates if cell_resid else 0
-            block = _Block(rows, a, inputs, tail0,
-                           cells + len(inputs) - gates, scratch)
-            coef = block.coef
-            if cell_sigma > 0.0:
-                scale = cell_sigma * stage
-                _FORMS.inc(int(np.count_nonzero(scale)))
-                coef[:, 2] += math.sqrt(model.rho_cell) * scale
-                if cell_resid:
-                    coef[np.arange(len(inputs)), block.tail + level.owner] = (
-                        math.sqrt(1.0 - model.rho_cell) * scale)
-            out, out_mu, weights = _clark_fold(
-                coef, mu[inputs] + stage, level.starts, level.fanin,
-                block.tail + cells, ndtr)
-            _MAX_OPS.inc(len(inputs) - gates)
-            mu[level.outputs] = out_mu
-            a[level.outputs] = out[:, :len(PROCESS_VARIABLES)]
-            rows.put(level.outputs, *block.compact(out))
+            with _span("ssta.gather", level=k, inputs=len(gate_inputs)):
+                stage = level.intrinsic + level.slew_impact * slew[
+                    gate_inputs]
+                cells = gates if cell_resid else 0
+                block = _Block(rows, a, gate_inputs,
+                               (index.drivers, index.pick), tail0,
+                               cells + len(gate_inputs) - gates, scratch)
+                coef = block.coef
+                if cell_sigma > 0.0:
+                    scale = cell_sigma * stage
+                    _FORMS.inc(int(np.count_nonzero(scale)))
+                    coef[:, 2] += math.sqrt(model.rho_cell) * scale
+                    if cell_resid:
+                        coef[np.arange(len(gate_inputs)),
+                             block.tail + level.owner] = (
+                            math.sqrt(1.0 - model.rho_cell) * scale)
+            with _span("ssta.fold", level=k, gates=gates):
+                out, out_mu, weights = _clark_fold(
+                    coef, mu[gate_inputs] + stage, level.starts,
+                    level.fanin, block.tail + cells, ndtr)
+            _MAX_OPS.inc(len(gate_inputs) - gates)
+            with _span("ssta.store", level=k, gates=gates):
+                mu[level.outputs] = out_mu
+                a[level.outputs] = out[:, :len(PROCESS_VARIABLES)]
+                rows.put(level.outputs, *block.compact(out))
         all_weights.append(weights)
-        mu[level.sinks] = mu[level.drivers] + wire_mu[level.sinks]
-        a[level.sinks] = a[level.drivers] + wire_a[level.sinks]
+        with _span("ssta.sinks", level=k, sinks=len(level.sinks)):
+            mu[level.sinks] = mu[level.drivers] + wire_mu[level.sinks]
+            a[level.sinks] = a[level.drivers] + wire_a[level.sinks]
     return mu, a, all_weights
 
 
-def _output_fold(levels: TimingLevels, columns: _Columns, rows: _RowStore,
+def _output_fold(levels: TimingLevels, inputs: _Inputs, rows: _RowStore,
                  mu: np.ndarray, a: np.ndarray
                  ) -> Tuple[CanonicalForm, List[float]]:
     """Clark max over the outputs with each output's criticality.
@@ -790,8 +920,9 @@ def _output_fold(levels: TimingLevels, columns: _Columns, rows: _RowStore,
     associative), so one running row against one output row per step,
     with the scalar :func:`~repro.core.canonical.clark_moments`.
     """
-    outputs = levels.outputs
-    block = _Block(rows, a, outputs, columns.outputs_tail, len(outputs) - 1,
+    outputs, columns = levels.outputs, inputs.columns
+    block = _Block(rows, a, outputs, inputs.outputs, columns.outputs_tail,
+                   len(outputs) - 1,
                    np.zeros(len(columns.labels), dtype=np.intp))
     coef = block.coef
     out_mu = mu[outputs].tolist()
@@ -831,7 +962,8 @@ def _output_fold(levels: TimingLevels, columns: _Columns, rows: _RowStore,
     return critical, weights.tolist()
 
 
-def _backward(levels: TimingLevels, out_weights: List[float],
+def _backward(levels: TimingLevels, inputs: _Inputs,
+              out_weights: List[float],
               weights: List[Optional[np.ndarray]]) -> np.ndarray:
     """Pin criticality: walk the levels in reverse; a net funnels its
     sinks' criticality back to its driver, a gate splits its output
@@ -839,12 +971,13 @@ def _backward(levels: TimingLevels, out_weights: List[float],
     Disjoint-event approximation (Visweswariah)."""
     crit = np.zeros(len(levels.pins))
     crit[levels.outputs] = out_weights
-    for level, w in zip(reversed(levels.levels), reversed(weights)):
+    for level, index, w in zip(reversed(levels.levels),
+                               reversed(inputs.index), reversed(weights)):
         np.add.at(crit, level.drivers, crit[level.sinks])
         if level.gates:
             owner = level.owner
-            slot = np.arange(len(level.inputs)) - level.starts[owner]
-            crit[level.inputs] = crit[level.outputs][owner] * w[owner, slot]
+            crit[level.inputs] = crit[level.outputs][owner] * w[owner,
+                                                                index.slot]
     return crit
 
 
@@ -885,6 +1018,21 @@ def analyze_ssta(
     (``nominal.nets.forest``, laid out once per version), fed to the
     same :meth:`ProcessModel.net_columns`, so no RC tree is built and
     the report is bit-identical.
+
+    A design version keeps the SSTA inputs of the last process model it
+    was analysed under: the coefficients, the label columns and the
+    wire rows.  A later call on the same version with an equal
+    ``model`` (compared with ``==`` against a deep copy, so a per-name
+    sigma dict mutated in place is another model) reuses them, and its
+    nominal pass runs without the coefficients; ``nominal=`` reuses the
+    inputs its result's version kept.  They go with the version (a
+    :class:`~repro.sta.netlist.Design` mutator, a reassigned instance
+    ``cell`` or ``position``, another ``wire_load``) and are replaced by
+    the next model's.  Calls with ``net_overrides`` or a
+    ``checkpoint_path`` neither read nor keep them, so a journal's bytes
+    and its resume do not depend on earlier calls.  The kept arrays are
+    shared by every report, hence read-only; each report stores its
+    rows in buffers of its own.
     """
     if not isinstance(model, ProcessModel):
         raise AnalysisError(
@@ -894,11 +1042,12 @@ def analyze_ssta(
         if not design.outputs:
             raise TimingGraphError("design has no primary outputs")
         if nominal is None:
-            nominal, coefficients = _analyze_traced(
+            nominal, ssta = _analyze_traced(
                 design, "elmore", input_arrivals, input_slews, wire_load,
                 net_overrides, jobs, backend, checkpoint_path, resume,
                 process=model,
             )
+            slot, inputs, coefficients = ssta
         elif nominal.delay_model != "elmore":
             raise TimingGraphError(
                 "analyze_ssta requires an 'elmore' nominal result "
@@ -906,23 +1055,34 @@ def analyze_ssta(
             )
         else:
             nominal.levels.check(design)
-            coefficients = model.net_columns(nominal.nets.forest)
+            slot = nominal.nets.process_slot
+            inputs = None if slot is None else slot.get(model)
+            if inputs is None:
+                coefficients = model.net_columns(nominal.nets.forest)
 
         levels = nominal.levels
-        with _span("ssta.extract", nets=len(nominal.nets)):
-            columns, rows, wire_a = _wire_rows(nominal, coefficients, model)
-        mu, a, weights = _walk(model, nominal, input_arrivals, columns, rows,
-                               wire_a)
+        with _span("ssta.extract", nets=len(nominal.nets),
+                   cached=inputs is not None):
+            if inputs is None:
+                inputs = _inputs(nominal, coefficients, model)
+                if slot is not None:
+                    slot.keep(model, inputs)
+            rows = _RowStore(inputs, levels.driver)
+        _FORMS.inc(len(nominal._rows.sinks))
+        with _span("ssta.walk", levels=len(levels.levels)):
+            mu, a, weights = _walk(model, nominal, input_arrivals, inputs,
+                                   rows)
         with _span("ssta.max", outputs=len(levels.outputs)):
-            critical, out_weights = _output_fold(levels, columns, rows,
+            critical, out_weights = _output_fold(levels, inputs, rows,
                                                  mu, a)
         rows.trim()
         ports = [levels.pins[row].pin for row in levels.outputs]
-        arrival = _Arrivals(levels, mu, a, rows, columns.labels)
+        arrival = _Arrivals(levels, mu, a, rows, inputs.columns.labels)
         outputs = _Outputs(arrival, ports)
         criticality = dict(zip(ports, out_weights))
-        pin_criticality = dict(zip(
-            levels.pins, _backward(levels, out_weights, weights).tolist()))
+        pin_criticality = _PinValues(
+            levels.pins, levels.index,
+            _backward(levels, inputs, out_weights, weights))
 
         _ANALYSES.inc()
         sp.set_attribute("outputs", len(outputs))

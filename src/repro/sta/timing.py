@@ -27,6 +27,7 @@ edge to their ``output_slew``.
 
 from __future__ import annotations
 
+import copy
 import logging
 import pickle
 from collections.abc import ItemsView, Mapping, ValuesView
@@ -124,9 +125,9 @@ DELAY_MODELS: Dict[str, int] = {
 
 #: In-process microseconds per evaluated sink of each delay model's
 #: shard task (the forest sweep and the model's delay), the unit of the
-#: STA/SSTA pool estimate (:func:`_estimate_ms`); with a process model
-#: each sink adds :data:`_COEFFICIENT_US` of SSTA coefficients, and on
-#: a design version's first analysis :data:`_LAYOUT_US` of net layout
+#: STA/SSTA pool estimate (:func:`_estimate_ms`); when the task computes
+#: SSTA coefficients each sink adds :data:`_COEFFICIENT_US`, and on a
+#: design version's first analysis :data:`_LAYOUT_US` of net layout
 #: (``benchmarks/results/parallel.txt``).
 _SINK_US: Dict[str, float] = {
     "elmore": 0.3,
@@ -145,8 +146,10 @@ _LAYOUT_US = 5.0
 def _estimate_ms(sinks: int, delay_model: str, process,
                  laid_out: bool) -> float:
     """Estimated in-process milliseconds of the net shard task over
-    ``sinks`` sinks: the model's sweep, the coefficients with a
-    ``process``, and the layout unless the version is ``laid_out``."""
+    ``sinks`` sinks: the model's sweep, the coefficients when the task
+    gets a ``process`` (not when the version's are cached, see
+    :class:`_ProcessSlot`), and the layout unless the version is
+    ``laid_out``."""
     per_sink = _SINK_US[delay_model]
     if process is not None:
         per_sink += _COEFFICIENT_US
@@ -260,6 +263,9 @@ class _LazyNets(Mapping):
         self.geometries = part.geometries
         self._records = part.records
         self._forests = part.forests
+        #: The part's :class:`_ProcessSlot`, which
+        #: ``analyze_ssta(nominal=)`` reads and fills.
+        self.process_slot = part.process_slot
         self._built: Dict[str, ElaboratedNet] = {}
 
     @property
@@ -352,6 +358,47 @@ def _net_geometries(design: Design, wire_load, net_overrides
     }
 
 
+class _ProcessSlot:
+    """A design version's SSTA inputs under the last process model
+    analysed on it.
+
+    :func:`~repro.sta.ssta.analyze_ssta` keeps the inputs it derives
+    from a :class:`~repro.sta.ssta.ProcessModel` here (:meth:`keep`)
+    and reads them back for an equal model (:meth:`get`), so a warm
+    analysis runs the nominal shard task without a ``process``.  The
+    model is kept as a deep copy: a per-name sigma dict the caller
+    mutates in place afterwards compares unequal and misses.  One slot
+    per :class:`_NetPart` (none for ``net_overrides``), dropped with it.
+    """
+
+    __slots__ = ("_held",)
+
+    def __init__(self) -> None:
+        self._held: Optional[tuple] = None
+
+    def get(self, model):
+        """The inputs kept for a model equal to ``model``, or ``None``."""
+        held = self._held
+        if held is not None and held[0] == model:
+            return held[1]
+        return None
+
+    def keep(self, model, inputs) -> None:
+        """Hold ``inputs`` for ``model`` in place of what was held."""
+        self._held = (copy.deepcopy(model), inputs)
+
+
+class _ProcessPass(NamedTuple):
+    """What the nominal pass gives the SSTA walk: the version's
+    ``slot`` (``None`` when the call may not use it), the inputs it
+    ``kept`` for the process model, and, when it kept none, the
+    ``coefficients`` the shard tasks computed."""
+
+    slot: Optional[_ProcessSlot]
+    kept: object
+    coefficients: Optional[tuple]
+
+
 @dataclass(eq=False)
 class _NetPart:
     """The net half of a compiled design, for one ``wire_load``.
@@ -366,7 +413,9 @@ class _NetPart:
     :func:`~repro.sta.interconnect.net_forest`, laid out on the part's
     first in-process or serial analysis with that plan
     (:func:`_shard_forests`); the worker pool lays out the records the
-    part publishes instead (:func:`_publish`).
+    part publishes instead (:func:`_publish`).  ``process_slot`` holds
+    the SSTA inputs of the last process model (``None`` on a part of a
+    ``net_overrides`` call, which keeps none).
     """
 
     wire_load: Optional[WireLoadModel]
@@ -377,6 +426,7 @@ class _NetPart:
     counts: np.ndarray
     rows: np.ndarray
     forests: Dict[int, Tuple[NetForest, ...]] = field(default_factory=dict)
+    process_slot: Optional[_ProcessSlot] = None
 
 
 class _Compiled:
@@ -438,6 +488,7 @@ def _net_part(design: Design, compiled: _Compiled, wire_load,
     part = _NetPart(wire_load, geometries, records, pins,
                     dict(zip(pins, range(len(pins)))), counts, rows)
     if not net_overrides:
+        part.process_slot = _ProcessSlot()
         compiled.nets = part
     return part, False
 
@@ -573,7 +624,7 @@ def _precompute_nets(
     resume: bool = False,
     process=None,
 ) -> Tuple[_LazyNets, Mapping[Pin, float], np.ndarray, np.ndarray,
-           np.ndarray, Optional[tuple]]:
+           np.ndarray, Optional[_ProcessPass]]:
     """Evaluate every net of the design through batched forest sweeps.
 
     The parent reads each net's routing inputs into a
@@ -611,14 +662,26 @@ def _precompute_nets(
     one.
 
     With a ``process`` (a :class:`~repro.sta.ssta.ProcessModel`) the
-    same pass also returns every net's SSTA coefficients as ``(a, l)``,
+    last item is a :class:`_ProcessPass`.  When the part's
+    :class:`_ProcessSlot` holds inputs for an equal model, the task
+    runs without the ``process`` and the pass carries them; otherwise
+    the same pass computes every net's SSTA coefficients as ``(a, l)``,
     ``process.net_columns`` over each shard's forest in the sinks'
-    order, computed next to the sweep (:func:`_net_shard_task`).
-    Without one the last item is ``None``.
+    order, next to the sweep (:func:`_net_shard_task`).  A journaled
+    call (``checkpoint_path``) or one with ``net_overrides`` neither
+    reads nor fills the slot, so its pass has none.  Without a
+    ``process`` the last item is ``None``.
     """
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
         part, cached = _net_part(design, compiled, wire_load, net_overrides)
         sp.set_attribute("cached", cached)
+        slot = part.process_slot if checkpoint_path is None else None
+        kept = None
+        if process is not None and slot is not None:
+            kept = slot.get(process)
+        # With the version's inputs kept, the task computes no
+        # coefficients.
+        task_process = process if kept is None else None
         geometries = part.geometries
         total = len(part.records)
         _NETS_EVALUATED.inc(total)
@@ -628,7 +691,7 @@ def _precompute_nets(
         if sharded:
             pool = use_pool("sta.parallel_run",
                             _estimate_ms(len(part.pins), delay_model,
-                                         process, cached),
+                                         task_process, cached),
                             jobs, backend, len(shards), sp)
             # Too small for the pool: a journal keeps its plan on the
             # serial backend, anything else runs as if ``jobs`` unset.
@@ -661,8 +724,8 @@ def _precompute_nets(
         try:
             if not sharded:
                 chunks = _run_shards(part, shards, forests, None,
-                                     delay_model, process, False, jobs,
-                                     backend, None)
+                                     delay_model, task_process, False,
+                                     jobs, backend, None)
             else:
                 kind, extra = "sta.analyze", {}
                 if process is not None:
@@ -676,12 +739,12 @@ def _precompute_nets(
                              "delay_model": delay_model, **extra},
                 ) as checkpoint:
                     chunks = _run_shards(part, shards, forests, workspace,
-                                         delay_model, process, True, jobs,
-                                         backend, checkpoint)
+                                         delay_model, task_process, True,
+                                         jobs, backend, checkpoint)
         finally:
             if workspace is not None and not keep:
                 workspace.close()
-        if process is not None:
+        if task_process is not None:
             columns = [chunk[1:] for chunk in chunks]
             chunks = [chunk[0] for chunk in chunks]
         values = np.concatenate(chunks, axis=1)
@@ -704,12 +767,15 @@ def _precompute_nets(
                 f"{float(values[1, first])!r}); check its instance "
                 "positions and wire parameters"
             )
-        coefficients = None
+        ssta = None
         if process is not None:
-            coefficients = tuple(np.concatenate(block)
-                                 for block in zip(*columns))
+            coefficients = None
+            if task_process is not None:
+                coefficients = tuple(np.concatenate(block)
+                                     for block in zip(*columns))
+            ssta = _ProcessPass(slot, kept, coefficients)
         return (nets, _PinValues(pins, part.index, values[0]), values,
-                part.rows, counts, coefficients)
+                part.rows, counts, ssta)
 
 
 @dataclass(frozen=True)
@@ -911,9 +977,11 @@ def _analyze_traced(
     checkpoint_path: Optional[str],
     resume: bool,
     process=None,
-) -> Tuple[TimingResult, Optional[tuple]]:
-    """:func:`analyze` plus, with a ``process``, the SSTA coefficients
-    :func:`_precompute_nets` computes in the same pass."""
+) -> Tuple[TimingResult, Optional[_ProcessPass]]:
+    """:func:`analyze` plus, with a ``process``, the
+    :class:`_ProcessPass` of :func:`_precompute_nets`: the version's
+    kept SSTA inputs, or the coefficients it computed in the same
+    pass."""
     if delay_model not in DELAY_MODELS:
         raise TimingGraphError(
             f"unknown delay model {delay_model!r}; "
@@ -930,7 +998,7 @@ def _analyze_traced(
         # netlist's interconnect is evaluated in batched forest sweeps
         # (one per shard, in process or across workers when jobs is
         # given) before arrival propagation begins.
-        nets, wire_delay, values, sinks, counts, coefficients = \
+        nets, wire_delay, values, sinks, counts, ssta = \
             _precompute_nets(design, compiled, delay_model, wire_load,
                              net_overrides, jobs=jobs, backend=backend,
                              checkpoint_path=checkpoint_path, resume=resume,
@@ -950,7 +1018,7 @@ def _analyze_traced(
             wire_delay=wire_delay,
             levels=levels,
             _rows=rows,
-        ), coefficients
+        ), ssta
 
 
 def _walk(levels: TimingLevels, values: np.ndarray, sinks: np.ndarray,

@@ -163,3 +163,18 @@ class TestOps:
         reference = analyze_ssta(random_design(8, 40, seed=1), model)
         assert (report.critical.mu, report.critical.sigma) == \
             (reference.critical.mu, reference.critical.sigma)
+
+    def test_warm_ssta_estimate_is_the_elmore_ops(self):
+        # A version that keeps its SSTA inputs runs the shard task
+        # without the coefficients, so the estimate drops their cost.
+        model = ProcessModel(VariationModel(0.08, 0.08), rho_r=0.5,
+                             rho_c=0.5, cell_sigma=0.05, rho_cell=0.5)
+        design = random_design(8, 40, seed=1)
+        with tracing() as tracer:
+            analyze_ssta(design, model, **SHM2)
+            analyze(design, **SHM2)
+            analyze_ssta(design, model, **SHM2)
+        cold, elmore, warm = [span.attributes["estimate_ms"] for span in
+                              tracer.find("sta.forest_precompute")]
+        assert warm == elmore < cold
+        assert len(tracer.find("ssta.coefficients")) == 1  # the cold op's

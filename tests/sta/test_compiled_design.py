@@ -8,7 +8,9 @@ of a freshly built copy gives, under every delay model and backend, and
 for the slack pass, SSTA and the Monte-Carlo oracle.  Every change they
 depend on must force a recompile: each of the four mutators, a
 reassigned instance position or cell, another ``wire_load`` and an
-override tree mutated in place.
+override tree mutated in place.  A version also keeps its SSTA inputs
+for the last process model it was analysed under; a warm analysis
+computes no coefficients and gives the same bits.
 """
 
 import os
@@ -21,6 +23,7 @@ import repro.sta.timing as timing
 from repro._exceptions import TimingGraphError
 from repro.core.variation import VariationModel
 from repro.obs.metrics import counter
+from repro.obs.trace import tracing
 from repro.sta import DELAY_MODELS, Design, Pin, analyze, compute_slacks
 from repro.sta.interconnect import WireLoadModel
 from repro.sta.ssta import ProcessModel, analyze_ssta, monte_carlo_arrivals
@@ -30,6 +33,12 @@ from tests.sta.test_geometry import mixed_design, overrides
 MODEL = ProcessModel(
     VariationModel(resistance_sigma=0.08, capacitance_sigma=0.08),
     rho_r=0.5, rho_c=0.5, cell_sigma=0.05, rho_cell=0.5,
+)
+
+#: A second process model, unequal to ``MODEL`` in every field.
+OTHER = ProcessModel(
+    VariationModel(resistance_sigma=0.12, capacitance_sigma=0.05),
+    rho_r=0.3, rho_c=0.7, cell_sigma=0.02, rho_cell=0.8,
 )
 
 BACKENDS = [{}, {"jobs": 1}, {"jobs": 2, "backend": "shm"}]
@@ -280,7 +289,9 @@ class TestCachedForests:
 
     def test_statistical_with_per_name_sigmas(self, sharded):
         # Per-name sigmas read each net's node names (every net has a
-        # ``drv``) from the forest's ``nets``, in a worker too.
+        # ``drv``) from the forest's ``nets``, in a worker too.  The
+        # cached design keeps the inputs of its first analysis, so each
+        # backend also computes them on a fresh design.
         model = ProcessModel(
             VariationModel(0.08, 0.08, resistance_sigmas={"drv": 0.2},
                            capacitance_sigmas={"drv": 0.12}),
@@ -292,6 +303,8 @@ class TestCachedForests:
         for kwargs in BACKENDS:
             assert ssta_outcome(analyze_ssta(sharded, model, **kwargs)) \
                 == want
+            assert ssta_outcome(analyze_ssta(
+                random_design(**SHARDED), model, **kwargs)) == want
             got = monte_carlo_arrivals(sharded, model, 32, seed=3,
                                        **kwargs)
             assert got[0] == ports
@@ -340,3 +353,233 @@ class TestResultViews:
             result.arrival[Pin("nowhere", "a")]
         with pytest.raises(TypeError):
             result.arrival[levels.pins[0]] = 0.0
+
+    def test_pin_criticality_equals_the_dict_it_replaces(self, sharded):
+        report = analyze_ssta(sharded, MODEL)
+        levels = report.nominal.levels
+        view = report.pin_criticality
+        crit = dict(zip(levels.pins, view._values.tolist()))
+        assert view == crit and crit == view
+        assert list(view) == list(crit) == list(levels.pins)
+        assert list(view.items()) == list(crit.items())
+        assert list(view.values()) == list(crit.values())
+        assert all(type(view[pin]) is float and view[pin] == value
+                   for pin, value in crit.items())
+        assert view.get(Pin("nowhere", "a")) is None
+        with pytest.raises(KeyError):
+            view[Pin("nowhere", "a")]
+        with pytest.raises(TypeError):
+            view[levels.pins[0]] = 0.0
+
+
+def kept(design, model):
+    """The SSTA inputs ``design``'s cached version holds for ``model``."""
+    part = design._compiled.nets
+    return None if part is None else part.process_slot.get(model)
+
+
+def computing(run):
+    """``run()`` and the number of ``ssta.coefficients`` spans it ran
+    (in process or merged from the workers)."""
+    with tracing() as tracer:
+        result = run()
+    return result, len(tracer.find("ssta.coefficients"))
+
+
+def cold_outcome(model, params=PARAMS, **kwargs):
+    return ssta_outcome(analyze_ssta(random_design(**params), model,
+                                     **kwargs))
+
+
+def grow(d):
+    """Every mutator in turn, leaving a connected design."""
+    d.add_instance("u9", "BUF", position=(200e-6, 0.0))
+    d.add_input("c")
+    d.connect("nc", ("@port", "c"), [("u9", "a")])
+    d.add_output("v")
+    d.connect("nv", ("u9", "y"), [("@port", "v")])
+
+
+class TestCachedProcessInputs:
+    """Each design version keeps the SSTA inputs (coefficients, label
+    columns, wire rows) of the last process model it was analysed
+    under, and a warm analysis under an equal model computes no
+    coefficients and gives a cold analysis' bits."""
+
+    @pytest.mark.usefixtures("pool_always")
+    @pytest.mark.parametrize("kwargs", BACKENDS, ids=BACKEND_IDS)
+    def test_warm_equals_cold(self, kwargs):
+        design = random_design(**SHARDED)
+        first, computed = computing(
+            lambda: analyze_ssta(design, MODEL, **kwargs))
+        assert computed == (2 if kwargs else 1)  # one per shard
+        assert kept(design, MODEL) is not None
+        for _ in range(2):
+            warm, computed = computing(
+                lambda: analyze_ssta(design, MODEL, **kwargs))
+            assert computed == 0
+            assert ssta_outcome(warm) == ssta_outcome(first)
+        assert ssta_outcome(first) == cold_outcome(MODEL, SHARDED)
+
+    def test_a_warm_op_runs_no_coefficients_span(self):
+        design = random_design(**PARAMS)
+        analyze_ssta(design, MODEL)
+        with tracing() as tracer:
+            analyze_ssta(design, MODEL)
+        assert tracer.find("ssta.coefficients") == []
+        (extract,) = tracer.find("ssta.extract")
+        assert extract.attributes["cached"] is True
+        # The walk's layers are spans of their own, one per level.
+        (walk,) = tracer.find("ssta.walk")
+        levels = walk.attributes["levels"]
+        assert len(tracer.find("ssta.sinks")) == levels
+        for name in ("ssta.gather", "ssta.fold", "ssta.store"):
+            assert len(tracer.find(name)) == levels - 1
+
+    def test_alternating_models(self):
+        design = random_design(**PARAMS)
+        want = {id(MODEL): cold_outcome(MODEL), id(OTHER): cold_outcome(OTHER)}
+        # One slot: every switch of model misses and recomputes.
+        for model in (MODEL, OTHER, MODEL, OTHER):
+            report, computed = computing(lambda: analyze_ssta(design, model))
+            assert computed == 1
+            assert ssta_outcome(report) == want[id(model)]
+        assert kept(design, MODEL) is None
+        # An equal model built afresh is the same key.
+        equal = ProcessModel(
+            VariationModel(resistance_sigma=0.12, capacitance_sigma=0.05),
+            rho_r=0.3, rho_c=0.7, cell_sigma=0.02, rho_cell=0.8,
+        )
+        report, computed = computing(lambda: analyze_ssta(design, equal))
+        assert computed == 0
+        assert ssta_outcome(report) == want[id(OTHER)]
+
+    def test_a_sigma_dict_mutated_in_place_misses(self):
+        sigmas = {"drv": 0.2}
+
+        def model(given):
+            return ProcessModel(
+                VariationModel(0.08, 0.08, resistance_sigmas=given),
+                rho_r=0.4, rho_c=0.6, cell_sigma=0.05, rho_cell=0.5,
+            )
+
+        mine = model(sigmas)
+        design = random_design(**PARAMS)
+        analyze_ssta(design, mine)
+        sigmas["drv"] = 0.3
+        report, computed = computing(lambda: analyze_ssta(design, mine))
+        assert computed == 1
+        assert ssta_outcome(report) == cold_outcome(model({"drv": 0.3}))
+        assert cold_outcome(model({"drv": 0.3})) != \
+            cold_outcome(model({"drv": 0.2}))
+
+    @pytest.mark.parametrize("change", [
+        grow,
+        lambda d: setattr(d.instances["u3"], "position", (50e-6, 120e-6)),
+    ], ids=["mutators", "moved instance"])
+    def test_a_new_version_drops_the_slot(self, change):
+        d = mixed_design()
+        analyze_ssta(d, MODEL)
+        slot = d._compiled.nets.process_slot
+        assert slot.get(MODEL) is not None
+        change(d)
+        report, computed = computing(lambda: analyze_ssta(d, MODEL))
+        assert computed == 1
+        assert d._compiled.nets.process_slot is not slot
+        assert ssta_outcome(report) == \
+            ssta_outcome(analyze_ssta(copy_of(d), MODEL))
+
+    def test_another_wire_load_drops_the_slot(self):
+        d = mixed_design()
+        before = ssta_outcome(analyze_ssta(d, MODEL))
+        heavy = WireLoadModel(200.0, 2e-14)
+        report, computed = computing(
+            lambda: analyze_ssta(d, MODEL, wire_load=heavy))
+        assert computed == 1
+        assert ssta_outcome(report) == \
+            ssta_outcome(analyze_ssta(copy_of(d), MODEL, wire_load=heavy))
+        assert ssta_outcome(report) != before
+        report, computed = computing(lambda: analyze_ssta(d, MODEL))
+        assert computed == 1
+        assert ssta_outcome(report) == before
+
+    def test_nominal_reuses_its_results_slot(self):
+        design = random_design(**PARAMS)
+        result = analyze(design)
+        want = cold_outcome(MODEL)
+        for expected in (1, 0):
+            report, computed = computing(
+                lambda: analyze_ssta(design, MODEL, nominal=result))
+            assert computed == expected
+            assert ssta_outcome(report) == want
+        # The slot is the version's: a plain call hits what nominal=
+        # kept, and nominal= hits what a plain call kept.
+        report, computed = computing(lambda: analyze_ssta(design, MODEL))
+        assert computed == 0 and ssta_outcome(report) == want
+        analyze_ssta(design, OTHER)
+        report, computed = computing(
+            lambda: analyze_ssta(design, OTHER, nominal=analyze(design)))
+        assert computed == 0 and ssta_outcome(report) == cold_outcome(OTHER)
+
+    def test_shared_arrays_reject_writes(self):
+        design = random_design(**PARAMS)
+        first = analyze_ssta(design, MODEL)
+        inputs = kept(design, MODEL)
+        second = analyze_ssta(design, MODEL)
+        assert kept(design, MODEL) is inputs
+        for array in (*inputs.coefficients, inputs.columns.labels,
+                      inputs.wire_a, inputs.cols, inputs.vals):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        # Each report stores its rows in its own buffers, trimmed to
+        # what the walk wrote.
+        mine, theirs = first.arrival._rows, second.arrival._rows
+        assert not np.shares_memory(mine.vals, theirs.vals)
+        assert not np.shares_memory(mine.count, theirs.count)
+        assert len(mine.vals) == mine.size <= inputs.capacity
+        assert ssta_outcome(first) == ssta_outcome(second)
+
+    def test_journaled_and_override_calls_leave_the_slot(self, tmp_path):
+        d = mixed_design()
+        want = ssta_outcome(analyze_ssta(copy_of(d), MODEL))
+        first = str(tmp_path / "first.ckpt")
+        report, computed = computing(
+            lambda: analyze_ssta(d, MODEL, checkpoint_path=first))
+        assert computed >= 1 and kept(d, MODEL) is None
+        assert ssta_outcome(report) == want
+        analyze_ssta(d, MODEL)
+        inputs = kept(d, MODEL)
+        second = str(tmp_path / "second.ckpt")
+        report, computed = computing(
+            lambda: analyze_ssta(d, MODEL, checkpoint_path=second))
+        assert computed >= 1 and kept(d, MODEL) is inputs
+        assert ssta_outcome(report) == want
+        with open(first, "rb") as f, open(second, "rb") as g:
+            assert f.read() == g.read()
+        resumed = counter("resilience_checkpoint_shards_resumed_total")
+        before = resumed.value
+        report = analyze_ssta(d, MODEL, checkpoint_path=second, resume=True)
+        assert resumed.value > before
+        assert ssta_outcome(report) == want
+        report, computed = computing(
+            lambda: analyze_ssta(d, MODEL, net_overrides=overrides()))
+        assert computed == 1 and kept(d, MODEL) is inputs
+        assert ssta_outcome(report) == ssta_outcome(
+            analyze_ssta(copy_of(d), MODEL, net_overrides=overrides()))
+
+    @pytest.mark.parametrize("model", [
+        MODEL,
+        ProcessModel(VariationModel(0.08, 0.08), cell_sigma=0.0),
+        ProcessModel(VariationModel(0.08, 0.08), cell_sigma=0.05,
+                     rho_cell=1.0),
+    ], ids=["cell residuals", "no cell variation", "shared cell only"])
+    @pytest.mark.parametrize("make", [
+        mixed_design, lambda: random_design(**PARAMS),
+    ], ids=["mixed", "random"])
+    def test_the_row_store_is_sized_once(self, make, model):
+        # The capacity bounds every walk's entries (a store that ran out
+        # would raise on the first level that overflows it).
+        design = make()
+        rows = analyze_ssta(design, model).arrival._rows
+        assert len(rows.cols) == len(rows.vals) == rows.size
+        assert rows.size <= kept(design, model).capacity

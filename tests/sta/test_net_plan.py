@@ -114,8 +114,12 @@ class TestSmallDesignsThroughThePool:
         model = ProcessModel(VariationModel(0.08, 0.08), rho_r=0.5,
                              rho_c=0.5, cell_sigma=0.05, rho_cell=0.5)
         serial = analyze_ssta(design, model)
-        shm, shards = shards_run(analyze_ssta, design=design, model=model,
-                                 jobs=2, backend="shm")
+        # A fresh copy: ``design`` now keeps its SSTA inputs, and the
+        # workers are to compute them.
+        shm, shards = shards_run(analyze_ssta,
+                                 design=random_design(layers=3, width=4,
+                                                      seed=3),
+                                 model=model, jobs=2, backend="shm")
         assert shards == len(design.nets)
         assert serial.arrival.keys() == shm.arrival.keys()
         for pin, form in serial.arrival.items():

@@ -6,7 +6,15 @@ fresh subprocesses from spawn to exit (``repro serve``: from spawn to
 the first ``/v1/stats`` answer), takes the top ``-X importtime``
 packages of an Elmore ``repro sta``, and measures the one cost that moved
 into pool workers: scipy is imported by a worker's first ``"exact"``
-shard, not by the parent before it forks.  Run from the repo root::
+shard, not by the parent before it forks.
+
+Every run reads bytecode: before timing, each tree is compiled into its
+own temporary ``PYTHONPYCACHEPREFIX`` (``compileall`` of its ``src``,
+plus one untimed run of every command, which caches the stdlib and numpy
+modules it imports there too), and the timed runs read that cache and
+write nothing.  So neither checkout is written, and the comparison does
+not depend on whether a checkout happens to hold ``__pycache__``
+directories or on ``PYTHONDONTWRITEBYTECODE``.  Run from the repo root::
 
     PYTHONPATH=src:. python benchmarks/bench_startup.py \
         [--baseline OTHER_CHECKOUT/src]
@@ -18,12 +26,15 @@ tree's, and each row gets the ratio of the medians.  The table goes to
 """
 
 import argparse
+import compileall
+import contextlib
 import json
 import os
 import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.request
 from collections import defaultdict
@@ -49,6 +60,7 @@ CASES = [
     ("import numpy", ["-c", "import numpy"]),
     ("import repro", ["-c", "import repro"]),
     ("import repro.cli", ["-c", "import repro.cli"]),
+    ("from repro.sta import analyze", ["-c", "from repro.sta import analyze"]),
     ("repro sta --layers 5 --width 20", ELMORE_STA),
     ("repro sta --layers 20 --width 50",
      ["-m", "repro", "sta", "--layers", "20", "--width", "50", "--seed",
@@ -90,8 +102,44 @@ print(json.dumps(ops))
 """
 
 
+#: Each tree's ``src`` -> ``[bytecode cache, whether runs may write
+#: to it]``, set by :func:`compiled`.
+_CACHES = {}
+
+
 def _env(src):
-    return dict(os.environ, PYTHONPATH=src)
+    cache, writable = _CACHES[src]
+    env = dict(os.environ, PYTHONPATH=src, PYTHONPYCACHEPREFIX=cache)
+    if writable:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+    else:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+@contextlib.contextmanager
+def compiled(trees):
+    """Compile every tree into its own temporary bytecode cache (see the
+    module docstring), removed on exit."""
+    with contextlib.ExitStack() as stack:
+        for src in trees.values():
+            cache = stack.enter_context(tempfile.TemporaryDirectory(
+                prefix="repro_pycache_"))
+            _CACHES[src] = [cache, True]
+            sys.pycache_prefix, saved = cache, sys.pycache_prefix
+            try:
+                compileall.compile_dir(src, quiet=1)
+            finally:
+                sys.pycache_prefix = saved
+            for _, args in CASES:
+                if args is None:
+                    _serve(src)
+                else:
+                    _run(src, args)
+            _importtime(src)
+            pool_probe(src)
+            _CACHES[src][1] = False
+        yield
 
 
 def _run(src, args):
@@ -131,7 +179,7 @@ def _serve(src):
 
 def _importtime(src):
     """Self milliseconds of the imports of :data:`ELMORE_STA`, per
-    top-level package."""
+    top-level package, ``repro`` split by subpackage (``repro.sta``)."""
     out = subprocess.run(
         [sys.executable, "-X", "importtime", *ELMORE_STA],
         env=_env(src), check=True, capture_output=True, text=True,
@@ -141,7 +189,9 @@ def _importtime(src):
         if line.startswith("import time:") and "|" in line:
             self_us, _, name = line[len("import time:"):].split("|")
             if self_us.strip().isdigit():
-                totals[name.strip().split(".")[0]] += int(self_us) / 1e3
+                parts = name.strip().split(".")
+                key = ".".join(parts[:2 if parts[0] == "repro" else 1])
+                totals[key] += int(self_us) / 1e3
     return totals
 
 
@@ -183,7 +233,9 @@ def main(argv=None):
     trees = {"this": SRC}
     if args.baseline:
         trees["baseline"] = os.path.abspath(args.baseline)
-    medians, tables = measure(trees)
+    with compiled(trees):
+        medians, tables = measure(trees)
+        probes = {tree: pool_probe(src) for tree, src in trees.items()}
 
     header = ["command", "this tree"]
     if args.baseline:
@@ -204,30 +256,38 @@ def main(argv=None):
         render_table(
             f"Cold start, interleaved medians of {REPEATS} fresh "
             f"subprocesses" + (f" ({revisions['baseline']})"
-                               if args.baseline else ""),
+                               if args.baseline else "")
+            + ", every tree read from its own precompiled bytecode cache",
             header, rows),
         "", host_fingerprint(), "",
     ]
 
     for tree, table in tables.items():
-        top = sorted(table.items(), key=lambda item: -item[1])[:8]
+        packages = defaultdict(float)
+        for name, ms in table.items():
+            packages[name.split(".")[0]] += ms
+        top = sorted(packages.items(), key=lambda item: -item[1])[:8]
         lines.append(
             f"python -X importtime {' '.join(ELMORE_STA)}, "
             f"{revisions[tree]}: {sum(table.values()):.0f} ms of import "
             f"self time; top packages (median ms): "
             + ", ".join(f"{name} {ms:.0f}" for name, ms in top))
-        heavy = {name: table.get(name, 0.0) for name in ("scipy",
-                                                           "networkx")}
+        heavy = {name: packages.get(name, 0.0) for name in ("scipy",
+                                                              "networkx")}
         lines.append("  scipy and networkx: " + ", ".join(
             f"{name} {ms:.0f} ms" for name, ms in heavy.items()))
+        own = sorted(((name, ms) for name, ms in table.items()
+                      if name.split(".")[0] == "repro"),
+                     key=lambda item: -item[1])
+        lines.append(f"  repro {packages['repro']:.1f} ms by subpackage: "
+                     + ", ".join(f"{name} {ms:.1f}" for name, ms in own))
     lines.append("")
 
     lines.append(
         "First against second analyze(random_design(8, 40, 1), \"exact\", "
         "jobs=2, backend=\"shm\") in a fresh process (s: op wall, "
         "parallel.worker span time, shard task time):")
-    for tree, src in trees.items():
-        first, second = pool_probe(src)
+    for tree, (first, second) in probes.items():
         lines.append(
             f"  {revisions[tree]}: first "
             + " / ".join(f"{v:.3f}" for v in first) + ", second "

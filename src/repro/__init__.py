@@ -43,61 +43,43 @@ from repro._exceptions import (
     TopologyError,
     ValidationError,
 )
-from repro.analysis import (
-    ExactAnalysis,
-    PoleResidueTransfer,
-    actual_delay,
-    measure_delay,
-    output_rise_time,
-    pi_model,
-    sample_waveform,
-    simulate,
-    simulate_step_response,
-    threshold_crossing,
-)
-from repro.awe import awe_delay, one_pole_delay, two_pole_delay
-from repro.circuit import (
-    RCTree,
-    balanced_tree,
-    parse_rc_tree,
-    random_tree,
-    rc_line,
-    star_tree,
-    tree_to_netlist,
-)
-from repro.core import (
-    METRICS,
-    DelayBounds,
-    PRHBounds,
-    delay_bounds,
-    delay_lower_bound,
-    delay_upper_bound,
-    elmore_delay,
-    elmore_delays,
-    evaluate_metrics,
-    prh_bounds,
-    prh_delay_interval,
-    rise_time_estimate,
-    transfer_moments,
-    verify_tree,
-)
-from repro.core import elmore_sensitivity
-from repro.opt import (
-    BufferSink,
-    BufferType,
-    SizableSegment,
-    SizingProblem,
-    insert_buffers,
-    size_wires,
-)
-from repro.signals import (
-    ExponentialInput,
-    PWLSignal,
-    RaisedCosineRamp,
-    SaturatedRamp,
-    SmoothstepRamp,
-    StepInput,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.analysis.admittance": ["pi_model"],
+    "repro.analysis.responses": [
+        "actual_delay", "measure_delay", "output_rise_time",
+        "sample_waveform", "threshold_crossing",
+    ],
+    "repro.analysis.state_space": ["ExactAnalysis", "PoleResidueTransfer"],
+    "repro.analysis.transient": ["simulate", "simulate_step_response"],
+    "repro.awe.onepole": ["one_pole_delay"],
+    "repro.awe.pade": ["awe_delay", "two_pole_delay"],
+    "repro.circuit.builders": [
+        "balanced_tree", "random_tree", "rc_line", "star_tree",
+    ],
+    "repro.circuit.rctree": ["RCTree"],
+    "repro.circuit.spice": ["parse_rc_tree", "tree_to_netlist"],
+    "repro.core.bounds": [
+        "DelayBounds", "delay_bounds", "delay_lower_bound",
+        "delay_upper_bound", "rise_time_estimate",
+    ],
+    "repro.core.elmore": ["elmore_delay", "elmore_delays"],
+    "repro.core.metrics": ["METRICS", "evaluate_metrics"],
+    "repro.core.moments": ["transfer_moments"],
+    "repro.core.penfield_rubinstein": [
+        "PRHBounds", "prh_bounds", "prh_delay_interval",
+    ],
+    "repro.core.sensitivity": ["elmore_sensitivity"],
+    "repro.core.verification": ["verify_tree"],
+    "repro.opt.buffering": ["BufferSink", "BufferType", "insert_buffers"],
+    "repro.opt.sizing": ["SizableSegment", "SizingProblem", "size_wires"],
+    "repro.signals.exponential": ["ExponentialInput"],
+    "repro.signals.pwl": ["PWLSignal"],
+    "repro.signals.ramp": ["SaturatedRamp"],
+    "repro.signals.smooth": ["RaisedCosineRamp", "SmoothstepRamp"],
+    "repro.signals.step": ["StepInput"],
+})
 
 # Library logging contract: quiet by default.  Applications opt in with
 # ``repro.obs.configure_logging`` (the CLI's ``-v``) or their own handler.

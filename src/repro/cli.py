@@ -56,27 +56,30 @@ import logging
 import math
 import sys
 from functools import partial
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro import obs
 from repro._exceptions import ReproError, ValidationError
-from repro.analysis import ExactAnalysis, measure_delay
-from repro.circuit import read_rc_tree
-from repro.core import prh_bounds, transfer_moments
+from repro._lazy import lazy_exports
 from repro.ops import OPS, Context, Param
 from repro.ops import format_ns as _format_ns
-from repro.signals import SaturatedRamp, Signal, StepInput
-from repro.signals.spec import parse_time_spec as _parse_time_spec
-from repro.signals.spec import signal_from_spec
+
+if TYPE_CHECKING:
+    from repro.signals import Signal
 
 __all__ = ["main", "parse_signal_spec", "parse_time_spec"]
 
 logger = logging.getLogger(__name__)
 
-# Both parsers live in repro.signals.spec now, shared verbatim with the
-# HTTP service's "signal" request field; re-exported here because they
-# have always been part of the CLI module's public surface.
-parse_time_spec = _parse_time_spec
+# The netlist subcommands import the circuit, analysis, core and signal
+# layers when they run, so the op subcommands, ``serve`` and ``--help``
+# do not.  The spec parsers live in repro.signals.spec, shared verbatim
+# with the HTTP service's "signal" request field; parse_time_spec is
+# re-exported here because it has always been part of the CLI module's
+# public surface.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.signals.spec": ["parse_time_spec"],
+})
 
 
 def parse_signal_spec(spec: str) -> Signal:
@@ -88,6 +91,8 @@ def parse_signal_spec(spec: str) -> Signal:
     validation failures as clean argparse usage errors — never a
     traceback.
     """
+    from repro.signals.spec import signal_from_spec
+
     try:
         return signal_from_spec(spec)
     except ReproError as exc:
@@ -118,6 +123,11 @@ def _float_arg(label: str, minimum: Optional[float] = None):
 
 
 def _cmd_analyze(args) -> int:
+    from repro.analysis import ExactAnalysis, measure_delay
+    from repro.circuit import read_rc_tree
+    from repro.core import delay_bounds, prh_bounds, transfer_moments
+    from repro.signals import StepInput
+
     tree, _ = read_rc_tree(args.netlist)
     signal = args.signal
     nodes = args.nodes.split(",") if args.nodes else list(tree.node_names)
@@ -128,7 +138,6 @@ def _cmd_analyze(args) -> int:
 
     analysis = ExactAnalysis(tree)
     moments = transfer_moments(tree, 3)
-    from repro.core import delay_bounds
     prh = prh_bounds(tree) if isinstance(signal, StepInput) else None
 
     header = f"{'node':>10} {'delay':>9} {'elmore':>9} {'lower':>9}"
@@ -152,6 +161,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_waveform(args) -> int:
     import numpy as np
+
+    from repro.analysis import ExactAnalysis, measure_delay
+    from repro.circuit import read_rc_tree
 
     tree, _ = read_rc_tree(args.netlist)
     if args.node not in tree:
@@ -194,6 +206,7 @@ def _cmd_waveform(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from repro.circuit import read_rc_tree
     from repro.core.variation import VariationModel, elmore_statistics
 
     tree, _ = read_rc_tree(args.netlist)
@@ -275,7 +288,10 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_table1(_args) -> int:
+    from repro.analysis import ExactAnalysis, measure_delay
+    from repro.core import prh_bounds, transfer_moments
     from repro.workloads import FIG1_PROBES, fig1_tree
+
     tree = fig1_tree()
     analysis = ExactAnalysis(tree)
     moments = transfer_moments(tree, 2)
@@ -296,7 +312,11 @@ def _cmd_table1(_args) -> int:
 
 
 def _cmd_table2(_args) -> int:
+    from repro.analysis import ExactAnalysis, measure_delay
+    from repro.core import transfer_moments
+    from repro.signals import SaturatedRamp
     from repro.workloads import TABLE2_RISE_TIMES, TREE25_PROBES, tree25
+
     tree = tree25()
     analysis = ExactAnalysis(tree)
     moments = transfer_moments(tree, 1)
@@ -409,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--nodes", default="", help="comma-separated node subset"
     )
     analyze.add_argument(
-        "--signal", type=parse_signal_spec, default=StepInput(),
+        "--signal", type=parse_signal_spec, default="step",
         help="input signal spec: step | ramp:2ns | cosine:1ns | "
              "smoothstep:1ns | exp:500ps",
     )
@@ -517,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     waveform.add_argument("netlist", help="path to the netlist file")
     waveform.add_argument("node", help="node to observe")
     waveform.add_argument(
-        "--signal", type=parse_signal_spec, default=StepInput(),
+        "--signal", type=parse_signal_spec, default="step",
         help="input signal spec (see 'analyze')",
     )
     waveform.add_argument(

@@ -26,48 +26,29 @@ Span/metric naming conventions and how to read a report live in
     report = collect_report(command="sweep", seed=11)
 """
 
-from repro.obs.aggregate import (
-    ShardObsCapture,
-    merge_worker_payload,
-    registry_delta,
-    span_from_dict,
-)
-from repro.obs.logs import configure_logging, reset_logging
-from repro.obs.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    gauge,
-    get_registry,
-    histogram,
-)
-from repro.obs.report import (
-    SCHEMA,
-    atomic_write_text,
-    collect_report,
-    environment_info,
-    format_seconds,
-    load_report,
-    render_report,
-    render_span_tree,
-    write_report,
-)
-from repro.obs.server import MetricsServer, start_metrics_server
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    iter_span_dicts,
-    span,
-    traced,
-    tracing,
-    tracing_enabled,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.aggregate": [
+        "ShardObsCapture", "merge_worker_payload", "registry_delta",
+        "span_from_dict",
+    ],
+    "repro.obs.logs": ["configure_logging", "reset_logging"],
+    "repro.obs.metrics": [
+        "DEFAULT_SECONDS_BUCKETS", "Counter", "Gauge", "Histogram",
+        "MetricsRegistry", "counter", "gauge", "get_registry", "histogram",
+    ],
+    "repro.obs.report": [
+        "SCHEMA", "atomic_write_text", "collect_report", "environment_info",
+        "format_seconds", "load_report", "render_report", "render_span_tree",
+        "write_report",
+    ],
+    "repro.obs.server": ["MetricsServer", "start_metrics_server"],
+    "repro.obs.trace": [
+        "Span", "Tracer", "disable_tracing", "enable_tracing", "get_tracer",
+        "iter_span_dicts", "span", "traced", "tracing", "tracing_enabled",
+    ],
+})
 
 __all__ = [
     # trace

@@ -1,26 +1,20 @@
 """Elmore-driven interconnect optimization: wire sizing, buffer insertion."""
 
-from repro.opt.buffering import (
-    BufferingResult,
-    BufferSink,
-    BufferType,
-    MultiBufferingResult,
-    assigned_stage_delays,
-    buffered_stage_delays,
-    insert_buffers,
-    insert_buffers_multi,
-)
-from repro.opt.sizing import (
-    SizableSegment,
-    SizingProblem,
-    SizingResult,
-    size_wires,
-)
-from repro.opt.slew_repair import (
-    SlewRepairResult,
-    repair_slews,
-    stage_sigmas,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.opt.buffering": [
+        "BufferingResult", "BufferSink", "BufferType", "MultiBufferingResult",
+        "assigned_stage_delays", "buffered_stage_delays", "insert_buffers",
+        "insert_buffers_multi",
+    ],
+    "repro.opt.sizing": [
+        "SizableSegment", "SizingProblem", "SizingResult", "size_wires",
+    ],
+    "repro.opt.slew_repair": [
+        "SlewRepairResult", "repair_slews", "stage_sigmas",
+    ],
+})
 
 __all__ = [
     "BufferType",

@@ -38,39 +38,26 @@ Consumers: ``monte_carlo_delay_matrix`` (and through it
 flags.
 """
 
-from repro.parallel.executor import (
-    BACKENDS,
-    available_backends,
-    resolve_backend,
-    resolve_jobs,
-    run_sharded,
-    use_pool,
-)
-from repro.parallel.plan import (
-    DEFAULT_MAX_SHARDS,
-    Shard,
-    plan_shards,
-    spawn_shard_seeds,
-)
-from repro.parallel.pool import (
-    WarmPool,
-    get_warm_pool,
-    lease_warm_pool,
-    shutdown_warm_pool,
-)
-from repro.parallel.shm import (
-    ArraySpec,
-    AttachedWorkspace,
-    LocalWorkspace,
-    ShmError,
-    ShmWorkspace,
-    WorkspaceDescriptor,
-    WorkspaceRegistry,
-    attach_workspace,
-    close_all_workspaces,
-    detach_all,
-    shm_available,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.parallel.executor": [
+        "BACKENDS", "available_backends", "resolve_backend", "resolve_jobs",
+        "run_sharded", "use_pool",
+    ],
+    "repro.parallel.plan": [
+        "DEFAULT_MAX_SHARDS", "Shard", "plan_shards", "spawn_shard_seeds",
+    ],
+    "repro.parallel.pool": [
+        "WarmPool", "get_warm_pool", "lease_warm_pool", "shutdown_warm_pool",
+    ],
+    "repro.parallel.shm": [
+        "ArraySpec", "AttachedWorkspace", "LocalWorkspace", "ShmError",
+        "ShmWorkspace", "WorkspaceDescriptor", "WorkspaceRegistry",
+        "attach_workspace", "close_all_workspaces", "detach_all",
+        "shm_available",
+    ],
+})
 
 __all__ = [
     "Shard",
@@ -107,6 +94,9 @@ def shutdown() -> None:
     pool's workers, drop cached attachments, and unlink every live
     shared-memory workspace.  Safe to call at any time; the next sharded
     run re-forks and re-publishes on demand."""
+    from repro.parallel.pool import shutdown_warm_pool
+    from repro.parallel.shm import close_all_workspaces, detach_all
+
     shutdown_warm_pool()
     detach_all()
     close_all_workspaces()

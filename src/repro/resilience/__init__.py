@@ -15,27 +15,19 @@ See ``docs/robustness.md`` for the fault taxonomy, fallback ladder, and
 journal schema.
 """
 
-from repro.resilience.checkpoint import (
-    SCHEMA as CHECKPOINT_SCHEMA,
-    CheckpointError,
-    ShardCheckpoint,
-    close_open_journals,
-    journal,
-    open_checkpoint,
-    run_fingerprint,
-    tree_fingerprint,
-)
-from repro.resilience.faults import (
-    ENV_SEED,
-    ENV_SPEC,
-    FAULT_POINTS,
-    FaultRule,
-    FaultSchedule,
-    active_schedule,
-    clear_faults,
-    install_faults,
-    parse_fault_spec,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.resilience.checkpoint": [
+        "SCHEMA as CHECKPOINT_SCHEMA", "CheckpointError", "ShardCheckpoint",
+        "close_open_journals", "journal", "open_checkpoint", "run_fingerprint", "tree_fingerprint",
+    ],
+    "repro.resilience.faults": [
+        "ENV_SEED", "ENV_SPEC", "FAULT_POINTS", "FaultRule", "FaultSchedule",
+        "active_schedule", "clear_faults", "install_faults",
+        "parse_fault_spec",
+    ],
+})
 
 __all__ = [
     "CHECKPOINT_SCHEMA",

@@ -1,17 +1,16 @@
 """Net routing substrate: rectilinear spanning/Steiner trees -> RC trees."""
 
-from repro.routing.steiner import (
-    manhattan,
-    one_steiner_refinement,
-    rectilinear_mst,
-    route_net,
-    route_segments,
-    total_wire_length,
-)
-from repro.routing.timing_driven import (
-    TimingDrivenResult,
-    route_net_timing_driven,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.routing.steiner": [
+        "manhattan", "one_steiner_refinement", "rectilinear_mst", "route_net",
+        "route_segments", "total_wire_length",
+    ],
+    "repro.routing.timing_driven": [
+        "TimingDrivenResult", "route_net_timing_driven",
+    ],
+})
 
 __all__ = [
     "manhattan",

@@ -23,18 +23,22 @@ operation registry (:mod:`repro.ops`) and run on a small side executor;
 or in-process (tests, benchmarks) via :class:`ServerThread`.
 """
 
-from repro.serve.app import ReproServer, ServeConfig, ServerThread, \
-    run_server
-from repro.serve.batcher import Batcher, BatcherStats, \
-    DeadlineExpiredError, DrainingError, QueueFullError
-from repro.serve.engine import StatsEngine
-from repro.serve.schemas import (
-    StatsRequest,
-    parse_stats_request,
-    resolve_workload,
-    topology_key,
-    tree_from_spec,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.serve.app": [
+        "ReproServer", "ServeConfig", "ServerThread", "run_server",
+    ],
+    "repro.serve.batcher": [
+        "Batcher", "BatcherStats", "DeadlineExpiredError", "DrainingError",
+        "QueueFullError",
+    ],
+    "repro.serve.engine": ["StatsEngine"],
+    "repro.serve.schemas": [
+        "StatsRequest", "parse_stats_request", "resolve_workload",
+        "topology_key", "tree_from_spec",
+    ],
+})
 
 __all__ = [
     "ReproServer",

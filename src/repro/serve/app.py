@@ -55,6 +55,13 @@ from repro.serve.batcher import (
 from repro.serve.engine import StatsEngine
 from repro.serve.schemas import parse_stats_request
 
+# A library counter registers when its module loads.  These modules'
+# series (``verify_*``, ``incremental_*``) are listed from the first
+# scrape of ``/metrics``; ``sta_*`` and ``ssta_*`` appear at the first
+# such op.
+import repro.core.incremental  # noqa: F401
+import repro.core.verification  # noqa: F401
+
 __all__ = ["ServeConfig", "ReproServer", "ServerThread", "run_server"]
 
 logger = logging.getLogger(__name__)

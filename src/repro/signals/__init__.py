@@ -1,12 +1,18 @@
 """Input-signal library for generalized-input delay analysis (Sec. IV)."""
 
-from repro.signals.base import DerivativeMoments, Signal, exp_convolve_pwl
-from repro.signals.exponential import ExponentialInput
-from repro.signals.fitted import DelayedSignal, fitted_ramp, stage_output_model
-from repro.signals.pwl import PWLSignal
-from repro.signals.ramp import SaturatedRamp
-from repro.signals.smooth import RaisedCosineRamp, SmoothstepRamp
-from repro.signals.step import StepInput
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.signals.base": ["DerivativeMoments", "Signal", "exp_convolve_pwl"],
+    "repro.signals.exponential": ["ExponentialInput"],
+    "repro.signals.fitted": [
+        "DelayedSignal", "fitted_ramp", "stage_output_model",
+    ],
+    "repro.signals.pwl": ["PWLSignal"],
+    "repro.signals.ramp": ["SaturatedRamp"],
+    "repro.signals.smooth": ["RaisedCosineRamp", "SmoothstepRamp"],
+    "repro.signals.step": ["StepInput"],
+})
 
 __all__ = [
     "Signal",

@@ -1,32 +1,27 @@
 """Miniature static timing analyzer built on the Elmore bound."""
 
-from repro.sta.characterize import (
-    CharacterizationResult,
-    characterize_driver,
-    lumped_load_delay_oracle,
-)
-from repro.sta.interconnect import (
-    ElaboratedNet,
-    NetArrays,
-    NetGeometry,
-    WireLoadModel,
-    build_net,
-    elaborate_net,
-    net_arrays,
-    net_geometry,
-)
-from repro.sta.library import Cell, CellLibrary, default_library
-from repro.sta.netlist import Design, Instance, Net, Pin
-from repro.sta.slack import SlackReport, compute_slacks
-from repro.sta.ssta import (
-    ProcessModel,
-    SSTAReport,
-    SSTAValidation,
-    analyze_ssta,
-    monte_carlo_arrivals,
-    validate_against_monte_carlo,
-)
-from repro.sta.timing import DELAY_MODELS, PathElement, TimingResult, analyze
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sta.characterize": [
+        "CharacterizationResult", "characterize_driver",
+        "lumped_load_delay_oracle",
+    ],
+    "repro.sta.interconnect": [
+        "ElaboratedNet", "NetArrays", "NetGeometry", "WireLoadModel",
+        "build_net", "elaborate_net", "net_arrays", "net_geometry",
+    ],
+    "repro.sta.library": ["Cell", "CellLibrary", "default_library"],
+    "repro.sta.netlist": ["Design", "Instance", "Net", "Pin"],
+    "repro.sta.slack": ["SlackReport", "compute_slacks"],
+    "repro.sta.ssta": [
+        "ProcessModel", "SSTAReport", "SSTAValidation", "analyze_ssta",
+        "monte_carlo_arrivals", "validate_against_monte_carlo",
+    ],
+    "repro.sta.timing": [
+        "DELAY_MODELS", "PathElement", "TimingResult", "analyze",
+    ],
+})
 
 __all__ = [
     "Cell",

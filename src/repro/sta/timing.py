@@ -47,12 +47,8 @@ _METRIC_FALLBACKS = _counter(
     "sta_metric_fallbacks_total",
     "Sinks whose moment-metric fit failed and fell back to Elmore",
 )
-from repro.analysis.responses import measure_delay
-from repro.analysis.state_space import ExactAnalysis
 from repro.circuit.rctree import RCTree
 from repro.core.batch import batch_transfer_moments
-from repro.core.metrics import METRICS
-from repro.core.moments import TransferMoments
 from repro.parallel import (
     DEFAULT_MAX_SHARDS,
     LocalWorkspace,
@@ -160,6 +156,9 @@ def _estimate_ms(sinks: int, delay_model: str, process,
 
 def _exact_delays(net: NetArrays) -> List[float]:
     """The measured 50% step delay at each of the net's sinks."""
+    from repro.analysis.responses import measure_delay
+    from repro.analysis.state_space import ExactAnalysis
+
     analysis = ExactAnalysis(RCTree.from_arrays(*net[:5]))
     return [measure_delay(analysis, net.node_names[sink])
             for sink in net.sinks]
@@ -199,6 +198,9 @@ def _sweep_nets(forest: NetForest, delay_model: str) -> np.ndarray:
             out[0] = [delay for net in forest.nets
                       for delay in _exact_delays(net)]
     elif delay_model != "elmore":
+        from repro.core.metrics import METRICS
+        from repro.core.moments import TransferMoments
+
         metric = METRICS[delay_model]
         columns = TransferMoments(None, coefficients)
         for j in range(len(forest.sinks)):

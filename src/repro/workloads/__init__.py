@@ -1,22 +1,17 @@
 """Workloads: the paper's circuits and seeded benchmark generators."""
 
-from repro.workloads.generators import (
-    clock_tree_family,
-    corner_batch,
-    line_family,
-    mixed_corpus,
-    random_design,
-    random_tree_corpus,
-)
-from repro.workloads.paper import (
-    FIG1_PROBES,
-    TABLE1_PAPER,
-    TABLE2_PAPER,
-    TABLE2_RISE_TIMES,
-    TREE25_PROBES,
-    fig1_tree,
-    tree25,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.workloads.generators": [
+        "clock_tree_family", "corner_batch", "line_family", "mixed_corpus",
+        "random_design", "random_tree_corpus",
+    ],
+    "repro.workloads.paper": [
+        "FIG1_PROBES", "TABLE1_PAPER", "TABLE2_PAPER", "TABLE2_RISE_TIMES",
+        "TREE25_PROBES", "fig1_tree", "tree25",
+    ],
+})
 
 __all__ = [
     "fig1_tree",

@@ -129,6 +129,54 @@ class TestSubprocessLifecycle:
                 process.kill()
                 process.wait(timeout=10.0)
 
+    def test_first_scrape_lists_every_library_series(self):
+        # A counter registers when its module loads, so a fresh server
+        # lists a library series only if it loaded the module; these
+        # names must not depend on which requests came first.
+        process = _spawn_serve()
+        try:
+            url = _await_url(process)
+            with urllib.request.urlopen(url + "/metrics",
+                                        timeout=10.0) as resp:
+                text = resp.read().decode()
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30.0) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10.0)
+        names = {line.split()[2] for line in text.splitlines()
+                 if line.startswith("# TYPE ")}
+        assert names == FIRST_SCRAPE_SERIES
+
+
+#: Every series a fresh ``repro serve`` lists at its first ``/metrics``.
+FIRST_SCRAPE_SERIES = {
+    "batch_rows_total", "batch_sweeps_total", "incremental_edits_total",
+    "incremental_queries_total", "parallel_degraded_total",
+    "parallel_in_process_total", "parallel_malformed_results_total",
+    "parallel_pool_forks_total", "parallel_pool_recycles_total",
+    "parallel_pool_reuses_total", "parallel_pool_workers",
+    "parallel_retries_total", "parallel_retry_backoff_seconds",
+    "parallel_shard_seconds", "parallel_shards_total",
+    "parallel_shm_active_segments", "parallel_shm_attach_total",
+    "parallel_shm_bytes_total", "parallel_shm_fallback_total",
+    "parallel_shm_publish_skipped_total", "parallel_shm_publish_total",
+    "parallel_shm_unlink_total", "parallel_timeouts_total",
+    "parallel_worker_merge_skipped_total", "parallel_worker_payloads_total",
+    "parallel_worker_spans_total", "resilience_checkpoint_bytes_total",
+    "resilience_checkpoint_shards_resumed_total",
+    "resilience_checkpoint_shards_written_total",
+    "resilience_fault_checks_total", "resilience_faults_injected_total",
+    "resilience_watchdog_fired_total", "scalar_walks_total",
+    "serve_batch_size", "serve_batches_total", "serve_coalesced_total",
+    "serve_deadline_expired_total", "serve_draining", "serve_inflight",
+    "serve_rejected_total", "serve_requests_total",
+    "topology_cache_hits_total", "topology_cache_misses_total",
+    "topology_compile_total", "variation_samples_total", "verify_nodes_total",
+    "verify_samples_total",
+}
+
 
 class TestMetricsPortSatellite:
     def test_port_zero_reports_chosen_port_on_stdout(self, netlist,

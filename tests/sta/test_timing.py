@@ -141,14 +141,14 @@ class TestDelayModels:
     def test_fit_failure_falls_back_to_elmore_and_is_counted(
             self, chain, monkeypatch):
         from repro._exceptions import MetricError
+        from repro.core.metrics import METRICS
         from repro.obs.metrics import get_registry
-        from repro.sta import timing
         from tests.sta.net_model_oracle import design_delays
 
         def failing_fit(moments, node):
             raise MetricError("forced fit failure")
 
-        monkeypatch.setitem(timing.METRICS, "d2m", failing_fit)
+        monkeypatch.setitem(METRICS, "d2m", failing_fit)
         fallbacks = get_registry().get("sta_metric_fallbacks_total")
         before = (fallbacks.value, fallbacks.labels(metric="d2m").value)
         result = analyze(chain, delay_model="d2m")

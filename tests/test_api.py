@@ -1,5 +1,7 @@
 """Public API surface tests: exports exist, exceptions are coherent."""
 
+import importlib
+
 import pytest
 
 import repro
@@ -15,25 +17,24 @@ class TestExports:
             assert hasattr(repro, name), f"missing export {name}"
 
     def test_subpackage_all_exports_resolve(self):
-        import repro.analysis
-        import repro.awe
-        import repro.circuit
-        import repro.core
-        import repro.opt
-        import repro.routing
-        import repro.signals
-        import repro.sta
-        import repro.workloads
-
-        for module in (
-            repro.analysis, repro.awe, repro.circuit, repro.core,
-            repro.opt, repro.routing, repro.signals, repro.sta,
-            repro.workloads,
+        for package in (
+            "repro", "repro.analysis", "repro.awe", "repro.circuit",
+            "repro.cli", "repro.core", "repro.obs", "repro.ops", "repro.opt",
+            "repro.parallel", "repro.resilience", "repro.routing",
+            "repro.serve", "repro.signals", "repro.sta", "repro.workloads",
         ):
-            for name in module.__all__:
-                assert hasattr(module, name), (
-                    f"{module.__name__} missing export {name}"
-                )
+            module = importlib.import_module(package)
+            assert set(module.__all__) <= set(dir(module)), package
+            exports = getattr(module, "_EXPORTS", {})
+            assert set(exports) <= set(module.__all__), package
+            for name, (defining, attr) in exports.items():
+                assert getattr(module, name) is getattr(
+                    importlib.import_module(defining), attr), (package, name)
+            namespace = {}
+            exec(f"from {package} import *", namespace)
+            assert set(module.__all__) <= set(namespace), package
+            with pytest.raises(AttributeError):
+                getattr(module, "no_such_export")
 
 
 class TestExceptionHierarchy:

@@ -1,12 +1,15 @@
-"""Import hygiene: the Elmore paths never load scipy or networkx.
+"""Import hygiene: the Elmore paths load only what they run.
 
 The Elmore metric is a few sweeps over numpy arrays, so importing the
 package, the CLI's help, an Elmore STA, a Monte-Carlo sweep and one
 ``/v1/stats`` batch must not pay for scipy (the exact, transient and MNA
 solves, the root finders, SSTA's QR and normal CDF) or networkx (the
-graph-based routing helpers).  Those entry points import them when they
-run.  Every check runs in a fresh interpreter under ``-X importtime``,
-which names each module the process imports; none asserts a time.
+graph-based routing helpers).  The package ``__init__`` modules re-export
+lazily (:mod:`repro._lazy`), so an Elmore STA does not load the exact
+analysis, AWE, optimisation or serving layers either.  Those entry points
+import them when they run.  Every check runs in a fresh interpreter under
+``-X importtime``, which names each module the process imports; none
+asserts a time.
 """
 
 import os
@@ -22,8 +25,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 HEAVY = {"scipy", "networkx"}
 
 
-def imported_packages(*args):
-    """Top-level packages a fresh ``python -X importtime *args`` imports.
+def imported_modules(*args):
+    """Modules a fresh ``python -X importtime *args`` imports.
 
     The command must succeed; the import list is its ``-X importtime``
     report on stderr (forked workers inherit the flag and the stream).
@@ -37,10 +40,15 @@ def imported_packages(*args):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return {
-        line.rpartition("|")[2].strip().split(".")[0]
+        line.rpartition("|")[2].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+
+
+def imported_packages(*args):
+    """Top-level packages of :func:`imported_modules`."""
+    return {name.split(".")[0] for name in imported_modules(*args)}
 
 
 @pytest.mark.parametrize("args", [
@@ -96,3 +104,67 @@ assert result.objective > 0.0
 ], ids=["exact-sta", "ssta", "one-steiner", "timing-driven"])
 def test_exact_and_graph_paths_load_what_they_need(code, needs):
     assert needs in imported_packages("-c", code)
+
+
+#: Layers an Elmore STA never runs: exact analysis, moment-matching
+#: fits, optimisation and the HTTP service.
+NOT_ELMORE = ("repro.analysis", "repro.awe", "repro.opt", "repro.serve")
+
+ELMORE_STA = ["-m", "repro", "sta", "--layers", "5", "--width", "20",
+              "--seed", "1"]
+
+
+def analyze_code(delay_model):
+    return f"""
+from repro.sta import analyze
+from repro.workloads import random_design
+assert analyze(random_design(2, 3, 1), {delay_model!r}).critical_delay > 0
+"""
+
+
+def layer(name):
+    """The ``repro`` subpackage (or module) ``name`` belongs to."""
+    return ".".join(name.split(".")[:2])
+
+
+def test_import_repro_loads_only_its_private_modules():
+    modules = imported_modules("-c", "import repro")
+    assert {m for m in modules if m.startswith("repro.")} <= {
+        "repro._exceptions", "repro._lazy"}
+    assert "numpy" not in modules
+
+
+def test_lazy_exports_resolve_in_a_fresh_process():
+    imported_modules("-c", """
+import repro
+from repro import RCTree
+tree = repro.rc_line(3, 100.0, 1e-14)
+assert isinstance(tree, RCTree)
+assert repro.core.elmore_delay(tree, "n3") > 0.0
+""")
+
+
+@pytest.mark.parametrize("args", [ELMORE_STA, ["-c", analyze_code("elmore")]],
+                         ids=["cli", "in-process"])
+def test_elmore_sta_loads_no_exact_fit_opt_or_serve_layer(args):
+    modules = imported_modules(*args)
+    assert "repro.sta.timing" in modules
+    assert {layer(m) for m in modules} & set(NOT_ELMORE) == set()
+    assert "repro.core.metrics" not in modules
+
+
+@pytest.mark.parametrize("delay_model, needs", [
+    ("d2m", "repro.core.metrics"),
+    ("exact", "repro.analysis.state_space"),
+])
+def test_other_delay_models_load_their_layer_on_demand(delay_model, needs):
+    imported_modules("-c", f"""
+import sys
+from repro.sta import analyze
+from repro.workloads import random_design
+design = random_design(2, 3, 1)
+assert analyze(design, "elmore").critical_delay > 0
+assert {needs!r} not in sys.modules
+assert analyze(design, {delay_model!r}).critical_delay > 0
+assert {needs!r} in sys.modules
+""")

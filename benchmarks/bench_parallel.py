@@ -240,7 +240,7 @@ def _unit_costs():
                                   "lognormal", "d2m"]),
                            (small, [] if QUICK else ["exact", "two_pole",
                                                      "awe4"])):
-        part = design._compiled.nets
+        part = design._compiled
         forest = net_forest(part.records)
         sinks = len(part.pins)
         for model in models:
@@ -250,7 +250,7 @@ def _unit_costs():
                             repeats)
             rows.append((f"sta {model}", ms * 1e3 / sinks,
                          timing._SINK_US[model], "us/sink"))
-    part = big._compiled.nets
+    part = big._compiled
     forest = net_forest(part.records)
     sinks = len(part.pins)
     ms = _median_ms(lambda: _ssta_model().net_columns(forest))

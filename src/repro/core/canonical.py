@@ -134,7 +134,7 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalForm:
     """One Gaussian delay/arrival quantity in canonical first-order form.
 
@@ -163,6 +163,16 @@ class CanonicalForm:
         if not np.all(np.isfinite(arr)):
             raise AnalysisError("canonical form coefficients must be finite")
         object.__setattr__(self, "a", arr)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal values: the same mean, shared coefficients and labelled
+        residuals."""
+        if not isinstance(other, CanonicalForm):
+            return NotImplemented
+        return (self.mu == other.mu and np.array_equal(self.a, other.a)
+                and dict(self.resid) == dict(other.resid))
+
+    __hash__ = None  # type: ignore[assignment]
 
     # -- moments ---------------------------------------------------------
 

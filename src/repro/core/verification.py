@@ -16,12 +16,10 @@ that sweeps random trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.responses import measure_delay
-from repro.analysis.state_space import ExactAnalysis
 from repro.circuit.rctree import RCTree
 from repro.core.bounds import area_theorem_delay
 from repro.core.moments import transfer_moments
@@ -32,6 +30,9 @@ from repro.parallel import plan_shards, run_sharded, use_pool
 from repro.resilience.checkpoint import journal, tree_fingerprint
 from repro.signals.base import Signal
 from repro.signals.step import StepInput
+
+if TYPE_CHECKING:
+    from repro.analysis.state_space import ExactAnalysis
 
 _SAMPLES_EVALUATED = _counter(
     "verify_samples_total",
@@ -120,6 +121,8 @@ def _verify_shard_task(payload) -> List[NodeVerdict]:
     a deterministic function of the tree alone, so shard boundaries and
     worker placement cannot change a single output bit.
     """
+    from repro.analysis.state_space import ExactAnalysis
+
     tree, names, samples = payload
     analysis = ExactAnalysis(tree)
     moments = transfer_moments(tree, 3)
@@ -292,6 +295,8 @@ def _verify_node(
     name: str,
     samples: int,
 ) -> NodeVerdict:
+    from repro.analysis.responses import measure_delay
+
     with _span("verify.node", node=name) as sp:
         transfer = analysis.transfer(name)
         horizon = transfer.settle_time(1e-9)
@@ -337,6 +342,8 @@ def verify_area_theorem(
 
     Returns ``{"elmore": T_D, "area": measured, "relative_error": ...}``.
     """
+    from repro.analysis.state_space import ExactAnalysis
+
     if signal is None:
         signal = StepInput()
     with _span("verify.area_theorem", node=node, samples=samples):

@@ -3,7 +3,7 @@
 :func:`levelize` compiles :meth:`~repro.sta.netlist.Design.timing_order`
 into integer arrays so a walk treats a whole *level* at once.  The
 timing engine compiles a design once per design version: it caches the
-levels on the design (``repro.sta.timing._compile``) and every analysis
+levels on the design (``repro.sta.timing._version``) and every analysis
 reuses them until a :class:`~repro.sta.netlist.Design` mutator runs or
 an instance's cell or position is reassigned.  Every result of one
 version shares the same levels, so their arrays are read-only (a walk

@@ -117,7 +117,7 @@ class Design:
         self.inputs: List[str] = []
         self.outputs: List[str] = []
         self._pin_to_net: Dict[Pin, str] = {}
-        # Filled by repro.sta.timing._compile; every mutator drops it.
+        # Filled by repro.sta.timing._version; every mutator drops it.
         self._compiled = None
 
     # ------------------------------------------------------------------
@@ -137,7 +137,7 @@ class Design:
         inst = Instance(name=name, cell=self.library.get(cell_name),
                         position=_checked_position(name, position))
         self.instances[name] = inst
-        self._compiled = None
+        self._drop_compiled()
         return inst
 
     def add_input(self, port: str) -> None:
@@ -145,14 +145,14 @@ class Design:
         if port in self.inputs or port in self.outputs:
             raise TimingGraphError(f"port {port!r} already declared")
         self.inputs.append(port)
-        self._compiled = None
+        self._drop_compiled()
 
     def add_output(self, port: str) -> None:
         """Declare a primary output."""
         if port in self.inputs or port in self.outputs:
             raise TimingGraphError(f"port {port!r} already declared")
         self.outputs.append(port)
-        self._compiled = None
+        self._drop_compiled()
 
     def connect(
         self,
@@ -181,8 +181,17 @@ class Design:
         self.nets[net_name] = net
         for pin in (driver_pin, *sink_pins):
             self._pin_to_net[pin] = net_name
-        self._compiled = None
+        self._drop_compiled()
         return net
+
+    def _drop_compiled(self) -> None:
+        """Drop the compiled form and unlink its published net records,
+        which results of the old version may still hold."""
+        if self._compiled is not None:
+            from repro.sta.timing import _PUBLISHED
+
+            _PUBLISHED.discard(self._compiled)
+            self._compiled = None
 
     def _resolve(self, ref: Tuple[str, str], driving: bool) -> Pin:
         instance, pin = ref

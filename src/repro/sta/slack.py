@@ -24,7 +24,7 @@ import numpy as np
 
 from repro._exceptions import TimingGraphError
 from repro.sta.netlist import Design, Pin
-from repro.sta.timing import TimingResult, _PinValues
+from repro.sta.timing import TimingResult, _RowView
 
 __all__ = ["SlackReport", "compute_slacks"]
 
@@ -115,8 +115,8 @@ def compute_slacks(
     worst = len(slacks) - 1 - int(np.argmin(slacks[::-1]))
     pins = levels.pins
     return SlackReport(
-        required=_PinValues(pins, levels.index, times),
-        slack=_PinValues(pins, levels.index, slacks),
+        required=_RowView(levels.index, times),
+        slack=_RowView(levels.index, slacks),
         worst_slack=float(slacks[worst]),
         worst_pin=pins[worst],
     )

@@ -32,7 +32,7 @@ gate-level SSTA formulation surveyed in arXiv:2401.03588:
   sweeps, so no run builds an RC tree for them.  A design version keeps
   them, with the walk's label columns and wire rows (:class:`_Inputs`),
   for the last process model analysed on it
-  (:class:`~repro.sta.timing._ProcessSlot`); an analysis under an equal
+  (:class:`~repro.sta.timing._Version`); an analysis under an equal
   model reuses them and its shard task computes none.
 
 * **Propagation** — the nominal forest walk of :mod:`repro.sta.timing`
@@ -70,13 +70,12 @@ corners are surfaced through :class:`SSTAReport`.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import (
-    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,12 +99,7 @@ from repro.sta.interconnect import NetForest
 from repro.sta.levels import TimingLevels
 from repro.sta.netlist import Design, Pin
 from repro.sta.slack import output_requirements
-from repro.sta.timing import (
-    TimingResult,
-    _analyze_traced,
-    _PinValues,
-    analyze,
-)
+from repro.sta.timing import TimingResult, _analyze_traced, _RowView, analyze
 
 __all__ = [
     "ProcessModel",
@@ -390,74 +384,6 @@ def _drivers(driver: np.ndarray, pins: np.ndarray
     return held, pick
 
 
-class _Arrivals(Mapping):
-    """Read-only ``pin -> CanonicalForm`` over the walk's arrays.
-
-    Each pin's form is built on first access, with its labels (see
-    :func:`_columns`), and cached; iteration follows the walk order.
-    """
-
-    def __init__(self, levels: TimingLevels, mu: np.ndarray, a: np.ndarray,
-                 rows: _RowStore, labels: np.ndarray) -> None:
-        self._index = levels.index
-        self._mu = mu
-        self._a = a
-        self._rows = rows
-        self._labels = labels
-        self._built: Dict[Pin, CanonicalForm] = {}
-
-    def __getitem__(self, pin: Pin) -> CanonicalForm:
-        form = self._built.get(pin)
-        if form is None:
-            row = self._index[pin]
-            cols, vals = self._rows.entries(row)
-            form = self._built[pin] = CanonicalForm(
-                float(self._mu[row]), self._a[row].copy(),
-                dict(zip(self._labels[cols].tolist(), vals.tolist())),
-            )
-        return form
-
-    def __contains__(self, pin: object) -> bool:
-        return pin in self._index
-
-    def __iter__(self) -> Iterator[Pin]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} arrivals, {len(self._built)} built>"
-
-
-class _Outputs(Mapping):
-    """Read-only ``port -> CanonicalForm`` over a report's arrivals,
-    restricted to the design's primary outputs (in their order); each
-    form is the arrival mapping's, built on first access."""
-
-    def __init__(self, arrival: Mapping[Pin, CanonicalForm],
-                 ports: Sequence[str]) -> None:
-        self._arrival = arrival
-        self._ports = dict.fromkeys(ports)
-
-    def __getitem__(self, port: str) -> CanonicalForm:
-        if port not in self._ports:
-            raise KeyError(port)
-        return self._arrival[Pin(Pin.PORT, port)]
-
-    def __contains__(self, port: object) -> bool:
-        return port in self._ports
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._ports)
-
-    def __len__(self) -> int:
-        return len(self._ports)
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} outputs>"
-
-
 @dataclass(frozen=True)
 class _Columns:
     """The integer column of every residual source of one walk.
@@ -527,8 +453,8 @@ class _Inputs:
     globals, both by pin row.  ``capacity`` bounds the entries a walk
     stores (:func:`_capacity`); ``index`` holds each level's
     :class:`_LevelIndex` (``None`` for a level without gates) and
-    ``outputs`` the outputs' :func:`_drivers`.  The version's
-    :class:`~repro.sta.timing._ProcessSlot` shares them between
+    ``outputs`` the outputs' :func:`_drivers`.  The design version
+    (:class:`~repro.sta.timing._Version`) shares them between
     reports, so every array is read-only; each report stores its rows
     in a :class:`_RowStore` of its own.
     """
@@ -561,15 +487,15 @@ def _inputs(nominal: TimingResult, coefficients: tuple,
 
     ``coefficients`` is ``(a, l)`` (:meth:`ProcessModel.net_columns`)
     over the nominal result's evaluated sinks, net by net in its
-    ``_rows.sinks`` order.  Sink ``s`` of net ``n`` carries residual
+    version's ``rows`` order.  Sink ``s`` of net ``n`` carries residual
     columns ``net_q0[n] + 0 .. s`` with the packed row ``s`` of the net's
     ``L``; its globals are ``wire_a``, by pin row.  The wire means are
     the nominal walk's own ``_rows.delay``, not an input.
     """
     a, l = coefficients
     levels = nominal.levels
-    pins, counts = nominal._rows.sinks, nominal._rows.counts
-    names = list(nominal.nets)
+    version = nominal._version
+    pins, counts, names = version.rows, version.counts, list(version.names)
     cell_resid = model.cell_sigma > 0.0 and model.rho_cell < 1.0
     columns = _columns(levels, dict(zip(names, counts.tolist())),
                        cell_resid)
@@ -962,6 +888,15 @@ def _output_fold(levels: TimingLevels, inputs: _Inputs, rows: _RowStore,
     return critical, weights.tolist()
 
 
+def _form(mu: np.ndarray, a: np.ndarray, rows: _RowStore,
+          labels: np.ndarray, row: int) -> CanonicalForm:
+    """Pin ``row``'s arrival form, with its labels (see
+    :func:`_columns`)."""
+    cols, vals = rows.entries(row)
+    return CanonicalForm(float(mu[row]), a[row].copy(),
+                         dict(zip(labels[cols].tolist(), vals.tolist())))
+
+
 def _backward(levels: TimingLevels, inputs: _Inputs,
               out_weights: List[float],
               weights: List[Optional[np.ndarray]]) -> np.ndarray:
@@ -1015,9 +950,9 @@ def analyze_ssta(
     ``design`` to skip the deterministic pass: the walk runs on its
     levels (:meth:`~repro.sta.levels.TimingLevels.check`), and the
     coefficients come from the design version's forest of every net
-    (``nominal.nets.forest``, laid out once per version), fed to the
-    same :meth:`ProcessModel.net_columns`, so no RC tree is built and
-    the report is bit-identical.
+    (laid out once per version), fed to the same
+    :meth:`ProcessModel.net_columns`, so no RC tree is built and the
+    report is bit-identical.
 
     A design version keeps the SSTA inputs of the last process model it
     was analysed under: the coefficients, the label columns and the
@@ -1041,13 +976,13 @@ def analyze_ssta(
     with _span("ssta.analyze", nets=len(design.nets)) as sp:
         if not design.outputs:
             raise TimingGraphError("design has no primary outputs")
+        coefficients = None
         if nominal is None:
-            nominal, ssta = _analyze_traced(
+            nominal, coefficients = _analyze_traced(
                 design, "elmore", input_arrivals, input_slews, wire_load,
                 net_overrides, jobs, backend, checkpoint_path, resume,
                 process=model,
             )
-            slot, inputs, coefficients = ssta
         elif nominal.delay_model != "elmore":
             raise TimingGraphError(
                 "analyze_ssta requires an 'elmore' nominal result "
@@ -1055,20 +990,19 @@ def analyze_ssta(
             )
         else:
             nominal.levels.check(design)
-            slot = nominal.nets.process_slot
-            inputs = None if slot is None else slot.get(model)
-            if inputs is None:
-                coefficients = model.net_columns(nominal.nets.forest)
 
-        levels = nominal.levels
+        levels, version = nominal.levels, nominal._version
+        inputs = version.kept(model) if checkpoint_path is None else None
+        if inputs is None and coefficients is None:
+            coefficients = model.net_columns(version.forest())
         with _span("ssta.extract", nets=len(nominal.nets),
                    cached=inputs is not None):
             if inputs is None:
                 inputs = _inputs(nominal, coefficients, model)
-                if slot is not None:
-                    slot.keep(model, inputs)
+                if checkpoint_path is None and not version.overrides:
+                    version.process = (copy.deepcopy(model), inputs)
             rows = _RowStore(inputs, levels.driver)
-        _FORMS.inc(len(nominal._rows.sinks))
+        _FORMS.inc(len(version.rows))
         with _span("ssta.walk", levels=len(levels.levels)):
             mu, a, weights = _walk(model, nominal, input_arrivals, inputs,
                                    rows)
@@ -1076,13 +1010,14 @@ def analyze_ssta(
             critical, out_weights = _output_fold(levels, inputs, rows,
                                                  mu, a)
         rows.trim()
-        ports = [levels.pins[row].pin for row in levels.outputs]
-        arrival = _Arrivals(levels, mu, a, rows, inputs.columns.labels)
-        outputs = _Outputs(arrival, ports)
-        criticality = dict(zip(ports, out_weights))
-        pin_criticality = _PinValues(
-            levels.pins, levels.index,
-            _backward(levels, inputs, out_weights, weights))
+        arrival = _RowView(levels.index, functools.partial(
+            _form, mu, a, rows, inputs.columns.labels), memo=True)
+        pins = [levels.pins[row] for row in levels.outputs]
+        outputs = _RowView({pin.pin: pin for pin in pins},
+                           arrival.__getitem__)
+        criticality = dict(zip(outputs, out_weights))
+        pin_criticality = _RowView(
+            levels.index, _backward(levels, inputs, out_weights, weights))
 
         _ANALYSES.inc()
         sp.set_attribute("outputs", len(outputs))
@@ -1173,10 +1108,10 @@ def monte_carlo_arrivals(
     ``model.variation``), sweeps every net's Elmore delays through one
     batched (B, N) forest evaluation (sharded / shm warm pool when
     ``jobs``/``backend`` are given) over the design version's forest of
-    every net (``nominal.nets.forest``, laid out once per version; no RC
-    tree is built), and propagates per-sample arrivals
-    with vectorized max/add using the nominal slews — exactly the
-    semantics the canonical walk linearizes.
+    every net (laid out once per version; no RC tree is built), and
+    propagates per-sample arrivals with vectorized max/add using the
+    nominal slews — exactly the semantics the canonical walk
+    linearizes.
 
     Returns ``(output_ports, matrix)`` with ``matrix[b, j]`` the sample
     ``b`` arrival at output ``j``.
@@ -1196,7 +1131,7 @@ def monte_carlo_arrivals(
             )
         levels = nominal.levels
         levels.check(design)
-        forest = nominal.nets.forest
+        forest = nominal._version.forest()
         topology = forest.topology
         n_forest = int(topology.num_nodes)
         sp.set_attribute("forest_nodes", n_forest)
@@ -1227,7 +1162,7 @@ def monte_carlo_arrivals(
         # Pin-major (pins, B) arrivals, one level at a time.
         wire = delays.T
         wire_row = np.zeros(len(levels.pins), dtype=np.intp)
-        wire_row[nominal._rows.sinks] = forest.sinks
+        wire_row[nominal._version.rows] = forest.sinks
 
         xg = model.cell_sigma * (
             math.sqrt(model.rho_cell) * z[:, 2:3]

@@ -3,7 +3,7 @@
 Arrival times propagate level by level through the design's compiled
 timing graph (:func:`~repro.sta.levels.levelize`, which the result keeps
 for the slack pass and SSTA, and the design keeps for its next analysis
-until it changes; see :func:`_compile`).  Each net's interconnect delay is
+until it changes; see :func:`_version`).  Each net's interconnect delay is
 evaluated per sink from one batched forest sweep of the nets' RC trees
 (sharded across workers on request) with a pluggable delay model:
 
@@ -27,10 +27,9 @@ edge to their ``output_slew``.
 
 from __future__ import annotations
 
-import copy
 import logging
 import pickle
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -143,8 +142,8 @@ def _estimate_ms(sinks: int, delay_model: str, process,
                  laid_out: bool) -> float:
     """Estimated in-process milliseconds of the net shard task over
     ``sinks`` sinks: the model's sweep, the coefficients when the task
-    gets a ``process`` (not when the version's are cached, see
-    :class:`_ProcessSlot`), and the layout unless the version is
+    gets a ``process`` (not when the version keeps them, see
+    :class:`_Version`), and the layout unless the version is
     ``laid_out``."""
     per_sink = _SINK_US[delay_model]
     if process is not None:
@@ -249,104 +248,60 @@ def _net_shard_task(payload):
     return (values, *process.net_columns(forest))
 
 
-class _LazyNets(Mapping):
-    """Read-only ``net name -> ElaboratedNet`` over recorded geometries.
+class _RowView(Mapping):
+    """A read-only mapping over the rows of one analysis.
 
-    Each net's tree is built with :func:`build_net` on first access and
-    cached; the shard task sweeps flat arrays, so a run pays for trees
-    only when a consumer reads them.  ``geometries`` holds the recorded
-    :class:`NetGeometry` per net, in design order, shared by every
-    result of one design version (:class:`_NetPart`), as is
-    :attr:`forest`; the trees are this result's own.
+    ``index`` maps each key to its row, in iteration order.  ``read``
+    gives a row's value: a function of the row, or a float array whose
+    entry ``row`` is the row's float, when ``index`` numbers its keys 0,
+    1, ... in order, so ``items()`` and ``values()`` are one ``tolist()``
+    pass (lists: the view never changes).  With ``memo`` each value is
+    built on first access and kept.  The view equals the plain dict of
+    its items; an unknown key raises ``KeyError``.
     """
 
-    def __init__(self, part: "_NetPart") -> None:
-        # Not the part itself: its published records go with it.
-        self.geometries = part.geometries
-        self._records = part.records
-        self._forests = part.forests
-        #: The part's :class:`_ProcessSlot`, which
-        #: ``analyze_ssta(nominal=)`` reads and fills.
-        self.process_slot = part.process_slot
-        self._built: Dict[str, ElaboratedNet] = {}
+    __slots__ = ("_index", "_read", "_floats", "_built")
 
-    @property
-    def forest(self) -> NetForest:
-        """One forest of every net, the in-process analysis' own: laid
-        out once per design version, and swept again by the ``nominal=``
-        paths of :mod:`repro.sta.ssta`."""
-        whole = [Shard(0, 0, len(self._records))]
-        return _shard_forests(self._records, self._forests, whole)[0][0]
-
-    def __getitem__(self, name: str) -> ElaboratedNet:
-        net = self._built.get(name)
-        if net is None:
-            net = self._built[name] = build_net(self.geometries[name])
-        return net
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.geometries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.geometries)
-
-    def __len__(self) -> int:
-        return len(self.geometries)
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} nets, {len(self._built)} built>"
-
-
-class _PinValues(Mapping):
-    """Read-only ``pin -> float`` over one row array of a result.
-
-    ``pins`` are the keys in order, ``index`` maps each to its entry of
-    ``values``.  Reads give the floats a ``dict(zip(pins,
-    values.tolist()))`` holds, and the view equals that dict, without
-    hashing every pin to build it; an unknown pin raises ``KeyError``.
-    """
-
-    def __init__(self, pins: Sequence[Pin], index: Dict[Pin, int],
-                 values: np.ndarray) -> None:
-        self._pins = pins
+    def __init__(self, index: Mapping, read, memo: bool = False) -> None:
         self._index = index
-        self._values = values
+        self._floats = read if isinstance(read, np.ndarray) else None
+        self._read = read.item if self._floats is not None else read
+        self._built: Optional[dict] = {} if memo else None
 
-    def __getitem__(self, pin: Pin) -> float:
-        return float(self._values[self._index[pin]])
+    def __getitem__(self, key):
+        row = self._index[key]
+        built = self._built
+        if built is None:
+            return self._read(row)
+        value = built.get(row)
+        if value is None:
+            value = built[row] = self._read(row)
+        return value
 
-    def __contains__(self, pin: object) -> bool:
-        return pin in self._index
+    def __contains__(self, key: object) -> bool:
+        return key in self._index
 
-    def __iter__(self) -> Iterator[Pin]:
-        return iter(self._pins)
+    def __iter__(self) -> Iterator:
+        return iter(self._index)
 
     def __len__(self) -> int:
-        return len(self._pins)
+        return len(self._index)
 
-    def items(self) -> "_PinItems":
-        return _PinItems(self)
+    def items(self):
+        if self._floats is None:
+            return super().items()
+        return list(zip(self._index, self._floats.tolist()))
 
-    def values(self) -> "_PinFloats":
-        return _PinFloats(self)
+    def values(self):
+        if self._floats is None:
+            return super().values()
+        return self._floats.tolist()
 
     def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
-class _PinItems(ItemsView):
-    """``(pin, float)`` pairs in one pass over the array."""
-
-    def __iter__(self):
-        view = self._mapping
-        return zip(view._pins, view._values.tolist())
-
-
-class _PinFloats(ValuesView):
-    """The floats in one pass over the array."""
-
-    def __iter__(self):
-        return iter(self._mapping._values.tolist())
+        if self._floats is not None:
+            return repr(dict(self.items()))
+        built = "" if self._built is None else f", {len(self._built)} built"
+        return f"<{len(self)} entries{built}>"
 
 
 def _net_geometries(design: Design, wire_load, net_overrides
@@ -360,178 +315,153 @@ def _net_geometries(design: Design, wire_load, net_overrides
     }
 
 
-class _ProcessSlot:
-    """A design version's SSTA inputs under the last process model
-    analysed on it.
-
-    :func:`~repro.sta.ssta.analyze_ssta` keeps the inputs it derives
-    from a :class:`~repro.sta.ssta.ProcessModel` here (:meth:`keep`)
-    and reads them back for an equal model (:meth:`get`), so a warm
-    analysis runs the nominal shard task without a ``process``.  The
-    model is kept as a deep copy: a per-name sigma dict the caller
-    mutates in place afterwards compares unequal and misses.  One slot
-    per :class:`_NetPart` (none for ``net_overrides``), dropped with it.
-    """
-
-    __slots__ = ("_held",)
-
-    def __init__(self) -> None:
-        self._held: Optional[tuple] = None
-
-    def get(self, model):
-        """The inputs kept for a model equal to ``model``, or ``None``."""
-        held = self._held
-        if held is not None and held[0] == model:
-            return held[1]
-        return None
-
-    def keep(self, model, inputs) -> None:
-        """Hold ``inputs`` for ``model`` in place of what was held."""
-        self._held = (copy.deepcopy(model), inputs)
-
-
-class _ProcessPass(NamedTuple):
-    """What the nominal pass gives the SSTA walk: the version's
-    ``slot`` (``None`` when the call may not use it), the inputs it
-    ``kept`` for the process model, and, when it kept none, the
-    ``coefficients`` the shard tasks computed."""
-
-    slot: Optional[_ProcessSlot]
-    kept: object
-    coefficients: Optional[tuple]
-
-
 @dataclass(eq=False)
-class _NetPart:
-    """The net half of a compiled design, for one ``wire_load``.
+class _Version:
+    """One design version: its compiled timing graph and its nets under
+    one ``wire_load``, cached on the design as ``design._compiled``.
 
-    ``geometries`` is every net's :class:`NetGeometry` (in design
-    order; shared, so never written to), ``records`` their
-    :func:`~repro.sta.interconnect.net_record` tuples, ``pins`` every
-    evaluated sink pin net by net (each net's ``sink_pins()``),
+    ``state`` is every instance's ``(cell, position)`` when ``levels``
+    (:func:`~repro.sta.levels.levelize`) was compiled.  ``geometries``
+    is every net's :class:`NetGeometry` in design order (shared, so
+    never written to), ``names`` each net's position in it, ``records``
+    their :func:`~repro.sta.interconnect.net_record` tuples, ``pins``
+    every evaluated sink pin net by net (each net's ``sink_pins()``),
     ``index`` each pin's position in ``pins``, ``counts`` each net's
-    sink count and ``rows`` the pins' rows in the design's levels.
-    ``forests`` maps a shard count to each shard's
-    :func:`~repro.sta.interconnect.net_forest`, laid out on the part's
-    first in-process or serial analysis with that plan
+    sink count and ``rows`` the pins' rows in ``levels``.  ``forests``
+    maps a shard count to each shard's
+    :func:`~repro.sta.interconnect.net_forest`, laid out on the
+    version's first in-process or serial analysis with that plan
     (:func:`_shard_forests`); the worker pool lays out the records the
-    part publishes instead (:func:`_publish`).  ``process_slot`` holds
-    the SSTA inputs of the last process model (``None`` on a part of a
-    ``net_overrides`` call, which keeps none).
+    version publishes instead (:func:`_publish`).  ``process`` is the
+    last :class:`~repro.sta.ssta.ProcessModel` analysed on the version,
+    as a deep copy (a per-name sigma dict the caller mutates in place
+    afterwards compares unequal), with its
+    :class:`~repro.sta.ssta._Inputs`.  ``overrides`` marks a record
+    built for ``net_overrides``: its nets are the caller's trees, which
+    may change between calls, so no later call reuses them and it keeps
+    no SSTA inputs.
+
+    Drop rule: :func:`_version` hands the design's record back while
+    the design's mutators leave it in place (each of them drops it),
+    ``state`` still equals the design's, and the call has the same
+    ``wire_load`` and no ``net_overrides``.  Otherwise it makes a new
+    record, reusing ``levels`` while ``state`` is unchanged, and the
+    new record replaces the design's unless it is an ``overrides`` one
+    and the design's still holds the graph.  A record a mutator drops
+    or a new one replaces has its published records unlinked then, even
+    while a result still holds it; any record's go when it is
+    collected.
     """
 
+    state: list
+    levels: TimingLevels
     wire_load: Optional[WireLoadModel]
-    geometries: Dict[str, NetGeometry]
+    geometries: Tuple[NetGeometry, ...]
+    names: Dict[str, int]
     records: Tuple[tuple, ...]
     pins: Tuple[Pin, ...]
     index: Dict[Pin, int]
     counts: np.ndarray
     rows: np.ndarray
+    overrides: bool
     forests: Dict[int, Tuple[NetForest, ...]] = field(default_factory=dict)
-    process_slot: Optional[_ProcessSlot] = None
+    process: Optional[tuple] = None
+
+    def kept(self, model):
+        """The SSTA inputs kept for a model equal to ``model``, or
+        ``None``."""
+        held = self.process
+        if held is not None and held[0] == model:
+            return held[1]
+        return None
+
+    def forest(self) -> NetForest:
+        """One forest of every net, the in-process analysis' own: laid
+        out once per version, and swept again by the ``nominal=`` paths
+        of :mod:`repro.sta.ssta`."""
+        whole = [Shard(0, 0, len(self.records))]
+        return _shard_forests(self, whole)[0][0]
+
+    def net(self, row: int) -> ElaboratedNet:
+        """Net ``row``'s tree, built from its recorded geometry."""
+        return build_net(self.geometries[row])
 
 
-class _Compiled:
-    """A design's compiled form, cached on it as ``design._compiled``.
-
-    ``levels`` is the design's :func:`~repro.sta.levels.levelize` and
-    ``nets`` the :class:`_NetPart` of the last ``wire_load`` analysed
-    without ``net_overrides`` (``None`` until one is).  ``state`` is
-    every instance's ``(cell, position)`` when ``levels`` was compiled.
-    :func:`_compile` reuses the form while the design's mutators leave
-    it in place (each of them drops it) and ``state`` still equals the
-    design's.  Its part's published records are unlinked when the part
-    is dropped with it or replaced (:func:`_publish`).
-    """
-
-    __slots__ = ("state", "levels", "nets")
-
-    def __init__(self, state: list, levels: TimingLevels) -> None:
-        self.state = state
-        self.levels = levels
-        self.nets: Optional[_NetPart] = None
-
-
-def _compile(design: Design) -> Tuple[_Compiled, bool]:
-    """The design's cached :class:`_Compiled` form and ``True``, or a
-    fresh one (validated and levelised, cached on the design) and
-    ``False``.  An instance's ``cell`` or ``position`` reassigned since
-    the compile is seen here, by comparing every instance's pair."""
-    state = [(inst.cell, inst.position)
-             for inst in design.instances.values()]
-    compiled = design._compiled
-    if compiled is not None and compiled.state == state:
-        return compiled, True
-    compiled = _Compiled(state, levelize(design))
-    design._compiled = compiled
-    return compiled, False
-
-
-def _net_part(design: Design, compiled: _Compiled, wire_load,
-              net_overrides) -> Tuple[_NetPart, bool]:
-    """The design's :class:`_NetPart` for ``wire_load`` and ``True``
-    when ``compiled`` holds it, else a fresh one and ``False``.  A fresh
-    part is kept on ``compiled`` unless ``net_overrides`` were given:
-    their trees are the caller's, and may change between calls."""
-    part = compiled.nets
-    if not net_overrides and part is not None \
-            and part.wire_load == wire_load:
-        return part, True
-    geometries = _net_geometries(design, wire_load, net_overrides)
-    payload = list(geometries.values())
-    records = tuple(net_record(geometry) for geometry in payload)
-    sinks = [geometry.sink_pins() for geometry in payload]
+def _version(design: Design, wire_load,
+             net_overrides) -> Tuple[_Version, bool]:
+    """The design's :class:`_Version` for ``wire_load`` and ``True``, or
+    a new one and ``False``, under the record's drop rule.  An
+    instance's ``cell`` or ``position`` reassigned since the compile is
+    seen here, by comparing every instance's pair."""
+    old = design._compiled
+    with _span("sta.levelize", instances=len(design.instances)) as sp:
+        state = [(inst.cell, inst.position)
+                 for inst in design.instances.values()]
+        same = old is not None and old.state == state
+        sp.set_attribute("cached", same)
+        levels = old.levels if same else levelize(design)
+    if not design.outputs:
+        raise TimingGraphError("design has no primary outputs")
+    if same and not (net_overrides or old.overrides) \
+            and old.wire_load == wire_load:
+        return old, True
+    read = _net_geometries(design, wire_load, net_overrides)
+    geometries = tuple(read.values())
+    sinks = [geometry.sink_pins() for geometry in geometries]
     pins = tuple(pin for listed in sinks for pin in listed)
     counts = np.fromiter(map(len, sinks), np.intp, len(sinks))
-    rows = np.fromiter(map(compiled.levels.index.__getitem__, pins),
-                       np.intp, len(pins))
+    rows = np.fromiter(map(levels.index.__getitem__, pins), np.intp,
+                       len(pins))
     counts.setflags(write=False)
     rows.setflags(write=False)
-    part = _NetPart(wire_load, geometries, records, pins,
-                    dict(zip(pins, range(len(pins)))), counts, rows)
-    if not net_overrides:
-        part.process_slot = _ProcessSlot()
-        compiled.nets = part
-    return part, False
+    version = _Version(
+        state, levels, wire_load, geometries,
+        dict(zip(read, range(len(read)))),
+        tuple(map(net_record, geometries)), pins,
+        dict(zip(pins, range(len(pins)))), counts, rows, bool(net_overrides))
+    if not (net_overrides and same):
+        if old is not None:
+            _PUBLISHED.discard(old)
+        design._compiled = version
+    return version, False
 
 
-def _shard_forests(records: Sequence[tuple],
-                   cache: Dict[int, Tuple[NetForest, ...]],
-                   shards: List[Shard]
+def _shard_forests(version: _Version, shards: List[Shard]
                    ) -> Tuple[Tuple[NetForest, ...], bool]:
-    """The forest of ``records`` in each of ``shards``, and ``True``
-    when this call laid them out (once per ``cache``, a part's
-    ``forests``, and shard count).  A net that cannot be laid out raises
-    here, in the parent, the error its shard's
+    """The forest of ``version``'s records in each of ``shards``, and
+    ``True`` when this call laid them out (once per version and shard
+    count, kept in its ``forests``).  A net that cannot be laid out
+    raises here, in the parent, the error its shard's
     :func:`~repro.sta.interconnect.net_forest` raises."""
-    forests = cache.get(len(shards))
+    forests = version.forests.get(len(shards))
     if forests is not None:
         return forests, False
-    forests = cache[len(shards)] = tuple(
+    records = version.records
+    forests = version.forests[len(shards)] = tuple(
         net_forest(records[shard.start:shard.stop]) for shard in shards)
     return forests, True
 
 
-#: Each design version's published net records, by its :class:`_NetPart`.
+#: Each design version's published net records, by its :class:`_Version`.
 _PUBLISHED = WorkspaceRegistry("sta")
 
 
-def _publish(part: _NetPart, shards: List[Shard],
-             keep: bool) -> Tuple[ShmWorkspace, bool]:
-    """The shm workspace of ``part``'s records for the pool, and whether
-    this call published it.
+def _publish(version: _Version,
+             shards: List[Shard]) -> Tuple[ShmWorkspace, bool]:
+    """The shm workspace of ``version``'s records for the pool, and
+    whether this call published it.
 
     The workspace holds the one block of :func:`_pickled_records`
-    whatever the shard count.  With ``keep`` it is the part's, kept in
-    :data:`_PUBLISHED` while the part lives; otherwise the caller
-    closes it.  A failed publish leaves no segment and raises
-    :class:`~repro.parallel.ShmError`.
+    whatever the shard count.  A kept version's is kept in
+    :data:`_PUBLISHED` while the version lives (see :class:`_Version`);
+    an ``overrides`` one's is the caller's to close.  A failed publish
+    leaves no segment and raises :class:`~repro.parallel.ShmError`.
     """
     def build():
-        return _pickled_records(part.records, shards)
+        return _pickled_records(version.records, shards)
 
-    if keep:
-        return _PUBLISHED.workspace(part, build)
+    if not version.overrides:
+        return _PUBLISHED.workspace(version, build)
     return publish_workspace("sta", *build()), True
 
 
@@ -548,22 +478,22 @@ def _pickled_records(records: Sequence[tuple], shards: List[Shard]
         {"bounds": bounds}
 
 
-def _shm_fallback(part: _NetPart, exc: ShmError) -> None:
-    """Count and log one shm-to-serial fallback; drop ``part``'s
+def _shm_fallback(version: _Version, exc: ShmError) -> None:
+    """Count and log one shm-to-serial fallback; drop ``version``'s
     published records (a later analysis publishes them afresh)."""
-    _PUBLISHED.discard(part)
+    _PUBLISHED.discard(version)
     record_fallback("shm-unavailable")
     logger.warning("shm transport unavailable (%s); rerunning the net "
                    "shards serially", exc)
 
 
-def _run_shards(part: _NetPart, shards: List[Shard],
+def _run_shards(version: _Version, shards: List[Shard],
                 forests: Optional[Tuple[NetForest, ...]],
                 workspace: Optional[ShmWorkspace], delay_model: str,
                 process, sharded: bool, jobs, backend, checkpoint) -> list:
     """Every shard's :func:`_net_shard_task` result, in plan order.
 
-    With a ``workspace`` (``part``'s published records) the tasks run on
+    With a ``workspace`` (``version``'s published records) the tasks run on
     the pool; otherwise, or when the shm transport raises
     :class:`~repro.parallel.ShmError`, in process on a
     :class:`~repro.parallel.LocalWorkspace` holding the shards'
@@ -584,9 +514,9 @@ def _run_shards(part: _NetPart, shards: List[Shard],
         try:
             return run(workspace.descriptor(), "shm")
         except ShmError as exc:
-            _shm_fallback(part, exc)
+            _shm_fallback(version, exc)
     if forests is None:
-        forests = _shard_forests(part.records, part.forests, shards)[0]
+        forests = _shard_forests(version, shards)[0]
     local = LocalWorkspace()
     local.cache.update((f"forest/{k}", forest)
                        for k, forest in enumerate(forests))
@@ -616,7 +546,6 @@ def _journal_key(geometry: NetGeometry) -> list:
 
 def _precompute_nets(
     design: Design,
-    compiled: _Compiled,
     delay_model: str,
     wire_load,
     net_overrides,
@@ -625,8 +554,7 @@ def _precompute_nets(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     process=None,
-) -> Tuple[_LazyNets, Mapping[Pin, float], np.ndarray, np.ndarray,
-           np.ndarray, Optional[_ProcessPass]]:
+) -> Tuple[_Version, np.ndarray, Optional[tuple]]:
     """Evaluate every net of the design through batched forest sweeps.
 
     The parent reads each net's routing inputs into a
@@ -635,11 +563,11 @@ def _precompute_nets(
     laid out into one compiled forest
     (:func:`~repro.sta.interconnect.net_forest`) that
     :func:`_net_shard_task` sweeps.  All of it is the design's
-    :class:`_NetPart`, cached on ``compiled`` and reused while the
-    design and ``wire_load`` stay the same (see :func:`_net_part`).
-    Calls with ``net_overrides`` lay their nets out afresh and keep
-    nothing.  With ``jobs``, ``backend`` and ``checkpoint_path`` unset,
-    or when :func:`~repro.parallel.use_pool` finds the estimated work
+    :class:`_Version`, cached on the design and reused while the design
+    and ``wire_load`` stay the same (see :func:`_version`).  Calls with
+    ``net_overrides`` lay their nets out afresh and keep nothing.  With
+    ``jobs``, ``backend`` and ``checkpoint_path`` unset, or when
+    :func:`~repro.parallel.use_pool` finds the estimated work
     (:func:`_estimate_ms`) too small for the pool and no journal is
     kept, the task runs in process on one shard of every net.
     Otherwise the nets split into the deterministic :func:`_net_plan`
@@ -652,47 +580,42 @@ def _precompute_nets(
     block (an overrides call's for that call only), so only a
     descriptor and the shard index go to a worker, which lays its shard
     out once per attachment, and one ``(3, sinks)`` array per shard
-    comes back.  Either way the parent builds a tree only when ``nets``
-    is read.  Sinks whose metric fit
+    comes back.  Either way the parent builds a tree only when a
+    result's ``nets`` is read.  Sinks whose metric fit
     fell back to Elmore are counted here, in the parent, under
     ``sta_metric_fallbacks_total``.  Returns
-    ``(nets, wire_delay, values, sinks, counts, coefficients)``: the
-    nets, the per-sink delay map, the :func:`_sweep_nets` rows of every
-    sink (net by net in design order), their pin rows in the design's
-    levels and each net's sink count.  A non-finite delay or variance
+    ``(version, values, coefficients)``: the version analysed and the
+    :func:`_sweep_nets` rows of every sink (net by net in design
+    order, the version's ``pins``).  A non-finite delay or variance
     raises :class:`AnalysisError` naming the first net that produced
     one.
 
     With a ``process`` (a :class:`~repro.sta.ssta.ProcessModel`) the
-    last item is a :class:`_ProcessPass`.  When the part's
-    :class:`_ProcessSlot` holds inputs for an equal model, the task
-    runs without the ``process`` and the pass carries them; otherwise
-    the same pass computes every net's SSTA coefficients as ``(a, l)``,
+    same pass computes every net's SSTA coefficients as ``(a, l)``,
     ``process.net_columns`` over each shard's forest in the sinks'
-    order, next to the sweep (:func:`_net_shard_task`).  A journaled
-    call (``checkpoint_path``) or one with ``net_overrides`` neither
-    reads nor fills the slot, so its pass has none.  Without a
-    ``process`` the last item is ``None``.
+    order, next to the sweep (:func:`_net_shard_task`), unless the
+    version keeps inputs for an equal model: then the task runs without
+    the ``process``.  A journaled call (``checkpoint_path``) reads no
+    kept inputs.  ``coefficients`` is ``None`` when the task computed
+    none.
     """
     with _span("sta.forest_precompute", nets=len(design.nets)) as sp:
-        part, cached = _net_part(design, compiled, wire_load, net_overrides)
+        version, cached = _version(design, wire_load, net_overrides)
         sp.set_attribute("cached", cached)
-        slot = part.process_slot if checkpoint_path is None else None
-        kept = None
-        if process is not None and slot is not None:
-            kept = slot.get(process)
         # With the version's inputs kept, the task computes no
         # coefficients.
-        task_process = process if kept is None else None
-        geometries = part.geometries
-        total = len(part.records)
+        task_process = process
+        if process is not None and checkpoint_path is None \
+                and version.kept(process) is not None:
+            task_process = None
+        total = len(version.records)
         _NETS_EVALUATED.inc(total)
         sharded = not (jobs is None and backend is None
                        and checkpoint_path is None)
         shards, pool = _net_plan(total), None
         if sharded:
             pool = use_pool("sta.parallel_run",
-                            _estimate_ms(len(part.pins), delay_model,
+                            _estimate_ms(len(version.pins), delay_model,
                                          task_process, cached),
                             jobs, backend, len(shards), sp)
             # Too small for the pool: a journal keeps its plan on the
@@ -703,17 +626,15 @@ def _precompute_nets(
         else:
             # In process, one shard of every net: one sweep of one forest.
             shards = [Shard(0, 0, total)]
-        keep = not net_overrides
         workspace = forests = None
         with _span("sta.forest_publish", shards=len(shards)) as fp:
             if pool:
                 try:
-                    workspace, fresh = _publish(part, shards, keep)
+                    workspace, fresh = _publish(version, shards)
                 except ShmError as exc:
-                    _shm_fallback(part, exc)
+                    _shm_fallback(version, exc)
             if workspace is None:
-                forests, fresh = _shard_forests(part.records, part.forests,
-                                                shards)
+                forests, fresh = _shard_forests(version, shards)
             fp.set_attribute("cached", not fresh)
             published = 0
             if workspace is not None:
@@ -722,10 +643,9 @@ def _precompute_nets(
                 if fresh:
                     published = sum(spec.nbytes for spec in specs)
             fp.set_attribute("bytes", published)
-        nets = _LazyNets(part)
         try:
             if not sharded:
-                chunks = _run_shards(part, shards, forests, None,
+                chunks = _run_shards(version, shards, forests, None,
                                      delay_model, task_process, False,
                                      jobs, backend, None)
             else:
@@ -737,14 +657,15 @@ def _precompute_nets(
                     checkpoint_path, kind, shards, resume,
                     {"nets": total},
                     lambda: {"nets": [_journal_key(g)
-                                      for g in geometries.values()],
+                                      for g in version.geometries],
                              "delay_model": delay_model, **extra},
                 ) as checkpoint:
-                    chunks = _run_shards(part, shards, forests, workspace,
-                                         delay_model, task_process, True,
-                                         jobs, backend, checkpoint)
+                    chunks = _run_shards(version, shards, forests,
+                                         workspace, delay_model,
+                                         task_process, True, jobs, backend,
+                                         checkpoint)
         finally:
-            if workspace is not None and not keep:
+            if workspace is not None and version.overrides:
                 workspace.close()
         if task_process is not None:
             columns = [chunk[1:] for chunk in chunks]
@@ -756,28 +677,23 @@ def _precompute_nets(
             # carry base series only, and the base series is the total.
             _METRIC_FALLBACKS.inc(fallbacks)
             _METRIC_FALLBACKS.labels(metric=delay_model).inc(fallbacks)
-        pins, counts = part.pins, part.counts
         finite = np.isfinite(values).all(axis=0)
         if not finite.all():
             first = int(np.argmin(finite))
-            net = list(geometries)[int(np.searchsorted(
-                np.cumsum(counts), first, side="right"))]
+            net = list(version.names)[int(np.searchsorted(
+                np.cumsum(version.counts), first, side="right"))]
             raise AnalysisError(
                 f"net {net!r} has a non-finite {delay_model} delay or "
-                f"variance at sink {pins[first]} (delay "
+                f"variance at sink {version.pins[first]} (delay "
                 f"{float(values[0, first])!r}, mu2 "
                 f"{float(values[1, first])!r}); check its instance "
                 "positions and wire parameters"
             )
-        ssta = None
-        if process is not None:
-            coefficients = None
-            if task_process is not None:
-                coefficients = tuple(np.concatenate(block)
-                                     for block in zip(*columns))
-            ssta = _ProcessPass(slot, kept, coefficients)
-        return (nets, _PinValues(pins, part.index, values[0]), values,
-                part.rows, counts, ssta)
+        coefficients = None
+        if task_process is not None:
+            coefficients = tuple(np.concatenate(block)
+                                 for block in zip(*columns))
+        return version, values, coefficients
 
 
 @dataclass(frozen=True)
@@ -794,15 +710,12 @@ class _Rows(NamedTuple):
     """The nominal walk by :class:`~repro.sta.levels.TimingLevels` row:
     ``delay`` is the hop into each pin from its ``pred`` row (wire delay
     at a net sink, winning stage at a gate output; ``pred`` is -1 at an
-    input port); ``sinks``/``counts`` are the evaluated sinks' rows and
-    each net's count, in ``wire_delay`` order."""
+    input port)."""
 
     arrival: np.ndarray
     slew: np.ndarray
     delay: np.ndarray
     pred: np.ndarray
-    sinks: np.ndarray
-    counts: np.ndarray
 
 
 @dataclass
@@ -842,11 +755,14 @@ class TimingResult:
     slew: Mapping[Pin, float]
     critical_delay: float
     critical_output: str
-    nets: Mapping[str, ElaboratedNet]
+    nets: Mapping[str, ElaboratedNet] = field(compare=False)
     delay_model: str
     wire_delay: Mapping[Pin, float]
     levels: TimingLevels = field(repr=False, compare=False)
     _rows: _Rows = field(repr=False, compare=False)
+    #: The design version analysed (its nets, forests and kept SSTA
+    #: inputs).
+    _version: _Version = field(repr=False, compare=False)
 
     def arrival_at_output(self, port: str) -> float:
         """Arrival time at a primary output."""
@@ -979,52 +895,46 @@ def _analyze_traced(
     checkpoint_path: Optional[str],
     resume: bool,
     process=None,
-) -> Tuple[TimingResult, Optional[_ProcessPass]]:
-    """:func:`analyze` plus, with a ``process``, the
-    :class:`_ProcessPass` of :func:`_precompute_nets`: the version's
-    kept SSTA inputs, or the coefficients it computed in the same
-    pass."""
+) -> Tuple[TimingResult, Optional[tuple]]:
+    """:func:`analyze` plus, with a ``process``, the SSTA coefficients
+    :func:`_precompute_nets` computed in the same pass (``None`` when it
+    computed none)."""
     if delay_model not in DELAY_MODELS:
         raise TimingGraphError(
             f"unknown delay model {delay_model!r}; "
             f"choose from {sorted(DELAY_MODELS)}"
         )
     with _span("sta.analyze", model=delay_model) as sp:
-        with _span("sta.levelize", instances=len(design.instances)) as lp:
-            compiled, cached = _compile(design)
-            lp.set_attribute("cached", cached)
-        levels = compiled.levels
-        if not design.outputs:
-            raise TimingGraphError("design has no primary outputs")
         # Delay and dispersion don't depend on arrivals, so the whole
         # netlist's interconnect is evaluated in batched forest sweeps
         # (one per shard, in process or across workers when jobs is
         # given) before arrival propagation begins.
-        nets, wire_delay, values, sinks, counts, ssta = \
-            _precompute_nets(design, compiled, delay_model, wire_load,
-                             net_overrides, jobs=jobs, backend=backend,
-                             checkpoint_path=checkpoint_path, resume=resume,
-                             process=process)
-        rows = _walk(levels, values, sinks, counts, input_arrivals or {},
+        version, values, coefficients = _precompute_nets(
+            design, delay_model, wire_load, net_overrides, jobs=jobs,
+            backend=backend, checkpoint_path=checkpoint_path,
+            resume=resume, process=process)
+        levels = version.levels
+        rows = _walk(levels, values, version.rows, input_arrivals or {},
                      input_slews or {})
         arrival = rows.arrival[levels.outputs]
         worst = int(np.argmax(arrival))  # the first of equal maxima
-        sp.set_attribute("nets", len(nets))
+        sp.set_attribute("nets", len(version.names))
         return TimingResult(
-            arrival=_PinValues(levels.pins, levels.index, rows.arrival),
-            slew=_PinValues(levels.pins, levels.index, rows.slew),
+            arrival=_RowView(levels.index, rows.arrival),
+            slew=_RowView(levels.index, rows.slew),
             critical_delay=float(arrival[worst]),
             critical_output=design.outputs[worst],
-            nets=nets,
+            nets=_RowView(version.names, version.net, memo=True),
             delay_model=delay_model,
-            wire_delay=wire_delay,
+            wire_delay=_RowView(version.index, values[0]),
             levels=levels,
             _rows=rows,
-        ), ssta
+            _version=version,
+        ), coefficients
 
 
 def _walk(levels: TimingLevels, values: np.ndarray, sinks: np.ndarray,
-          counts: np.ndarray, input_arrivals: Dict[str, float],
+          input_arrivals: Dict[str, float],
           input_slews: Dict[str, float]) -> _Rows:
     """Arrivals and slews over :func:`_precompute_nets`' sweep rows.
 
@@ -1062,4 +972,4 @@ def _walk(levels: TimingLevels, values: np.ndarray, sinks: np.ndarray,
             (s ** 2 + m) ** 0.5
             for s, m in zip(slew[drivers].tolist(), mu2[net_sinks].tolist())
         ]
-    return _Rows(arrival, slew, delay, pred, sinks, counts)
+    return _Rows(arrival, slew, delay, pred)

@@ -77,6 +77,16 @@ class TestFormBasics:
         with pytest.raises(AnalysisError):
             CanonicalForm(0.0, np.array([np.inf]))
 
+    def test_equality_is_by_value(self):
+        form = CanonicalForm(2.0, np.array([3.0, 4.0]), {"e": 12.0})
+        assert form == CanonicalForm(2.0, [3.0, 4.0], {"e": 12.0})
+        assert form != CanonicalForm(2.0, np.array([3.0, 4.5]), {"e": 12.0})
+        assert form != CanonicalForm(2.0, np.array([3.0, 4.0]), {"f": 12.0})
+        assert form != CanonicalForm(2.5, np.array([3.0, 4.0]), {"e": 12.0})
+        assert form != (2.0, [3.0, 4.0], {"e": 12.0})
+        with pytest.raises(TypeError):
+            hash(form)
+
     def test_mismatched_spaces_rejected(self):
         x = canonical_constant(0.0, 2)
         y = canonical_constant(0.0, 3)

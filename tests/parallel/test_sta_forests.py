@@ -10,6 +10,7 @@ call's blocks live for that call only, and a failed publish falls back
 to the serial path without a leftover segment.
 """
 
+import dataclasses
 import gc
 import os
 import pickle
@@ -68,7 +69,7 @@ class TestPublishOnce:
             # on the parent's side.
             layouts = tracer.find("batch.compile_forest")
             assert 2 <= len(layouts) <= 2 * 2
-            assert design._compiled.nets.forests == {}
+            assert design._compiled.forests == {}
         inst = design.instances["g3_5"]
         inst.position = (inst.position[0] + 7e-6, inst.position[1])
         with tracing() as tracer:
@@ -118,6 +119,19 @@ class TestUnlink:
         gc.collect()
         assert sta_segments() == []
 
+    def test_a_mutator_unlinks_the_records_a_live_result_holds(self):
+        design = random_design(**SHARDED)
+        kept = analyze(design, **SHM)
+        assert len(sta_segments()) == BLOCKS
+        design.add_input("spare")
+        assert sta_segments() == []
+        assert kept._version.records  # the result still reads its nets
+        design.add_output("spare_out")
+        design.connect("n_spare", ("@port", "spare"),
+                       [("@port", "spare_out")])
+        assert sta_outcome(design, **SHM) == sta_outcome(copy_of(design))
+        assert len(sta_segments()) == BLOCKS
+
     def test_published_versions_stay_within_the_cap(self):
         cap = MAX_PUBLISHED_WORKSPACES
         designs = [random_design(7, 40, seed=seed) for seed in range(cap + 2)]
@@ -141,7 +155,7 @@ class TestUnlink:
         assert sta_segments() == []
         assert got == sta_outcome(design, net_overrides=given) == \
             sta_outcome(random_design(**SHARDED))
-        assert design._compiled.nets is None
+        assert design._compiled.overrides
 
 
 @pytest.mark.usefixtures("pool_always")
@@ -173,17 +187,17 @@ class TestConcurrentPublish:
         cap = MAX_PUBLISHED_WORKSPACES
         design = random_design(3, 40, seed=1)
         analyze(design, jobs=1)
-        part = design._compiled.nets
+        version = design._compiled
         shards = timing._net_plan(len(design.nets))
-        # Parts sharing the records stand for distinct design versions.
-        parts = [timing._NetPart(**vars(part)) for _ in range(3 * cap)]
+        # Records sharing the nets stand for distinct design versions.
+        parts = [dataclasses.replace(version) for _ in range(3 * cap)]
         seen, errors = [], []
 
         def worker(mine):
             try:
                 for _ in range(20):
                     for p in mine:
-                        timing._publish(p, shards, True)
+                        timing._publish(p, shards)
                         seen.append(len(timing._PUBLISHED))
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
@@ -202,7 +216,7 @@ class TestConcurrentPublish:
             sys.setswitchinterval(interval)
         assert errors == [] and seen and max(seen) <= cap
         assert len(sta_segments()) == cap * BLOCKS
-        del parts, part
+        del parts, version
         gc.collect()
         assert sta_segments() == []
 

@@ -160,16 +160,16 @@ def stage_form(model: ProcessModel, instance: str,
 def compressed_forms(design, model: ProcessModel, **kwargs):
     """``(nominal, wire forms)`` from the nominal pass's coefficients
     (or those the design version kept for ``model``)."""
-    nominal, ssta = timing._analyze_traced(
+    nominal, coefficients = timing._analyze_traced(
         design, "elmore", kwargs.get("input_arrivals"),
         kwargs.get("input_slews"), kwargs.get("wire_load"),
         kwargs.get("net_overrides"), None, None, None, False,
         process=model,
     )
-    coefficients = ssta.coefficients if ssta.kept is None \
-        else ssta.kept.coefficients
-    net_sinks = [(g.net, g.sink_pins())
-                 for g in nominal.nets.geometries.values()]
+    version = nominal._version
+    if coefficients is None:
+        coefficients = version.kept(model).coefficients
+    net_sinks = [(g.net, g.sink_pins()) for g in version.geometries]
     return nominal, wire_forms(net_sinks, coefficients, nominal.wire_delay)
 
 

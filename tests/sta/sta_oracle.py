@@ -16,13 +16,14 @@ oracle the differential tests compare against:
 
 from __future__ import annotations
 
+import copy
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 import repro.sta.timing as timing
-from repro.sta.levels import GateLevel, TimingLevels, levelize
+from repro.sta.levels import GateLevel, TimingLevels
 from repro.sta.netlist import Pin
 
 
@@ -34,11 +35,13 @@ def nominal_walk(design, delay_model: str = "elmore",
     ``predecessor`` (``pin -> (prev pin, kind, name, delay)``),
     ``critical_delay``, ``critical_output`` and ``wire_delay``."""
     order = design.timing_order()
-    # A fresh compile, not the design's cached one.
-    nets, wire_delay, values, _, _, _ = timing._precompute_nets(
-        design, timing._Compiled([], levelize(design)), delay_model,
-        wire_load, net_overrides)
-    pins = [pin for g in nets.geometries.values() for pin in g.sink_pins()]
+    # A fresh compile, on a copy that holds none of the design's cache.
+    fresh = copy.copy(design)
+    fresh._compiled = None
+    version, values, _ = timing._precompute_nets(
+        fresh, delay_model, wire_load, net_overrides)
+    pins = [pin for g in version.geometries for pin in g.sink_pins()]
+    wire_delay = dict(zip(pins, values[0].tolist()))
     dispersion = dict(zip(pins, values[1].tolist()))
 
     arrivals: Dict[Pin, float] = {}

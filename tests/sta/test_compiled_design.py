@@ -19,6 +19,7 @@ import shutil
 import numpy as np
 import pytest
 
+import repro.sta.ssta as ssta
 import repro.sta.timing as timing
 from repro._exceptions import TimingGraphError
 from repro.core.variation import VariationModel
@@ -108,10 +109,9 @@ class TestCachedEqualsCold:
     @pytest.mark.parametrize("kwargs", BACKENDS, ids=BACKEND_IDS)
     @pytest.mark.parametrize("delay_model", sorted(DELAY_MODELS))
     def test_nominal(self, warm, delay_model, kwargs):
-        compiled = warm._compiled
-        part = compiled.nets
+        version = warm._compiled
         mine = sta_outcome(warm, delay_model, **kwargs)
-        assert warm._compiled is compiled and compiled.nets is part
+        assert warm._compiled is version
         assert mine == sta_outcome(random_design(**PARAMS), delay_model,
                                    **kwargs)
 
@@ -131,7 +131,9 @@ class TestCachedEqualsCold:
 
     def test_nominal_paths_lay_out_the_shipped_records(self, warm):
         result = analyze(warm)
-        assert result.nets.forest is warm._compiled.nets.forests[1][0]
+        version = result._version
+        assert version is warm._compiled
+        assert version.forest() is version.forests[1][0]
         given = analyze_ssta(warm, MODEL, nominal=result)
         own = analyze_ssta(random_design(**PARAMS), MODEL)
         assert ssta_outcome(given) == ssta_outcome(own)
@@ -216,9 +218,9 @@ class TestRecompile:
         # An equal model is the same key; the default reads again.
         assert sta_outcome(d, wire_load=WireLoadModel(200.0, 2e-14)) == \
             after
-        assert d._compiled.nets.wire_load == heavy
+        assert d._compiled.wire_load == heavy
         assert sta_outcome(d) == before
-        assert d._compiled.nets.wire_load is None
+        assert d._compiled.wire_load is None
         assert compiles.count(d) == 1  # the graph itself is kept
 
     def test_a_mutated_override_tree_is_read_afresh(self, compiles):
@@ -232,8 +234,9 @@ class TestRecompile:
         fresh = overrides()
         fresh["n3"][0].add_load("y", 30e-15)
         assert after == sta_outcome(copy_of(d), net_overrides=fresh)
-        # Override calls leave the cached nets of plain calls alone.
-        assert d._compiled.nets is None
+        # Override calls cache no nets: the design's record keeps only
+        # the graph for a plain call.
+        assert d._compiled.overrides
         assert sta_outcome(d) == sta_outcome(copy_of(d))
         assert compiles.count(d) == 1
 
@@ -250,7 +253,7 @@ class TestSharedLevelsAreReadOnly:
                        level.fanin, level.inputs, level.owner,
                        level.intrinsic, level.slew_impact, level.sinks,
                        level.drivers]
-        arrays += [first._rows.sinks, first._rows.counts]
+        arrays += [first._version.rows, first._version.counts]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -280,11 +283,11 @@ class TestCachedForests:
             assert sta_outcome(sharded, delay_model, **kwargs) == cold
         # The parent keeps one forest of every net (in process) and one
         # per shard (jobs=1), each laid out once.
-        forests = dict(sharded._compiled.nets.forests)
+        forests = dict(sharded._compiled.forests)
         assert sorted(forests) == [1, 2]
         for kwargs in BACKENDS:
             analyze(sharded, delay_model, **kwargs)
-            now = sharded._compiled.nets.forests
+            now = sharded._compiled.forests
             assert all(now[k] is forests[k] for k in forests)
 
     def test_statistical_with_per_name_sigmas(self, sharded):
@@ -335,7 +338,7 @@ class TestResultViews:
         assert list(result.arrival) == list(arrival)
         assert list(result.slew.items()) == \
             list(zip(levels.pins, rows.slew.tolist()))
-        pins = sharded._compiled.nets.pins
+        pins = sharded._compiled.pins
         assert list(result.wire_delay) == list(pins)
         assert list(result.wire_delay.values()) == \
             [float(rows.delay[levels.index[pin]]) for pin in pins]
@@ -358,7 +361,7 @@ class TestResultViews:
         report = analyze_ssta(sharded, MODEL)
         levels = report.nominal.levels
         view = report.pin_criticality
-        crit = dict(zip(levels.pins, view._values.tolist()))
+        crit = {pin: view[pin] for pin in levels.pins}
         assert view == crit and crit == view
         assert list(view) == list(crit) == list(levels.pins)
         assert list(view.items()) == list(crit.items())
@@ -372,10 +375,91 @@ class TestResultViews:
             view[levels.pins[0]] = 0.0
 
 
+    def test_statistical_views(self, sharded):
+        report = analyze_ssta(sharded, MODEL)
+        levels = report.nominal.levels
+        arrival, outputs = report.arrival, report.outputs
+        assert repr(arrival) == f"<{len(levels.pins)} entries, 0 built>"
+        port = sharded.outputs[-1]
+        form = outputs[port]
+        assert form is arrival[Pin(Pin.PORT, port)]  # one shared memo
+        assert repr(arrival).endswith(", 1 built>")
+        assert list(arrival) == list(levels.pins)
+        assert list(outputs) == list(sharded.outputs)
+        assert outputs == {p: arrival[Pin(Pin.PORT, p)]
+                           for p in sharded.outputs}
+        assert dict(arrival.items()) == arrival
+        for view, unknown in ((arrival, Pin("nowhere", "a")),
+                              (outputs, "ghost")):
+            with pytest.raises(KeyError):
+                view[unknown]
+            with pytest.raises(TypeError):
+                view[next(iter(view))] = form
+
+    def test_nets_and_slack_views(self, sharded, monkeypatch):
+        result = analyze(sharded)
+        built = []
+        real = timing.build_net
+
+        def counting(geometry):
+            built.append(geometry.net)
+            return real(geometry)
+
+        monkeypatch.setattr(timing, "build_net", counting)
+        nets, count = result.nets, len(sharded.nets)
+        assert list(nets) == list(sharded.nets) and len(nets) == count
+        assert repr(nets) == f"<{count} entries, 0 built>"
+        name = list(sharded.nets)[5]
+        assert nets[name] is nets[name] and built == [name]
+        assert nets[name].net == name and name in nets
+        assert repr(nets) == f"<{count} entries, 1 built>"
+        with pytest.raises(KeyError):
+            nets["ghost"]
+        with pytest.raises(TypeError):
+            nets[name] = None
+        slacks = compute_slacks(sharded, result, 1e-9)
+        levels = result.levels
+        for view in (slacks.required, slacks.slack):
+            assert list(view) == list(levels.pins)
+            assert dict(view.items()) == view
+            assert list(view.values()) == [view[p] for p in levels.pins]
+        assert all(slacks.slack[pin] == slacks.required[pin] - arrival
+                   for pin, arrival in result.arrival.items())
+        with pytest.raises(KeyError):
+            slacks.slack[Pin("nowhere", "a")]
+        with pytest.raises(TypeError):
+            slacks.required[levels.pins[0]] = 0.0
+        assert built == [name]
+
+    def test_a_warm_result_equals_a_fresh_copys(self, sharded, monkeypatch):
+        built = []
+        monkeypatch.setattr(timing, "build_net", built.append)
+        fresh = copy_of(sharded)
+        assert analyze(sharded) == analyze(fresh)
+        assert analyze_ssta(sharded, MODEL) == analyze_ssta(fresh, MODEL)
+        assert analyze(sharded) != analyze(sharded, input_arrivals={
+            sharded.inputs[0]: 1e-12})
+        assert built == []  # equality compares no net trees
+
+
 def kept(design, model):
     """The SSTA inputs ``design``'s cached version holds for ``model``."""
-    part = design._compiled.nets
-    return None if part is None else part.process_slot.get(model)
+    version = design._compiled
+    return None if version is None else version.kept(model)
+
+
+@pytest.fixture
+def stores(monkeypatch):
+    """The row store of every SSTA walk run while the test runs."""
+    made = []
+
+    class Recording(ssta._RowStore):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(ssta, "_RowStore", Recording)
+    return made
 
 
 def computing(run):
@@ -480,12 +564,14 @@ class TestCachedProcessInputs:
     def test_a_new_version_drops_the_slot(self, change):
         d = mixed_design()
         analyze_ssta(d, MODEL)
-        slot = d._compiled.nets.process_slot
-        assert slot.get(MODEL) is not None
+        version = d._compiled
+        inputs = version.kept(MODEL)
+        assert inputs is not None
         change(d)
         report, computed = computing(lambda: analyze_ssta(d, MODEL))
         assert computed == 1
-        assert d._compiled.nets.process_slot is not slot
+        assert d._compiled is not version
+        assert d._compiled.kept(MODEL) is not inputs
         assert ssta_outcome(report) == \
             ssta_outcome(analyze_ssta(copy_of(d), MODEL))
 
@@ -521,7 +607,7 @@ class TestCachedProcessInputs:
             lambda: analyze_ssta(design, OTHER, nominal=analyze(design)))
         assert computed == 0 and ssta_outcome(report) == cold_outcome(OTHER)
 
-    def test_shared_arrays_reject_writes(self):
+    def test_shared_arrays_reject_writes(self, stores):
         design = random_design(**PARAMS)
         first = analyze_ssta(design, MODEL)
         inputs = kept(design, MODEL)
@@ -533,7 +619,7 @@ class TestCachedProcessInputs:
                 array[...] = 0
         # Each report stores its rows in its own buffers, trimmed to
         # what the walk wrote.
-        mine, theirs = first.arrival._rows, second.arrival._rows
+        mine, theirs = stores
         assert not np.shares_memory(mine.vals, theirs.vals)
         assert not np.shares_memory(mine.count, theirs.count)
         assert len(mine.vals) == mine.size <= inputs.capacity
@@ -576,10 +662,11 @@ class TestCachedProcessInputs:
     @pytest.mark.parametrize("make", [
         mixed_design, lambda: random_design(**PARAMS),
     ], ids=["mixed", "random"])
-    def test_the_row_store_is_sized_once(self, make, model):
+    def test_the_row_store_is_sized_once(self, stores, make, model):
         # The capacity bounds every walk's entries (a store that ran out
         # would raise on the first level that overflows it).
         design = make()
-        rows = analyze_ssta(design, model).arrival._rows
+        analyze_ssta(design, model)
+        (rows,) = stores
         assert len(rows.cols) == len(rows.vals) == rows.size
         assert rows.size <= kept(design, model).capacity

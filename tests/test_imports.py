@@ -153,6 +153,19 @@ def test_elmore_sta_loads_no_exact_fit_opt_or_serve_layer(args):
     assert "repro.core.metrics" not in modules
 
 
+def test_serve_loads_no_exact_layer_and_lists_the_verify_series():
+    # ``repro serve`` imports the verification module for its counters;
+    # the exact analysis it verifies with loads only when a verify runs.
+    modules = imported_modules("-c", """
+import repro.cli, repro.serve.app
+from repro.obs.metrics import get_registry
+text = get_registry().to_prometheus_text()
+assert "verify_nodes_total" in text and "verify_samples_total" in text
+""")
+    assert "repro.core.verification" in modules
+    assert {m for m in modules if layer(m) == "repro.analysis"} == set()
+
+
 @pytest.mark.parametrize("delay_model, needs", [
     ("d2m", "repro.core.metrics"),
     ("exact", "repro.analysis.state_space"),
